@@ -11,9 +11,12 @@ round-count bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import Configuration, Instance, ProblemKind
+
+if TYPE_CHECKING:
+    from .engine import Move
 
 BLUE = 1  # the tracked colour; roles are swapped before a run, never here
 
@@ -58,9 +61,7 @@ def surplus_profile(cfg: Configuration, requirement_row: Sequence[int]) -> Surpl
     """Surplus of colour 1 per block relative to ``requirement_row``."""
     if len(requirement_row) != cfg.k:
         raise ValueError(f"requirement row has {len(requirement_row)} entries, expected {cfg.k}")
-    y = tuple(
-        cfg.counts(j)[BLUE - 1] - requirement_row[j - 1] for j in range(1, cfg.k + 1)
-    )
+    y = tuple(row[BLUE - 1] - need for row, need in zip(cfg.all_counts(), requirement_row))
     return SurplusProfile(y=y)
 
 
@@ -100,10 +101,6 @@ def renamed_block(original: int, offset: int, k: int) -> int:
     return (original - offset) % k + 1
 
 
-def original_block(renamed: int, offset: int, k: int) -> int:
-    return (offset - 1 + renamed - 1) % k + 1
-
-
 def renamed_row(row: Sequence[int], offset: int) -> tuple[int, ...]:
     return tuple(row[offset - 1:]) + tuple(row[:offset - 1])
 
@@ -126,12 +123,10 @@ def destinations(n_blue: int, requirement_row: Sequence[int]) -> tuple[int, ...]
 
 def blue_scan(cfg: Configuration, offset: int) -> tuple[tuple[int, int], ...]:
     """Blue agents in renamed reading order as (renamed block, agent id) pairs."""
-    out = []
-    for rb in range(1, cfg.k + 1):
-        for _, agent in cfg.block_view(original_block(rb, offset, cfg.k)).slots:
-            if agent.colour == BLUE:
-                out.append((rb, agent.id))
-    return tuple(out)
+    p = cfg.p
+    start = (offset - 1) * p
+    renamed = cfg.agents[start:] + cfg.agents[:start]
+    return tuple((x // p + 1, a.id) for x, a in enumerate(renamed) if a.colour == BLUE)
 
 
 def distance(cfg: Configuration, requirement_row: Sequence[int], offset: int,
@@ -151,6 +146,23 @@ def distance(cfg: Configuration, requirement_row: Sequence[int], offset: int,
         displacement=displacement,
         total=sum(displacement),
     )
+
+
+def distance_change(cfg: Configuration, moves: Iterable[Move], offset: int) -> int:
+    """Change of the distance potential when ``moves`` are applied to ``cfg``.
+
+    The destinations sum to a constant (they depend only on the blue total
+    and the requirement row), so the distance is the sum of the renamed
+    blocks of all blue agents minus that constant.  Only a blue agent that
+    changes block changes it, by the change of its renamed block.
+    """
+    k, p, agents = cfg.k, cfg.p, cfg.agents
+    change = 0
+    for m in moves:
+        src_b, dst_b = m.src // p + 1, m.dst // p + 1
+        if src_b != dst_b and agents[m.src].colour == BLUE:
+            change += renamed_block(dst_b, offset, k) - renamed_block(src_b, offset, k)
+    return change
 
 
 def distance_report(cfg: Configuration, requirement_row: Sequence[int]) -> DistanceReport:

@@ -3,6 +3,10 @@ analyze instances, and benchmark round counts against the bounds.
 
 Exit codes are stable contracts: 0 success, 2 invalid instance, 3 no
 termination within the round budget, 4 verification failure, 5 I/O error.
+``ringform verify`` on a malformed trace file (a line that is not a JSON
+record, a record of unknown type, a round record with missing or
+ill-typed fields, no header) prints one ``invalid trace`` line naming the
+file line to stderr and exits 4.
 """
 
 from __future__ import annotations
@@ -275,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     except engine.InvalidInstanceError as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVALID_INSTANCE
+    except engine.TraceError as exc:
+        print(f"invalid trace: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR

@@ -23,6 +23,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 _MANY_COLOUR_SYMBOLS = "123456789" + string.ascii_uppercase
@@ -89,7 +90,13 @@ class BlockView:
 
 @dataclass(frozen=True)
 class Configuration:
-    """An assignment of one agent per ring node."""
+    """An assignment of one agent per ring node.
+
+    The per-block colour counts are counted once per configuration, on
+    first use.  A configuration made by ``engine.apply_moves`` gets them
+    from its predecessor's counts and the moves, and shares the row of
+    every block that no agent entered or left.
+    """
 
     agents: tuple[Agent, ...]
     k: int
@@ -129,6 +136,20 @@ class Configuration:
     def with_agents(self, agents: tuple[Agent, ...]) -> "Configuration":
         return Configuration(agents=agents, k=self.k, p=self.p, q=self.q)
 
+    def _successor(self, agents: tuple[Agent, ...],
+                   block_counts: tuple[tuple[int, ...], ...]) -> "Configuration":
+        """The configuration holding ``agents``, which must permute this
+        configuration's agents into per-block counts ``block_counts``.
+
+        Skips the O(n) validation of the constructor: a permutation of a
+        valid configuration is valid.  Only ``engine.apply_moves`` calls it,
+        after checking that its moves permute the positions.
+        """
+        successor = object.__new__(type(self))
+        successor.__dict__.update(agents=agents, k=self.k, p=self.p, q=self.q,
+                                  _block_counts=block_counts)
+        return successor
+
     def to_string(self) -> str:
         alphabet = colour_symbols(self.q)
         return "".join(alphabet[a.colour - 1] for a in self.agents)
@@ -143,28 +164,34 @@ class Configuration:
         if not 1 <= j <= self.k:
             raise ValueError(f"block {j} out of range 1..{self.k}")
         start = (j - 1) * self.p
-        slots = tuple((start + x, self.agents[start + x]) for x in range(self.p))
+        slots = tuple(zip(range(start, start + self.p), self.agents[start:start + self.p]))
         return BlockView(index=j, slots=slots)
 
     def block_string(self, j: int) -> str:
         alphabet = colour_symbols(self.q)
         return "".join(alphabet[a.colour - 1] for a in self.block_view(j).agents())
 
+    @cached_property
+    def _block_counts(self) -> tuple[tuple[int, ...], ...]:
+        rows = []
+        for start in range(0, self.n, self.p):
+            vec = [0] * self.q
+            for agent in self.agents[start:start + self.p]:
+                vec[agent.colour - 1] += 1
+            rows.append(tuple(vec))
+        return tuple(rows)
+
     def counts(self, j: int) -> tuple[int, ...]:
         """Per-colour counts of block ``j`` (index 0 holds colour 1)."""
-        vec = [0] * self.q
-        for _, agent in self.block_view(j).slots:
-            vec[agent.colour - 1] += 1
-        return tuple(vec)
+        if not 1 <= j <= self.k:
+            raise ValueError(f"block {j} out of range 1..{self.k}")
+        return self.all_counts()[j - 1]
 
     def all_counts(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.counts(j) for j in range(1, self.k + 1))
+        return self._block_counts
 
     def colour_totals(self) -> tuple[int, ...]:
-        vec = [0] * self.q
-        for agent in self.agents:
-            vec[agent.colour - 1] += 1
-        return tuple(vec)
+        return tuple(map(sum, zip(*self.all_counts())))
 
 
 def counts(cfg: Configuration, j: int) -> tuple[int, ...]:

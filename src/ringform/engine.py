@@ -20,10 +20,9 @@ step; the engine refuses to apply colliding or out-of-window move sets.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 from . import analysis
 from .core import (
@@ -48,6 +47,17 @@ class EngineError(RuntimeError):
 
 class InvalidInstanceError(ValueError):
     """The instance fails semantic validation and cannot be run."""
+
+
+class TraceError(ValueError):
+    """A malformed trace file, or recorded moves that cannot be replayed
+    from the trace's instance; names the file line when known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
 @dataclass(frozen=True)
@@ -87,6 +97,10 @@ class RunResult:
     initial_distance: int | None
 
 
+# What every round record carries: apply_moves raises before any of them fails.
+ROUND_CHECKS = (("collision_free", True), ("within_window", True), ("colours_conserved", True))
+
+
 def wrap_block(b: int, k: int) -> int:
     return (b - 1) % k + 1
 
@@ -95,13 +109,22 @@ def build_pairing(k: int, offset: int) -> WindowPairing:
     """Pair blocks (offset, offset+1), (offset+2, offset+3), ... around the ring."""
     if not 1 <= offset <= k:
         raise ValueError(f"offset {offset} out of range 1..{k}")
-    pairs = []
-    b = offset
-    for _ in range(k // 2):
-        pairs.append((b, wrap_block(b + 1, k)))
-        b = wrap_block(b + 2, k)
+    pairs = tuple((b % k + 1, (b + 1) % k + 1) for b in range(offset - 1, offset + k - 2, 2))
     unpaired = wrap_block(offset - 1, k) if k % 2 else None
-    return WindowPairing(offset=offset, pairs=tuple(pairs), unpaired=unpaired)
+    return WindowPairing(offset=offset, pairs=pairs, unpaired=unpaired)
+
+
+def stray_move(pairing: WindowPairing, moves: Iterable[Move], p: int) -> Move | None:
+    """The first move that does not stay inside one window of ``pairing``
+    (blocks of length ``p``), or None."""
+    window_of: dict[int, int] = {}
+    for wid, (lb, rb) in enumerate(pairing.pairs):
+        window_of[lb] = window_of[rb] = wid
+    for m in moves:
+        src_w = window_of.get(m.src // p + 1)
+        if src_w is None or src_w != window_of.get(m.dst // p + 1):
+            return m
+    return None
 
 
 def uses_two_colour_steps(inst: Instance) -> bool:
@@ -160,22 +183,16 @@ def window_step_two_colour(
     colour is in ``frozen`` keep their exact positions.
     """
 
-    def is_blue(agent: Agent) -> bool:
-        return agent.colour == blue_colour
-
-    def mobile(view: BlockView) -> list[tuple[int, Agent]]:
-        return [(pos, a) for pos, a in view.slots if a.colour not in frozen]
-
-    left_mobile = mobile(left)
-    right_mobile = mobile(right)
-    blues_left = [a for _, a in left_mobile if is_blue(a)]
+    left_mobile = [(pos, a) for pos, a in left.slots if a.colour not in frozen]
+    blues_left = [a for _, a in left_mobile if a.colour == blue_colour]
     deficit = blue_required_left - len(blues_left)
     if deficit <= 0:
         return ()
 
-    blues_right = [a for _, a in right_mobile if is_blue(a)]
-    reds_left = [a for _, a in left_mobile if not is_blue(a)]
-    reds_right = [a for _, a in right_mobile if not is_blue(a)]
+    right_mobile = [(pos, a) for pos, a in right.slots if a.colour not in frozen]
+    blues_right = [a for _, a in right_mobile if a.colour == blue_colour]
+    reds_left = [a for _, a in left_mobile if a.colour != blue_colour]
+    reds_right = [a for _, a in right_mobile if a.colour != blue_colour]
     t = min(cap, deficit, len(blues_right))
     if len(reds_left) < t:
         raise EngineError(
@@ -277,36 +294,73 @@ def window_step_q_colour(
 
 def apply_moves(cfg: Configuration, moves: Sequence[Move],
                 pairing: WindowPairing | None = None) -> Configuration:
-    """Apply a round's net moves, refusing collisions and out-of-window moves."""
+    """Apply a round's net moves, refusing collisions and out-of-window moves.
+
+    The per-block counts of the result follow from ``cfg``'s counts and the
+    moves that cross a block boundary; every block that no agent enters or
+    leaves keeps ``cfg``'s row object.
+    """
     if not moves:
         return cfg
-    srcs = [m.src for m in moves]
-    dsts = [m.dst for m in moves]
-    if len(set(dsts)) != len(dsts):
+    srcs = {m.src for m in moves}
+    dsts = {m.dst for m in moves}
+    if len(dsts) != len(moves):
         raise EngineError("collision: two agents target the same position")
-    if len(set(srcs)) != len(srcs):
+    if len(srcs) != len(moves):
         raise EngineError("two moves leave the same position")
-    if set(srcs) != set(dsts):
+    if srcs != dsts:
         raise EngineError("moves do not permute positions: some node would empty")
+    old = cfg.agents
+    n = cfg.n
     for m in moves:
-        if not 0 <= m.src < cfg.n or not 0 <= m.dst < cfg.n:
+        if not 0 <= m.src < n or not 0 <= m.dst < n:
             raise EngineError(f"move {m} outside the ring")
-        if cfg.agents[m.src].id != m.agent_id:
+        if old[m.src].id != m.agent_id:
             raise EngineError(f"move {m} does not match the agent at its source")
+    p = cfg.p
     if pairing is not None:
-        window_of = {}
-        for wid, (lb, rb) in enumerate(pairing.pairs):
-            window_of[lb] = wid
-            window_of[rb] = wid
-        for m in moves:
-            src_w = window_of.get(cfg.block_of(m.src))
-            dst_w = window_of.get(cfg.block_of(m.dst))
-            if src_w is None or src_w != dst_w:
-                raise EngineError(f"move {m} leaves its window")
-    agents = list(cfg.agents)
+        stray = stray_move(pairing, moves, p)
+        if stray is not None:
+            raise EngineError(f"move {stray} leaves its window")
+    agents = list(old)
+    counts = list(cfg.all_counts())
+    changed: dict[int, list[int]] = {}
     for m in moves:
-        agents[m.dst] = cfg.agents[m.src]
-    return cfg.with_agents(tuple(agents))
+        agent = old[m.src]
+        agents[m.dst] = agent
+        src_b, dst_b = m.src // p, m.dst // p
+        if src_b != dst_b:
+            for b, step in ((src_b, -1), (dst_b, 1)):
+                if b not in changed:
+                    changed[b] = list(counts[b])
+                changed[b][agent.colour - 1] += step
+    for b, row in changed.items():
+        counts[b] = tuple(row)
+    return cfg._successor(tuple(agents), tuple(counts))
+
+
+def _window_step(inst: Instance, capped_swaps: bool,
+                 ) -> Callable[[Configuration, int, int], tuple[Move, ...]]:
+    """The window step of ``inst`` as a function of (configuration, left
+    block, right block)."""
+    spec = inst.spec
+    if uses_two_colour_steps(inst):
+        row = spec.row(1)
+        cap = min(row)
+        return lambda cfg, lb, rb: window_step_two_colour(
+            cfg.block_view(lb), cfg.block_view(rb), row[lb - 1], cap)
+    return lambda cfg, lb, rb: window_step_q_colour(
+        cfg.block_view(lb), cfg.block_view(rb), spec, capped=capped_swaps)
+
+
+def _close_round(cfg: Configuration, moves: list[Move], pairing: WindowPairing, index: int,
+                 distance: int | None) -> tuple[Configuration, RoundTrace]:
+    new_cfg = apply_moves(cfg, moves, pairing)
+    if new_cfg.colour_totals() != cfg.colour_totals():
+        raise EngineError("colour totals changed across a round")
+    trace = RoundTrace(index=index, offset=pairing.offset, moves=tuple(moves),
+                       counts=new_cfg.all_counts(), distance=distance, checks=ROUND_CHECKS)
+    return new_cfg, trace
 
 
 def execute_round(
@@ -319,39 +373,21 @@ def execute_round(
 ) -> tuple[Configuration, RoundTrace]:
     """Apply the window step to every window of the round's pairing in parallel."""
     pairing = build_pairing(cfg.k, offset)
-    spec = inst.spec
-    moves: list[Move] = []
-    if uses_two_colour_steps(inst):
-        row = spec.row(1)
-        cap = min(row)
-        for lb, rb in pairing.pairs:
-            moves.extend(
-                window_step_two_colour(cfg.block_view(lb), cfg.block_view(rb), row[lb - 1], cap)
-            )
-    else:
-        for lb, rb in pairing.pairs:
-            moves.extend(
-                window_step_q_colour(cfg.block_view(lb), cfg.block_view(rb), spec,
-                                     capped=capped_swaps)
-            )
-    new_cfg = apply_moves(cfg, moves, pairing)
-    if new_cfg.colour_totals() != cfg.colour_totals():
-        raise EngineError("colour totals changed across a round")
-    checks = (("collision_free", True), ("within_window", True), ("colours_conserved", True))
-    trace = RoundTrace(index=index, offset=offset, moves=tuple(moves),
-                       counts=new_cfg.all_counts(), distance=None, checks=checks)
-    return new_cfg, trace
+    step = _window_step(inst, capped_swaps)
+    moves = [m for lb, rb in pairing.pairs for m in step(cfg, lb, rb)]
+    return _close_round(cfg, moves, pairing, index, None)
 
 
 def target_satisfied(cfg: Configuration, inst: Instance) -> bool:
     spec = inst.spec
-    if spec.kind is ProblemKind.P3:
-        return cfg.to_string() == "".join(spec.patterns or ())
+    counts = cfg.all_counts()
     if spec.kind is ProblemKind.P2:
-        return all(
-            cfg.counts(j)[0] >= spec.required(1, j) for j in range(1, cfg.k + 1)
-        )
-    return all(cfg.counts(j) == spec.column(j) for j in range(1, cfg.k + 1))
+        return all(row[0] >= need for row, need in zip(counts, spec.row(1)))
+    if counts != tuple(zip(*spec.matrix)):
+        return False
+    # A block that matches its pattern has its counts, so the string
+    # comparison only runs once every count is right.
+    return spec.kind is not ProblemKind.P3 or cfg.to_string() == "".join(spec.patterns or ())
 
 
 def run(
@@ -367,6 +403,12 @@ def run(
     rounds are executed; the run counts as terminated only if they all
     produce empty move sets.  Exhausting ``max_rounds`` (default
     ``4*n*k + 16``) yields ``terminated=False``.
+
+    The rounds are those of a chain of ``execute_round`` calls, at a cost
+    that follows the moves rather than the ring size: a window step
+    depends only on its two blocks, so a window that moved nothing is not
+    stepped again until a move touches one of its blocks, and the distance
+    potential is updated from the blue agents that change block.
     """
     report = validate(inst)
     if not report.valid:
@@ -379,45 +421,61 @@ def run(
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
 
+    k, p = inst.k, inst.p
     two_colour = uses_two_colour_steps(inst)
+    distance = initial_distance = None
     if two_colour:
         row = inst.spec.row(1)
         offset0 = analysis.rename_offset(analysis.surplus_profile(inst.initial, row))
         n_blue = inst.initial.colour_totals()[0]
         dest = analysis.destinations(n_blue, analysis.renamed_row(row, offset0))
+        distance = initial_distance = analysis.distance(inst.initial, row, offset0, dest).total
 
-        def measure(cfg: Configuration) -> int:
-            return analysis.distance(cfg, row, offset0, dest).total
+    step = _window_step(inst, capped_swaps)
+    # Left blocks of the windows whose last step moved nothing and whose
+    # two blocks no move has touched since.
+    idle: set[int] = set()
+    rounds: list[RoundTrace] = []
 
-        initial_distance = measure(inst.initial)
-    else:
-        initial_distance = None
+    def advance(cfg: Configuration, offset: int) -> Configuration:
+        nonlocal distance
+        pairing = build_pairing(k, offset)
+        moves: list[Move] = []
+        for lb, rb in pairing.pairs:
+            if lb not in idle:
+                window = step(cfg, lb, rb)
+                if window:
+                    moves.extend(window)
+                else:
+                    idle.add(lb)
+        if two_colour:
+            distance += analysis.distance_change(cfg, moves, offset0)
+        cfg, rt = _close_round(cfg, moves, pairing, len(rounds) + 1, distance)
+        rounds.append(rt)
+        for b in {m.src // p for m in moves} | {m.dst // p for m in moves}:
+            idle.discard(b + 1)  # the window whose left block is 1-based block b + 1
+            idle.discard(wrap_block(b, k))  # and the one whose right block it is
+        return cfg
 
     cfg = inst.initial
-    rounds: list[RoundTrace] = []
     offset = 1
-    steps = 0
-    while steps < max_rounds and not target_satisfied(cfg, inst):
-        cfg, rt = execute_round(cfg, inst, offset, index=steps + 1, capped_swaps=capped_swaps)
-        if two_colour:
-            rt = dataclasses.replace(rt, distance=measure(cfg))
-        rounds.append(rt)
-        steps += 1
-        offset = offset % inst.k + 1
+    while len(rounds) < max_rounds and not target_satisfied(cfg, inst):
+        cfg = advance(cfg, offset)
+        offset = offset % k + 1
 
-    reached = target_satisfied(cfg, inst)
-    rounds_used = steps
-    terminated = reached
+    rounds_used = len(rounds)
+    terminated = reached = target_satisfied(cfg, inst)
     if reached:
-        for _ in range(inst.k):
-            cfg, rt = execute_round(cfg, inst, offset, index=steps + 1, capped_swaps=capped_swaps)
-            if two_colour:
-                rt = dataclasses.replace(rt, distance=measure(cfg))
-            rounds.append(rt)
-            steps += 1
-            offset = offset % inst.k + 1
-            if rt.moves:
-                terminated = False
+        for _ in range(k):
+            cfg = advance(cfg, offset)
+            offset = offset % k + 1
+            terminated = terminated and not rounds[-1].moves
+
+    recount = Configuration(cfg.agents, cfg.k, cfg.p, cfg.q)
+    if recount.all_counts() != cfg.all_counts():
+        raise EngineError("block counts kept across the run disagree with a recount")
+    if two_colour and analysis.distance(recount, row, offset0, dest).total != distance:
+        raise EngineError("distance kept across the run disagrees with a recount")
 
     return RunResult(
         terminated=terminated,
@@ -478,7 +536,45 @@ def write_trace(result: RunResult, fp: IO[str], *, reversed_roles: bool = False)
         fp.write(json.dumps(record) + "\n")
 
 
+def _is_int(value: object) -> bool:
+    return type(value) is int
+
+
+def _round_from_record(record: dict, line: int) -> RoundTrace:
+    """A round record as a RoundTrace; TraceError names ``line`` on any malformed field."""
+    for key in ("round", "offset"):
+        if not _is_int(record.get(key)):
+            raise TraceError(f"round record needs an integer {key!r}", line)
+    moves, counts = record.get("moves"), record.get("counts")
+    distance, checks = record.get("distance"), record.get("checks", {})
+    if not isinstance(moves, list) or not all(
+            isinstance(m, list) and len(m) == 3 and all(map(_is_int, m)) for m in moves):
+        raise TraceError("'moves' must be a list of [agent id, from, to] integer triples", line)
+    if not isinstance(counts, list) or not all(isinstance(row, list) for row in counts):
+        raise TraceError("'counts' must be a list of per-block rows", line)
+    if distance is not None and not _is_int(distance):
+        raise TraceError("'distance' must be an integer or null", line)
+    if not isinstance(checks, dict):
+        raise TraceError("'checks' must be an object", line)
+    return RoundTrace(
+        index=record["round"],
+        offset=record["offset"],
+        moves=tuple(Move(*m) for m in moves),
+        counts=tuple(tuple(row) for row in counts),
+        distance=distance,
+        checks=tuple((name, bool(v)) for name, v in checks.items()),
+    )
+
+
 def read_trace(fp: IO[str] | Iterable[str]) -> TraceData:
+    """Parse a JSON-lines trace.
+
+    A line that is not a JSON object, a record of unknown type, a header
+    without an instance document, a malformed round or summary record and
+    a missing header all raise :class:`TraceError` with the file line when
+    there is one; a malformed embedded instance raises
+    :class:`InstanceFormatError`.
+    """
     instance: Instance | None = None
     rounds: list[RoundTrace] = []
     summary: dict = {}
@@ -487,26 +583,30 @@ def read_trace(fp: IO[str] | Iterable[str]) -> TraceData:
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"not a JSON record: {exc.msg}", no) from None
+        if not isinstance(record, dict):
+            raise TraceError("record is not a JSON object", no)
         rtype = record.get("type")
         if rtype == "header":
+            if not isinstance(record.get("instance"), str):
+                raise TraceError("header record needs an instance document", no)
             header = record
             instance = parse_instance(record["instance"])
         elif rtype == "round":
-            rounds.append(RoundTrace(
-                index=record["round"],
-                offset=record["offset"],
-                moves=tuple(Move(*m) for m in record["moves"]),
-                counts=tuple(tuple(row) for row in record["counts"]),
-                distance=record.get("distance"),
-                checks=tuple((name, bool(v)) for name, v in record.get("checks", {}).items()),
-            ))
+            rounds.append(_round_from_record(record, no))
         elif rtype == "summary":
+            if "rounds_used" in record and not _is_int(record["rounds_used"]):
+                raise TraceError("summary 'rounds_used' must be an integer", no)
+            if "terminated" in record and not isinstance(record["terminated"], bool):
+                raise TraceError("summary 'terminated' must be true or false", no)
             summary = record
         else:
-            raise ValueError(f"trace line {no}: unknown record type {rtype!r}")
+            raise TraceError(f"unknown record type {rtype!r}", no)
     if instance is None:
-        raise ValueError("trace has no header record")
+        raise TraceError("trace has no header record")
     summary.setdefault("initial_distance", header.get("initial_distance"))
     summary.setdefault("reversed", header.get("reversed", False))
     return TraceData(instance=instance, rounds=tuple(rounds), summary=summary)

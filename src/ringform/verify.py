@@ -12,24 +12,23 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import analysis
+from .analysis import BLUE
 from .core import Configuration, Instance, ProblemKind
 from .engine import (
+    EngineError,
     Move,
     RoundTrace,
     RunResult,
     TraceData,
-    build_pairing,
-    target_satisfied,
-    window_step_two_colour,
+    TraceError,
     apply_moves,
+    build_pairing,
+    stray_move,
+    target_satisfied,
+    uses_two_colour_steps,
+    window_step_two_colour,
     wrap_block,
 )
-
-BLUE = 1
-
-
-class TraceError(ValueError):
-    """A trace whose recorded moves cannot be replayed from its instance."""
 
 
 @dataclass(frozen=True)
@@ -54,43 +53,55 @@ class ReplayedRun:
     rounds: tuple[RoundTrace, ...]
     configs: tuple[Configuration, ...]  # configs[r] is the state after round r
     distances: tuple[int, ...] | None   # recorded distances, index 0 recomputed
+    # The distance of every configuration, recomputed from the replayed
+    # moves; None when the run has no distance potential.
+    replayed_distances: tuple[int, ...] | None = None
 
     @property
     def final(self) -> Configuration:
         return self.configs[-1]
 
 
-def _replay_moves(cfg: Configuration, moves: Sequence[Move], round_index: int) -> Configuration:
-    srcs = {m.src for m in moves}
-    dsts = {m.dst for m in moves}
-    if len(srcs) != len(moves) or len(dsts) != len(moves) or srcs != dsts:
-        raise TraceError(f"round {round_index}: moves do not permute positions")
-    agents = list(cfg.agents)
-    for m in moves:
-        if not 0 <= m.src < cfg.n or not 0 <= m.dst < cfg.n:
-            raise TraceError(f"round {round_index}: move {m} outside the ring")
-        if cfg.agents[m.src].id != m.agent_id:
-            raise TraceError(f"round {round_index}: move {m} does not match its source agent")
-        agents[m.dst] = cfg.agents[m.src]
-    return cfg.with_agents(tuple(agents))
-
-
 def replay(instance: Instance, rounds: Sequence[RoundTrace]) -> ReplayedRun:
-    """Rebuild the configuration after every round from the recorded moves."""
+    """Rebuild the configuration after every round from the recorded moves.
+
+    For two-colour runs the distance of the initial configuration is
+    computed from scratch, each later one from the moves of its round, and
+    the final one from scratch again, so the cost stays O(moves) per round.
+    """
+    k = instance.k
     configs = [instance.initial]
     for rt in rounds:
-        configs.append(_replay_moves(configs[-1], rt.moves, rt.index))
+        if not 1 <= rt.offset <= k:
+            raise TraceError(f"round {rt.index}: offset {rt.offset} outside 1..{k}")
+        try:
+            configs.append(apply_moves(configs[-1], rt.moves))
+        except EngineError as exc:
+            raise TraceError(f"round {rt.index}: {exc}") from None
     distances: tuple[int, ...] | None = None
-    if all(rt.distance is not None for rt in rounds):
+    replayed: tuple[int, ...] | None = None
+    recorded = all(rt.distance is not None for rt in rounds)
+    two_colour = uses_two_colour_steps(instance)
+    if instance.spec.kind in (ProblemKind.P1, ProblemKind.P2) and (recorded or two_colour):
         row = instance.spec.row(BLUE)
-        if instance.spec.kind in (ProblemKind.P1, ProblemKind.P2):
-            d0 = analysis.distance_report(instance.initial, row).total
-            distances = (d0,) + tuple(rt.distance for rt in rounds)  # type: ignore[misc]
+        report = analysis.distance_report(instance.initial, row)
+        if recorded:
+            distances = (report.total,) + tuple(rt.distance for rt in rounds)  # type: ignore[misc]
+    if two_colour:
+        values = [report.total]
+        for cfg, rt in zip(configs, rounds):
+            values.append(values[-1] + analysis.distance_change(cfg, rt.moves,
+                                                                report.rename_offset))
+        final = analysis.distance(configs[-1], row, report.rename_offset, report.dest).total
+        if final != values[-1]:
+            raise EngineError("replayed distance disagrees with a recount of the final state")
+        replayed = tuple(values)
     return ReplayedRun(
         instance=instance,
         rounds=tuple(rounds),
         configs=tuple(configs),
         distances=distances,
+        replayed_distances=replayed,
     )
 
 
@@ -151,6 +162,7 @@ def check_suffix_property(run: ReplayedRun) -> InvariantVerdict:
     for r, cfg in enumerate(run.configs):
         profile = analysis.surplus_profile(cfg, row)
         rotated = analysis.renamed_row(profile.y, offset)
+        total = profile.total
         prefix = 0
         for j, value in enumerate(rotated, start=1):
             prefix += value
@@ -158,7 +170,7 @@ def check_suffix_property(run: ReplayedRun) -> InvariantVerdict:
                 return InvariantVerdict(
                     name, False, r,
                     f"prefix of {j} renamed blocks has surplus {prefix} > {allowed}")
-            suffix = profile.total - prefix
+            suffix = total - prefix
             if j < len(rotated) and suffix < 0:
                 return InvariantVerdict(
                     name, False, r,
@@ -234,25 +246,23 @@ def check_distance_decrease(run: ReplayedRun, window: int) -> InvariantVerdict:
     return InvariantVerdict(name, True)
 
 
-def check_final(result: RunResult, inst: Instance) -> InvariantVerdict:
-    """A terminated run must actually satisfy its target condition."""
-    name = "final_condition"
-    if not result.terminated:
-        return InvariantVerdict(name, False, None, "run did not terminate")
-    if not target_satisfied(result.final, inst):
-        return InvariantVerdict(name, False, None,
-                                f"final configuration {result.final.to_string()!r} misses the target")
-    return InvariantVerdict(name, True)
-
-
-def check_final_config(run: ReplayedRun, terminated: bool) -> InvariantVerdict:
+def _final_verdict(final: Configuration, inst: Instance, terminated: bool) -> InvariantVerdict:
     name = "final_condition"
     if not terminated:
         return InvariantVerdict(name, False, None, "run did not terminate")
-    if not target_satisfied(run.final, run.instance):
+    if not target_satisfied(final, inst):
         return InvariantVerdict(name, False, None,
-                                f"final configuration {run.final.to_string()!r} misses the target")
+                                f"final configuration {final.to_string()!r} misses the target")
     return InvariantVerdict(name, True)
+
+
+def check_final(result: RunResult, inst: Instance) -> InvariantVerdict:
+    """A terminated run must actually satisfy its target condition."""
+    return _final_verdict(result.final, inst, result.terminated)
+
+
+def check_final_config(run: ReplayedRun, terminated: bool) -> InvariantVerdict:
+    return _final_verdict(run.final, run.instance, terminated)
 
 
 def check_cooperativeness(run: ReplayedRun,
@@ -292,25 +302,23 @@ def check_cooperativeness(run: ReplayedRun,
 
 
 def check_safety(run: ReplayedRun) -> InvariantVerdict:
-    """Moves stay inside their window, recorded counts match the replayed
-    configurations, and global colour totals never change."""
+    """Moves stay inside their window, recorded counts and distances match
+    the replayed configurations, and global colour totals never change."""
     name = "safety"
     totals = run.configs[0].colour_totals()
+    p = run.instance.p
     for r, rt in enumerate(run.rounds, start=1):
-        cfg_before = run.configs[r - 1]
         cfg_after = run.configs[r]
-        pairing = build_pairing(run.instance.k, rt.offset)
-        window_of: dict[int, int] = {}
-        for wid, (lb, rb) in enumerate(pairing.pairs):
-            window_of[lb] = wid
-            window_of[rb] = wid
-        for m in rt.moves:
-            src_w = window_of.get(cfg_before.block_of(m.src))
-            dst_w = window_of.get(cfg_before.block_of(m.dst))
-            if src_w is None or src_w != dst_w:
-                return InvariantVerdict(name, False, r, f"move {m} leaves its window")
+        stray = stray_move(build_pairing(run.instance.k, rt.offset), rt.moves, p)
+        if stray is not None:
+            return InvariantVerdict(name, False, r, f"move {stray} leaves its window")
         if cfg_after.all_counts() != rt.counts:
             return InvariantVerdict(name, False, r, "recorded counts disagree with the moves")
+        replayed = None if run.replayed_distances is None else run.replayed_distances[r]
+        if rt.distance != replayed:
+            return InvariantVerdict(
+                name, False, r,
+                f"recorded distance {rt.distance} disagrees with the moves ({replayed})")
         if cfg_after.colour_totals() != totals:
             return InvariantVerdict(name, False, r, "colour totals changed")
     return InvariantVerdict(name, True)

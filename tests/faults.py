@@ -11,6 +11,7 @@ import dataclasses
 
 from ringform import analysis, engine, verify
 from ringform.engine import Move, RoundTrace
+from ringform.generators import gen_adversarial_half
 from ringform.verify import InvariantVerdict
 
 from helpers import make_p1
@@ -21,8 +22,7 @@ def fabricate_round(cfg, moves, index, offset, distance=None):
     after = engine.apply_moves(cfg, tuple(moves))
     trace = RoundTrace(index=index, offset=offset, moves=tuple(moves),
                        counts=after.all_counts(), distance=distance,
-                       checks=(("collision_free", True), ("within_window", True),
-                               ("colours_conserved", True)))
+                       checks=engine.ROUND_CHECKS)
     return after, trace
 
 
@@ -122,6 +122,18 @@ def counts_fault() -> InvariantVerdict:
     return verify.check_safety(run)
 
 
+def distance_fault() -> InvariantVerdict:
+    # Honest moves of a k=8 half-and-half run, recorded distances
+    # 16,15,14,12,9,7,5,3,2,1,0 rewritten to 15,14,...,6,0: still falling
+    # every round and zero from round 11 on, but not what the moves give.
+    inst = gen_adversarial_half(8, 2)
+    result = engine.run(inst)
+    forged = [15 - i for i in range(10)] + [0] * (len(result.trace) - 10)
+    rounds = [dataclasses.replace(rt, distance=d) for rt, d in zip(result.trace, forged)]
+    run = verify.replay(inst, rounds)
+    return verify.check_safety(run)
+
+
 def quiescence_fault() -> InvariantVerdict:
     # Summary pretends the target held from the start, yet round 1 moved agents.
     inst = make_p1("RRBB", 2, 2, [[1, 1], [1, 1]])
@@ -141,5 +153,6 @@ def fault_verdicts() -> dict[str, InvariantVerdict]:
         "final_condition": final_fault(),
         "cooperativeness": cooperativeness_fault(),
         "safety": safety_fault(),
+        "safety[distance]": distance_fault(),
         "quiescence": quiescence_fault(),
     }

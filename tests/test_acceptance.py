@@ -11,7 +11,8 @@ import math
 import pytest
 
 from ringform import analysis, verify
-from ringform.engine import orient_roles, run
+from ringform.core import Configuration
+from ringform.engine import execute_round, orient_roles, run, uses_two_colour_steps
 from ringform.generators import (
     gen_adversarial_half,
     gen_homogeneous,
@@ -112,6 +113,35 @@ def p2_runs():
     return runs
 
 
+def assert_incremental_state_matches_scratch(inst, result) -> int:
+    """Check what ``run`` keeps incrementally against a recomputation.
+
+    A chain of ``execute_round`` calls, which steps every window, must give
+    the same rounds; every configuration's cached counts must equal a
+    recount; every recorded distance must equal ``analysis.distance`` of
+    the configuration from scratch.  Returns the configurations compared.
+    """
+    two_colour = uses_two_colour_steps(inst)
+    if two_colour:
+        row = inst.spec.row(1)
+        initial = analysis.distance_report(inst.initial, row)
+        assert result.initial_distance == initial.total, inst.provenance
+    cfg = inst.initial
+    offset = 1
+    for rt in result.trace:
+        cfg, stepped = execute_round(cfg, inst, offset, index=rt.index)
+        assert (stepped.offset, stepped.moves, stepped.counts) \
+            == (rt.offset, rt.moves, rt.counts), (inst.provenance, rt.index)
+        recount = Configuration(cfg.agents, cfg.k, cfg.p, cfg.q)
+        assert cfg.all_counts() == recount.all_counts(), (inst.provenance, rt.index)
+        expected = (analysis.distance(recount, row, initial.rename_offset, initial.dest).total
+                    if two_colour else None)
+        assert rt.distance == expected, (inst.provenance, rt.index)
+        offset = offset % inst.k + 1
+    assert cfg == result.final, inst.provenance
+    return len(result.trace) + 1
+
+
 def test_c01_two_colour_upper_bound(even_random_runs):
     assert len(even_random_runs) >= 500
     for inst, result in even_random_runs:
@@ -137,7 +167,8 @@ def test_c03_adversarial_lower_bound(adversarial_runs):
 
 
 def test_c04_per_round_invariants(even_random_runs, homogeneous_runs,
-                                  adversarial_runs, odd_random_runs):
+                                  adversarial_runs, odd_random_runs,
+                                  p2_runs, qcolour_runs, p3_runs):
     even_checks = ("order_preserving", "suffix_property", "no_wraparound",
                    "distance_monotone", "distance_decrease", "cooperativeness",
                    "final_condition")
@@ -160,25 +191,40 @@ def test_c04_per_round_invariants(even_random_runs, homogeneous_runs,
             assert verdict.passed, (inst.provenance, str(verdict))
             violations += 0 if verdict.passed else 1
     assert violations == 0
+    configurations = sum(
+        assert_incremental_state_matches_scratch(inst, result)
+        for inst, result in (even_random_runs + homogeneous_runs + adversarial_runs
+                             + odd_random_runs + p2_runs + qcolour_runs + p3_runs))
     report("C4", f"{checked} checker verdicts over every run, zero violations "
-                 "(distance drops within 2 rounds for even k, 3 for odd)")
+                 "(distance drops within 2 rounds for even k, 3 for odd); "
+                 f"{configurations} configurations with incremental counts, distances "
+                 "and idle-window skipping equal to a recomputation")
 
 
 def test_c05_distance_oracle_equivalence():
     compared = 0
-    for k in (2, 3, 4, 6, 8, 12):
-        for p in (2, 4, 6):
-            for seed in range(5):
-                inst = gen_random(k, p, 2, seed)
-                result = run(inst)
-                row = inst.spec.row(1)
-                for cfg in verify.replay_result(result).configs:
-                    assert (analysis.distance_report(cfg, row).total
-                            == verify.oracle_distance(cfg, inst))
-                    compared += 1
+    instances = [gen_random(k, p, 2, seed)
+                 for k in (2, 3, 4, 6, 8, 12) for p in (2, 4, 6) for seed in range(5)]
+    instances += [gen_p2_random(k, p, 2, seed, extras=extras)
+                  for k in (2, 3, 4, 6) for p in (2, 3) for seed in range(2)
+                  for extras in (0, 1, p)]
+    for inst in instances:
+        result = run(inst)
+        assert_incremental_state_matches_scratch(inst, result)
+        row = inst.spec.row(1)
+        replayed = verify.replay_result(result)
+        for cfg in replayed.configs:
+            assert (analysis.distance_report(cfg, row).total
+                    == verify.oracle_distance(cfg, inst))
+            assert cfg.all_counts() == Configuration(cfg.agents, cfg.k, cfg.p,
+                                                     cfg.q).all_counts()
+            compared += 1
+        assert replayed.replayed_distances == (result.initial_distance,) + tuple(
+            rt.distance for rt in result.trace)
     assert compared >= 1000
     report("C5", f"analysis distance equals the independent oracle on {compared} "
-                 "reachable configurations")
+                 "reachable configurations, P1 and P2; replayed counts and distances "
+                 "equal a recount")
 
 
 def test_c06_many_colour_termination(qcolour_runs):

@@ -99,6 +99,71 @@ def test_verify_rejects_tampered_trace(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _stored_trace(tmp_path, capsys) -> list[str]:
+    instance_path = tmp_path / "inst.txt"
+    trace_path = tmp_path / "trace.jsonl"
+    main(["gen", "--kind", "random", "--k", "4", "--p", "2", "--seed", "1",
+          "--out", str(instance_path)])
+    main(["run", "--instance", str(instance_path), "--trace", str(trace_path)])
+    capsys.readouterr()
+    return trace_path.read_text().splitlines()
+
+
+def _verify_lines(tmp_path, capsys, lines: list[str]) -> tuple[int, str, str]:
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["verify", "--trace", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _first_round(lines: list[str]) -> int:
+    return next(i for i, line in enumerate(lines) if '"type": "round"' in line)
+
+
+def test_verify_truncated_json_line_exits_cleanly(tmp_path, capsys):
+    lines = _stored_trace(tmp_path, capsys)
+    i = _first_round(lines)
+    lines[i] = lines[i][:len(lines[i]) // 2]
+    code, out, err = _verify_lines(tmp_path, capsys, lines)
+    assert code == EXIT_VERIFICATION_FAILED and out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith(f"invalid trace: line {i + 1}:")
+
+
+def test_verify_round_without_offset_exits_cleanly(tmp_path, capsys):
+    lines = _stored_trace(tmp_path, capsys)
+    i = _first_round(lines)
+    record = json.loads(lines[i])
+    del record["offset"]
+    lines[i] = json.dumps(record)
+    code, out, err = _verify_lines(tmp_path, capsys, lines)
+    assert code == EXIT_VERIFICATION_FAILED and out == ""
+    assert err.strip() == f"invalid trace: line {i + 1}: round record needs an integer 'offset'"
+
+
+def test_verify_move_of_wrong_arity_exits_cleanly(tmp_path, capsys):
+    lines = _stored_trace(tmp_path, capsys)
+    i = next(i for i, line in enumerate(lines)
+             if json.loads(line).get("moves"))
+    record = json.loads(lines[i])
+    record["moves"][0] = record["moves"][0][:2]
+    lines[i] = json.dumps(record)
+    code, out, err = _verify_lines(tmp_path, capsys, lines)
+    assert code == EXIT_VERIFICATION_FAILED and out == ""
+    assert err.startswith(f"invalid trace: line {i + 1}: 'moves' must be")
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_trace_without_header_or_with_unknown_record(tmp_path, capsys):
+    lines = _stored_trace(tmp_path, capsys)
+    code, _, err = _verify_lines(tmp_path, capsys, lines[1:])
+    assert code == EXIT_VERIFICATION_FAILED
+    assert err.strip() == "invalid trace: trace has no header record"
+    code, _, err = _verify_lines(tmp_path, capsys, lines + ['{"type": "footer"}'])
+    assert code == EXIT_VERIFICATION_FAILED
+    assert err.strip() == f"invalid trace: line {len(lines) + 1}: unknown record type 'footer'"
+
+
 def test_analyze_reports_surplus_and_bound(tmp_path, capsys):
     path = tmp_path / "inst.txt"
     main(["gen", "--kind", "adversarial_half", "--k", "4", "--p", "2",

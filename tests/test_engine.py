@@ -1,15 +1,17 @@
 """Window steps, round execution, full runs, and engine safety guards."""
 
 import io
+import json
 
 import pytest
 
-from ringform import verify
+from ringform import analysis, core, engine, verify
 from ringform.core import Configuration, ProblemKind
 from ringform.engine import (
     EngineError,
     InvalidInstanceError,
     Move,
+    TraceError,
     apply_moves,
     build_pairing,
     execute_round,
@@ -307,6 +309,43 @@ def test_run_q_colour_with_cap_switch_also_settles():
     assert plain.final.all_counts() == capped.final.all_counts()
 
 
+def test_run_does_not_restep_idle_windows(monkeypatch):
+    inst = gen_adversarial_half(32, 2)
+    calls = []
+    step = engine.window_step_two_colour
+    monkeypatch.setattr(engine, "window_step_two_colour",
+                        lambda *args, **kw: calls.append(args[0].index) or step(*args, **kw))
+    result = run(inst)
+    assert result.terminated
+    # every window of every round would be len(trace) * k/2 steps
+    assert 0 < len(calls) < len(result.trace) * inst.k // 2 // 2
+
+
+def test_apply_moves_shares_unchanged_count_rows():
+    cfg = Configuration.from_string("RRBBRRBB", 4, 2, 2)
+    after = apply_moves(cfg, (Move(2, 2, 1), Move(1, 1, 2)))  # blocks 1 and 2 trade
+    assert after.all_counts() == Configuration(after.agents, 4, 2, 2).all_counts()
+    assert [a is b for a, b in zip(after.all_counts(), cfg.all_counts())] \
+        == [False, False, True, True]
+    within = apply_moves(after, (Move(2, 1, 0), Move(0, 0, 1)))  # inside block 1
+    assert within.all_counts() is not after.all_counts()
+    assert all(a is b for a, b in zip(within.all_counts(), after.all_counts()))
+
+
+def test_run_recounts_the_final_state(monkeypatch):
+    inst = gen_adversarial_half(8, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "distance_change", lambda cfg, moves, offset: 0)
+        with pytest.raises(EngineError, match="distance"):
+            run(inst)
+    with monkeypatch.context() as patch:
+        successor = core.Configuration._successor
+        patch.setattr(core.Configuration, "_successor",
+                      lambda self, agents, counts: successor(self, agents, self.all_counts()))
+        with pytest.raises(EngineError, match="block counts"):
+            run(inst, max_rounds=5)
+
+
 # --- safety guards ---------------------------------------------------------------
 
 
@@ -413,3 +452,44 @@ def test_trace_roundtrip():
     assert data.summary["rounds_used"] == result.rounds_used
     assert data.summary["bound"] == result.bound
     assert data.summary["reversed"] is False
+
+
+def _honest_trace_lines() -> list[str]:
+    buffer = io.StringIO()
+    write_trace(run(gen_random(4, 3, 2, seed=7)), buffer)
+    return buffer.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda r: '{"type": "round", "round": 1', "not a JSON record"),
+    (lambda r: "[1, 2, 3]", "not a JSON object"),
+    (lambda r: {**r, "type": "tick"}, "unknown record type 'tick'"),
+    (lambda r: {k: v for k, v in r.items() if k != "offset"}, "integer 'offset'"),
+    (lambda r: {**r, "round": "1"}, "integer 'round'"),
+    (lambda r: {**r, "moves": [[0, 1]]}, "'moves' must be"),
+    (lambda r: {**r, "moves": [[0, 1, "2"]]}, "'moves' must be"),
+    (lambda r: {**r, "moves": 5}, "'moves' must be"),
+    (lambda r: {**r, "counts": [1, 2]}, "'counts' must be"),
+    (lambda r: {**r, "distance": "3"}, "'distance' must be"),
+    (lambda r: {**r, "checks": []}, "'checks' must be"),
+])
+def test_read_trace_names_the_line_of_a_malformed_round(mangle, message):
+    lines = _honest_trace_lines()
+    mangled = mangle(json.loads(lines[2]))
+    lines[2] = mangled if isinstance(mangled, str) else json.dumps(mangled)
+    with pytest.raises(TraceError, match=message) as info:
+        read_trace(lines)
+    assert info.value.line == 3 and str(info.value).startswith("line 3: ")
+
+
+def test_read_trace_rejects_malformed_header_and_summary():
+    lines = _honest_trace_lines()
+    with pytest.raises(TraceError, match="no header") as info:
+        read_trace(lines[1:])
+    assert info.value.line is None
+    with pytest.raises(TraceError, match="instance document"):
+        read_trace(['{"type": "header"}'] + lines[1:])
+    summary = json.loads(lines[-1])
+    for field, value in (("rounds_used", "4"), ("terminated", 1)):
+        with pytest.raises(TraceError, match=field):
+            read_trace(lines[:-1] + [json.dumps({**summary, field: value})])

@@ -1,5 +1,9 @@
 """Checkers on honest runs, the injected-fault mutation suite, and the oracles."""
 
+import dataclasses
+import io
+import json
+
 import pytest
 
 from ringform import analysis, engine, verify
@@ -93,6 +97,59 @@ def test_cooperativeness_fault_detected():
 def test_safety_fault_detected():
     assert not faults.safety_fault().passed
     assert not faults.counts_fault().passed
+
+
+def test_distance_forgery_detected():
+    verdict = faults.distance_fault()
+    assert not verdict.passed and verdict.round == 1
+    assert "recorded distance 15" in verdict.detail and "(16)" in verdict.detail
+
+
+def test_distance_forgery_passes_every_other_checker():
+    # The forged trajectory is plausible: only the recomputed distances expose it.
+    inst = gen_adversarial_half(8, 2)
+    result = engine.run(inst)
+    assert [rt.distance for rt in result.trace[:11]] == [16, 15, 14, 12, 9, 7, 5, 3, 2, 1, 0]
+    forged = [15 - i for i in range(10)] + [0] * (len(result.trace) - 10)
+    rounds = [dataclasses.replace(rt, distance=d) for rt, d in zip(result.trace, forged)]
+    verdicts = verify.run_checks(replay(inst, rounds), result.rounds_used, result.terminated)
+    assert [v.name for v in verdicts if not v.passed] == ["safety"]
+
+
+def test_stored_distance_forgery_fails_verify_trace():
+    inst = gen_adversarial_half(8, 2)
+    buffer = io.StringIO()
+    engine.write_trace(engine.run(inst), buffer)
+    lines = []
+    for line in buffer.getvalue().splitlines():
+        record = json.loads(line)
+        if record["type"] == "round" and record["round"] <= 10:
+            record["distance"] = 16 - record["round"]
+        lines.append(json.dumps(record))
+    verdicts = verify.verify_trace(engine.read_trace(lines))
+    failed = [v for v in verdicts if not v.passed]
+    assert [(v.name, v.round) for v in failed] == [("safety", 1)]
+
+
+def test_replayed_distances_match_a_recount():
+    for inst in (gen_adversarial_half(8, 2), gen_random(6, 4, 2, 3),
+                 gen_p2_random(5, 3, 2, 1, extras=2)):
+        result = engine.run(inst)
+        replayed = replay_result(result)
+        row = inst.spec.row(1)
+        report = analysis.distance_report(inst.initial, row)
+        assert replayed.replayed_distances == tuple(
+            analysis.distance(cfg, row, report.rename_offset, report.dest).total
+            for cfg in replayed.configs)
+    assert replay_result(engine.run(gen_random(4, 4, 3, 1))).replayed_distances is None
+
+
+def test_replay_rejects_offsets_outside_the_ring():
+    inst = make_p1("RRBB", 2, 2, [[1, 1], [1, 1]])
+    bad = RoundTrace(index=1, offset=3, moves=(), counts=inst.initial.all_counts(),
+                     distance=1, checks=())
+    with pytest.raises(TraceError, match="round 1: offset 3"):
+        replay(inst, [bad])
 
 
 def test_quiescence_fault_detected():
