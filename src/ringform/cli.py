@@ -3,10 +3,12 @@ analyze instances, and benchmark round counts against the bounds.
 
 Exit codes are stable contracts: 0 success, 2 invalid instance, 3 no
 termination within the round budget, 4 verification failure, 5 I/O error.
-``ringform verify`` on a malformed trace file (a line that is not a JSON
-record, a record of unknown type, a round record with missing or
-ill-typed fields, no header) prints one ``invalid trace`` line naming the
-file line to stderr and exits 4.
+``ringform verify`` on a malformed trace file (a line that is not UTF-8
+or not a JSON record, a record of unknown type, a round record with
+missing or ill-typed fields, no header) prints one ``invalid trace`` line
+naming the file line to stderr and exits 4.  ``run`` and ``analyze`` on
+an instance file that is not UTF-8 or not a well-formed document print
+one ``invalid instance document`` line to stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -57,8 +59,15 @@ class BenchReport:
 
 
 def _load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fp:
-        return parse_instance(fp.read())
+    with open(path, "rb") as fp:
+        raw = fp.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(
+            f"not UTF-8 text: {exc.reason} at byte {exc.start} of the file",
+            raw.count(b"\n", 0, exc.start) + 1) from None
+    return parse_instance(text)
 
 
 def _prepare(inst: Instance) -> tuple[Instance, bool]:
@@ -126,6 +135,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     report = validate(inst)
+    try:
+        bound = analysis.theoretical_bound(inst)
+    except ValueError:  # a zero colour-1 minimum, which validate reports as an issue
+        bound = None
     out: dict = {
         "kind": inst.spec.kind.value,
         "k": inst.k,
@@ -133,8 +146,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "q": inst.q,
         "valid": report.valid,
         "issues": list(report.issues),
-        "bound": analysis.theoretical_bound(inst),
-        "bound_proven": analysis.bound_is_proven(inst),
+        "bound": bound,
+        "bound_proven": bound is not None and analysis.bound_is_proven(inst),
     }
     if report.extras is not None:
         out["extras"] = report.extras
@@ -150,7 +163,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.trace, "r", encoding="utf-8") as fp:
+    with open(args.trace, "rb") as fp:  # read_trace decodes each line itself
         data = engine.read_trace(fp)
     verdicts = verify.verify_trace(data)
     for verdict in verdicts:

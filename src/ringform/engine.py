@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Sequence
+from itertools import chain, starmap
+from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 from . import analysis
 from .core import (
@@ -60,8 +61,10 @@ class TraceError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
+    """One agent's net displacement in a round: a named tuple, so
+    ``Move(7, 2, 5) == (7, 2, 5)`` and a trace record stores it as is."""
+
     agent_id: int
     src: int
     dst: int
@@ -505,8 +508,8 @@ def round_record(rt: RoundTrace) -> dict:
         "type": "round",
         "round": rt.index,
         "offset": rt.offset,
-        "moves": [[m.agent_id, m.src, m.dst] for m in rt.moves],
-        "counts": [list(row) for row in rt.counts],
+        "moves": rt.moves,    # json writes tuples, named ones too, as lists
+        "counts": rt.counts,
         "distance": rt.distance,
         "checks": dict(rt.checks),
     }
@@ -547,10 +550,12 @@ def _round_from_record(record: dict, line: int) -> RoundTrace:
             raise TraceError(f"round record needs an integer {key!r}", line)
     moves, counts = record.get("moves"), record.get("counts")
     distance, checks = record.get("distance"), record.get("checks", {})
-    if not isinstance(moves, list) or not all(
-            isinstance(m, list) and len(m) == 3 and all(map(_is_int, m)) for m in moves):
+    # Set-of-types tests run the per-element work in C; bool is not int here.
+    if (type(moves) is not list or not set(map(type, moves)) <= {list}
+            or not set(map(len, moves)) <= {3}
+            or not set(map(type, chain.from_iterable(moves))) <= {int}):
         raise TraceError("'moves' must be a list of [agent id, from, to] integer triples", line)
-    if not isinstance(counts, list) or not all(isinstance(row, list) for row in counts):
+    if type(counts) is not list or not set(map(type, counts)) <= {list}:
         raise TraceError("'counts' must be a list of per-block rows", line)
     if distance is not None and not _is_int(distance):
         raise TraceError("'distance' must be an integer or null", line)
@@ -559,27 +564,33 @@ def _round_from_record(record: dict, line: int) -> RoundTrace:
     return RoundTrace(
         index=record["round"],
         offset=record["offset"],
-        moves=tuple(Move(*m) for m in moves),
-        counts=tuple(tuple(row) for row in counts),
+        moves=tuple(starmap(Move, moves)),
+        counts=tuple(map(tuple, counts)),
         distance=distance,
         checks=tuple((name, bool(v)) for name, v in checks.items()),
     )
 
 
-def read_trace(fp: IO[str] | Iterable[str]) -> TraceData:
-    """Parse a JSON-lines trace.
+def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:
+    """Parse a JSON-lines trace, given as text lines or as raw byte lines.
 
-    A line that is not a JSON object, a record of unknown type, a header
-    without an instance document, a malformed round or summary record and
-    a missing header all raise :class:`TraceError` with the file line when
-    there is one; a malformed embedded instance raises
-    :class:`InstanceFormatError`.
+    A byte line that is not UTF-8, a line that is not a JSON object, a
+    record of unknown type, a header without an instance document, a
+    malformed round or summary record and a missing header all raise
+    :class:`TraceError` with the file line when there is one; a malformed
+    embedded instance raises :class:`InstanceFormatError`.
     """
     instance: Instance | None = None
     rounds: list[RoundTrace] = []
     summary: dict = {}
     header: dict = {}
     for no, line in enumerate(fp, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TraceError(
+                    f"not UTF-8 text: {exc.reason} at byte {exc.start} of the line", no) from None
         line = line.strip()
         if not line:
             continue
@@ -587,6 +598,8 @@ def read_trace(fp: IO[str] | Iterable[str]) -> TraceData:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceError(f"not a JSON record: {exc.msg}", no) from None
+        except RecursionError:
+            raise TraceError("not a JSON record: nested too deeply", no) from None
         if not isinstance(record, dict):
             raise TraceError("record is not a JSON object", no)
         rtype = record.get("type")

@@ -9,11 +9,11 @@ stored trace can be audited post-hoc without re-running the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import analysis
 from .analysis import BLUE
-from .core import Configuration, Instance, ProblemKind
+from .core import Configuration, Instance, ProblemKind, validate
 from .engine import (
     EngineError,
     Move,
@@ -268,7 +268,15 @@ def check_final_config(run: ReplayedRun, terminated: bool) -> InvariantVerdict:
 def check_cooperativeness(run: ReplayedRun,
                           partition: analysis.BluePartition | None = None) -> InvariantVerdict:
     """From round 2c+2 on, every blue agent of class c either advances one
-    block left each round or already sits in its destination block."""
+    block left each round or already sits in its destination block.
+
+    Blue ranks are numbered in the renamed reading order of the initial
+    configuration and must keep that order in every configuration; an
+    unstable round is reported before any class failure, and otherwise the
+    failure of the lowest class at its first failing round and rank.  The
+    cost is O(moves) per round plus the ranks of the active classes that
+    are not at their destination, each of which must move or fail.
+    """
     name = "cooperativeness"
     inst = run.instance
     if inst.k % 2:
@@ -280,24 +288,90 @@ def check_cooperativeness(run: ReplayedRun,
     n_blue = inst.initial.colour_totals()[0]
     dest = analysis.destinations(n_blue, analysis.renamed_row(row, offset))
 
-    scans = [analysis.blue_scan(cfg, offset) for cfg in run.configs]
-    ids0 = tuple(agent_id for _, agent_id in scans[0])
-    for r, scan in enumerate(scans):
-        if tuple(agent_id for _, agent_id in scan) != ids0:
-            return InvariantVerdict(name, False, r, "blue ranks are not stable")
-
-    blocks = [tuple(block for block, _ in scan) for scan in scans]
+    # Renamed position and renamed block of every blue rank (0-based here).
+    n, p = inst.n, inst.p
+    start = (offset - 1) * p
+    agents = inst.initial.agents
+    pos = [x for x in range(n) if agents[(start + x) % n].colour == BLUE]
+    block = [x // p + 1 for x in pos]
+    rank_of = {agents[(start + x) % n].id: i for i, x in enumerate(pos)}
+    classes_of: dict[int, list[int]] = {}
     for class_index, ranks in enumerate(partition.classes, start=1):
-        active_from = 2 * class_index + 2
-        for r in range(active_from, len(run.configs)):
-            for rank in ranks:
-                before = blocks[r - 1][rank - 1]
-                after = blocks[r][rank - 1]
-                if before != dest[rank - 1] and after != before - 1:
-                    return InvariantVerdict(
-                        name, False, r,
-                        f"rank {rank} (class {class_index}) stayed in block {before}, "
-                        f"destination {dest[rank - 1]}")
+        for rank in ranks:
+            classes_of.setdefault(rank - 1, []).append(class_index)
+
+    active: set[int] = set()                # classes switched on, below any failed one
+    pending: set[tuple[int, int]] = set()   # (class, rank) of active ranks off destination
+    failure = None                          # (class, round, rank, block before)
+    for r, rt in enumerate(run.rounds, start=1):
+        c = r // 2 - 1  # class c is checked from round 2c + 2 on
+        if r % 2 == 0 and 1 <= c <= len(partition.classes) and failure is None:
+            active.add(c)
+            pending.update((c, rank - 1) for rank in partition.classes[c - 1]
+                           if block[rank - 1] != dest[rank - 1])
+        before: dict[int, int] = {}
+        for m in rt.moves:
+            i = rank_of.get(m.agent_id)
+            if i is not None:
+                x = (m.dst - start) % n
+                pos[i] = x
+                before[i] = block[i]
+                block[i] = x // p + 1
+        for i in before:
+            if (i and pos[i - 1] >= pos[i]) or (i + 1 < n_blue and pos[i] >= pos[i + 1]):
+                return InvariantVerdict(name, False, r, "blue ranks are not stable")
+        stuck = [(c, r, i, before.get(i, block[i])) for c, i in pending
+                 if block[i] != before.get(i, block[i]) - 1]
+        if stuck:
+            # Only a lower class can still displace this failure from the report.
+            failure = min(stuck)
+            active = {c for c in active if c < failure[0]}
+            pending = {(c, i) for c, i in pending if c in active}
+        for i in before:
+            for c in classes_of.get(i, ()):
+                if c in active:
+                    if block[i] == dest[i]:
+                        pending.discard((c, i))
+                    else:
+                        pending.add((c, i))
+    if failure is not None:
+        c, r, i, was = failure
+        return InvariantVerdict(
+            name, False, r,
+            f"rank {i + 1} (class {c}) stayed in block {was}, destination {dest[i]}")
+    return InvariantVerdict(name, True)
+
+
+def check_summary(run: ReplayedRun, summary: Mapping[str, object]) -> InvariantVerdict:
+    """A stored trace's summary, and the initial distance of its header,
+    equal what the replay gives: ``rounds_used`` is the first configuration
+    that meets the target (every round if none does), ``terminated`` says
+    that one does and that at least k rounds without moves follow it,
+    ``bound`` is the instance's round bound and ``bound_satisfied`` says
+    that a terminated run stayed within it."""
+    name = "summary"
+    inst = run.instance
+    reached = next((r for r, cfg in enumerate(run.configs) if target_satisfied(cfg, inst)),
+                   None)
+    rounds_used = len(run.rounds) if reached is None else reached
+    tail = run.rounds[rounds_used:]
+    terminated = reached is not None and len(tail) >= inst.k and not any(
+        rt.moves for rt in tail)
+    bound = analysis.theoretical_bound(inst)
+    replayed = {
+        "rounds_used": rounds_used,
+        "terminated": terminated,
+        "bound": bound,
+        "bound_satisfied": terminated and rounds_used <= bound,
+        "initial_distance": None if run.replayed_distances is None
+        else run.replayed_distances[0],
+    }
+    for key, value in replayed.items():
+        recorded = summary.get(key)
+        if type(recorded) is not type(value) or recorded != value:
+            return InvariantVerdict(
+                name, False, None,
+                f"recorded {key} {recorded} disagrees with the replay ({value})")
     return InvariantVerdict(name, True)
 
 
@@ -469,9 +543,17 @@ def verify_result(result: RunResult) -> list[InvariantVerdict]:
 
 
 def verify_trace(data: TraceData) -> list[InvariantVerdict]:
+    """Audit a stored trace: its instance must be one the engine runs, its
+    moves must replay, and then every applicable checker and the summary
+    check must pass."""
+    report = validate(data.instance)
+    if not report.valid:
+        return [InvariantVerdict("instance", False, None,
+                                 "; ".join(report.issues) or "colour totals miss the target")]
     try:
         run = replay_trace(data)
     except TraceError as exc:
         return [InvariantVerdict("replay", False, None, str(exc))]
-    return run_checks(run, data.summary.get("rounds_used", len(data.rounds)),
-                      data.summary.get("terminated", False))
+    verdicts = run_checks(run, data.summary.get("rounds_used", len(data.rounds)),
+                          data.summary.get("terminated", False))
+    return verdicts + [check_summary(run, data.summary)]

@@ -8,6 +8,7 @@ when run honestly, which the unit tests cover separately.
 """
 
 import dataclasses
+import json
 
 from ringform import analysis, engine, verify
 from ringform.engine import Move, RoundTrace
@@ -134,6 +135,15 @@ def distance_fault() -> InvariantVerdict:
     return verify.check_safety(run)
 
 
+def summary_fault() -> InvariantVerdict:
+    # Honest moves of a k=8 half-and-half run (11 rounds used), stored with
+    # its summary's bound rewritten from 28 to 5.
+    records = engine.trace_records(engine.run(gen_adversarial_half(8, 2)))
+    records[-1]["bound"] = 5
+    data = engine.read_trace(json.dumps(record) for record in records)
+    return verify.check_summary(verify.replay_trace(data), data.summary)
+
+
 def quiescence_fault() -> InvariantVerdict:
     # Summary pretends the target held from the start, yet round 1 moved agents.
     inst = make_p1("RRBB", 2, 2, [[1, 1], [1, 1]])
@@ -155,4 +165,5 @@ def fault_verdicts() -> dict[str, InvariantVerdict]:
         "safety": safety_fault(),
         "safety[distance]": distance_fault(),
         "quiescence": quiescence_fault(),
+        "summary": summary_fault(),
     }

@@ -220,3 +220,59 @@ def test_p2_and_p3_generation_via_cli(tmp_path, capsys):
     assert main(["gen", "--kind", "p3_random", "--k", "3", "--p", "4", "--q", "3",
                  "--seed", "4", "--out", str(p3_path)]) == EXIT_OK
     assert main(["run", "--instance", str(p3_path), "--verify"]) == EXIT_OK
+
+
+def test_verify_rejects_a_forged_summary(tmp_path, capsys):
+    instance_path = tmp_path / "inst.txt"
+    trace_path = tmp_path / "trace.jsonl"
+    main(["gen", "--kind", "adversarial_half", "--k", "8", "--p", "2",
+          "--out", str(instance_path)])
+    main(["run", "--instance", str(instance_path), "--trace", str(trace_path)])
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    summary = json.loads(lines[-1])
+    assert (summary["bound"], summary["rounds_used"]) == (28, 11)
+    summary["bound"] = 5
+    code, out, _ = _verify_lines(tmp_path, capsys, lines[:-1] + [json.dumps(summary)])
+    assert code == EXIT_VERIFICATION_FAILED
+    assert "FAIL summary: recorded bound 5 disagrees with the replay (28)" in out.splitlines()
+
+
+def test_verify_non_utf8_trace_exits_cleanly(tmp_path, capsys):
+    path = tmp_path / "binary.jsonl"
+    path.write_bytes(b'\xff\xfe{"type": "header"}\n')
+    assert main(["verify", "--trace", str(path)]) == EXIT_VERIFICATION_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "invalid trace: line 1: not UTF-8 text: invalid start byte at byte 0 of the line"]
+    lines = _stored_trace(tmp_path, capsys)
+    path.write_bytes("\n".join(lines[:2]).encode() + b"\n\x80\n")
+    assert main(["verify", "--trace", str(path)]) == EXIT_VERIFICATION_FAILED
+    assert capsys.readouterr().err.startswith("invalid trace: line 3: not UTF-8 text")
+
+
+def test_non_utf8_instance_exits_cleanly(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"kind: P1\nk: 2\np: 1\nq: 2\nconfig: B\xffR\n")
+    for command in ("run", "analyze"):
+        assert main([command, "--instance", str(path)]) == EXIT_INVALID_INSTANCE
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["invalid instance document: line 5: not UTF-8 text: "
+                                    "invalid start byte at byte 33 of the file"]
+
+
+def test_analyze_instance_without_a_bound(tmp_path, capsys):
+    # Colour 1 needs nobody in block 2: invalid, and no round bound applies.
+    path = tmp_path / "zero.txt"
+    path.write_text("kind: P1\nk: 2\np: 1\nq: 2\nconfig: BR\nrequirements:\n  1 0\n  0 1\n")
+    assert main(["analyze", "--instance", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert not report["valid"] and report["bound"] is None and not report["bound_proven"]
+
+
+def test_verify_deeply_nested_json_exits_cleanly(tmp_path, capsys):
+    lines = _stored_trace(tmp_path, capsys)
+    code, out, err = _verify_lines(tmp_path, capsys, lines[:1] + ["[" * 100_000])
+    assert code == EXIT_VERIFICATION_FAILED and out == ""
+    assert err.strip() == "invalid trace: line 2: not a JSON record: nested too deeply"

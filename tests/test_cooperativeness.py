@@ -1,0 +1,177 @@
+"""Differential test of the cooperativeness checker.
+
+``scan_cooperativeness`` is the checker as first written: it scans every
+replayed configuration for the blue agents in renamed reading order and
+then walks every rank of every class in every round.  ``verify`` tracks
+the blue ranks from the moves instead; both must give the same verdict,
+including which failure they report, on honest traces and on three kinds
+of tampered trace.
+"""
+
+import random
+
+from ringform import analysis, engine, verify
+from ringform.analysis import BLUE
+from ringform.engine import Move, RoundTrace
+from ringform.generators import gen_adversarial_half, gen_homogeneous, gen_random
+from ringform.verify import InvariantVerdict
+
+import faults
+
+
+def scan_cooperativeness(run, partition=None):
+    """Reference checker: O(n) per configuration plus every rank per round."""
+    name = "cooperativeness"
+    inst = run.instance
+    if inst.k % 2:
+        return InvariantVerdict(name, False, None, "only meaningful for an even block count")
+    if partition is None:
+        partition = analysis.blue_partition(inst)
+    row = inst.spec.row(BLUE)
+    offset = analysis.rename_offset(analysis.surplus_profile(inst.initial, row))
+    n_blue = inst.initial.colour_totals()[0]
+    dest = analysis.destinations(n_blue, analysis.renamed_row(row, offset))
+
+    scans = [analysis.blue_scan(cfg, offset) for cfg in run.configs]
+    ids0 = tuple(agent_id for _, agent_id in scans[0])
+    for r, scan in enumerate(scans):
+        if tuple(agent_id for _, agent_id in scan) != ids0:
+            return InvariantVerdict(name, False, r, "blue ranks are not stable")
+
+    blocks = [tuple(block for block, _ in scan) for scan in scans]
+    for class_index, ranks in enumerate(partition.classes, start=1):
+        active_from = 2 * class_index + 2
+        for r in range(active_from, len(run.configs)):
+            for rank in ranks:
+                before = blocks[r - 1][rank - 1]
+                after = blocks[r][rank - 1]
+                if before != dest[rank - 1] and after != before - 1:
+                    return InvariantVerdict(
+                        name, False, r,
+                        f"rank {rank} (class {class_index}) stayed in block {before}, "
+                        f"destination {dest[rank - 1]}")
+    return InvariantVerdict(name, True)
+
+
+def continue_honestly(inst, cfg, rounds, count):
+    """Append ``count`` engine rounds, starting from ``cfg`` at the next offset."""
+    rounds = list(rounds)
+    offset = rounds[-1].offset % inst.k + 1 if rounds else 1
+    for _ in range(count):
+        cfg, rt = engine.execute_round(cfg, inst, offset, index=len(rounds) + 1)
+        rounds.append(rt)
+        offset = offset % inst.k + 1
+    return rounds
+
+
+def dropped_round(inst, result, j):
+    """Round ``j`` records no moves; the engine carries on from there."""
+    run = verify.replay_result(result)
+    stalled = RoundTrace(index=j, offset=result.trace[j - 1].offset, moves=(),
+                         counts=run.configs[j - 1].all_counts(), distance=None, checks=())
+    rounds = list(result.trace[:j - 1]) + [stalled]
+    return continue_honestly(inst, run.configs[j - 1], rounds, len(result.trace) - j)
+
+
+def injected_cycle(inst, result, j, rng):
+    """Round ``j`` rotates every agent of one window by one position, then
+    the engine carries on from there.
+
+    The window holds a blue agent of a class already active in round j + 1
+    when there is one, so the rotation can knock a settled rank off its
+    destination; it wraps a red agent round when the window's last slot
+    holds one, so the blue order may survive it.
+    """
+    cfg = verify.replay_result(result).configs[j - 1]
+    offset = result.trace[j - 1].offset
+    p = inst.p
+    origin = analysis.rename_offset(analysis.surplus_profile(inst.initial, inst.spec.row(BLUE)))
+    ids = [agent_id for _, agent_id in analysis.blue_scan(cfg, origin)]
+    active = {ids[rank - 1]
+              for c, ranks in enumerate(analysis.blue_partition(inst).classes, start=1)
+              if 2 * c + 2 <= j + 1 for rank in ranks}
+    blocks = {x // p + 1 for x, a in enumerate(cfg.agents) if a.id in active}
+    pairs = engine.build_pairing(inst.k, offset).pairs
+    lb, rb = rng.choice([w for w in pairs if blocks & set(w)] or pairs)
+    slots = list(range((lb - 1) * p, lb * p)) + list(range((rb - 1) * p, rb * p))
+    step = 1 if cfg.agents[slots[-1]].colour != BLUE else -1
+    moves = [Move(cfg.agents[src].id, src, slots[(t + step) % len(slots)])
+             for t, src in enumerate(slots)]
+    after, rt = faults.fabricate_round(cfg, moves, j, offset)
+    rounds = list(result.trace[:j - 1]) + [rt]
+    return continue_honestly(inst, after, rounds, len(result.trace) - j)
+
+
+def quiet_tail(inst, result, count):
+    rounds = list(result.trace)
+    offset = rounds[-1].offset if rounds else 0
+    for _ in range(count):
+        offset = offset % inst.k + 1
+        rounds.append(RoundTrace(index=len(rounds) + 1, offset=offset, moves=(),
+                                 counts=result.final.all_counts(), distance=None, checks=()))
+    return rounds
+
+
+def corpus():
+    """Honest and tampered runs of even-k two-colour instances, seeded."""
+    for k in (2, 4, 6, 8):
+        for p in (1, 2, 3, 4):
+            insts = [gen_random(k, p, 2, seed) for seed in range(12)]
+            if p % 2 == 0:
+                insts.append(gen_adversarial_half(k, p))
+            insts += [gen_homogeneous(k, p, m, 0) for m in range(1, p)]
+            for number, inst in enumerate(insts):
+                inst, _ = engine.orient_roles(inst)
+                rng = random.Random(f"{k}-{p}-{number}")
+                result = engine.run(inst)
+                yield inst, list(result.trace)
+                # A stall matters once a class is active, from round 4 on.
+                moving = [rt.index for rt in result.trace if rt.moves and rt.index >= 4]
+                for j in rng.sample(moving, min(2, len(moving))):
+                    yield inst, dropped_round(inst, result, j)
+                # Injections from round 3 on can displace the ranks of class 1,
+                # which is active from round 4.
+                last = len(result.trace)
+                for j in [rng.randint(1, last)] + [rng.randint(min(3, last), last)
+                                                   for _ in range(3)]:
+                    yield inst, injected_cycle(inst, result, j, rng)
+                yield inst, quiet_tail(inst, result, rng.randint(1, 2 * k))
+
+
+def as_tuple(verdict):
+    return verdict.name, verdict.passed, verdict.round, verdict.detail
+
+
+def test_incremental_checker_matches_the_scan():
+    compared = failing = 0
+    for inst, rounds in corpus():
+        run = verify.replay(inst, rounds)
+        expected = scan_cooperativeness(run)
+        assert as_tuple(verify.check_cooperativeness(run)) == as_tuple(expected), \
+            (inst.initial.to_string(), [rt.moves for rt in rounds])
+        compared += 1
+        failing += not expected.passed
+    assert compared >= 1000 and failing >= 100, (compared, failing)
+
+
+def test_incremental_checker_matches_the_scan_on_overlapping_classes():
+    # A caller-supplied partition may put a rank in two classes.
+    inst, _ = engine.orient_roles(gen_random(6, 4, 2, 1))
+    result = engine.run(inst)
+    for rounds in (list(result.trace), dropped_round(inst, result, 2)):
+        run = verify.replay(inst, rounds)
+        n_blue = inst.initial.colour_totals()[0]
+        partition = analysis.BluePartition(
+            class_size=2, classes=((1, 2), (2, 3), tuple(range(1, n_blue + 1))))
+        assert as_tuple(verify.check_cooperativeness(run, partition)) == \
+            as_tuple(scan_cooperativeness(run, partition))
+
+
+def test_incremental_checker_reports_the_lowest_failing_rank():
+    # With every round stalled, all ranks of class 1 that start off their
+    # destination fail together in round 4; the report names the lowest.
+    for inst in [gen_adversarial_half(8, 4)] + [gen_random(8, 4, 2, s) for s in range(10)]:
+        inst, _ = engine.orient_roles(inst)
+        run = verify.replay(inst, faults._stalled_rounds(inst, 12, distance=None))
+        assert as_tuple(verify.check_cooperativeness(run)) == \
+            as_tuple(scan_cooperativeness(run))

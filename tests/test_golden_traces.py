@@ -86,18 +86,30 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_trace_digest_is_unchanged(name):
-    make, digest = GOLDEN[name]
-    inst = make()
+def golden_run(name: str) -> tuple[engine.RunResult, str]:
+    """The case's run and its ``write_trace`` output."""
+    inst = GOLDEN[name][0]()
     reversed_roles = False
     if inst.spec.kind is ProblemKind.P1 and inst.q == 2:
         inst, reversed_roles = engine.orient_roles(inst)
     result = engine.run(inst)
-    assert result.terminated
     buffer = io.StringIO()
     engine.write_trace(result, buffer, reversed_roles=reversed_roles)
-    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == digest
+    return result, buffer.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trace_digest_is_unchanged(name):
+    result, text = golden_run(name)
+    assert result.terminated
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trace_reads_back_as_the_run(name):
+    result, text = golden_run(name)
+    assert engine.read_trace(io.StringIO(text)).rounds == result.trace
+    assert engine.read_trace(io.BytesIO(text.encode())).rounds == result.trace
 
 
 def test_golden_cases_cover_every_family():

@@ -131,6 +131,67 @@ def test_stored_distance_forgery_fails_verify_trace():
     assert [(v.name, v.round) for v in failed] == [("safety", 1)]
 
 
+def test_summary_forgery_detected():
+    verdict = faults.summary_fault()
+    assert not verdict.passed and verdict.detail == "recorded bound 5 disagrees with the replay (28)"
+
+
+def _stored_records(inst, max_rounds=None):
+    oriented, reversed_roles = engine.orient_roles(inst) if inst.q == 2 else (inst, False)
+    return engine.trace_records(engine.run(oriented, max_rounds), reversed_roles=reversed_roles)
+
+
+def _summary_verdict(records):
+    data = engine.read_trace(json.dumps(record) for record in records)
+    return verify.verify_trace(data)[-1]
+
+
+@pytest.mark.parametrize("key, forged, detail", [
+    ("rounds_used", 10, "recorded rounds_used 10 disagrees with the replay (11)"),
+    ("terminated", False, "recorded terminated False disagrees with the replay (True)"),
+    ("bound_satisfied", False, "recorded bound_satisfied False disagrees with the replay (True)"),
+    ("bound", 28.0, "recorded bound 28.0 disagrees with the replay (28)"),
+    ("initial_distance", 15, "recorded initial_distance 15 disagrees with the replay (16)"),
+])
+def test_every_summary_field_is_derived_from_the_replay(key, forged, detail):
+    records = _stored_records(gen_adversarial_half(8, 2))
+    assert _summary_verdict(records) == verify.InvariantVerdict("summary", True)
+    record = records[0] if key == "initial_distance" else records[-1]
+    record[key] = forged
+    assert _summary_verdict(records) == verify.InvariantVerdict("summary", False, None, detail)
+
+
+def test_summary_check_on_unfinished_and_many_colour_runs():
+    # No target within the budget: every round counts and the run did not terminate.
+    records = _stored_records(gen_adversarial_half(8, 2), max_rounds=5)
+    assert records[-1]["rounds_used"] == 5 and not records[-1]["terminated"]
+    assert _summary_verdict(records).passed
+    records[-1]["terminated"] = True
+    assert "terminated True" in _summary_verdict(records).detail
+    # A many-colour run has no distance potential, so no initial distance.
+    records = _stored_records(gen_random(5, 4, 3, 2))
+    assert records[0]["initial_distance"] is None and _summary_verdict(records).passed
+    records[0]["initial_distance"] = 0
+    assert not _summary_verdict(records).passed
+
+
+def test_summary_check_counts_trailing_quiet_rounds():
+    inst = gen_adversarial_half(8, 2)
+    records = _stored_records(inst)
+    rounds, summary = records[1:-1], records[-1]
+    # Fewer than k quiet rounds after the target: not terminated.
+    records = [records[0]] + rounds[:-1] + [summary]
+    assert "recorded terminated True" in _summary_verdict(records).detail
+
+
+def test_verify_trace_rejects_an_instance_the_engine_would_refuse():
+    records = _stored_records(gen_adversarial_half(4, 2))
+    # Block 4 now needs three agents in a block of two.
+    records[0]["instance"] = records[0]["instance"].replace("  1 1 1 1\n", "  1 1 1 2\n", 1)
+    verdicts = verify.verify_trace(engine.read_trace(json.dumps(r) for r in records))
+    assert len(verdicts) == 1 and verdicts[0].name == "instance" and not verdicts[0].passed
+
+
 def test_replayed_distances_match_a_recount():
     for inst in (gen_adversarial_half(8, 2), gen_random(6, 4, 2, 3),
                  gen_p2_random(5, 3, 2, 1, extras=2)):
