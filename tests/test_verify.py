@@ -133,7 +133,8 @@ def test_stored_distance_forgery_fails_verify_trace():
 
 def test_summary_forgery_detected():
     verdict = faults.summary_fault()
-    assert not verdict.passed and verdict.detail == "recorded bound 5 disagrees with the replay (28)"
+    assert not verdict.passed
+    assert verdict.detail == "recorded bound 5 disagrees with the replay (28)"
 
 
 def _stored_records(inst, max_rounds=None):
@@ -176,11 +177,8 @@ def test_summary_check_on_unfinished_and_many_colour_runs():
 
 
 def test_summary_check_counts_trailing_quiet_rounds():
-    inst = gen_adversarial_half(8, 2)
-    records = _stored_records(inst)
-    rounds, summary = records[1:-1], records[-1]
-    # Fewer than k quiet rounds after the target: not terminated.
-    records = [records[0]] + rounds[:-1] + [summary]
+    records = _stored_records(gen_adversarial_half(8, 2))
+    del records[-2]  # fewer than k quiet rounds after the target: not terminated
     assert "recorded terminated True" in _summary_verdict(records).detail
 
 
