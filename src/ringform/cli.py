@@ -5,8 +5,11 @@ Exit codes are stable contracts: 0 success, 2 invalid instance, 3 no
 termination within the round budget, 4 verification failure, 5 I/O error.
 ``ringform verify`` on a malformed trace file (a line that is not UTF-8
 or not a JSON record, a record of unknown type, a round record with
-missing or ill-typed fields, no header) prints one ``invalid trace`` line
-naming the file line to stderr and exits 4.  ``run`` and ``analyze`` on
+missing or ill-typed fields, no header, a header of another format, a
+second header or summary) prints one ``invalid trace`` line naming the
+file line to stderr and exits 4; a round recorded under the wrong round
+number fails the ``safety`` verdict, also exit 4.  ``run --verify``
+prints the same verdicts as ``verify`` on the run's trace.  ``run`` and ``analyze`` on
 an instance file that is not UTF-8 or not a well-formed document print
 one ``invalid instance document`` line to stderr and exit 2.
 """
@@ -112,15 +115,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         with open(args.trace, "w", encoding="utf-8") as fp:
             engine.write_trace(result, fp, reversed_roles=reversed_roles)
 
-    summary = {
-        "terminated": result.terminated,
-        "rounds_used": result.rounds_used,
-        "bound": result.bound,
-        "bound_satisfied": result.terminated and result.rounds_used <= result.bound,
-        "reversed": reversed_roles,
-        "final": result.final.to_string(),
-    }
-    print(json.dumps(summary))
+    print(json.dumps({**engine.run_summary(result), "reversed": reversed_roles,
+                      "final": result.final.to_string()}))
     if not result.terminated:
         return EXIT_NO_TERMINATION
     if args.verify:

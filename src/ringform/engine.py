@@ -6,8 +6,8 @@ every window in parallel:
 
 - the two-colour step packs blue agents ahead of red ones in both blocks
   of a deficient window and trades the leftmost surplus reds of the left
-  block for the leftmost blues of the right block, capped by the smallest
-  per-block blue requirement;
+  block for the leftmost blues of the right block, at most the smallest
+  per-block blue requirement of them;
 - the many-colour step repairs the lowest-indexed colour whose count is
   wrong in the window, trading colour-i agents from the right block for
   higher-coloured agents from the left block, and once all constrained
@@ -236,23 +236,16 @@ def _rearrange_to_pattern(view: BlockView, pattern: str, q: int) -> list[Move]:
     return moves
 
 
-def window_step_q_colour(
-    left: BlockView,
-    right: BlockView,
-    spec: RequirementSpec,
-    *,
-    capped: bool = False,
-) -> tuple[Move, ...]:
+def window_step_q_colour(left: BlockView, right: BlockView,
+                         spec: RequirementSpec) -> tuple[Move, ...]:
     """Net moves of one many-colour window.
 
     Scan colours upward while colour i is correct in both blocks.  At the
     first wrong colour, if the left block is short of it, trade
     t = min(deficit, available on the right) leftmost colour-i agents of
     the right block for the t leftmost higher-coloured agents of the left
-    block (``capped`` additionally limits t by the smallest per-block
-    requirement of colour i).  If every constrained colour is correct in
-    both blocks, exact-pattern problems rearrange each block into its
-    target pattern.
+    block.  If every constrained colour is correct in both blocks,
+    exact-pattern problems rearrange each block into its target pattern.
     """
     q = spec.q
 
@@ -271,8 +264,6 @@ def window_step_q_colour(
         if deficit <= 0:
             return ()
         t = min(deficit, colour_count(right, i))
-        if capped:
-            t = min(t, min(spec.row(i)))
         if t <= 0:
             return ()
         incoming = [(pos, a) for pos, a in right.slots if a.colour == i][:t]
@@ -342,8 +333,10 @@ def apply_moves(cfg: Configuration, moves: Sequence[Move],
     return cfg._successor(tuple(agents), tuple(counts))
 
 
-def _window_step(inst: Instance, capped_swaps: bool,
-                 ) -> Callable[[Configuration, int, int], tuple[Move, ...]]:
+Step = Callable[[Configuration, int, int], tuple[Move, ...]]
+
+
+def _window_step(inst: Instance) -> Step:
     """The window step of ``inst`` as a function of (configuration, left
     block, right block)."""
     spec = inst.spec
@@ -353,32 +346,47 @@ def _window_step(inst: Instance, capped_swaps: bool,
         return lambda cfg, lb, rb: window_step_two_colour(
             cfg.block_view(lb), cfg.block_view(rb), row[lb - 1], cap)
     return lambda cfg, lb, rb: window_step_q_colour(
-        cfg.block_view(lb), cfg.block_view(rb), spec, capped=capped_swaps)
+        cfg.block_view(lb), cfg.block_view(rb), spec)
 
 
-def _close_round(cfg: Configuration, moves: list[Move], pairing: WindowPairing, index: int,
-                 distance: int | None) -> tuple[Configuration, RoundTrace]:
+def step_round(cfg: Configuration, offset: int, step: Step,
+               idle: set[int]) -> tuple[Configuration, tuple[Move, ...]]:
+    """One synchronous round: ``step`` every window of the pairing at
+    ``offset`` whose left block is not in ``idle``, apply all the moves at
+    once and return the next configuration with the moves.
+
+    A window step depends only on its two blocks, so a window that moves
+    nothing joins ``idle`` and leaves it when a move touches one of its
+    blocks; sharing ``idle`` between the rounds of one step function gives
+    the rounds a fresh empty set would give.
+    """
+    pairing = build_pairing(cfg.k, offset)
+    moves: list[Move] = []
+    for lb, rb in pairing.pairs:
+        if lb not in idle:
+            window = step(cfg, lb, rb)
+            if window:
+                moves.extend(window)
+            else:
+                idle.add(lb)
     new_cfg = apply_moves(cfg, moves, pairing)
     if new_cfg.colour_totals() != cfg.colour_totals():
         raise EngineError("colour totals changed across a round")
-    trace = RoundTrace(index=index, offset=pairing.offset, moves=tuple(moves),
-                       counts=new_cfg.all_counts(), distance=distance, checks=ROUND_CHECKS)
-    return new_cfg, trace
+    p, k = cfg.p, cfg.k
+    for b in {m.src // p for m in moves} | {m.dst // p for m in moves}:
+        idle.discard(b + 1)  # the window whose left block is 1-based block b + 1
+        idle.discard(wrap_block(b, k))  # and the one whose right block it is
+    return new_cfg, tuple(moves)
 
 
-def execute_round(
-    cfg: Configuration,
-    inst: Instance,
-    offset: int,
-    *,
-    index: int = 0,
-    capped_swaps: bool = False,
-) -> tuple[Configuration, RoundTrace]:
-    """Apply the window step to every window of the round's pairing in parallel."""
-    pairing = build_pairing(cfg.k, offset)
-    step = _window_step(inst, capped_swaps)
-    moves = [m for lb, rb in pairing.pairs for m in step(cfg, lb, rb)]
-    return _close_round(cfg, moves, pairing, index, None)
+def execute_round(cfg: Configuration, inst: Instance, offset: int, *,
+                  index: int = 0) -> tuple[Configuration, RoundTrace]:
+    """Apply the window step to every window of the round's pairing in
+    parallel: ``step_round`` with a fresh idle set, the reference for the
+    rounds of ``run``."""
+    new_cfg, moves = step_round(cfg, offset, _window_step(inst), set())
+    return new_cfg, RoundTrace(index=index, offset=offset, moves=moves,
+                               counts=new_cfg.all_counts(), distance=None, checks=ROUND_CHECKS)
 
 
 def target_satisfied(cfg: Configuration, inst: Instance) -> bool:
@@ -393,25 +401,19 @@ def target_satisfied(cfg: Configuration, inst: Instance) -> bool:
     return spec.kind is not ProblemKind.P3 or cfg.to_string() == "".join(spec.patterns or ())
 
 
-def run(
-    inst: Instance,
-    max_rounds: int | None = None,
-    *,
-    capped_swaps: bool = False,
-) -> RunResult:
+def run(inst: Instance, max_rounds: int | None = None) -> RunResult:
     """Drive rounds until the target holds, then observe quiescence.
 
-    The offset advances cyclically every round.  Once the target condition
+    Round r runs at offset ``(r - 1) % k + 1``.  Once the target condition
     first holds (after ``rounds_used`` rounds), k further verification
     rounds are executed; the run counts as terminated only if they all
     produce empty move sets.  Exhausting ``max_rounds`` (default
     ``4*n*k + 16``) yields ``terminated=False``.
 
     The rounds are those of a chain of ``execute_round`` calls, at a cost
-    that follows the moves rather than the ring size: a window step
-    depends only on its two blocks, so a window that moved nothing is not
-    stepped again until a move touches one of its blocks, and the distance
-    potential is updated from the blue agents that change block.
+    that follows the moves rather than the ring size: ``step_round`` keeps
+    one idle set across the run, and the distance potential is updated
+    from the blue agents that change block.
     """
     report = validate(inst)
     if not report.valid:
@@ -424,60 +426,44 @@ def run(
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
 
-    k, p = inst.k, inst.p
+    k = inst.k
     two_colour = uses_two_colour_steps(inst)
     distance = initial_distance = None
     if two_colour:
         row = inst.spec.row(1)
-        offset0 = analysis.rename_offset(analysis.surplus_profile(inst.initial, row))
-        n_blue = inst.initial.colour_totals()[0]
-        dest = analysis.destinations(n_blue, analysis.renamed_row(row, offset0))
-        distance = initial_distance = analysis.distance(inst.initial, row, offset0, dest).total
+        potential = analysis.distance_report(inst.initial, row)
+        distance = initial_distance = potential.total
 
-    step = _window_step(inst, capped_swaps)
-    # Left blocks of the windows whose last step moved nothing and whose
-    # two blocks no move has touched since.
+    step = _window_step(inst)
     idle: set[int] = set()
     rounds: list[RoundTrace] = []
 
-    def advance(cfg: Configuration, offset: int) -> Configuration:
+    def advance(cfg: Configuration) -> Configuration:
         nonlocal distance
-        pairing = build_pairing(k, offset)
-        moves: list[Move] = []
-        for lb, rb in pairing.pairs:
-            if lb not in idle:
-                window = step(cfg, lb, rb)
-                if window:
-                    moves.extend(window)
-                else:
-                    idle.add(lb)
+        offset = len(rounds) % k + 1
+        new_cfg, moves = step_round(cfg, offset, step, idle)
         if two_colour:
-            distance += analysis.distance_change(cfg, moves, offset0)
-        cfg, rt = _close_round(cfg, moves, pairing, len(rounds) + 1, distance)
-        rounds.append(rt)
-        for b in {m.src // p for m in moves} | {m.dst // p for m in moves}:
-            idle.discard(b + 1)  # the window whose left block is 1-based block b + 1
-            idle.discard(wrap_block(b, k))  # and the one whose right block it is
-        return cfg
+            distance += analysis.distance_change(cfg, moves, potential.rename_offset)
+        rounds.append(RoundTrace(index=len(rounds) + 1, offset=offset, moves=moves,
+                                 counts=new_cfg.all_counts(), distance=distance,
+                                 checks=ROUND_CHECKS))
+        return new_cfg
 
     cfg = inst.initial
-    offset = 1
     while len(rounds) < max_rounds and not target_satisfied(cfg, inst):
-        cfg = advance(cfg, offset)
-        offset = offset % k + 1
-
+        cfg = advance(cfg)
     rounds_used = len(rounds)
-    terminated = reached = target_satisfied(cfg, inst)
-    if reached:
+    terminated = target_satisfied(cfg, inst)
+    if terminated:
         for _ in range(k):
-            cfg = advance(cfg, offset)
-            offset = offset % k + 1
-            terminated = terminated and not rounds[-1].moves
+            cfg = advance(cfg)
+        terminated = not any(rt.moves for rt in rounds[rounds_used:])
 
     recount = Configuration(cfg.agents, cfg.k, cfg.p, cfg.q)
     if recount.all_counts() != cfg.all_counts():
         raise EngineError("block counts kept across the run disagree with a recount")
-    if two_colour and analysis.distance(recount, row, offset0, dest).total != distance:
+    if two_colour and analysis.distance(recount, row, potential.rename_offset,
+                                        potential.dest).total != distance:
         raise EngineError("distance kept across the run disagrees with a recount")
 
     return RunResult(
@@ -515,6 +501,16 @@ def round_record(rt: RoundTrace) -> dict:
     }
 
 
+def run_summary(result: RunResult) -> dict:
+    """The summary fields of a run, as its trace and ``ringform run`` report them."""
+    return {
+        "terminated": result.terminated,
+        "rounds_used": result.rounds_used,
+        "bound": result.bound,
+        "bound_satisfied": result.terminated and result.rounds_used <= result.bound,
+    }
+
+
 def trace_records(result: RunResult, *, reversed_roles: bool = False) -> list[dict]:
     records: list[dict] = [{
         "type": "header",
@@ -524,13 +520,7 @@ def trace_records(result: RunResult, *, reversed_roles: bool = False) -> list[di
         "initial_distance": result.initial_distance,
     }]
     records.extend(round_record(rt) for rt in result.trace)
-    records.append({
-        "type": "summary",
-        "terminated": result.terminated,
-        "rounds_used": result.rounds_used,
-        "bound": result.bound,
-        "bound_satisfied": result.terminated and result.rounds_used <= result.bound,
-    })
+    records.append({"type": "summary", **run_summary(result)})
     return records
 
 
@@ -575,15 +565,16 @@ def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:
     """Parse a JSON-lines trace, given as text lines or as raw byte lines.
 
     A byte line that is not UTF-8, a line that is not a JSON object, a
-    record of unknown type, a header without an instance document, a
-    malformed round or summary record and a missing header all raise
-    :class:`TraceError` with the file line when there is one; a malformed
-    embedded instance raises :class:`InstanceFormatError`.
+    record of unknown type, a header without an instance document or of
+    another format, a malformed round or summary record, a second header
+    or summary and a missing header all raise :class:`TraceError` with the
+    file line when there is one; a malformed embedded instance raises
+    :class:`InstanceFormatError`.
     """
     instance: Instance | None = None
     rounds: list[RoundTrace] = []
-    summary: dict = {}
-    header: dict = {}
+    summary: dict | None = None
+    header: dict | None = None
     for no, line in enumerate(fp, start=1):
         if isinstance(line, bytes):
             try:
@@ -604,13 +595,20 @@ def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:
             raise TraceError("record is not a JSON object", no)
         rtype = record.get("type")
         if rtype == "header":
+            if header is not None:
+                raise TraceError("a second header record", no)
             if not isinstance(record.get("instance"), str):
                 raise TraceError("header record needs an instance document", no)
+            if record.get("format") != TRACE_FORMAT:
+                raise TraceError(f"header format {record.get('format')!r} is not "
+                                 f"{TRACE_FORMAT!r}", no)
             header = record
             instance = parse_instance(record["instance"])
         elif rtype == "round":
             rounds.append(_round_from_record(record, no))
         elif rtype == "summary":
+            if summary is not None:
+                raise TraceError("a second summary record", no)
             if "rounds_used" in record and not _is_int(record["rounds_used"]):
                 raise TraceError("summary 'rounds_used' must be an integer", no)
             if "terminated" in record and not isinstance(record["terminated"], bool):
@@ -618,8 +616,9 @@ def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:
             summary = record
         else:
             raise TraceError(f"unknown record type {rtype!r}", no)
-    if instance is None:
+    if header is None:
         raise TraceError("trace has no header record")
+    summary = summary or {}
     summary.setdefault("initial_distance", header.get("initial_distance"))
     summary.setdefault("reversed", header.get("reversed", False))
     return TraceData(instance=instance, rounds=tuple(rounds), summary=summary)

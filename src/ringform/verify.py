@@ -23,6 +23,9 @@ from .engine import (
     TraceError,
     apply_moves,
     build_pairing,
+    default_max_rounds,
+    run_summary,
+    step_round,
     stray_move,
     target_satisfied,
     uses_two_colour_steps,
@@ -283,10 +286,9 @@ def check_cooperativeness(run: ReplayedRun,
         return InvariantVerdict(name, False, None, "only meaningful for an even block count")
     if partition is None:
         partition = analysis.blue_partition(inst)
-    row = inst.spec.row(BLUE)
-    offset = analysis.rename_offset(analysis.surplus_profile(inst.initial, row))
-    n_blue = inst.initial.colour_totals()[0]
-    dest = analysis.destinations(n_blue, analysis.renamed_row(row, offset))
+    potential = analysis.distance_report(inst.initial, inst.spec.row(BLUE))
+    offset, dest = potential.rename_offset, potential.dest
+    n_blue = len(dest)
 
     # Renamed position and renamed block of every blue rank (0-based here).
     n, p = inst.n, inst.p
@@ -376,12 +378,15 @@ def check_summary(run: ReplayedRun, summary: Mapping[str, object]) -> InvariantV
 
 
 def check_safety(run: ReplayedRun) -> InvariantVerdict:
-    """Moves stay inside their window, recorded counts and distances match
-    the replayed configurations, and global colour totals never change."""
+    """Rounds are numbered 1, 2, ... in order, moves stay inside their
+    window, recorded counts and distances match the replayed
+    configurations, and global colour totals never change."""
     name = "safety"
     totals = run.configs[0].colour_totals()
     p = run.instance.p
     for r, rt in enumerate(run.rounds, start=1):
+        if rt.index != r:
+            return InvariantVerdict(name, False, r, f"recorded round number {rt.index}")
         cfg_after = run.configs[r]
         stray = stray_move(build_pairing(run.instance.k, rt.offset), rt.moves, p)
         if stray is not None:
@@ -408,9 +413,9 @@ def check_quiescence(run: ReplayedRun, rounds_used: int, terminated: bool) -> In
     if len(tail) < run.instance.k:
         return InvariantVerdict(name, False, None,
                                 f"only {len(tail)} verification rounds, expected {run.instance.k}")
-    for rt in tail:
+    for r, rt in enumerate(tail, start=rounds_used + 1):
         if rt.moves:
-            return InvariantVerdict(name, False, rt.index,
+            return InvariantVerdict(name, False, r,
                                     "agents moved after the target condition held")
     return InvariantVerdict(name, True)
 
@@ -458,42 +463,30 @@ def oracle_distance(cfg: Configuration, inst: Instance) -> int:
 # --- sequential phase oracle ----------------------------------------------------
 
 
-def sequential_phase_counts(inst: Instance, max_rounds_per_phase: int | None = None,
-                            ) -> tuple[tuple[int, ...], ...]:
+def sequential_phase_counts(inst: Instance) -> tuple[tuple[int, ...], ...]:
     """Final per-block colour counts after running one two-colour pass per
     constrained colour, in colour order, each pass freezing the colours
-    already fixed.  Raises :class:`TraceError` if any pass fails to settle."""
+    already fixed.  Raises :class:`TraceError` if any pass fails to settle
+    within ``default_max_rounds`` rounds."""
     if inst.spec.kind is not ProblemKind.P1:
         raise ValueError("the phase oracle applies to exact-count instances")
     cfg = inst.initial
-    spec = inst.spec
-    if max_rounds_per_phase is None:
-        max_rounds_per_phase = 4 * inst.n * inst.k + 16
+    max_rounds = default_max_rounds(inst)
     for colour in range(1, inst.q):
-        row = spec.row(colour)
-        cap = min(row)
-        frozen = frozenset(range(1, colour))
+        row = inst.spec.row(colour)
+        cap, frozen = min(row), frozenset(range(1, colour))
 
-        def phase_done(state: Configuration) -> bool:
-            return all(
-                state.counts(j)[colour - 1] == row[j - 1] for j in range(1, state.k + 1)
-            )
+        def step(state: Configuration, lb: int, rb: int) -> tuple[Move, ...]:
+            return window_step_two_colour(state.block_view(lb), state.block_view(rb),
+                                          row[lb - 1], cap, blue_colour=colour, frozen=frozen)
 
-        offset = 1
-        steps = 0
-        while not phase_done(cfg):
-            if steps >= max_rounds_per_phase:
+        idle: set[int] = set()
+        rounds = 0
+        while any(counts[colour - 1] != need for counts, need in zip(cfg.all_counts(), row)):
+            if rounds >= max_rounds:
                 raise TraceError(f"phase for colour {colour} did not settle")
-            pairing = build_pairing(inst.k, offset)
-            moves: list[Move] = []
-            for lb, rb in pairing.pairs:
-                moves.extend(window_step_two_colour(
-                    cfg.block_view(lb), cfg.block_view(rb), row[lb - 1], cap,
-                    blue_colour=colour, frozen=frozen,
-                ))
-            cfg = apply_moves(cfg, moves, pairing)
-            steps += 1
-            offset = offset % inst.k + 1
+            cfg, _ = step_round(cfg, rounds % inst.k + 1, step, idle)
+            rounds += 1
     return cfg.all_counts()
 
 
@@ -538,8 +531,9 @@ def run_checks(run: ReplayedRun, rounds_used: int, terminated: bool,
 
 
 def verify_result(result: RunResult) -> list[InvariantVerdict]:
-    run = replay_result(result)
-    return run_checks(run, result.rounds_used, result.terminated)
+    """Audit a run as ``verify_trace`` audits its stored trace."""
+    summary = {**run_summary(result), "initial_distance": result.initial_distance}
+    return verify_trace(TraceData(result.instance, result.trace, summary))
 
 
 def verify_trace(data: TraceData) -> list[InvariantVerdict]:

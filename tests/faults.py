@@ -144,6 +144,17 @@ def summary_fault() -> InvariantVerdict:
     return verify.check_summary(verify.replay_trace(data), data.summary)
 
 
+def index_fault() -> InvariantVerdict:
+    # Honest moves of a k=8 half-and-half run, stored with every round
+    # record's "round" rewritten to 1.
+    records = engine.trace_records(engine.run(gen_adversarial_half(8, 2)))
+    for record in records:
+        if record["type"] == "round":
+            record["round"] = 1
+    data = engine.read_trace(json.dumps(record) for record in records)
+    return verify.check_safety(verify.replay_trace(data))
+
+
 def quiescence_fault() -> InvariantVerdict:
     # Summary pretends the target held from the start, yet round 1 moved agents.
     inst = make_p1("RRBB", 2, 2, [[1, 1], [1, 1]])
@@ -164,6 +175,7 @@ def fault_verdicts() -> dict[str, InvariantVerdict]:
         "cooperativeness": cooperativeness_fault(),
         "safety": safety_fault(),
         "safety[distance]": distance_fault(),
+        "safety[index]": index_fault(),
         "quiescence": quiescence_fault(),
         "summary": summary_fault(),
     }

@@ -222,6 +222,42 @@ def test_p2_and_p3_generation_via_cli(tmp_path, capsys):
     assert main(["run", "--instance", str(p3_path), "--verify"]) == EXIT_OK
 
 
+def test_run_verify_prints_the_verdicts_of_verify(tmp_path, capsys):
+    instance_path = tmp_path / "inst.txt"
+    trace_path = tmp_path / "trace.jsonl"
+    main(["gen", "--kind", "adversarial_half", "--k", "8", "--p", "2",
+          "--out", str(instance_path)])
+    capsys.readouterr()
+    assert main(["run", "--instance", str(instance_path), "--trace", str(trace_path),
+                 "--verify"]) == EXIT_OK
+    run_lines = capsys.readouterr().out.splitlines()[1:]
+    assert main(["verify", "--trace", str(trace_path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == run_lines
+    assert run_lines[-1] == "pass summary"
+
+
+def test_verify_rejects_renumbered_rounds(tmp_path, capsys):
+    lines = _stored_trace(tmp_path, capsys)
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        if record["type"] == "round":
+            record["round"] = 1
+    code, out, _ = _verify_lines(tmp_path, capsys, [json.dumps(r) for r in records])
+    assert code == EXIT_VERIFICATION_FAILED
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL safety round 2: recorded round number 1"]
+
+
+def test_verify_rejects_a_second_header_or_summary(tmp_path, capsys):
+    lines = _stored_trace(tmp_path, capsys)
+    code, out, err = _verify_lines(tmp_path, capsys, lines[:1] + lines)
+    assert (code, out) == (EXIT_VERIFICATION_FAILED, "")
+    assert err.strip() == "invalid trace: line 2: a second header record"
+    code, out, err = _verify_lines(tmp_path, capsys, lines + lines[-1:])
+    assert (code, out) == (EXIT_VERIFICATION_FAILED, "")
+    assert err.strip() == f"invalid trace: line {len(lines) + 1}: a second summary record"
+
+
 def test_verify_rejects_a_forged_summary(tmp_path, capsys):
     instance_path = tmp_path / "inst.txt"
     trace_path = tmp_path / "trace.jsonl"

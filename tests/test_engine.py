@@ -18,6 +18,7 @@ from ringform.engine import (
     orient_roles,
     read_trace,
     run,
+    step_round,
     target_satisfied,
     window_step_q_colour,
     window_step_two_colour,
@@ -235,6 +236,46 @@ def test_execute_round_quiescent_when_satisfied():
         assert trace.moves == ()
 
 
+def test_shared_idle_set_gives_the_rounds_of_fresh_sets_for_the_phase_step():
+    # The phase oracle's step (colour c as blue, lower colours frozen): one
+    # idle set kept across each phase must give, round for round, what a
+    # fresh set, which steps every window, gives.
+    calls = {"shared": 0, "fresh": 0}
+    rounds = 0
+    for q in (3, 4, 5):
+        for k in (2, 3, 4, 5, 6, 8):
+            for seed in range(3):
+                inst = gen_random(k, q + 1, q, seed)
+                cfg = inst.initial
+                for colour in range(1, q):
+                    row = inst.spec.row(colour)
+                    frozen = frozenset(range(1, colour))
+
+                    def counted(chain):
+                        def step(state, lb, rb):
+                            calls[chain] += 1
+                            return window_step_two_colour(
+                                state.block_view(lb), state.block_view(rb), row[lb - 1],
+                                min(row), blue_colour=colour, frozen=frozen)
+                        return step
+
+                    shared_step, fresh_step = counted("shared"), counted("fresh")
+                    idle: set[int] = set()
+                    r = 0
+                    while [c[colour - 1] for c in cfg.all_counts()] != list(row):
+                        assert r < engine.default_max_rounds(inst), (inst.provenance, colour)
+                        offset = r % k + 1
+                        shared = step_round(cfg, offset, shared_step, idle)
+                        assert shared == step_round(cfg, offset, fresh_step, set()), \
+                            (inst.provenance, colour, r + 1)
+                        cfg = shared[0]
+                        r += 1
+                    rounds += r
+                assert cfg.all_counts() == verify.sequential_phase_counts(inst), inst.provenance
+    assert rounds > 500
+    assert calls["shared"] < calls["fresh"]  # the shared set left windows unstepped
+
+
 def test_run_single_swap_instance():
     inst = make_p1("RRBB", 2, 2, [[1, 1], [1, 1]])
     result = run(inst)
@@ -299,14 +340,6 @@ def test_run_p3_reaches_exact_patterns():
     result = run(inst)
     assert result.terminated
     assert result.final.to_string() == "".join(inst.spec.patterns)
-
-
-def test_run_q_colour_with_cap_switch_also_settles():
-    inst = gen_random(4, 4, 3, seed=9)
-    plain = run(inst)
-    capped = run(inst, capped_swaps=True)
-    assert plain.terminated and capped.terminated
-    assert plain.final.all_counts() == capped.final.all_counts()
 
 
 def test_run_does_not_restep_idle_windows(monkeypatch):
@@ -493,3 +526,18 @@ def test_read_trace_rejects_malformed_header_and_summary():
     for field, value in (("rounds_used", "4"), ("terminated", 1)):
         with pytest.raises(TraceError, match=field):
             read_trace(lines[:-1] + [json.dumps({**summary, field: value})])
+    n = len(lines)
+    with pytest.raises(TraceError, match="second header") as info:
+        read_trace(lines[:1] + lines)
+    assert info.value.line == 2
+    with pytest.raises(TraceError, match="second summary") as info:
+        read_trace(lines + lines[-1:])
+    assert info.value.line == n + 1
+    header = json.loads(lines[0])
+    for fmt in ("ringform-trace-v2", None):
+        with pytest.raises(TraceError, match="header format") as info:
+            read_trace([json.dumps({**header, "format": fmt})] + lines[1:])
+        assert info.value.line == 1
+    del header["format"]
+    with pytest.raises(TraceError, match="header format None"):
+        read_trace([json.dumps(header)] + lines[1:])

@@ -24,6 +24,7 @@ from ringform.verify import (
 
 import faults
 from helpers import make_p1, make_p2
+from test_golden_traces import GOLDEN, golden_run
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,14 @@ def test_all_checkers_pass_on_honest_run(small_run):
     assert all(v.passed for v in verdicts), [str(v) for v in verdicts]
     names = {v.name for v in verdicts}
     assert "cooperativeness" in names  # even k
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_verify_result_is_verify_trace_of_the_stored_run(name):
+    result, text = golden_run(name)
+    verdicts = verify.verify_result(result)
+    assert verdicts == verify.verify_trace(engine.read_trace(io.StringIO(text)))
+    assert verdicts[-1].name == "summary" and all(v.passed for v in verdicts)
 
 
 def test_verify_result_covers_many_kinds():
@@ -129,6 +138,30 @@ def test_stored_distance_forgery_fails_verify_trace():
     verdicts = verify.verify_trace(engine.read_trace(lines))
     failed = [v for v in verdicts if not v.passed]
     assert [(v.name, v.round) for v in failed] == [("safety", 1)]
+
+
+def test_round_number_forgery_detected():
+    verdict = faults.index_fault()
+    assert (verdict.passed, verdict.round) == (False, 2)
+    assert verdict.detail == "recorded round number 1"
+
+
+def test_round_number_forgery_fails_only_safety_in_verify_trace():
+    records = _stored_records(gen_adversarial_half(8, 2))
+    for record in records:
+        if record["type"] == "round":
+            record["round"] = 1
+    verdicts = verify.verify_trace(engine.read_trace(json.dumps(r) for r in records))
+    assert [(v.name, v.round) for v in verdicts if not v.passed] == [("safety", 2)]
+
+
+def test_quiescence_names_the_position_of_the_round():
+    inst = make_p1("RRBB", 2, 2, [[1, 1], [1, 1]])
+    result = engine.run(inst)
+    assert result.trace[0].moves
+    renumbered = [dataclasses.replace(rt, index=7) for rt in result.trace]
+    verdict = verify.check_quiescence(replay(inst, renumbered), 0, True)
+    assert (verdict.passed, verdict.round) == (False, 1)
 
 
 def test_summary_forgery_detected():
