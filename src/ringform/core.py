@@ -79,10 +79,12 @@ class Agent:
 
 @dataclass(frozen=True)
 class BlockView:
-    """One block of a configuration: (ring position, agent) slots, left to right."""
+    """One block of a configuration: (ring position, agent) slots, left to
+    right, and the block's colour counts (index 0 holds colour 1)."""
 
     index: int
     slots: tuple[tuple[int, Agent], ...]
+    counts: tuple[int, ...]
 
     def agents(self) -> tuple[Agent, ...]:
         return tuple(agent for _, agent in self.slots)
@@ -164,8 +166,8 @@ class Configuration:
         if not 1 <= j <= self.k:
             raise ValueError(f"block {j} out of range 1..{self.k}")
         start = (j - 1) * self.p
-        slots = tuple(zip(range(start, start + self.p), self.agents[start:start + self.p]))
-        return BlockView(index=j, slots=slots)
+        slots = tuple(enumerate(self.agents[start:start + self.p], start))
+        return BlockView(j, slots, self._block_counts[j - 1])
 
     def block_string(self, j: int) -> str:
         alphabet = colour_symbols(self.q)

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, starmap
+from itertools import chain, compress, count, starmap
+from operator import ne
 from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 from . import analysis
@@ -39,7 +40,9 @@ from .core import (
     validate,
 )
 
-TRACE_FORMAT = "ringform-trace-v1"
+TRACE_FORMAT = "ringform-trace-v2"
+# The format before v2: every round record lists all k count rows and the checks.
+TRACE_FORMAT_V1 = "ringform-trace-v1"
 
 
 class EngineError(RuntimeError):
@@ -248,22 +251,18 @@ def window_step_q_colour(left: BlockView, right: BlockView,
     exact-pattern problems rearrange each block into its target pattern.
     """
     q = spec.q
-
-    def colour_count(view: BlockView, colour: int) -> int:
-        return sum(1 for _, a in view.slots if a.colour == colour)
-
     i = 1
     while i < q and (
-        colour_count(left, i) == spec.required(i, left.index)
-        and colour_count(right, i) == spec.required(i, right.index)
+        left.counts[i - 1] == spec.required(i, left.index)
+        and right.counts[i - 1] == spec.required(i, right.index)
     ):
         i += 1
 
     if i < q:
-        deficit = spec.required(i, left.index) - colour_count(left, i)
+        deficit = spec.required(i, left.index) - left.counts[i - 1]
         if deficit <= 0:
             return ()
-        t = min(deficit, colour_count(right, i))
+        t = min(deficit, right.counts[i - 1])
         if t <= 0:
             return ()
         incoming = [(pos, a) for pos, a in right.slots if a.colour == i][:t]
@@ -489,15 +488,18 @@ class TraceData:
     summary: dict
 
 
-def round_record(rt: RoundTrace) -> dict:
+def round_record(rt: RoundTrace, before: tuple[tuple[int, ...], ...]) -> dict:
+    """A v2 round record.  ``before`` holds the counts of the configuration
+    the round started from; the record lists ``[block, count of colour 1,
+    ..., count of colour q]`` for every block whose row differs from it."""
+    changed = compress(count(1), map(ne, before, rt.counts))
     return {
         "type": "round",
         "round": rt.index,
         "offset": rt.offset,
         "moves": rt.moves,    # json writes tuples, named ones too, as lists
-        "counts": rt.counts,
+        "counts": [[b, *rt.counts[b - 1]] for b in changed],
         "distance": rt.distance,
-        "checks": dict(rt.checks),
     }
 
 
@@ -519,7 +521,10 @@ def trace_records(result: RunResult, *, reversed_roles: bool = False) -> list[di
         "reversed": reversed_roles,
         "initial_distance": result.initial_distance,
     }]
-    records.extend(round_record(rt) for rt in result.trace)
+    before = result.instance.initial.all_counts()
+    for rt in result.trace:
+        records.append(round_record(rt, before))
+        before = rt.counts
     records.append({"type": "summary", **run_summary(result)})
     return records
 
@@ -533,13 +538,39 @@ def _is_int(value: object) -> bool:
     return type(value) is int
 
 
-def _round_from_record(record: dict, line: int) -> RoundTrace:
-    """A round record as a RoundTrace; TraceError names ``line`` on any malformed field."""
+def _patched_counts(before: tuple[tuple[int, ...], ...], rows: list, q: int,
+                    line: int) -> tuple[tuple[int, ...], ...]:
+    """``before`` with every ``[block, count of colour 1, ..., count of
+    colour q]`` row of a v2 round record put in its block's place; the rows
+    of the other blocks stay the same objects."""
+    if not rows:
+        return before
+    if (not set(map(len, rows)) <= {q + 1}
+            or not set(map(type, chain.from_iterable(rows))) <= {int}):
+        raise TraceError(f"'counts' rows must be [block, count of colour 1, ..., count of "
+                         f"colour {q}] integers", line)
+    blocks = [row[0] for row in rows]
+    k = len(before)
+    if min(blocks) < 1 or max(blocks) > k:
+        raise TraceError(f"'counts' names a block outside 1..{k}", line)
+    if len(set(blocks)) != len(blocks):
+        raise TraceError("'counts' names a block twice", line)
+    after = list(before)
+    for row in rows:
+        after[row[0] - 1] = tuple(row[1:])
+    return tuple(after)
+
+
+def _round_from_record(record: dict, line: int, before: tuple[tuple[int, ...], ...] | None,
+                       q: int) -> RoundTrace:
+    """A round record as a RoundTrace; TraceError names ``line`` on any
+    malformed field.  A v2 record's count rows patch ``before``, the counts
+    of the previous round; a v1 record (``before`` None) lists every row."""
     for key in ("round", "offset"):
         if not _is_int(record.get(key)):
             raise TraceError(f"round record needs an integer {key!r}", line)
     moves, counts = record.get("moves"), record.get("counts")
-    distance, checks = record.get("distance"), record.get("checks", {})
+    distance, checks = record.get("distance"), record.get("checks")
     # Set-of-types tests run the per-element work in C; bool is not int here.
     if (type(moves) is not list or not set(map(type, moves)) <= {list}
             or not set(map(len, moves)) <= {3}
@@ -549,32 +580,37 @@ def _round_from_record(record: dict, line: int) -> RoundTrace:
         raise TraceError("'counts' must be a list of per-block rows", line)
     if distance is not None and not _is_int(distance):
         raise TraceError("'distance' must be an integer or null", line)
-    if not isinstance(checks, dict):
+    if checks is not None and not isinstance(checks, dict):
         raise TraceError("'checks' must be an object", line)
     return RoundTrace(
         index=record["round"],
         offset=record["offset"],
         moves=tuple(starmap(Move, moves)),
-        counts=tuple(map(tuple, counts)),
+        counts=(tuple(map(tuple, counts)) if before is None
+                else _patched_counts(before, counts, q, line)),
         distance=distance,
-        checks=tuple((name, bool(v)) for name, v in checks.items()),
+        checks=ROUND_CHECKS if checks is None
+        else tuple((name, bool(v)) for name, v in checks.items()),
     )
 
 
 def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:
     """Parse a JSON-lines trace, given as text lines or as raw byte lines.
 
-    A byte line that is not UTF-8, a line that is not a JSON object, a
-    record of unknown type, a header without an instance document or of
-    another format, a malformed round or summary record, a second header
-    or summary and a missing header all raise :class:`TraceError` with the
-    file line when there is one; a malformed embedded instance raises
-    :class:`InstanceFormatError`.
+    Reads ``ringform-trace-v2``, whose round records list only the count
+    rows that changed, and ``ringform-trace-v1``, whose round records list
+    all of them.  A byte line that is not UTF-8, a line that is not a JSON
+    object, a record of unknown type, a header without an instance
+    document or of another format, a malformed round or summary record, a
+    second header or summary and a missing header all raise
+    :class:`TraceError` with the file line when there is one; a malformed
+    embedded instance raises :class:`InstanceFormatError`.
     """
     instance: Instance | None = None
     rounds: list[RoundTrace] = []
     summary: dict | None = None
     header: dict | None = None
+    counts: tuple[tuple[int, ...], ...] | None = None  # of the last round; None for v1
     for no, line in enumerate(fp, start=1):
         if isinstance(line, bytes):
             try:
@@ -599,13 +635,20 @@ def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:
                 raise TraceError("a second header record", no)
             if not isinstance(record.get("instance"), str):
                 raise TraceError("header record needs an instance document", no)
-            if record.get("format") != TRACE_FORMAT:
+            if record.get("format") not in (TRACE_FORMAT, TRACE_FORMAT_V1):
                 raise TraceError(f"header format {record.get('format')!r} is not "
-                                 f"{TRACE_FORMAT!r}", no)
+                                 f"{TRACE_FORMAT!r} or {TRACE_FORMAT_V1!r}", no)
             header = record
             instance = parse_instance(record["instance"])
+            if record["format"] == TRACE_FORMAT:
+                counts = instance.initial.all_counts()
         elif rtype == "round":
-            rounds.append(_round_from_record(record, no))
+            if instance is None:
+                raise TraceError("trace has no header record")
+            rt = _round_from_record(record, no, counts, instance.q)
+            if counts is not None:
+                counts = rt.counts
+            rounds.append(rt)
         elif rtype == "summary":
             if summary is not None:
                 raise TraceError("a second summary record", no)

@@ -123,26 +123,37 @@ def _blue_ids_clockwise(cfg: Configuration) -> tuple[int, ...]:
     return tuple(a.id for a in cfg.agents if a.colour == BLUE)
 
 
-def _cyclically_equal(a: Sequence[int], b: Sequence[int]) -> bool:
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    doubled = list(a) + list(a)
-    target = list(b)
-    return any(doubled[i:i + len(target)] == target for i in range(len(a)))
-
-
 def check_order_preserving(run: ReplayedRun) -> InvariantVerdict:
-    """The clockwise ordering of blue agents never changes between rounds."""
+    """The clockwise ordering of blue agents never changes between rounds.
+
+    Blue ranks are numbered in the ring order of the initial configuration.
+    They keep their cyclic order exactly while one rank i, and only one,
+    sits after rank i + 1 (the last rank after the first, in the initial
+    configuration).  The check follows that count of descents through the
+    moves, looking only at the pairs next to a moved rank, so a round costs
+    O(moves); a failure lists the blue agents of the two configurations.
+    """
     name = "order_preserving"
-    before = _blue_ids_clockwise(run.configs[0])
-    for r, cfg in enumerate(run.configs[1:], start=1):
-        after = _blue_ids_clockwise(cfg)
-        if not _cyclically_equal(before, after):
-            return InvariantVerdict(name, False, r,
-                                    f"blue order {before} became {after}")
-        before = after
+    initial = run.configs[0].agents
+    pos = [x for x, agent in enumerate(initial) if agent.colour == BLUE]
+    n_blue = len(pos)
+    rank_of = {initial[x].id: i for i, x in enumerate(pos)}
+
+    def descents(ranks: set[int]) -> int:
+        return sum(pos[i] > pos[(i + 1) % n_blue] for i in ranks)
+
+    for r, rt in enumerate(run.rounds, start=1):
+        moved = [(rank_of[m.agent_id], m.dst) for m in rt.moves if m.agent_id in rank_of]
+        if not moved:
+            continue
+        pairs = {i for rank, _ in moved for i in ((rank - 1) % n_blue, rank)}
+        before = descents(pairs)
+        for rank, dst in moved:
+            pos[rank] = dst
+        if descents(pairs) != before:
+            return InvariantVerdict(
+                name, False, r, f"blue order {_blue_ids_clockwise(run.configs[r - 1])} "
+                                f"became {_blue_ids_clockwise(run.configs[r])}")
     return InvariantVerdict(name, True)
 
 
@@ -378,17 +389,21 @@ def check_summary(run: ReplayedRun, summary: Mapping[str, object]) -> InvariantV
 
 
 def check_safety(run: ReplayedRun) -> InvariantVerdict:
-    """Rounds are numbered 1, 2, ... in order, moves stay inside their
-    window, recorded counts and distances match the replayed
-    configurations, and global colour totals never change."""
+    """Rounds are numbered 1, 2, ... in order, round r runs at offset
+    ``(r - 1) % k + 1``, moves stay inside their window, recorded counts and
+    distances match the replayed configurations, and global colour totals
+    never change."""
     name = "safety"
     totals = run.configs[0].colour_totals()
-    p = run.instance.p
+    k, p = run.instance.k, run.instance.p
     for r, rt in enumerate(run.rounds, start=1):
         if rt.index != r:
             return InvariantVerdict(name, False, r, f"recorded round number {rt.index}")
+        if rt.offset != wrap_block(r, k):
+            return InvariantVerdict(name, False, r, f"recorded offset {rt.offset}, "
+                                                    f"the schedule gives {wrap_block(r, k)}")
         cfg_after = run.configs[r]
-        stray = stray_move(build_pairing(run.instance.k, rt.offset), rt.moves, p)
+        stray = stray_move(build_pairing(k, rt.offset), rt.moves, p)
         if stray is not None:
             return InvariantVerdict(name, False, r, f"move {stray} leaves its window")
         if cfg_after.all_counts() != rt.counts:

@@ -155,6 +155,19 @@ def index_fault() -> InvariantVerdict:
     return verify.check_safety(verify.replay_trace(data))
 
 
+def offset_fault() -> InvariantVerdict:
+    # A k=8 half-and-half run whose every round runs at offset 1, with
+    # honest moves, counts and distances: round 2 breaks the schedule.
+    inst = gen_adversarial_half(8, 2)
+    cfg, rounds = inst.initial, []
+    for index in range(1, 5):
+        cfg, rt = engine.execute_round(cfg, inst, 1, index=index)
+        rounds.append(rt)
+    distances = verify.replay(inst, rounds).replayed_distances[1:]
+    rounds = [dataclasses.replace(rt, distance=d) for rt, d in zip(rounds, distances)]
+    return verify.check_safety(verify.replay(inst, rounds))
+
+
 def quiescence_fault() -> InvariantVerdict:
     # Summary pretends the target held from the start, yet round 1 moved agents.
     inst = make_p1("RRBB", 2, 2, [[1, 1], [1, 1]])
@@ -176,6 +189,7 @@ def fault_verdicts() -> dict[str, InvariantVerdict]:
         "safety": safety_fault(),
         "safety[distance]": distance_fault(),
         "safety[index]": index_fault(),
+        "safety[offset]": offset_fault(),
         "quiescence": quiescence_fault(),
         "summary": summary_fault(),
     }

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: pipelines, exit codes, report shapes."""
 
 import json
+from pathlib import Path
 
 from ringform.cli import (
     EXIT_INVALID_INSTANCE,
@@ -162,6 +163,12 @@ def test_verify_trace_without_header_or_with_unknown_record(tmp_path, capsys):
     code, _, err = _verify_lines(tmp_path, capsys, lines + ['{"type": "footer"}'])
     assert code == EXIT_VERIFICATION_FAILED
     assert err.strip() == f"invalid trace: line {len(lines) + 1}: unknown record type 'footer'"
+
+
+def test_verify_accepts_a_v1_trace(capsys):
+    path = Path(__file__).parent / "data" / "adversarial-half-k8-p2.v1.jsonl"
+    assert main(["verify", "--trace", str(path)]) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_analyze_reports_surplus_and_bound(tmp_path, capsys):

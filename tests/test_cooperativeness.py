@@ -1,11 +1,13 @@
-"""Differential test of the cooperativeness checker.
+"""Differential tests of the cooperativeness and order checkers.
 
-``scan_cooperativeness`` is the checker as first written: it scans every
-replayed configuration for the blue agents in renamed reading order and
-then walks every rank of every class in every round.  ``verify`` tracks
-the blue ranks from the moves instead; both must give the same verdict,
-including which failure they report, on honest traces and on three kinds
-of tampered trace.
+``scan_cooperativeness`` is the cooperativeness checker as first written:
+it scans every replayed configuration for the blue agents in renamed
+reading order and then walks every rank of every class in every round.
+``scan_order_preserving`` is the order checker as first written: it lists
+the blue agents of every replayed configuration and compares consecutive
+lists up to rotation.  ``verify`` follows the blue ranks through the moves
+instead; each pair must give the same verdict, including which failure
+they report, on honest traces and on three kinds of tampered trace.
 """
 
 import random
@@ -50,6 +52,27 @@ def scan_cooperativeness(run, partition=None):
                         name, False, r,
                         f"rank {rank} (class {class_index}) stayed in block {before}, "
                         f"destination {dest[rank - 1]}")
+    return InvariantVerdict(name, True)
+
+
+def _cyclically_equal(a, b):
+    if len(a) != len(b):
+        return False
+    if not a:
+        return True
+    doubled = list(a) + list(a)
+    target = list(b)
+    return any(doubled[i:i + len(target)] == target for i in range(len(a)))
+
+
+def scan_order_preserving(run):
+    """Reference checker: O(n) per configuration."""
+    name = "order_preserving"
+    blue_ids = [tuple(a.id for a in cfg.agents if a.colour == BLUE) for cfg in run.configs]
+    for r in range(1, len(blue_ids)):
+        before, after = blue_ids[r - 1], blue_ids[r]
+        if not _cyclically_equal(before, after):
+            return InvariantVerdict(name, False, r, f"blue order {before} became {after}")
     return InvariantVerdict(name, True)
 
 
@@ -148,6 +171,18 @@ def test_incremental_checker_matches_the_scan():
         run = verify.replay(inst, rounds)
         expected = scan_cooperativeness(run)
         assert as_tuple(verify.check_cooperativeness(run)) == as_tuple(expected), \
+            (inst.initial.to_string(), [rt.moves for rt in rounds])
+        compared += 1
+        failing += not expected.passed
+    assert compared >= 1000 and failing >= 100, (compared, failing)
+
+
+def test_incremental_order_checker_matches_the_scan():
+    compared = failing = 0
+    for inst, rounds in corpus():
+        run = verify.replay(inst, rounds)
+        expected = scan_order_preserving(run)
+        assert as_tuple(verify.check_order_preserving(run)) == as_tuple(expected), \
             (inst.initial.to_string(), [rt.moves for rt in rounds])
         compared += 1
         failing += not expected.passed

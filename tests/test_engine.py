@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -487,6 +488,41 @@ def test_trace_roundtrip():
     assert data.summary["reversed"] is False
 
 
+def test_v2_round_records_carry_only_the_changed_rows():
+    result = run(gen_adversarial_half(8, 2))
+    records = engine.trace_records(result)
+    assert records[0]["format"] == "ringform-trace-v2"
+    rounds = [r for r in records if r["type"] == "round"]
+    assert all("checks" not in r for r in rounds)
+    before = result.instance.initial.all_counts()
+    for record, rt in zip(rounds, result.trace):
+        changed = {b for b in range(1, 9) if rt.counts[b - 1] != before[b - 1]}
+        assert record["counts"] == [[b, *rt.counts[b - 1]] for b in sorted(changed)]
+        before = rt.counts
+    data = read_trace(json.dumps(r) for r in records)
+    assert data.rounds == result.trace
+    assert all(rt.checks == engine.ROUND_CHECKS for rt in data.rounds)
+    before = data.instance.initial.all_counts()
+    for record, rt in zip(rounds, data.rounds):
+        patched = {row[0] for row in record["counts"]}
+        assert all((row is old) == (b not in patched)
+                   for b, (row, old) in enumerate(zip(rt.counts, before), start=1))
+        before = rt.counts
+
+
+def test_read_trace_reads_a_v1_trace():
+    # Written by ``ringform run`` in the v1 format: every round lists all
+    # k count rows and the constant checks.
+    path = Path(__file__).parent / "data" / "adversarial-half-k8-p2.v1.jsonl"
+    with open(path, encoding="utf-8") as fp:
+        data = read_trace(fp)
+    assert '"format": "ringform-trace-v1"' in path.read_text().splitlines()[0]
+    result = run(gen_adversarial_half(8, 2))
+    assert data.instance == result.instance
+    assert data.rounds == result.trace
+    assert verify.verify_trace(data) == verify.verify_result(result)
+
+
 def _honest_trace_lines() -> list[str]:
     buffer = io.StringIO()
     write_trace(run(gen_random(4, 3, 2, seed=7)), buffer)
@@ -503,6 +539,16 @@ def _honest_trace_lines() -> list[str]:
     (lambda r: {**r, "moves": [[0, 1, "2"]]}, "'moves' must be"),
     (lambda r: {**r, "moves": 5}, "'moves' must be"),
     (lambda r: {**r, "counts": [1, 2]}, "'counts' must be"),
+    (lambda r: {**r, "counts": [[0, 1, 2]]}, "'counts' names a block outside 1..4"),
+    (lambda r: {**r, "counts": [[5, 1, 2]]}, "'counts' names a block outside 1..4"),
+    (lambda r: {**r, "counts": [[2, 1, 2], [2, 2, 1]]}, "'counts' names a block twice"),
+    (lambda r: {**r, "counts": [[2, 1]]}, "'counts' rows must be"),
+    (lambda r: {**r, "counts": [[2, 1, 2, 0]]}, "'counts' rows must be"),
+    (lambda r: {**r, "counts": [[]]}, "'counts' rows must be"),
+    (lambda r: {**r, "counts": [[2, 1.0, 2]]}, "'counts' rows must be"),
+    (lambda r: {**r, "counts": [[2, "1", 2]]}, "'counts' rows must be"),
+    (lambda r: {**r, "counts": [[2, True, 2]]}, "'counts' rows must be"),
+    (lambda r: {**r, "counts": [[True, 1, 2]]}, "'counts' rows must be"),
     (lambda r: {**r, "distance": "3"}, "'distance' must be"),
     (lambda r: {**r, "checks": []}, "'checks' must be"),
 ])
@@ -534,7 +580,7 @@ def test_read_trace_rejects_malformed_header_and_summary():
         read_trace(lines + lines[-1:])
     assert info.value.line == n + 1
     header = json.loads(lines[0])
-    for fmt in ("ringform-trace-v2", None):
+    for fmt in ("ringform-trace-v3", None):
         with pytest.raises(TraceError, match="header format") as info:
             read_trace([json.dumps({**header, "format": fmt})] + lines[1:])
         assert info.value.line == 1

@@ -79,7 +79,7 @@ def trace_lines(draw) -> list[str]:
     i = draw(st.integers(0, len(records) - 1))
     record = records[i]
     lines = None
-    action = draw(st.sampled_from(["set", "delete", "move", "instance", "line"]))
+    action = draw(st.sampled_from(["set", "delete", "move", "counts", "instance", "line"]))
     if action == "set":
         record[draw(st.sampled_from(sorted(record) + ["extra"]))] = draw(json_values)
     elif action == "delete":
@@ -90,6 +90,13 @@ def trace_lines(draw) -> list[str]:
             record["moves"][j] = draw(json_values)
         else:
             record["moves"][j][draw(st.integers(0, 2))] = draw(json_values)
+    elif action == "counts" and record.get("counts"):
+        j = draw(st.integers(0, len(record["counts"]) - 1))
+        if draw(st.booleans()):
+            record["counts"][j] = draw(json_values)
+        else:
+            row = record["counts"][j]
+            row[draw(st.integers(0, len(row) - 1))] = draw(json_values)
     elif action == "instance":
         records[0]["instance"] = draw(instance_docs())
     elif action == "line":
@@ -143,6 +150,37 @@ def test_malformed_moves_raise_trace_error_naming_the_line(bad, where):
         engine.read_trace(lines)
     assert caught.value.line == i + 1
     assert str(caught.value).startswith(f"line {i + 1}: 'moves' must be")
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad=st.one_of(
+           not_an_int.map(lambda v: ("entry", v)),
+           st.one_of(st.integers(-3, 0), st.integers(5, 40)).map(lambda b: ("block", b)),
+           st.lists(st.integers(0, 9), max_size=5)
+           .filter(lambda row: len(row) != 3).map(lambda row: ("row", row)),
+           st.just(("repeat", None))),
+       where=st.integers(0, 2))
+def test_malformed_count_rows_raise_trace_error_naming_the_line(bad, where):
+    # TRACES[0] is a k=4, q=2 run: a row is [block, count of colour 1, count of colour 2].
+    records = TRACES[0]
+    i = next(i for i, record in enumerate(records) if record.get("counts"))
+    lines = [json.dumps(record) for record in records]
+    record = json.loads(lines[i])
+    rows = record["counts"]
+    kind, value = bad
+    if kind == "entry":
+        rows[0][where] = value
+    elif kind == "block":
+        rows[-1][0] = value
+    elif kind == "row":
+        rows[-1] = value
+    else:
+        rows.append(list(rows[0]))
+    lines[i] = json.dumps(record)
+    with pytest.raises(TraceError) as caught:
+        engine.read_trace(lines)
+    assert caught.value.line == i + 1
+    assert str(caught.value).startswith(f"line {i + 1}: 'counts' ")
 
 
 def _exit_code(argv: list[str], path: str, content: bytes) -> int:

@@ -146,6 +146,12 @@ def test_round_number_forgery_detected():
     assert verdict.detail == "recorded round number 1"
 
 
+def test_offset_off_the_schedule_detected():
+    verdict = faults.offset_fault()
+    assert (verdict.passed, verdict.round) == (False, 2)
+    assert verdict.detail == "recorded offset 1, the schedule gives 2"
+
+
 def test_round_number_forgery_fails_only_safety_in_verify_trace():
     records = _stored_records(gen_adversarial_half(8, 2))
     for record in records:
