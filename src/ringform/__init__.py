@@ -9,7 +9,6 @@ from .core import (
     ProblemKind,
     RequirementSpec,
     ValidityReport,
-    counts,
     parse_instance,
     serialize_instance,
     validate,
@@ -27,7 +26,6 @@ __all__ = [
     "RequirementSpec",
     "RunResult",
     "ValidityReport",
-    "counts",
     "execute_round",
     "orient_roles",
     "parse_instance",

@@ -11,6 +11,7 @@ round-count bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import Configuration, Instance, ProblemKind
@@ -65,21 +66,6 @@ def surplus_profile(cfg: Configuration, requirement_row: Sequence[int]) -> Surpl
     return SurplusProfile(y=y)
 
 
-def cumulative_surplus(profile: SurplusProfile, start: int, length: int) -> int:
-    """Sum of ``length`` consecutive surpluses beginning at block ``start`` (wrapping)."""
-    k = profile.k
-    if not 1 <= start <= k:
-        raise ValueError(f"start block {start} out of range 1..{k}")
-    if not 1 <= length <= k:
-        raise ValueError(f"length {length} out of range 1..{k}")
-    return sum(profile.y[(start - 1 + j) % k] for j in range(length))
-
-
-def max_cumulative(profile: SurplusProfile, start: int) -> int:
-    """Largest cumulative surplus over all window lengths from ``start``."""
-    return max(cumulative_surplus(profile, start, length) for length in range(1, profile.k + 1))
-
-
 def rename_offset(profile: SurplusProfile) -> int:
     """Block to relabel as block 1 so cumulative surpluses never exceed the total.
 
@@ -94,11 +80,6 @@ def rename_offset(profile: SurplusProfile) -> int:
         if best is None or prefix > best:
             best, best_j = prefix, j
     return best_j % profile.k + 1
-
-
-def renamed_block(original: int, offset: int, k: int) -> int:
-    """Index of an original block after relabelling block ``offset`` as block 1."""
-    return (original - offset) % k + 1
 
 
 def renamed_row(row: Sequence[int], offset: int) -> tuple[int, ...]:
@@ -125,8 +106,10 @@ def blue_scan(cfg: Configuration, offset: int) -> tuple[tuple[int, int], ...]:
     """Blue agents in renamed reading order as (renamed block, agent id) pairs."""
     p = cfg.p
     start = (offset - 1) * p
-    renamed = cfg.agents[start:] + cfg.agents[:start]
-    return tuple((x // p + 1, a.id) for x, a in enumerate(renamed) if a.colour == BLUE)
+    colours = cfg.colours[start:] + cfg.colours[:start]
+    ids = cfg.ids[start:] + cfg.ids[:start]
+    return tuple((x // p + 1, ids[x])
+                 for x in compress(range(cfg.n), map(BLUE.__eq__, colours)))
 
 
 def distance(cfg: Configuration, requirement_row: Sequence[int], offset: int,
@@ -156,19 +139,19 @@ def distance_change(cfg: Configuration, moves: Iterable[Move], offset: int) -> i
     blocks of all blue agents minus that constant.  Only a blue agent that
     changes block changes it, by the change of its renamed block.
     """
-    k, p, agents = cfg.k, cfg.p, cfg.agents
+    k, p, colours = cfg.k, cfg.p, cfg.colours
     change = 0
-    for m in moves:
-        src_b, dst_b = m.src // p + 1, m.dst // p + 1
-        if src_b != dst_b and agents[m.src].colour == BLUE:
-            change += renamed_block(dst_b, offset, k) - renamed_block(src_b, offset, k)
+    for _, src, dst in moves:
+        src_b, dst_b = src // p + 1, dst // p + 1
+        if src_b != dst_b and colours[src] == BLUE:
+            change += (dst_b - offset) % k - (src_b - offset) % k  # of the renamed blocks
     return change
 
 
 def distance_report(cfg: Configuration, requirement_row: Sequence[int]) -> DistanceReport:
     """Distance of ``cfg`` with renaming and destinations derived from scratch."""
     offset = rename_offset(surplus_profile(cfg, requirement_row))
-    n_blue = sum(1 for a in cfg.agents if a.colour == BLUE)
+    n_blue = cfg.colours.count(BLUE)
     dest = destinations(n_blue, renamed_row(requirement_row, offset))
     return distance(cfg, requirement_row, offset, dest)
 

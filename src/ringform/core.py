@@ -21,10 +21,11 @@ or pattern list; see ``parse_instance`` and ``serialize_instance``.
 from __future__ import annotations
 
 import string
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Sequence
 
 _MANY_COLOUR_SYMBOLS = "123456789" + string.ascii_uppercase
 MAX_COLOURS = len(_MANY_COLOUR_SYMBOLS)
@@ -57,14 +58,6 @@ def colour_symbols(q: int) -> str:
     return _MANY_COLOUR_SYMBOLS[:q]
 
 
-def colour_of_symbol(symbol: str, q: int) -> int:
-    alphabet = colour_symbols(q)
-    idx = alphabet.find(symbol)
-    if idx < 0:
-        raise ValueError(f"symbol {symbol!r} is not a colour in {alphabet!r}")
-    return idx + 1
-
-
 @dataclass(frozen=True)
 class Agent:
     """A coloured agent.
@@ -77,111 +70,137 @@ class Agent:
     colour: int
 
 
-@dataclass(frozen=True)
-class BlockView:
-    """One block of a configuration: (ring position, agent) slots, left to
-    right, and the block's colour counts (index 0 holds colour 1)."""
+class BlockView(NamedTuple):
+    """One block of a configuration, as a view of the configuration's flat
+    state: the block holds ring positions ``start`` to ``stop - 1`` of
+    ``positions`` (``tuple(range(n))``), ``colours`` and ``ids``, and
+    ``counts`` are its colour counts (index 0 holds colour 1)."""
 
     index: int
-    slots: tuple[tuple[int, Agent], ...]
+    start: int
+    stop: int
+    positions: tuple[int, ...]
+    colours: bytes
+    ids: array
     counts: tuple[int, ...]
 
-    def agents(self) -> tuple[Agent, ...]:
-        return tuple(agent for _, agent in self.slots)
+
+def _check_shape(n: int, k: int, p: int) -> None:
+    if k < 2:
+        raise ValueError(f"need at least two blocks, got k={k}")
+    if p < 1:
+        raise ValueError(f"block length must be positive, got p={p}")
+    if n != k * p:
+        raise ValueError(f"configuration has {n} agents, expected k*p={k * p}")
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=None)  # one entry per colour count q
+def _translations(q: int) -> tuple[bytes, bytes]:
+    """Tables translating the symbols of colours 1..q to colour bytes and back."""
+    symbols, values = colour_symbols(q).encode(), bytes(range(1, q + 1))
+    return bytes.maketrans(symbols, values), bytes.maketrans(values, symbols)
+
+
+def _colour_bytes(text: str, q: int) -> bytes:
+    """``text``, written in the colour symbols of q colours, as one byte per
+    symbol holding its colour 1..q; other characters are not translated."""
+    return text.encode().translate(_translations(q)[0])
+
+
 class Configuration:
-    """An assignment of one agent per ring node.
+    """An assignment of one agent per ring node, held flat: ``colours[x]``
+    is the colour of the agent at ring position ``x`` and ``ids[x]`` its id
+    (an ``array('i')``).  Neither changes after construction.
 
     The per-block colour counts are counted once per configuration, on
     first use.  A configuration made by ``engine.apply_moves`` gets them
     from its predecessor's counts and the moves, and shares the row of
-    every block that no agent entered or left.
+    every block that no agent entered or left.  ``agents`` builds
+    :class:`Agent` objects on first use; the engine and the checkers never
+    ask for them.
     """
 
-    agents: tuple[Agent, ...]
-    k: int
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"need at least two blocks, got k={self.k}")
-        if self.p < 1:
-            raise ValueError(f"block length must be positive, got p={self.p}")
-        if len(self.agents) != self.k * self.p:
-            raise ValueError(
-                f"configuration has {len(self.agents)} agents, expected k*p={self.k * self.p}"
-            )
-        ids = {a.id for a in self.agents}
-        if len(ids) != len(self.agents):
+    def __init__(self, agents: Sequence[Agent], k: int, p: int, q: int):
+        agents = tuple(agents)
+        _check_shape(len(agents), k, p)
+        ids = array("i", [a.id for a in agents])
+        if len(set(ids)) != len(ids):
             raise ValueError("agent ids must be unique")
-        for a in self.agents:
-            if not 1 <= a.colour <= self.q:
-                raise ValueError(f"agent {a.id} has colour {a.colour} outside 1..{self.q}")
+        for a in agents:
+            if not 1 <= a.colour <= q:
+                raise ValueError(f"agent {a.id} has colour {a.colour} outside 1..{q}")
+        self.__dict__.update(colours=bytes(a.colour for a in agents), ids=ids, k=k, p=p, q=q)
+
+    @classmethod
+    def _flat(cls, colours: bytes, ids: array, k: int, p: int, q: int) -> "Configuration":
+        """The configuration holding ``colours`` and ``ids``, which the
+        caller guarantees to describe a valid configuration."""
+        cfg = object.__new__(cls)
+        cfg.__dict__.update(colours=colours, ids=ids, k=k, p=p, q=q)
+        return cfg
+
+    @classmethod
+    def from_string(cls, text: str, k: int, p: int, q: int) -> "Configuration":
+        """Agent ``x`` at ring position ``x`` with the colour of symbol ``text[x]``."""
+        alphabet = colour_symbols(q)
+        if not set(text) <= set(alphabet):
+            bad = next(ch for ch in text if ch not in alphabet)
+            raise ValueError(f"symbol {bad!r} is not a colour in {alphabet!r}")
+        _check_shape(len(text), k, p)
+        return cls._flat(_colour_bytes(text, q), array("i", range(len(text))), k, p, q)
+
+    def _successor(self, colours: bytes, ids: array,
+                   block_counts: tuple[tuple[int, ...], ...]) -> "Configuration":
+        """The configuration holding ``colours`` and ``ids``, which permute or
+        recolour this configuration's agents into per-block counts
+        ``block_counts``.  Skips the O(n) validation of the constructor: only
+        ``engine.apply_moves`` and ``engine.orient_roles`` call it."""
+        successor = self._flat(colours, ids, self.k, self.p, self.q)
+        successor.__dict__.update(_block_counts=block_counts, _positions=self._positions)
+        return successor
+
+    @cached_property
+    def _positions(self) -> tuple[int, ...]:
+        """``tuple(range(n))``, handed on to every successor: the moves of a
+        run then share one int object per ring position."""
+        return tuple(range(self.n))
+
+    @cached_property
+    def agents(self) -> tuple[Agent, ...]:
+        return tuple(map(Agent, self.ids, self.colours))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        return (self.colours, self.ids, self.k, self.p, self.q) == \
+            (other.colours, other.ids, other.k, other.p, other.q)
+
+    def __hash__(self) -> int:
+        return hash((self.colours, self.ids.tobytes(), self.k, self.p, self.q))
+
+    def __repr__(self) -> str:
+        return f"Configuration({self.to_string()!r}, k={self.k}, p={self.p}, q={self.q})"
 
     @property
     def n(self) -> int:
         return self.k * self.p
 
-    @classmethod
-    def from_string(cls, text: str, k: int, p: int, q: int,
-                    ids: Sequence[int] | None = None) -> "Configuration":
-        if ids is None:
-            ids = range(len(text))
-        agents = tuple(
-            Agent(i, colour_of_symbol(ch, q)) for i, ch in zip(ids, text)
-        )
-        return cls(agents=agents, k=k, p=p, q=q)
-
-    def with_agents(self, agents: tuple[Agent, ...]) -> "Configuration":
-        return Configuration(agents=agents, k=self.k, p=self.p, q=self.q)
-
-    def _successor(self, agents: tuple[Agent, ...],
-                   block_counts: tuple[tuple[int, ...], ...]) -> "Configuration":
-        """The configuration holding ``agents``, which must permute this
-        configuration's agents into per-block counts ``block_counts``.
-
-        Skips the O(n) validation of the constructor: a permutation of a
-        valid configuration is valid.  Only ``engine.apply_moves`` calls it,
-        after checking that its moves permute the positions.
-        """
-        successor = object.__new__(type(self))
-        successor.__dict__.update(agents=agents, k=self.k, p=self.p, q=self.q,
-                                  _block_counts=block_counts)
-        return successor
-
     def to_string(self) -> str:
-        alphabet = colour_symbols(self.q)
-        return "".join(alphabet[a.colour - 1] for a in self.agents)
-
-    def block_of(self, pos: int) -> int:
-        """1-based block containing ring position ``pos``."""
-        if not 0 <= pos < self.n:
-            raise ValueError(f"position {pos} outside ring of size {self.n}")
-        return pos // self.p + 1
+        return self.colours.translate(_translations(self.q)[1]).decode()
 
     def block_view(self, j: int) -> BlockView:
         if not 1 <= j <= self.k:
             raise ValueError(f"block {j} out of range 1..{self.k}")
         start = (j - 1) * self.p
-        slots = tuple(enumerate(self.agents[start:start + self.p], start))
-        return BlockView(j, slots, self._block_counts[j - 1])
-
-    def block_string(self, j: int) -> str:
-        alphabet = colour_symbols(self.q)
-        return "".join(alphabet[a.colour - 1] for a in self.block_view(j).agents())
+        # tuple.__new__ skips the keyword handling of BlockView's own constructor.
+        return tuple.__new__(BlockView, (j, start, start + self.p, self._positions,
+                                         self.colours, self.ids, self._block_counts[j - 1]))
 
     @cached_property
     def _block_counts(self) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for start in range(0, self.n, self.p):
-            vec = [0] * self.q
-            for agent in self.agents[start:start + self.p]:
-                vec[agent.colour - 1] += 1
-            rows.append(tuple(vec))
-        return tuple(rows)
+        colours, p, values = self.colours, self.p, range(1, self.q + 1)
+        return tuple(tuple(colours.count(c, start, start + p) for c in values)
+                     for start in range(0, self.n, p))
 
     def counts(self, j: int) -> tuple[int, ...]:
         """Per-colour counts of block ``j`` (index 0 holds colour 1)."""
@@ -194,11 +213,6 @@ class Configuration:
 
     def colour_totals(self) -> tuple[int, ...]:
         return tuple(map(sum, zip(*self.all_counts())))
-
-
-def counts(cfg: Configuration, j: int) -> tuple[int, ...]:
-    """Per-colour occurrence vector of block ``j`` of ``cfg``."""
-    return cfg.counts(j)
 
 
 @dataclass(frozen=True)
@@ -263,7 +277,18 @@ class RequirementSpec:
         return self.matrix[colour - 1]
 
     def column(self, block: int) -> tuple[int, ...]:
-        return tuple(self.matrix[i][block - 1] for i in range(self.q))
+        return self.columns[block - 1]
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Every block's required counts, as ``Configuration.all_counts`` lists them."""
+        return tuple(zip(*self.matrix))
+
+    @cached_property
+    def target_colours(self) -> bytes | None:
+        """The patterns as ``Configuration.colours`` holds a ring that
+        matches them (P3); None for count targets."""
+        return None if self.patterns is None else _colour_bytes("".join(self.patterns), self.q)
 
     def required_totals(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.matrix)

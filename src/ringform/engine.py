@@ -22,19 +22,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, compress, count, starmap
+from functools import partial
+from itertools import chain, compress, count, islice
 from operator import ne
-from typing import IO, Callable, Iterable, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import analysis
 from .core import (
-    Agent,
     BlockView,
     Configuration,
     Instance,
     ProblemKind,
     RequirementSpec,
-    colour_of_symbol,
     parse_instance,
     serialize_instance,
     validate,
@@ -71,6 +70,10 @@ class Move(NamedTuple):
     agent_id: int
     src: int
     dst: int
+
+
+# A Move of an (agent id, from, to) triple, without Move's keyword handling.
+_new_move = partial(tuple.__new__, Move)
 
 
 @dataclass(frozen=True)
@@ -115,20 +118,25 @@ def build_pairing(k: int, offset: int) -> WindowPairing:
     """Pair blocks (offset, offset+1), (offset+2, offset+3), ... around the ring."""
     if not 1 <= offset <= k:
         raise ValueError(f"offset {offset} out of range 1..{k}")
-    pairs = tuple((b % k + 1, (b + 1) % k + 1) for b in range(offset - 1, offset + k - 2, 2))
+    ring = [*range(offset, k + 1), *range(1, offset)]  # the blocks from ``offset`` on
+    pairs = tuple(zip(ring[::2], ring[1::2]))
     unpaired = wrap_block(offset - 1, k) if k % 2 else None
     return WindowPairing(offset=offset, pairs=pairs, unpaired=unpaired)
 
 
-def stray_move(pairing: WindowPairing, moves: Iterable[Move], p: int) -> Move | None:
-    """The first move that does not stay inside one window of ``pairing``
-    (blocks of length ``p``), or None."""
-    window_of: dict[int, int] = {}
-    for wid, (lb, rb) in enumerate(pairing.pairs):
-        window_of[lb] = window_of[rb] = wid
+def stray_move(moves: Iterable[Move], offset: int, k: int, p: int) -> Move | None:
+    """The first move that does not stay inside one window of the pairing at
+    ``offset`` (k blocks of length ``p``), or None.
+
+    Block b lies in window ``(b - offset) % k // 2``, counted in the order of
+    ``build_pairing(k, offset).pairs``; for odd k, window ``k // 2`` is the
+    block left unpaired, and for even k that window does not occur.
+    """
+    unpaired = k // 2
     for m in moves:
-        src_w = window_of.get(m.src // p + 1)
-        if src_w is None or src_w != window_of.get(m.dst // p + 1):
+        _, src, dst = m
+        window = (src // p + 1 - offset) % k // 2
+        if window == unpaired or window != (dst // p + 1 - offset) % k // 2:
             return m
     return None
 
@@ -163,9 +171,9 @@ def orient_roles(inst: Instance) -> tuple[Instance, bool]:
         raise ValueError("cannot orient: both colours have a zero minimum requirement")
     if totals[0] * star2 <= totals[1] * star1:
         return inst, False
-    swapped_cfg = inst.initial.with_agents(
-        tuple(Agent(a.id, 3 - a.colour) for a in inst.initial.agents)
-    )
+    cfg = inst.initial
+    swapped = cfg.colours.translate(bytes.maketrans(b"\x01\x02", b"\x02\x01"))
+    swapped_cfg = cfg._successor(swapped, cfg.ids, tuple((b, a) for a, b in cfg.all_counts()))
     swapped_spec = RequirementSpec.exact((inst.spec.row(2), inst.spec.row(1)), inst.p)
     return Instance(spec=swapped_spec, initial=swapped_cfg, provenance=inst.provenance), True
 
@@ -189,53 +197,58 @@ def window_step_two_colour(
     colour is in ``frozen`` keep their exact positions.
     """
 
-    left_mobile = [(pos, a) for pos, a in left.slots if a.colour not in frozen]
-    blues_left = [a for _, a in left_mobile if a.colour == blue_colour]
-    deficit = blue_required_left - len(blues_left)
+    deficit = blue_required_left - left.counts[blue_colour - 1]
     if deficit <= 0:
         return ()
-
-    right_mobile = [(pos, a) for pos, a in right.slots if a.colour not in frozen]
-    blues_right = [a for _, a in right_mobile if a.colour == blue_colour]
-    reds_left = [a for _, a in left_mobile if a.colour != blue_colour]
-    reds_right = [a for _, a in right_mobile if a.colour != blue_colour]
+    colours, ids = left.colours, left.ids  # the views share their configuration's arrays
+    left_slots = left.positions[left.start:left.stop]
+    right_slots = right.positions[right.start:right.stop]
+    if frozen:
+        left_slots = [x for x in left_slots if colours[x] not in frozen]
+        right_slots = [x for x in right_slots if colours[x] not in frozen]
+    blues_left, reds_left, blues_right, reds_right = [], [], [], []
+    for x in left_slots:
+        (blues_left if colours[x] == blue_colour else reds_left).append(x)
+    for x in right_slots:
+        (blues_right if colours[x] == blue_colour else reds_right).append(x)
     t = min(cap, deficit, len(blues_right))
     if len(reds_left) < t:
         raise EngineError(
             f"window [{left.index}|{right.index}]: {len(reds_left)} movable reds but t={t}"
         )
 
-    new_left = blues_left + reds_left
-    new_right = blues_right + reds_right
-    base = len(blues_left)
-    for x in range(t):
-        new_left[base + x], new_right[x] = new_right[x], new_left[base + x]
+    # Where the agent of each mobile slot comes from, left block then right
+    # block: blues packed before reds, with the t leftmost reds of the left
+    # block traded for the t leftmost blues of the right block.
+    sources = (blues_left + blues_right[:t] + reds_left[t:]
+               + reds_left[:t] + blues_right[t:] + reds_right)
+    return tuple(map(_new_move, [(ids[src], src, dst) for dst, src
+                                 in zip(chain(left_slots, right_slots), sources) if src != dst]))
 
-    old_pos = {a.id: pos for pos, a in left_mobile + right_mobile}
+
+def _slots_where(view: BlockView, keep: Callable[[int], bool]) -> Iterator[int]:
+    """Ring positions of ``view``, left to right, whose colour passes ``keep``."""
+    return compress(view.positions[view.start:view.stop],
+                    map(keep, view.colours[view.start:view.stop]))
+
+
+def _rearrange_to_pattern(view: BlockView, spec: RequirementSpec) -> list[tuple[int, int, int]]:
+    """(agent id, from, to) triples that permute a block into its target
+    pattern, order-preserving per colour."""
+    block = view.colours[view.start:view.stop]
+    target = spec.target_colours[view.start:view.stop]
+    if block == target:
+        return []
+    slots = view.positions[view.start:view.stop]
+    queues = {colour: compress(slots, map(colour.__eq__, block)) for colour in set(block)}
     moves = []
-    for slots, layout in ((left_mobile, new_left), (right_mobile, new_right)):
-        for (pos, _), agent in zip(slots, layout):
-            if old_pos[agent.id] != pos:
-                moves.append(Move(agent.id, old_pos[agent.id], pos))
-    return tuple(moves)
-
-
-def _rearrange_to_pattern(view: BlockView, pattern: str, q: int) -> list[Move]:
-    """Permute a block into its target pattern, order-preserving per colour."""
-    queues: dict[int, list[tuple[int, Agent]]] = {}
-    for pos, agent in view.slots:
-        queues.setdefault(agent.colour, []).append((pos, agent))
-    moves = []
-    for (pos, _), symbol in zip(view.slots, pattern):
-        colour = colour_of_symbol(symbol, q)
-        queue = queues.get(colour)
-        if not queue:
-            raise EngineError(
-                f"block {view.index} cannot form {pattern!r}: colour counts disagree"
-            )
-        src, agent = queue.pop(0)
+    for pos, colour in zip(slots, target):
+        src = next(queues.get(colour, iter(())), None)
+        if src is None:
+            raise EngineError(f"block {view.index} cannot form "
+                              f"{spec.patterns[view.index - 1]!r}: colour counts disagree")
         if src != pos:
-            moves.append(Move(agent.id, src, pos))
+            moves.append((view.ids[src], src, pos))
     return moves
 
 
@@ -251,38 +264,36 @@ def window_step_q_colour(left: BlockView, right: BlockView,
     exact-pattern problems rearrange each block into its target pattern.
     """
     q = spec.q
+    need_left, need_right = spec.columns[left.index - 1], spec.columns[right.index - 1]
     i = 1
     while i < q and (
-        left.counts[i - 1] == spec.required(i, left.index)
-        and right.counts[i - 1] == spec.required(i, right.index)
+        left.counts[i - 1] == need_left[i - 1]
+        and right.counts[i - 1] == need_right[i - 1]
     ):
         i += 1
 
     if i < q:
-        deficit = spec.required(i, left.index) - left.counts[i - 1]
+        deficit = need_left[i - 1] - left.counts[i - 1]
         if deficit <= 0:
             return ()
         t = min(deficit, right.counts[i - 1])
         if t <= 0:
             return ()
-        incoming = [(pos, a) for pos, a in right.slots if a.colour == i][:t]
-        outgoing = [(pos, a) for pos, a in left.slots if a.colour > i][:t]
+        incoming = islice(_slots_where(right, i.__eq__), t)
+        outgoing = list(islice(_slots_where(left, i.__lt__), t))  # colours above i
         if len(outgoing) < t:
             raise EngineError(
                 f"window [{left.index}|{right.index}]: not enough agents above colour {i}"
             )
         moves = []
-        for (rpos, ragent), (lpos, lagent) in zip(incoming, outgoing):
-            moves.append(Move(ragent.id, rpos, lpos))
-            moves.append(Move(lagent.id, lpos, rpos))
-        return tuple(moves)
+        for rpos, lpos in zip(incoming, outgoing):
+            moves += (right.ids[rpos], rpos, lpos), (left.ids[lpos], lpos, rpos)
+        return tuple(map(_new_move, moves))
 
     if spec.kind is not ProblemKind.P3:
         return ()
-    patterns = spec.patterns or ()
-    moves = _rearrange_to_pattern(left, patterns[left.index - 1], q)
-    moves += _rearrange_to_pattern(right, patterns[right.index - 1], q)
-    return tuple(moves)
+    return tuple(map(_new_move, _rearrange_to_pattern(left, spec)
+                     + _rearrange_to_pattern(right, spec)))
 
 
 def apply_moves(cfg: Configuration, moves: Sequence[Move],
@@ -295,41 +306,46 @@ def apply_moves(cfg: Configuration, moves: Sequence[Move],
     """
     if not moves:
         return cfg
-    srcs = {m.src for m in moves}
-    dsts = {m.dst for m in moves}
-    if len(dsts) != len(moves):
+    agent_ids, srcs, dsts = zip(*moves)
+    src_set, dst_set = set(srcs), set(dsts)
+    if len(dst_set) != len(moves):
         raise EngineError("collision: two agents target the same position")
-    if len(srcs) != len(moves):
+    if len(src_set) != len(moves):
         raise EngineError("two moves leave the same position")
-    if srcs != dsts:
+    if src_set != dst_set:
         raise EngineError("moves do not permute positions: some node would empty")
-    old = cfg.agents
-    n = cfg.n
-    for m in moves:
-        if not 0 <= m.src < n or not 0 <= m.dst < n:
-            raise EngineError(f"move {m} outside the ring")
-        if old[m.src].id != m.agent_id:
-            raise EngineError(f"move {m} does not match the agent at its source")
+    n, old_colours, old_ids = cfg.n, cfg.colours, cfg.ids
+    # The positions are a permutation, so bounds on the sources bound the
+    # destinations too; the loop names the first bad move.
+    if (min(srcs) < 0 or max(srcs) >= n
+            or tuple(map(old_ids.__getitem__, srcs)) != agent_ids):
+        for m in moves:
+            if not 0 <= m.src < n or not 0 <= m.dst < n:
+                raise EngineError(f"move {m} outside the ring")
+            if old_ids[m.src] != m.agent_id:
+                raise EngineError(f"move {m} does not match the agent at its source")
     p = cfg.p
     if pairing is not None:
-        stray = stray_move(pairing, moves, p)
+        stray = stray_move(moves, pairing.offset, cfg.k, p)
         if stray is not None:
             raise EngineError(f"move {stray} leaves its window")
-    agents = list(old)
+    colours, ids = bytearray(old_colours), old_ids[:]
     counts = list(cfg.all_counts())
     changed: dict[int, list[int]] = {}
-    for m in moves:
-        agent = old[m.src]
-        agents[m.dst] = agent
-        src_b, dst_b = m.src // p, m.dst // p
+    for agent_id, src, dst in zip(agent_ids, srcs, dsts):
+        colour = colours[dst] = old_colours[src]
+        ids[dst] = agent_id
+        src_b, dst_b = src // p, dst // p
         if src_b != dst_b:
-            for b, step in ((src_b, -1), (dst_b, 1)):
-                if b not in changed:
-                    changed[b] = list(counts[b])
-                changed[b][agent.colour - 1] += step
+            if src_b not in changed:
+                changed[src_b] = list(counts[src_b])
+            if dst_b not in changed:
+                changed[dst_b] = list(counts[dst_b])
+            changed[src_b][colour - 1] -= 1
+            changed[dst_b][colour - 1] += 1
     for b, row in changed.items():
         counts[b] = tuple(row)
-    return cfg._successor(tuple(agents), tuple(counts))
+    return cfg._successor(bytes(colours), ids, tuple(counts))
 
 
 Step = Callable[[Configuration, int, int], tuple[Move, ...]]
@@ -369,12 +385,10 @@ def step_round(cfg: Configuration, offset: int, step: Step,
             else:
                 idle.add(lb)
     new_cfg = apply_moves(cfg, moves, pairing)
-    if new_cfg.colour_totals() != cfg.colour_totals():
-        raise EngineError("colour totals changed across a round")
     p, k = cfg.p, cfg.k
-    for b in {m.src // p for m in moves} | {m.dst // p for m in moves}:
-        idle.discard(b + 1)  # the window whose left block is 1-based block b + 1
-        idle.discard(wrap_block(b, k))  # and the one whose right block it is
+    touched = {src // p for _, src, _ in moves} | {dst // p for _, _, dst in moves}
+    # The windows whose left block is 1-based block b + 1, and the ones whose right block it is.
+    idle.difference_update([b + 1 for b in touched], [wrap_block(b, k) for b in touched])
     return new_cfg, tuple(moves)
 
 
@@ -390,14 +404,11 @@ def execute_round(cfg: Configuration, inst: Instance, offset: int, *,
 
 def target_satisfied(cfg: Configuration, inst: Instance) -> bool:
     spec = inst.spec
-    counts = cfg.all_counts()
     if spec.kind is ProblemKind.P2:
-        return all(row[0] >= need for row, need in zip(counts, spec.row(1)))
-    if counts != tuple(zip(*spec.matrix)):
-        return False
-    # A block that matches its pattern has its counts, so the string
-    # comparison only runs once every count is right.
-    return spec.kind is not ProblemKind.P3 or cfg.to_string() == "".join(spec.patterns or ())
+        return all(row[0] >= need for row, need in zip(cfg.all_counts(), spec.row(1)))
+    if spec.kind is ProblemKind.P3:
+        return cfg.colours == spec.target_colours
+    return cfg.all_counts() == spec.columns
 
 
 def run(inst: Instance, max_rounds: int | None = None) -> RunResult:
@@ -458,7 +469,7 @@ def run(inst: Instance, max_rounds: int | None = None) -> RunResult:
             cfg = advance(cfg)
         terminated = not any(rt.moves for rt in rounds[rounds_used:])
 
-    recount = Configuration(cfg.agents, cfg.k, cfg.p, cfg.q)
+    recount = Configuration._flat(cfg.colours, cfg.ids, cfg.k, cfg.p, cfg.q)
     if recount.all_counts() != cfg.all_counts():
         raise EngineError("block counts kept across the run disagree with a recount")
     if two_colour and analysis.distance(recount, row, potential.rename_offset,
@@ -585,7 +596,7 @@ def _round_from_record(record: dict, line: int, before: tuple[tuple[int, ...], .
     return RoundTrace(
         index=record["round"],
         offset=record["offset"],
-        moves=tuple(starmap(Move, moves)),
+        moves=tuple(map(_new_move, moves)),
         counts=(tuple(map(tuple, counts)) if before is None
                 else _patched_counts(before, counts, q, line)),
         distance=distance,

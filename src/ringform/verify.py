@@ -9,7 +9,8 @@ stored trace can be audited post-hoc without re-running the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from itertools import accumulate, compress
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import analysis
 from .analysis import BLUE
@@ -22,7 +23,6 @@ from .engine import (
     TraceData,
     TraceError,
     apply_moves,
-    build_pairing,
     default_max_rounds,
     run_summary,
     step_round,
@@ -119,8 +119,12 @@ def replay_trace(data: TraceData) -> ReplayedRun:
 # --- individual checkers -------------------------------------------------------
 
 
+def _blue_positions(cfg: Configuration) -> list[int]:
+    return list(compress(range(cfg.n), map(BLUE.__eq__, cfg.colours)))
+
+
 def _blue_ids_clockwise(cfg: Configuration) -> tuple[int, ...]:
-    return tuple(a.id for a in cfg.agents if a.colour == BLUE)
+    return tuple(map(cfg.ids.__getitem__, _blue_positions(cfg)))
 
 
 def check_order_preserving(run: ReplayedRun) -> InvariantVerdict:
@@ -134,16 +138,16 @@ def check_order_preserving(run: ReplayedRun) -> InvariantVerdict:
     O(moves); a failure lists the blue agents of the two configurations.
     """
     name = "order_preserving"
-    initial = run.configs[0].agents
-    pos = [x for x, agent in enumerate(initial) if agent.colour == BLUE]
+    initial = run.configs[0]
+    pos = _blue_positions(initial)
     n_blue = len(pos)
-    rank_of = {initial[x].id: i for i, x in enumerate(pos)}
+    rank_of = {initial.ids[x]: i for i, x in enumerate(pos)}
 
     def descents(ranks: set[int]) -> int:
         return sum(pos[i] > pos[(i + 1) % n_blue] for i in ranks)
 
     for r, rt in enumerate(run.rounds, start=1):
-        moved = [(rank_of[m.agent_id], m.dst) for m in rt.moves if m.agent_id in rank_of]
+        moved = [(rank_of[agent_id], dst) for agent_id, _, dst in rt.moves if agent_id in rank_of]
         if not moved:
             continue
         pairs = {i for rank, _ in moved for i in ((rank - 1) % n_blue, rank)}
@@ -167,29 +171,50 @@ def check_suffix_property(run: ReplayedRun) -> InvariantVerdict:
     """In coordinates renamed from the initial state, every prefix of blocks
     carries a cumulative blue surplus of at most the extras count (0 for
     exact problems) and every suffix a cumulative surplus of at least 0,
-    after every round."""
+    after every round.
+
+    The k renamed prefix sums are counted once.  A blue agent moving from
+    renamed block a to b changes the sums of the prefixes ending in blocks
+    a..b-1 (b..a-1 moving left): one sum for a neighbour, all but the last
+    for the renamed wrap.  Only a changed sum can newly break a bound.
+    """
     name = "suffix_property"
     inst = run.instance
-    row = inst.spec.row(BLUE)
-    offset = analysis.rename_offset(analysis.surplus_profile(inst.initial, row))
+    k, p = inst.k, inst.p
+    profile = analysis.surplus_profile(inst.initial, inst.spec.row(BLUE))
+    offset = analysis.rename_offset(profile)
     allowed = _lower_bound_extras(inst)
-    for r, cfg in enumerate(run.configs):
-        profile = analysis.surplus_profile(cfg, row)
-        rotated = analysis.renamed_row(profile.y, offset)
-        total = profile.total
-        prefix = 0
-        for j, value in enumerate(rotated, start=1):
-            prefix += value
-            if prefix > allowed:
+    total = profile.total
+    prefix = [0, *accumulate(analysis.renamed_row(profile.y, offset))]  # prefix[j]: blocks 1..j
+
+    def first_failure(r: int, blocks: Iterable[int]) -> InvariantVerdict | None:
+        for j in sorted(blocks):
+            if prefix[j] > allowed:
                 return InvariantVerdict(
                     name, False, r,
-                    f"prefix of {j} renamed blocks has surplus {prefix} > {allowed}")
-            suffix = total - prefix
-            if j < len(rotated) and suffix < 0:
+                    f"prefix of {j} renamed blocks has surplus {prefix[j]} > {allowed}")
+            if j < k and total - prefix[j] < 0:
                 return InvariantVerdict(
                     name, False, r,
-                    f"suffix after {j} renamed blocks has surplus {suffix} < 0")
-    return InvariantVerdict(name, True)
+                    f"suffix after {j} renamed blocks has surplus {total - prefix[j]} < 0")
+        return None
+
+    failure = first_failure(0, range(1, k + 1))
+    for r, (rt, cfg) in enumerate(zip(run.rounds, run.configs), start=1):
+        if failure is not None:
+            break
+        colours = cfg.colours
+        changed: set[int] = set()
+        for _, src, dst in rt.moves:
+            src_b, dst_b = src // p, dst // p
+            if src_b != dst_b and colours[src] == BLUE:
+                a, b = (src_b + 1 - offset) % k, (dst_b + 1 - offset) % k  # renamed, 0-based
+                low, high, step = (a, b, -1) if a < b else (b, a, 1)
+                for j in range(low + 1, high + 1):
+                    prefix[j] += step
+                    changed.add(j)
+        failure = first_failure(r, changed)
+    return failure or InvariantVerdict(name, True)
 
 
 def check_no_wraparound(run: ReplayedRun) -> InvariantVerdict:
@@ -197,21 +222,23 @@ def check_no_wraparound(run: ReplayedRun) -> InvariantVerdict:
     last block with the renamed first block."""
     name = "no_wraparound"
     inst = run.instance
-    k = inst.k
+    k, p = inst.k, inst.p
     row = inst.spec.row(BLUE)
     origin = analysis.rename_offset(analysis.surplus_profile(inst.initial, row))
-    forbidden = (wrap_block(origin - 1, k), origin)
+    last = wrap_block(origin - 1, k)
+    forbidden = {last, origin}
     for r, rt in enumerate(run.rounds, start=1):
-        pairing = build_pairing(k, rt.offset)
-        if forbidden not in pairing.pairs:
+        # The round pairs (last, origin) when ``last`` is an even number of
+        # blocks after the offset, and is not the block an odd k leaves unpaired.
+        left = (last - rt.offset) % k
+        if left % 2 or left == k - 1:
             continue
-        cfg = run.configs[r - 1]
         for m in rt.moves:
-            src_b, dst_b = cfg.block_of(m.src), cfg.block_of(m.dst)
-            if src_b != dst_b and {src_b, dst_b} == set(forbidden):
+            src_b, dst_b = m.src // p + 1, m.dst // p + 1
+            if src_b != dst_b and {src_b, dst_b} == forbidden:
                 return InvariantVerdict(
                     name, False, r,
-                    f"agent {m.agent_id} crossed between blocks {forbidden[0]} and {forbidden[1]}")
+                    f"agent {m.agent_id} crossed between blocks {last} and {origin}")
     return InvariantVerdict(name, True)
 
 
@@ -270,11 +297,6 @@ def _final_verdict(final: Configuration, inst: Instance, terminated: bool) -> In
     return InvariantVerdict(name, True)
 
 
-def check_final(result: RunResult, inst: Instance) -> InvariantVerdict:
-    """A terminated run must actually satisfy its target condition."""
-    return _final_verdict(result.final, inst, result.terminated)
-
-
 def check_final_config(run: ReplayedRun, terminated: bool) -> InvariantVerdict:
     return _final_verdict(run.final, run.instance, terminated)
 
@@ -304,10 +326,10 @@ def check_cooperativeness(run: ReplayedRun,
     # Renamed position and renamed block of every blue rank (0-based here).
     n, p = inst.n, inst.p
     start = (offset - 1) * p
-    agents = inst.initial.agents
-    pos = [x for x in range(n) if agents[(start + x) % n].colour == BLUE]
+    colours, ids = inst.initial.colours, inst.initial.ids
+    pos = [x for x in range(n) if colours[(start + x) % n] == BLUE]
     block = [x // p + 1 for x in pos]
-    rank_of = {agents[(start + x) % n].id: i for i, x in enumerate(pos)}
+    rank_of = {ids[(start + x) % n]: i for i, x in enumerate(pos)}
     classes_of: dict[int, list[int]] = {}
     for class_index, ranks in enumerate(partition.classes, start=1):
         for rank in ranks:
@@ -323,10 +345,10 @@ def check_cooperativeness(run: ReplayedRun,
             pending.update((c, rank - 1) for rank in partition.classes[c - 1]
                            if block[rank - 1] != dest[rank - 1])
         before: dict[int, int] = {}
-        for m in rt.moves:
-            i = rank_of.get(m.agent_id)
+        for agent_id, _, dst in rt.moves:
+            i = rank_of.get(agent_id)
             if i is not None:
-                x = (m.dst - start) % n
+                x = (dst - start) % n
                 pos[i] = x
                 before[i] = block[i]
                 block[i] = x // p + 1
@@ -390,11 +412,13 @@ def check_summary(run: ReplayedRun, summary: Mapping[str, object]) -> InvariantV
 
 def check_safety(run: ReplayedRun) -> InvariantVerdict:
     """Rounds are numbered 1, 2, ... in order, round r runs at offset
-    ``(r - 1) % k + 1``, moves stay inside their window, recorded counts and
-    distances match the replayed configurations, and global colour totals
-    never change."""
+    ``(r - 1) % k + 1``, moves stay inside their window, and recorded counts
+    and distances match the replayed configurations.
+
+    Replay applies only moves that permute positions and match the ids at
+    their sources, so the colour totals cannot change and are not checked.
+    """
     name = "safety"
-    totals = run.configs[0].colour_totals()
     k, p = run.instance.k, run.instance.p
     for r, rt in enumerate(run.rounds, start=1):
         if rt.index != r:
@@ -402,19 +426,16 @@ def check_safety(run: ReplayedRun) -> InvariantVerdict:
         if rt.offset != wrap_block(r, k):
             return InvariantVerdict(name, False, r, f"recorded offset {rt.offset}, "
                                                     f"the schedule gives {wrap_block(r, k)}")
-        cfg_after = run.configs[r]
-        stray = stray_move(build_pairing(k, rt.offset), rt.moves, p)
+        stray = stray_move(rt.moves, rt.offset, k, p)
         if stray is not None:
             return InvariantVerdict(name, False, r, f"move {stray} leaves its window")
-        if cfg_after.all_counts() != rt.counts:
+        if run.configs[r].all_counts() != rt.counts:
             return InvariantVerdict(name, False, r, "recorded counts disagree with the moves")
         replayed = None if run.replayed_distances is None else run.replayed_distances[r]
         if rt.distance != replayed:
             return InvariantVerdict(
                 name, False, r,
                 f"recorded distance {rt.distance} disagrees with the moves ({replayed})")
-        if cfg_after.colour_totals() != totals:
-            return InvariantVerdict(name, False, r, "colour totals changed")
     return InvariantVerdict(name, True)
 
 
@@ -433,46 +454,6 @@ def check_quiescence(run: ReplayedRun, rounds_used: int, terminated: bool) -> In
             return InvariantVerdict(name, False, r,
                                     "agents moved after the target condition held")
     return InvariantVerdict(name, True)
-
-
-# --- independent distance oracle ------------------------------------------------
-
-
-def oracle_distance(cfg: Configuration, inst: Instance) -> int:
-    """Distance computed the plodding way: scan for the best renaming, then walk
-    every blue agent and find its destination by a fresh cumulative scan.
-    Shares no code with the analysis module."""
-    k, p = cfg.k, cfg.p
-    row = [inst.spec.matrix[0][j] for j in range(k)]
-
-    best_j, best_sum, running = 0, None, 0
-    for j in range(k):
-        blues_here = sum(
-            1 for x in range(j * p, (j + 1) * p) if cfg.agents[x].colour == BLUE
-        )
-        running += blues_here - row[j]
-        if best_sum is None or running > best_sum:
-            best_sum, best_j = running, j
-    start = (best_j + 1) % k  # 0-based original index of the renamed first block
-
-    total = 0
-    rank = 0
-    for step in range(k):
-        orig = (start + step) % k
-        renamed_index = step + 1
-        for x in range(orig * p, (orig + 1) * p):
-            if cfg.agents[x].colour != BLUE:
-                continue
-            rank += 1
-            covered = 0
-            dest = k
-            for ell in range(k):
-                covered += row[(start + ell) % k]
-                if covered >= rank:
-                    dest = ell + 1
-                    break
-            total += renamed_index - dest
-    return total
 
 
 # --- sequential phase oracle ----------------------------------------------------

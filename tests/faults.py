@@ -15,7 +15,7 @@ from ringform.engine import Move, RoundTrace
 from ringform.generators import gen_adversarial_half
 from ringform.verify import InvariantVerdict
 
-from helpers import make_p1
+from helpers import check_final, make_p1
 
 
 def fabricate_round(cfg, moves, index, offset, distance=None):
@@ -93,7 +93,7 @@ def final_fault() -> InvariantVerdict:
     inst = make_p1("RRBB", 2, 2, [[1, 1], [1, 1]])
     result = engine.run(inst)
     lying = dataclasses.replace(result, final=inst.initial, terminated=True)
-    return verify.check_final(lying, inst)
+    return check_final(lying, inst)
 
 
 def cooperativeness_fault() -> InvariantVerdict:

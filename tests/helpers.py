@@ -1,6 +1,9 @@
-"""Shortcuts for building instances inline in tests."""
+"""Shortcuts for building instances inline in tests, and small readers of
+the library's results."""
 
+from ringform import verify
 from ringform.core import Configuration, Instance, RequirementSpec
+from ringform.engine import RunResult
 
 
 def make_p1(config: str, k: int, p: int, rows) -> Instance:
@@ -16,3 +19,51 @@ def make_p2(config: str, k: int, p: int, rows) -> Instance:
 def make_p3(config: str, k: int, p: int, patterns, q: int = 2) -> Instance:
     spec = RequirementSpec.for_patterns(patterns, q)
     return Instance(spec=spec, initial=Configuration.from_string(config, k, p, q))
+
+
+def block_string(cfg: Configuration, j: int) -> str:
+    """The symbols of block ``j`` of ``cfg``."""
+    return cfg.to_string()[(j - 1) * cfg.p:j * cfg.p]
+
+
+def check_final(result: RunResult, inst: Instance) -> verify.InvariantVerdict:
+    """The final-condition verdict on a run's own final configuration."""
+    run = verify.ReplayedRun(instance=inst, rounds=(), configs=(result.final,), distances=None)
+    return verify.check_final_config(run, result.terminated)
+
+
+def oracle_distance(cfg: Configuration, inst: Instance) -> int:
+    """Distance computed the plodding way: scan for the best renaming, then walk
+    every blue agent and find its destination by a fresh cumulative scan.
+    Shares no code with the analysis module."""
+    k, p = cfg.k, cfg.p
+    row = [inst.spec.matrix[0][j] for j in range(k)]
+
+    best_j, best_sum, running = 0, None, 0
+    for j in range(k):
+        blues_here = sum(
+            1 for x in range(j * p, (j + 1) * p) if cfg.agents[x].colour == 1
+        )
+        running += blues_here - row[j]
+        if best_sum is None or running > best_sum:
+            best_sum, best_j = running, j
+    start = (best_j + 1) % k  # 0-based original index of the renamed first block
+
+    total = 0
+    rank = 0
+    for step in range(k):
+        orig = (start + step) % k
+        renamed_index = step + 1
+        for x in range(orig * p, (orig + 1) * p):
+            if cfg.agents[x].colour != 1:
+                continue
+            rank += 1
+            covered = 0
+            dest = k
+            for ell in range(k):
+                covered += row[(start + ell) % k]
+                if covered >= rank:
+                    dest = ell + 1
+                    break
+            total += renamed_index - dest
+    return total

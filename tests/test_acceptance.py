@@ -22,6 +22,7 @@ from ringform.generators import (
 )
 
 import faults
+from helpers import oracle_distance
 
 
 def report(criterion: str, detail: str) -> None:
@@ -215,7 +216,7 @@ def test_c05_distance_oracle_equivalence():
         replayed = verify.replay_result(result)
         for cfg in replayed.configs:
             assert (analysis.distance_report(cfg, row).total
-                    == verify.oracle_distance(cfg, inst))
+                    == oracle_distance(cfg, inst))
             assert cfg.all_counts() == Configuration(cfg.agents, cfg.k, cfg.p,
                                                      cfg.q).all_counts()
             compared += 1

@@ -8,11 +8,9 @@ from ringform.analysis import (
     SurplusProfile,
     blue_partition,
     bound_is_proven,
-    cumulative_surplus,
     destinations,
     distance,
     distance_report,
-    max_cumulative,
     rename_offset,
     renamed_row,
     surplus_profile,
@@ -26,6 +24,21 @@ from helpers import make_p1, make_p2
 
 def cfg_of(text, k, p):
     return Configuration.from_string(text, k, p, 2)
+
+
+def cumulative_surplus(profile: SurplusProfile, start: int, length: int) -> int:
+    """Sum of ``length`` consecutive surpluses beginning at block ``start`` (wrapping)."""
+    k = profile.k
+    if not 1 <= start <= k:
+        raise ValueError(f"start block {start} out of range 1..{k}")
+    if not 1 <= length <= k:
+        raise ValueError(f"length {length} out of range 1..{k}")
+    return sum(profile.y[(start - 1 + j) % k] for j in range(length))
+
+
+def max_cumulative(profile: SurplusProfile, start: int) -> int:
+    """Largest cumulative surplus over all window lengths from ``start``."""
+    return max(cumulative_surplus(profile, start, length) for length in range(1, profile.k + 1))
 
 
 def test_surplus_examples():

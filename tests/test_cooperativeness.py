@@ -1,24 +1,30 @@
-"""Differential tests of the cooperativeness and order checkers.
+"""Differential tests of the cooperativeness, order and suffix checkers.
 
 ``scan_cooperativeness`` is the cooperativeness checker as first written:
 it scans every replayed configuration for the blue agents in renamed
 reading order and then walks every rank of every class in every round.
 ``scan_order_preserving`` is the order checker as first written: it lists
 the blue agents of every replayed configuration and compares consecutive
-lists up to rotation.  ``verify`` follows the blue ranks through the moves
-instead; each pair must give the same verdict, including which failure
-they report, on honest traces and on three kinds of tampered trace.
+lists up to rotation.  ``scan_suffix_property`` is the suffix checker as
+first written: it sums the renamed prefixes of every replayed
+configuration.  ``verify`` follows the blue ranks and the prefix sums
+through the moves instead; each pair must give the same verdict, including
+which failure they report, on honest traces and on three kinds of tampered
+trace.  The suffix checkers must also agree on the golden cases and on
+every trace of ``faults``.
 """
 
 import random
 
 from ringform import analysis, engine, verify
 from ringform.analysis import BLUE
+from ringform.core import ProblemKind
 from ringform.engine import Move, RoundTrace
 from ringform.generators import gen_adversarial_half, gen_homogeneous, gen_random
 from ringform.verify import InvariantVerdict
 
 import faults
+from test_golden_traces import GOLDEN, golden_run
 
 
 def scan_cooperativeness(run, partition=None):
@@ -73,6 +79,34 @@ def scan_order_preserving(run):
         before, after = blue_ids[r - 1], blue_ids[r]
         if not _cyclically_equal(before, after):
             return InvariantVerdict(name, False, r, f"blue order {before} became {after}")
+    return InvariantVerdict(name, True)
+
+
+def scan_suffix_property(run):
+    """Reference checker: O(k) per configuration."""
+    name = "suffix_property"
+    inst = run.instance
+    row = inst.spec.row(BLUE)
+    offset = analysis.rename_offset(analysis.surplus_profile(inst.initial, row))
+    allowed = 0
+    if inst.spec.kind is ProblemKind.P2:
+        allowed = inst.initial.colour_totals()[0] - sum(row)
+    for r, cfg in enumerate(run.configs):
+        profile = analysis.surplus_profile(cfg, row)
+        rotated = analysis.renamed_row(profile.y, offset)
+        total = profile.total
+        prefix = 0
+        for j, value in enumerate(rotated, start=1):
+            prefix += value
+            if prefix > allowed:
+                return InvariantVerdict(
+                    name, False, r,
+                    f"prefix of {j} renamed blocks has surplus {prefix} > {allowed}")
+            suffix = total - prefix
+            if j < len(rotated) and suffix < 0:
+                return InvariantVerdict(
+                    name, False, r,
+                    f"suffix after {j} renamed blocks has surplus {suffix} < 0")
     return InvariantVerdict(name, True)
 
 
@@ -210,3 +244,28 @@ def test_incremental_checker_reports_the_lowest_failing_rank():
         run = verify.replay(inst, faults._stalled_rounds(inst, 12, distance=None))
         assert as_tuple(verify.check_cooperativeness(run)) == \
             as_tuple(scan_cooperativeness(run))
+
+
+def fault_runs(monkeypatch):
+    """Every replayed run that ``faults`` hands to a checker."""
+    runs = []
+    for name in [n for n in vars(verify) if n.startswith("check_")]:
+        check = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda run, *args, _check=check, **kwargs:
+                            runs.append(run) or _check(run, *args, **kwargs))
+    faults.fault_verdicts()
+    monkeypatch.undo()
+    return runs
+
+
+def test_incremental_suffix_checker_matches_the_scan(monkeypatch):
+    runs = [verify.replay(inst, rounds) for inst, rounds in corpus()]
+    runs += [verify.replay_result(golden_run(name)[0]) for name in sorted(GOLDEN)]
+    runs += fault_runs(monkeypatch)
+    failing = 0
+    for run in runs:
+        expected = scan_suffix_property(run)
+        assert as_tuple(verify.check_suffix_property(run)) == as_tuple(expected), \
+            (run.instance.initial.to_string(), [rt.moves for rt in run.rounds])
+        failing += not expected.passed
+    assert len(runs) >= 1500 and failing >= 90, (len(runs), failing)

@@ -32,7 +32,7 @@ from ringform.generators import (
     gen_random,
 )
 
-from helpers import make_p1, make_p2, make_p3
+from helpers import block_string, make_p1, make_p2, make_p3
 
 
 def two_blocks(left: str, right: str, q: int = 2) -> tuple:
@@ -43,7 +43,7 @@ def two_blocks(left: str, right: str, q: int = 2) -> tuple:
 
 def blocks_after(cfg, moves):
     after = apply_moves(cfg, moves)
-    return tuple(after.block_string(j) for j in range(1, cfg.k + 1))
+    return tuple(block_string(after, j) for j in range(1, cfg.k + 1))
 
 
 # --- pairing -------------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_window_places_incoming_blues_after_resident_blues():
     cfg, left, right = two_blocks("RBRB", "BBRR")
     moves = window_step_two_colour(left, right, 3, 3)
     after = apply_moves(cfg, moves)
-    assert (after.block_string(1), after.block_string(2)) == ("BBBR", "RBRR")
+    assert (block_string(after, 1), block_string(after, 2)) == ("BBBR", "RBRR")
     # resident blues keep the lead, the incoming blue follows, red order intact
     assert [a.id for a in after.agents if a.colour == 1] == [1, 3, 4, 5]
 
@@ -173,8 +173,8 @@ def test_window_respects_frozen_colours():
     # colour 2 plays blue for this pass, colour 1 is frozen in place
     moves = window_step_two_colour(left, right, 2, 1, blue_colour=2, frozen=frozenset({1}))
     after = apply_moves(cfg, moves)
-    assert after.block_string(1) == "122"  # frozen '1' pinned at its node
-    assert after.block_string(2) == "323"
+    assert block_string(after, 1) == "122"  # frozen '1' pinned at its node
+    assert block_string(after, 2) == "323"
     assert after.agents[0].id == 0
 
 
@@ -197,8 +197,8 @@ def test_q_window_repairs_first_wrong_colour():
     cfg = Configuration.from_string("233212", 2, 3, 3)
     moves = window_step_q_colour(cfg.block_view(1), cfg.block_view(2), q3_spec())
     after = apply_moves(cfg, moves)
-    assert after.block_string(1) == "133"
-    assert after.block_string(2) == "222"
+    assert block_string(after, 1) == "133"
+    assert block_string(after, 2) == "222"
 
 
 def test_q_window_rearranges_into_patterns():
@@ -375,7 +375,8 @@ def test_run_recounts_the_final_state(monkeypatch):
     with monkeypatch.context() as patch:
         successor = core.Configuration._successor
         patch.setattr(core.Configuration, "_successor",
-                      lambda self, agents, counts: successor(self, agents, self.all_counts()))
+                      lambda self, colours, ids, counts: successor(self, colours, ids,
+                                                                   self.all_counts()))
         with pytest.raises(EngineError, match="block counts"):
             run(inst, max_rounds=5)
 
@@ -409,7 +410,7 @@ def test_moves_stay_local_and_colours_conserved():
         for r, rt in enumerate(result.trace, start=1):
             cfg = replayed.configs[r - 1]
             for m in rt.moves:
-                src_b, dst_b = cfg.block_of(m.src), cfg.block_of(m.dst)
+                src_b, dst_b = m.src // inst.p + 1, m.dst // inst.p + 1
                 pairing = build_pairing(inst.k, rt.offset)
                 assert any({src_b, dst_b} <= {lb, rb} for lb, rb in pairing.pairs)
             assert replayed.configs[r].colour_totals() == totals
@@ -451,7 +452,7 @@ def test_settled_colours_never_change_blocks():
                 window_of[pair[0]] = pair
                 window_of[pair[1]] = pair
             for m in rt.moves:
-                src_b, dst_b = cfg.block_of(m.src), cfg.block_of(m.dst)
+                src_b, dst_b = m.src // inst.p + 1, m.dst // inst.p + 1
                 assert src_b != dst_b  # count repairs always cross blocks
                 left, right = window_of[src_b]
                 scan_stop = exit_colour(cfg, inst.spec, left, right)

@@ -14,16 +14,14 @@ from ringform.verify import (
     check_cooperativeness,
     check_distance_decrease,
     check_distance_monotone,
-    check_final,
     check_order_preserving,
-    oracle_distance,
     replay,
     replay_result,
     sequential_phase_counts,
 )
 
 import faults
-from helpers import make_p1, make_p2
+from helpers import check_final, make_p1, make_p2, oracle_distance
 from test_golden_traces import GOLDEN, golden_run
 
 
