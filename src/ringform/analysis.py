@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Configuration, Instance, ProblemKind
 
 if TYPE_CHECKING:
-    from .engine import Move
+    from .engine import MoveSet
 
 BLUE = 1  # the tracked colour; roles are swapped before a run, never here
 
@@ -131,7 +131,7 @@ def distance(cfg: Configuration, requirement_row: Sequence[int], offset: int,
     )
 
 
-def distance_change(cfg: Configuration, moves: Iterable[Move], offset: int) -> int:
+def distance_change(cfg: Configuration, moves: MoveSet, offset: int) -> int:
     """Change of the distance potential when ``moves`` are applied to ``cfg``.
 
     The destinations sum to a constant (they depend only on the blue total
@@ -141,7 +141,7 @@ def distance_change(cfg: Configuration, moves: Iterable[Move], offset: int) -> i
     """
     k, p, colours = cfg.k, cfg.p, cfg.colours
     change = 0
-    for _, src, dst in moves:
+    for _, src, dst in moves.triples():
         src_b, dst_b = src // p + 1, dst // p + 1
         if src_b != dst_b and colours[src] == BLUE:
             change += (dst_b - offset) % k - (src_b - offset) % k  # of the renamed blocks

@@ -202,12 +202,6 @@ class Configuration:
         return tuple(tuple(colours.count(c, start, start + p) for c in values)
                      for start in range(0, self.n, p))
 
-    def counts(self, j: int) -> tuple[int, ...]:
-        """Per-colour counts of block ``j`` (index 0 holds colour 1)."""
-        if not 1 <= j <= self.k:
-            raise ValueError(f"block {j} out of range 1..{self.k}")
-        return self.all_counts()[j - 1]
-
     def all_counts(self) -> tuple[tuple[int, ...], ...]:
         return self._block_counts
 

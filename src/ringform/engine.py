@@ -21,6 +21,7 @@ step; the engine refuses to apply colliding or out-of-window move sets.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, count, islice
@@ -39,9 +40,10 @@ from .core import (
     validate,
 )
 
-TRACE_FORMAT = "ringform-trace-v2"
-# The format before v2: every round record lists all k count rows and the checks.
-TRACE_FORMAT_V1 = "ringform-trace-v1"
+TRACE_FORMAT = "ringform-trace-v3"
+# Older formats read_trace reads: they nest each move and count row in a list;
+# a v1 round record lists all k count rows and the checks.
+TRACE_FORMAT_V2, TRACE_FORMAT_V1 = "ringform-trace-v2", "ringform-trace-v1"
 
 
 class EngineError(RuntimeError):
@@ -65,7 +67,7 @@ class TraceError(ValueError):
 
 class Move(NamedTuple):
     """One agent's net displacement in a round: a named tuple, so
-    ``Move(7, 2, 5) == (7, 2, 5)`` and a trace record stores it as is."""
+    ``Move(7, 2, 5) == (7, 2, 5)``."""
 
     agent_id: int
     src: int
@@ -76,23 +78,73 @@ class Move(NamedTuple):
 _new_move = partial(tuple.__new__, Move)
 
 
+class MoveSet(Sequence[Move]):
+    """The moves of one round as one ``array('i')`` of flat (agent id, from,
+    to) triples, made from an iterable of triples or from such an array: 12
+    bytes a move, where a stored Move would be an object that every garbage
+    collection visits (CPython never untracks a tuple subclass).  Iterating
+    yields Moves; the hot paths read the plain tuples of ``triples()`` or
+    the columns ``flat[0::3]`` (ids), ``flat[1::3]`` (from) and ``flat[2::3]``
+    (to).  It equals a tuple or list of the same moves."""
+
+    __slots__ = ("flat",)
+
+    def __new__(cls, moves: Iterable[Sequence[int]] | array = ()) -> "MoveSet":
+        if type(moves) is cls:
+            return moves  # type: ignore[return-value]
+        if type(moves) is not array:
+            moves = moves if isinstance(moves, (list, tuple)) else list(moves)
+            if not set(map(len, moves)) <= {3}:
+                raise ValueError("a move is an (agent id, from, to) triple")
+            moves = array("i", chain.from_iterable(moves))
+        self = object.__new__(cls)
+        self.flat = moves
+        return self
+
+    def triples(self) -> Iterator[tuple[int, int, int]]:
+        it = iter(self.flat)
+        return zip(it, it, it)
+
+    def __iter__(self) -> Iterator[Move]:
+        return map(_new_move, self.triples())
+
+    def __len__(self) -> int:
+        return len(self.flat) // 3
+
+    def __getitem__(self, i):  # type: ignore[override]
+        return tuple(self)[i]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MoveSet):
+            return self.flat == other.flat
+        return isinstance(other, (tuple, list)) and tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"MoveSet({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class WindowPairing:
     """Disjoint (left, right) block pairs of one round; odd k leaves one block idle."""
 
     offset: int
     pairs: tuple[tuple[int, int], ...]
-    unpaired: int | None
 
 
 @dataclass(frozen=True)
 class RoundTrace:
+    """One round: ``moves`` is a MoveSet, made from any iterable of triples."""
+
     index: int
     offset: int
-    moves: tuple[Move, ...]
+    moves: MoveSet
     counts: tuple[tuple[int, ...], ...]
     distance: int | None
     checks: tuple[tuple[str, bool], ...]
+
+    def __post_init__(self) -> None:
+        if type(self.moves) is not MoveSet:
+            object.__setattr__(self, "moves", MoveSet(self.moves))
 
 
 @dataclass(frozen=True)
@@ -119,12 +171,10 @@ def build_pairing(k: int, offset: int) -> WindowPairing:
     if not 1 <= offset <= k:
         raise ValueError(f"offset {offset} out of range 1..{k}")
     ring = [*range(offset, k + 1), *range(1, offset)]  # the blocks from ``offset`` on
-    pairs = tuple(zip(ring[::2], ring[1::2]))
-    unpaired = wrap_block(offset - 1, k) if k % 2 else None
-    return WindowPairing(offset=offset, pairs=pairs, unpaired=unpaired)
+    return WindowPairing(offset=offset, pairs=tuple(zip(ring[::2], ring[1::2])))
 
 
-def stray_move(moves: Iterable[Move], offset: int, k: int, p: int) -> Move | None:
+def stray_move(moves: Iterable[Sequence[int]], offset: int, k: int, p: int) -> Move | None:
     """The first move that does not stay inside one window of the pairing at
     ``offset`` (k blocks of length ``p``), or None.
 
@@ -132,12 +182,14 @@ def stray_move(moves: Iterable[Move], offset: int, k: int, p: int) -> Move | Non
     ``build_pairing(k, offset).pairs``; for odd k, window ``k // 2`` is the
     block left unpaired, and for even k that window does not occur.
     """
+    if type(moves) is not MoveSet:
+        moves = MoveSet(moves)
     unpaired = k // 2
-    for m in moves:
+    for m in moves.triples():
         _, src, dst = m
         window = (src // p + 1 - offset) % k // 2
         if window == unpaired or window != (dst // p + 1 - offset) % k // 2:
-            return m
+            return _new_move(m)
     return None
 
 
@@ -186,8 +238,8 @@ def window_step_two_colour(
     *,
     blue_colour: int = 1,
     frozen: frozenset[int] = frozenset(),
-) -> tuple[Move, ...]:
-    """Net moves of one two-colour window.
+) -> tuple[tuple[int, int, int], ...]:
+    """Net (agent id, from, to) moves of one two-colour window.
 
     Nothing happens unless the left block is short of blue agents.  On a
     deficit, both blocks pack their mobile blue agents before the red ones
@@ -222,8 +274,8 @@ def window_step_two_colour(
     # block traded for the t leftmost blues of the right block.
     sources = (blues_left + blues_right[:t] + reds_left[t:]
                + reds_left[:t] + blues_right[t:] + reds_right)
-    return tuple(map(_new_move, [(ids[src], src, dst) for dst, src
-                                 in zip(chain(left_slots, right_slots), sources) if src != dst]))
+    return tuple([(ids[src], src, dst) for dst, src
+                  in zip(chain(left_slots, right_slots), sources) if src != dst])
 
 
 def _slots_where(view: BlockView, keep: Callable[[int], bool]) -> Iterator[int]:
@@ -253,8 +305,8 @@ def _rearrange_to_pattern(view: BlockView, spec: RequirementSpec) -> list[tuple[
 
 
 def window_step_q_colour(left: BlockView, right: BlockView,
-                         spec: RequirementSpec) -> tuple[Move, ...]:
-    """Net moves of one many-colour window.
+                         spec: RequirementSpec) -> tuple[tuple[int, int, int], ...]:
+    """Net (agent id, from, to) moves of one many-colour window.
 
     Scan colours upward while colour i is correct in both blocks.  At the
     first wrong colour, if the left block is short of it, trade
@@ -288,29 +340,32 @@ def window_step_q_colour(left: BlockView, right: BlockView,
         moves = []
         for rpos, lpos in zip(incoming, outgoing):
             moves += (right.ids[rpos], rpos, lpos), (left.ids[lpos], lpos, rpos)
-        return tuple(map(_new_move, moves))
+        return tuple(moves)
 
     if spec.kind is not ProblemKind.P3:
         return ()
-    return tuple(map(_new_move, _rearrange_to_pattern(left, spec)
-                     + _rearrange_to_pattern(right, spec)))
+    return tuple(_rearrange_to_pattern(left, spec) + _rearrange_to_pattern(right, spec))
 
 
-def apply_moves(cfg: Configuration, moves: Sequence[Move],
+def apply_moves(cfg: Configuration, moves: Iterable[Sequence[int]],
                 pairing: WindowPairing | None = None) -> Configuration:
-    """Apply a round's net moves, refusing collisions and out-of-window moves.
+    """Apply a round's net moves (a MoveSet, or any iterable of triples),
+    refusing collisions and out-of-window moves.
 
     The per-block counts of the result follow from ``cfg``'s counts and the
     moves that cross a block boundary; every block that no agent enters or
     leaves keeps ``cfg``'s row object.
     """
-    if not moves:
+    if type(moves) is not MoveSet:
+        moves = MoveSet(moves)
+    flat = moves.flat
+    if not flat:
         return cfg
-    agent_ids, srcs, dsts = zip(*moves)
-    src_set, dst_set = set(srcs), set(dsts)
-    if len(dst_set) != len(moves):
+    srcs = flat[1::3]
+    src_set, dst_set = set(srcs), set(flat[2::3])
+    if len(dst_set) != len(srcs):
         raise EngineError("collision: two agents target the same position")
-    if len(src_set) != len(moves):
+    if len(src_set) != len(srcs):
         raise EngineError("two moves leave the same position")
     if src_set != dst_set:
         raise EngineError("moves do not permute positions: some node would empty")
@@ -318,7 +373,7 @@ def apply_moves(cfg: Configuration, moves: Sequence[Move],
     # The positions are a permutation, so bounds on the sources bound the
     # destinations too; the loop names the first bad move.
     if (min(srcs) < 0 or max(srcs) >= n
-            or tuple(map(old_ids.__getitem__, srcs)) != agent_ids):
+            or array("i", map(old_ids.__getitem__, srcs)) != flat[0::3]):
         for m in moves:
             if not 0 <= m.src < n or not 0 <= m.dst < n:
                 raise EngineError(f"move {m} outside the ring")
@@ -332,7 +387,7 @@ def apply_moves(cfg: Configuration, moves: Sequence[Move],
     colours, ids = bytearray(old_colours), old_ids[:]
     counts = list(cfg.all_counts())
     changed: dict[int, list[int]] = {}
-    for agent_id, src, dst in zip(agent_ids, srcs, dsts):
+    for agent_id, src, dst in moves.triples():
         colour = colours[dst] = old_colours[src]
         ids[dst] = agent_id
         src_b, dst_b = src // p, dst // p
@@ -348,7 +403,7 @@ def apply_moves(cfg: Configuration, moves: Sequence[Move],
     return cfg._successor(bytes(colours), ids, tuple(counts))
 
 
-Step = Callable[[Configuration, int, int], tuple[Move, ...]]
+Step = Callable[[Configuration, int, int], Sequence[tuple[int, int, int]]]
 
 
 def _window_step(inst: Instance) -> Step:
@@ -365,7 +420,7 @@ def _window_step(inst: Instance) -> Step:
 
 
 def step_round(cfg: Configuration, offset: int, step: Step,
-               idle: set[int]) -> tuple[Configuration, tuple[Move, ...]]:
+               idle: set[int]) -> tuple[Configuration, MoveSet]:
     """One synchronous round: ``step`` every window of the pairing at
     ``offset`` whose left block is not in ``idle``, apply all the moves at
     once and return the next configuration with the moves.
@@ -376,20 +431,23 @@ def step_round(cfg: Configuration, offset: int, step: Step,
     the rounds a fresh empty set would give.
     """
     pairing = build_pairing(cfg.k, offset)
-    moves: list[Move] = []
+    flat = array("i")
     for lb, rb in pairing.pairs:
         if lb not in idle:
             window = step(cfg, lb, rb)
             if window:
-                moves.extend(window)
+                flat.extend(chain.from_iterable(window))
             else:
                 idle.add(lb)
+    moves = MoveSet(flat)
     new_cfg = apply_moves(cfg, moves, pairing)
-    p, k = cfg.p, cfg.k
-    touched = {src // p for _, src, _ in moves} | {dst // p for _, _, dst in moves}
-    # The windows whose left block is 1-based block b + 1, and the ones whose right block it is.
-    idle.difference_update([b + 1 for b in touched], [wrap_block(b, k) for b in touched])
-    return new_cfg, tuple(moves)
+    if flat:
+        p, k = cfg.p, cfg.k
+        # The moves permute positions, so their sources lie in every block they touch.
+        touched = {src // p for src in flat[1::3]}
+        # The windows whose left block is 1-based block b + 1, and those whose right block it is.
+        idle.difference_update([b + 1 for b in touched], [wrap_block(b, k) for b in touched])
+    return new_cfg, moves
 
 
 def execute_round(cfg: Configuration, inst: Instance, offset: int, *,
@@ -499,21 +557,6 @@ class TraceData:
     summary: dict
 
 
-def round_record(rt: RoundTrace, before: tuple[tuple[int, ...], ...]) -> dict:
-    """A v2 round record.  ``before`` holds the counts of the configuration
-    the round started from; the record lists ``[block, count of colour 1,
-    ..., count of colour q]`` for every block whose row differs from it."""
-    changed = compress(count(1), map(ne, before, rt.counts))
-    return {
-        "type": "round",
-        "round": rt.index,
-        "offset": rt.offset,
-        "moves": rt.moves,    # json writes tuples, named ones too, as lists
-        "counts": [[b, *rt.counts[b - 1]] for b in changed],
-        "distance": rt.distance,
-    }
-
-
 def run_summary(result: RunResult) -> dict:
     """The summary fields of a run, as its trace and ``ringform run`` report them."""
     return {
@@ -524,23 +567,32 @@ def run_summary(result: RunResult) -> dict:
     }
 
 
-def trace_records(result: RunResult, *, reversed_roles: bool = False) -> list[dict]:
-    records: list[dict] = [{
+def trace_records(result: RunResult, *, reversed_roles: bool = False) -> Iterator[dict]:
+    """The records of ``result``'s trace, made one at a time.  A v3 round
+    record's ``moves`` is the flat (agent id, from, to) list, and its
+    ``counts`` the flat ``[block, count of colour 1, ..., count of colour
+    q, block, ...]`` list of every block whose row differs from the
+    configuration the round started from."""
+    yield {
         "type": "header",
         "format": TRACE_FORMAT,
         "instance": serialize_instance(result.instance),
         "reversed": reversed_roles,
         "initial_distance": result.initial_distance,
-    }]
+    }
     before = result.instance.initial.all_counts()
     for rt in result.trace:
-        records.append(round_record(rt, before))
+        changed = compress(count(1), map(ne, before, rt.counts))
+        yield {"type": "round", "round": rt.index, "offset": rt.offset,
+               "moves": rt.moves.flat.tolist(),
+               "counts": [x for b in changed for x in (b, *rt.counts[b - 1])],
+               "distance": rt.distance}
         before = rt.counts
-    records.append({"type": "summary", **run_summary(result)})
-    return records
+    yield {"type": "summary", **run_summary(result)}
 
 
 def write_trace(result: RunResult, fp: IO[str], *, reversed_roles: bool = False) -> None:
+    """Write ``result`` as JSON lines, encoding one record at a time."""
     for record in trace_records(result, reversed_roles=reversed_roles):
         fp.write(json.dumps(record) + "\n")
 
@@ -549,46 +601,58 @@ def _is_int(value: object) -> bool:
     return type(value) is int
 
 
-def _patched_counts(before: tuple[tuple[int, ...], ...], rows: list, q: int,
+def _patched_counts(before: tuple[tuple[int, ...], ...], flat: list[int], q: int,
                     line: int) -> tuple[tuple[int, ...], ...]:
-    """``before`` with every ``[block, count of colour 1, ..., count of
-    colour q]`` row of a v2 round record put in its block's place; the rows
-    of the other blocks stay the same objects."""
-    if not rows:
-        return before
-    if (not set(map(len, rows)) <= {q + 1}
-            or not set(map(type, chain.from_iterable(rows))) <= {int}):
+    """``before`` with every ``block, count of colour 1, ..., count of colour
+    q`` row of a round record's flat ``counts`` put in its block's place;
+    the rows of the other blocks stay the same objects."""
+    if not set(map(type, flat)) <= {int} or len(flat) % (q + 1):
         raise TraceError(f"'counts' rows must be [block, count of colour 1, ..., count of "
                          f"colour {q}] integers", line)
-    blocks = [row[0] for row in rows]
+    if not flat:
+        return before
+    blocks = flat[::q + 1]
     k = len(before)
     if min(blocks) < 1 or max(blocks) > k:
         raise TraceError(f"'counts' names a block outside 1..{k}", line)
     if len(set(blocks)) != len(blocks):
         raise TraceError("'counts' names a block twice", line)
     after = list(before)
-    for row in rows:
-        after[row[0] - 1] = tuple(row[1:])
+    for i in range(0, len(flat), q + 1):
+        after[flat[i] - 1] = tuple(flat[i + 1:i + q + 1])
     return tuple(after)
 
 
 def _round_from_record(record: dict, line: int, before: tuple[tuple[int, ...], ...] | None,
-                       q: int) -> RoundTrace:
+                       q: int, nested: bool) -> RoundTrace:
     """A round record as a RoundTrace; TraceError names ``line`` on any
-    malformed field.  A v2 record's count rows patch ``before``, the counts
-    of the previous round; a v1 record (``before`` None) lists every row."""
+    malformed field.  A v3 record lists its moves and count rows flat, a v1
+    or v2 record (``nested``) each in a list of its own.  The rows of v2
+    and v3 records patch ``before``, the counts of the previous round; a
+    v1 record (``before`` None) lists every row."""
     for key in ("round", "offset"):
         if not _is_int(record.get(key)):
             raise TraceError(f"round record needs an integer {key!r}", line)
     moves, counts = record.get("moves"), record.get("counts")
     distance, checks = record.get("distance"), record.get("checks")
     # Set-of-types tests run the per-element work in C; bool is not int here.
-    if (type(moves) is not list or not set(map(type, moves)) <= {list}
-            or not set(map(len, moves)) <= {3}
-            or not set(map(type, chain.from_iterable(moves))) <= {int}):
-        raise TraceError("'moves' must be a list of [agent id, from, to] integer triples", line)
-    if type(counts) is not list or not set(map(type, counts)) <= {list}:
+    if nested:  # a v1/v2 record lists each move as an [agent id, from, to] list
+        triples = (type(moves) is list and set(map(type, moves)) <= {list}
+                   and set(map(len, moves)) <= {3})
+        moves = list(chain.from_iterable(moves)) if triples else None
+    if type(moves) is not list or not set(map(type, moves)) <= {int} or len(moves) % 3:
+        raise TraceError("'moves' must be a list of agent id, from, to integer triples", line)
+    try:
+        flat = array("i", moves)
+    except OverflowError:
+        raise TraceError("'moves' must be integers that fit a C int", line) from None
+    if type(counts) is not list or (nested and not set(map(type, counts)) <= {list}):
         raise TraceError("'counts' must be a list of per-block rows", line)
+    if nested and before is not None:
+        if not set(map(len, counts)) <= {q + 1}:
+            raise TraceError(f"'counts' rows must be [block, count of colour 1, ..., count of "
+                             f"colour {q}] integers", line)
+        counts = list(chain.from_iterable(counts))
     if distance is not None and not _is_int(distance):
         raise TraceError("'distance' must be an integer or null", line)
     if checks is not None and not isinstance(checks, dict):
@@ -596,7 +660,7 @@ def _round_from_record(record: dict, line: int, before: tuple[tuple[int, ...], .
     return RoundTrace(
         index=record["round"],
         offset=record["offset"],
-        moves=tuple(map(_new_move, moves)),
+        moves=MoveSet(flat),
         counts=(tuple(map(tuple, counts)) if before is None
                 else _patched_counts(before, counts, q, line)),
         distance=distance,
@@ -608,10 +672,11 @@ def _round_from_record(record: dict, line: int, before: tuple[tuple[int, ...], .
 def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:
     """Parse a JSON-lines trace, given as text lines or as raw byte lines.
 
-    Reads ``ringform-trace-v2``, whose round records list only the count
-    rows that changed, and ``ringform-trace-v1``, whose round records list
-    all of them.  A byte line that is not UTF-8, a line that is not a JSON
-    object, a record of unknown type, a header without an instance
+    Reads ``ringform-trace-v3``, whose round records list their moves and
+    the count rows that changed as flat integer lists, ``ringform-trace-v2``,
+    which nests each move and row in a list, and ``ringform-trace-v1``,
+    whose round records list all the rows.  A byte line that is not UTF-8,
+    a line that is not a JSON object, a record of unknown type, a header without an instance
     document or of another format, a malformed round or summary record, a
     second header or summary and a missing header all raise
     :class:`TraceError` with the file line when there is one; a malformed
@@ -622,6 +687,7 @@ def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:
     summary: dict | None = None
     header: dict | None = None
     counts: tuple[tuple[int, ...], ...] | None = None  # of the last round; None for v1
+    formats = (TRACE_FORMAT, TRACE_FORMAT_V2, TRACE_FORMAT_V1)
     for no, line in enumerate(fp, start=1):
         if isinstance(line, bytes):
             try:
@@ -646,17 +712,18 @@ def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:
                 raise TraceError("a second header record", no)
             if not isinstance(record.get("instance"), str):
                 raise TraceError("header record needs an instance document", no)
-            if record.get("format") not in (TRACE_FORMAT, TRACE_FORMAT_V1):
-                raise TraceError(f"header format {record.get('format')!r} is not "
-                                 f"{TRACE_FORMAT!r} or {TRACE_FORMAT_V1!r}", no)
+            if record.get("format") not in formats:
+                raise TraceError(f"header format {record.get('format')!r} is not one of "
+                                 f"{', '.join(map(repr, formats))}", no)
             header = record
             instance = parse_instance(record["instance"])
-            if record["format"] == TRACE_FORMAT:
+            if record["format"] != TRACE_FORMAT_V1:
                 counts = instance.initial.all_counts()
         elif rtype == "round":
             if instance is None:
                 raise TraceError("trace has no header record")
-            rt = _round_from_record(record, no, counts, instance.q)
+            rt = _round_from_record(record, no, counts, instance.q,
+                                    header["format"] != TRACE_FORMAT)
             if counts is not None:
                 counts = rt.counts
             rounds.append(rt)

@@ -17,7 +17,6 @@ from .analysis import BLUE
 from .core import Configuration, Instance, ProblemKind, validate
 from .engine import (
     EngineError,
-    Move,
     RoundTrace,
     RunResult,
     TraceData,
@@ -147,7 +146,8 @@ def check_order_preserving(run: ReplayedRun) -> InvariantVerdict:
         return sum(pos[i] > pos[(i + 1) % n_blue] for i in ranks)
 
     for r, rt in enumerate(run.rounds, start=1):
-        moved = [(rank_of[agent_id], dst) for agent_id, _, dst in rt.moves if agent_id in rank_of]
+        moved = [(rank_of[agent_id], dst) for agent_id, _, dst in rt.moves.triples()
+                 if agent_id in rank_of]
         if not moved:
             continue
         pairs = {i for rank, _ in moved for i in ((rank - 1) % n_blue, rank)}
@@ -205,7 +205,7 @@ def check_suffix_property(run: ReplayedRun) -> InvariantVerdict:
             break
         colours = cfg.colours
         changed: set[int] = set()
-        for _, src, dst in rt.moves:
+        for _, src, dst in rt.moves.triples():
             src_b, dst_b = src // p, dst // p
             if src_b != dst_b and colours[src] == BLUE:
                 a, b = (src_b + 1 - offset) % k, (dst_b + 1 - offset) % k  # renamed, 0-based
@@ -233,12 +233,12 @@ def check_no_wraparound(run: ReplayedRun) -> InvariantVerdict:
         left = (last - rt.offset) % k
         if left % 2 or left == k - 1:
             continue
-        for m in rt.moves:
-            src_b, dst_b = m.src // p + 1, m.dst // p + 1
+        for agent_id, src, dst in rt.moves.triples():
+            src_b, dst_b = src // p + 1, dst // p + 1
             if src_b != dst_b and {src_b, dst_b} == forbidden:
                 return InvariantVerdict(
                     name, False, r,
-                    f"agent {m.agent_id} crossed between blocks {last} and {origin}")
+                    f"agent {agent_id} crossed between blocks {last} and {origin}")
     return InvariantVerdict(name, True)
 
 
@@ -345,7 +345,7 @@ def check_cooperativeness(run: ReplayedRun,
             pending.update((c, rank - 1) for rank in partition.classes[c - 1]
                            if block[rank - 1] != dest[rank - 1])
         before: dict[int, int] = {}
-        for agent_id, _, dst in rt.moves:
+        for agent_id, _, dst in rt.moves.triples():
             i = rank_of.get(agent_id)
             if i is not None:
                 x = (dst - start) % n
@@ -472,7 +472,7 @@ def sequential_phase_counts(inst: Instance) -> tuple[tuple[int, ...], ...]:
         row = inst.spec.row(colour)
         cap, frozen = min(row), frozenset(range(1, colour))
 
-        def step(state: Configuration, lb: int, rb: int) -> tuple[Move, ...]:
+        def step(state: Configuration, lb: int, rb: int) -> tuple[tuple[int, int, int], ...]:
             return window_step_two_colour(state.block_view(lb), state.block_view(rb),
                                           row[lb - 1], cap, blue_colour=colour, frozen=frozen)
 

@@ -138,7 +138,7 @@ def distance_fault() -> InvariantVerdict:
 def summary_fault() -> InvariantVerdict:
     # Honest moves of a k=8 half-and-half run (11 rounds used), stored with
     # its summary's bound rewritten from 28 to 5.
-    records = engine.trace_records(engine.run(gen_adversarial_half(8, 2)))
+    records = list(engine.trace_records(engine.run(gen_adversarial_half(8, 2))))
     records[-1]["bound"] = 5
     data = engine.read_trace(json.dumps(record) for record in records)
     return verify.check_summary(verify.replay_trace(data), data.summary)
@@ -147,7 +147,7 @@ def summary_fault() -> InvariantVerdict:
 def index_fault() -> InvariantVerdict:
     # Honest moves of a k=8 half-and-half run, stored with every round
     # record's "round" rewritten to 1.
-    records = engine.trace_records(engine.run(gen_adversarial_half(8, 2)))
+    records = list(engine.trace_records(engine.run(gen_adversarial_half(8, 2))))
     for record in records:
         if record["type"] == "round":
             record["round"] = 1

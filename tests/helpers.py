@@ -2,8 +2,8 @@
 the library's results."""
 
 from ringform import verify
-from ringform.core import Configuration, Instance, RequirementSpec
-from ringform.engine import RunResult
+from ringform.core import Configuration, Instance, RequirementSpec, parse_instance
+from ringform.engine import RunResult, WindowPairing
 
 
 def make_p1(config: str, k: int, p: int, rows) -> Instance:
@@ -24,6 +24,34 @@ def make_p3(config: str, k: int, p: int, patterns, q: int = 2) -> Instance:
 def block_string(cfg: Configuration, j: int) -> str:
     """The symbols of block ``j`` of ``cfg``."""
     return cfg.to_string()[(j - 1) * cfg.p:j * cfg.p]
+
+
+def counts(cfg: Configuration, j: int) -> tuple[int, ...]:
+    """Per-colour counts of block ``j`` of ``cfg`` (index 0 holds colour 1)."""
+    return cfg.block_view(j).counts
+
+
+def unpaired(pairing: WindowPairing, k: int) -> int | None:
+    """The block that no pair of ``pairing`` holds: None for even k."""
+    idle = set(range(1, k + 1)).difference(*pairing.pairs)
+    return idle.pop() if idle else None
+
+
+def v2_records(records: list[dict]) -> list[dict]:
+    """Trace records rewritten in the v2 format, which nests each move and
+    each changed count row in a list of its own."""
+    width = parse_instance(records[0]["instance"]).q + 1
+    out = []
+    for record in records:
+        record = dict(record)
+        if record["type"] == "header":
+            record["format"] = "ringform-trace-v2"
+        elif record["type"] == "round":
+            moves, counts = record["moves"], record["counts"]
+            record["moves"] = [moves[i:i + 3] for i in range(0, len(moves), 3)]
+            record["counts"] = [counts[i:i + width] for i in range(0, len(counts), width)]
+        out.append(record)
+    return out
 
 
 def check_final(result: RunResult, inst: Instance) -> verify.InvariantVerdict:

@@ -22,7 +22,7 @@ from ringform.generators import (
 )
 
 import faults
-from helpers import oracle_distance
+from helpers import counts, oracle_distance
 
 
 def report(criterion: str, detail: str) -> None:
@@ -256,7 +256,7 @@ def test_c08_lower_bound_problem(p2_runs):
         cap = 4 * inst.n * inst.k + 16
         assert result.terminated and result.rounds_used <= cap, inst.provenance
         for j in range(1, inst.k + 1):
-            assert result.final.counts(j)[0] >= inst.spec.required(1, j), inst.provenance
+            assert counts(result.final, j)[0] >= inst.spec.required(1, j), inst.provenance
         replayed = verify.replay_result(result)
         verdict = verify.check_suffix_property(replayed)
         assert verdict.passed, (inst.provenance, str(verdict))

@@ -147,7 +147,7 @@ def test_verify_move_of_wrong_arity_exits_cleanly(tmp_path, capsys):
     i = next(i for i, line in enumerate(lines)
              if json.loads(line).get("moves"))
     record = json.loads(lines[i])
-    record["moves"][0] = record["moves"][0][:2]
+    del record["moves"][-1]
     lines[i] = json.dumps(record)
     code, out, err = _verify_lines(tmp_path, capsys, lines)
     assert code == EXIT_VERIFICATION_FAILED and out == ""
@@ -167,6 +167,12 @@ def test_verify_trace_without_header_or_with_unknown_record(tmp_path, capsys):
 
 def test_verify_accepts_a_v1_trace(capsys):
     path = Path(__file__).parent / "data" / "adversarial-half-k8-p2.v1.jsonl"
+    assert main(["verify", "--trace", str(path)]) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_accepts_a_v2_trace(capsys):
+    path = Path(__file__).parent / "data" / "adversarial-half-k8-p2.v2.jsonl"
     assert main(["verify", "--trace", str(path)]) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
 

@@ -1,5 +1,6 @@
 """Window steps, round execution, full runs, and engine safety guards."""
 
+import contextlib
 import io
 import json
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ringform import analysis, core, engine, verify
+from ringform.cli import EXIT_VERIFICATION_FAILED, main
 from ringform.core import Configuration, ProblemKind
 from ringform.engine import (
     EngineError,
@@ -32,7 +34,7 @@ from ringform.generators import (
     gen_random,
 )
 
-from helpers import block_string, make_p1, make_p2, make_p3
+from helpers import block_string, counts, make_p1, make_p2, make_p3, unpaired, v2_records
 
 
 def two_blocks(left: str, right: str, q: int = 2) -> tuple:
@@ -52,7 +54,7 @@ def blocks_after(cfg, moves):
 def test_pairing_even():
     pairing = build_pairing(4, 1)
     assert pairing.pairs == ((1, 2), (3, 4))
-    assert pairing.unpaired is None
+    assert unpaired(pairing, 4) is None
     assert build_pairing(4, 2).pairs == ((2, 3), (4, 1))
     assert build_pairing(2, 2).pairs == ((2, 1),)
 
@@ -60,10 +62,10 @@ def test_pairing_even():
 def test_pairing_odd_leaves_predecessor_idle():
     pairing = build_pairing(3, 1)
     assert pairing.pairs == ((1, 2),)
-    assert pairing.unpaired == 3
+    assert unpaired(pairing, 3) == 3
     pairing = build_pairing(5, 4)
     assert pairing.pairs == ((4, 5), (1, 2))
-    assert pairing.unpaired == 3
+    assert unpaired(pairing, 5) == 3
 
 
 def test_pairing_rejects_bad_offset():
@@ -78,9 +80,9 @@ def test_pairing_covers_each_block_once():
         for offset in range(1, k + 1):
             pairing = build_pairing(k, offset)
             seen = [b for pair in pairing.pairs for b in pair]
+            assert len(seen) == len(set(seen)) == k - k % 2
             if k % 2:
-                seen.append(pairing.unpaired)
-            assert sorted(seen) == list(range(1, k + 1))
+                assert unpaired(pairing, k) == engine.wrap_block(offset - 1, k)
 
 
 # --- role orientation ----------------------------------------------------------
@@ -208,7 +210,7 @@ def test_q_window_rearranges_into_patterns():
     after = apply_moves(cfg, moves)
     assert after.to_string() == "BRRB"
     # a block already matching its pattern stays untouched
-    assert all(m.src // 2 == 0 and m.dst // 2 == 0 for m in moves)
+    assert all(src // 2 == 0 and dst // 2 == 0 for _, src, dst in moves)
 
 
 def test_q_window_skips_rearrangement_for_count_problems():
@@ -333,7 +335,7 @@ def test_run_p2_lower_bounds_hold():
     inst = make_p2("RRRBBB", 3, 2, [[1, 1, 1], [0, 0, 0]])
     result = run(inst)
     assert result.terminated
-    assert all(result.final.counts(j)[0] >= 1 for j in (1, 2, 3))
+    assert all(counts(result.final, j)[0] >= 1 for j in (1, 2, 3))
 
 
 def test_run_p3_reaches_exact_patterns():
@@ -432,8 +434,8 @@ def test_quiescence_after_target():
 def exit_colour(cfg, spec, lb, rb):
     i = 1
     while i < spec.q and (
-        cfg.counts(lb)[i - 1] == spec.required(i, lb)
-        and cfg.counts(rb)[i - 1] == spec.required(i, rb)
+        counts(cfg, lb)[i - 1] == spec.required(i, lb)
+        and counts(cfg, rb)[i - 1] == spec.required(i, rb)
     ):
         i += 1
     return i
@@ -489,77 +491,109 @@ def test_trace_roundtrip():
     assert data.summary["reversed"] is False
 
 
-def test_v2_round_records_carry_only_the_changed_rows():
+def test_v3_round_records_are_flat_and_carry_only_the_changed_rows():
     result = run(gen_adversarial_half(8, 2))
-    records = engine.trace_records(result)
-    assert records[0]["format"] == "ringform-trace-v2"
+    records = list(engine.trace_records(result))
+    assert records[0]["format"] == "ringform-trace-v3"
     rounds = [r for r in records if r["type"] == "round"]
     assert all("checks" not in r for r in rounds)
     before = result.instance.initial.all_counts()
     for record, rt in zip(rounds, result.trace):
+        assert record["moves"] == [x for move in rt.moves for x in move]
         changed = {b for b in range(1, 9) if rt.counts[b - 1] != before[b - 1]}
-        assert record["counts"] == [[b, *rt.counts[b - 1]] for b in sorted(changed)]
+        assert record["counts"] == [x for b in sorted(changed) for x in (b, *rt.counts[b - 1])]
         before = rt.counts
     data = read_trace(json.dumps(r) for r in records)
     assert data.rounds == result.trace
     assert all(rt.checks == engine.ROUND_CHECKS for rt in data.rounds)
     before = data.instance.initial.all_counts()
     for record, rt in zip(rounds, data.rounds):
-        patched = {row[0] for row in record["counts"]}
+        patched = set(record["counts"][::3])  # q = 2: a row is block, colour 1, colour 2
         assert all((row is old) == (b not in patched)
                    for b, (row, old) in enumerate(zip(rt.counts, before), start=1))
         before = rt.counts
 
 
-def test_read_trace_reads_a_v1_trace():
-    # Written by ``ringform run`` in the v1 format: every round lists all
-    # k count rows and the constant checks.
-    path = Path(__file__).parent / "data" / "adversarial-half-k8-p2.v1.jsonl"
+def _assert_reads_as_the_run(version: str) -> None:
+    path = Path(__file__).parent / "data" / f"adversarial-half-k8-p2.{version}.jsonl"
     with open(path, encoding="utf-8") as fp:
         data = read_trace(fp)
-    assert '"format": "ringform-trace-v1"' in path.read_text().splitlines()[0]
+    assert f'"format": "ringform-trace-{version}"' in path.read_text().splitlines()[0]
     result = run(gen_adversarial_half(8, 2))
     assert data.instance == result.instance
     assert data.rounds == result.trace
     assert verify.verify_trace(data) == verify.verify_result(result)
 
 
-def _honest_trace_lines() -> list[str]:
-    buffer = io.StringIO()
-    write_trace(run(gen_random(4, 3, 2, seed=7)), buffer)
-    return buffer.getvalue().splitlines()
+def test_read_trace_reads_a_v1_trace():
+    # Written by ``ringform run`` in the v1 format: every round lists all
+    # k count rows and the constant checks.
+    _assert_reads_as_the_run("v1")
 
 
-@pytest.mark.parametrize("mangle, message", [
-    (lambda r: '{"type": "round", "round": 1', "not a JSON record"),
-    (lambda r: "[1, 2, 3]", "not a JSON object"),
-    (lambda r: {**r, "type": "tick"}, "unknown record type 'tick'"),
-    (lambda r: {k: v for k, v in r.items() if k != "offset"}, "integer 'offset'"),
-    (lambda r: {**r, "round": "1"}, "integer 'round'"),
-    (lambda r: {**r, "moves": [[0, 1]]}, "'moves' must be"),
-    (lambda r: {**r, "moves": [[0, 1, "2"]]}, "'moves' must be"),
-    (lambda r: {**r, "moves": 5}, "'moves' must be"),
-    (lambda r: {**r, "counts": [1, 2]}, "'counts' must be"),
-    (lambda r: {**r, "counts": [[0, 1, 2]]}, "'counts' names a block outside 1..4"),
-    (lambda r: {**r, "counts": [[5, 1, 2]]}, "'counts' names a block outside 1..4"),
-    (lambda r: {**r, "counts": [[2, 1, 2], [2, 2, 1]]}, "'counts' names a block twice"),
-    (lambda r: {**r, "counts": [[2, 1]]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [[2, 1, 2, 0]]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [[]]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [[2, 1.0, 2]]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [[2, "1", 2]]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [[2, True, 2]]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [[True, 1, 2]]}, "'counts' rows must be"),
-    (lambda r: {**r, "distance": "3"}, "'distance' must be"),
-    (lambda r: {**r, "checks": []}, "'checks' must be"),
+def test_read_trace_reads_a_v2_trace():
+    # Written by ``ringform run`` in the v2 format: every round lists the
+    # changed count rows, and each move and row is a list of its own.
+    _assert_reads_as_the_run("v2")
+
+
+def _honest_trace_lines(version: str = "v3") -> list[str]:
+    records = list(engine.trace_records(run(gen_random(4, 3, 2, seed=7))))
+    return [json.dumps(r) for r in (v2_records(records) if version == "v2" else records)]
+
+
+@pytest.mark.parametrize("version, mangle, message", [
+    ("v3", lambda r: '{"type": "round", "round": 1', "not a JSON record"),
+    ("v3", lambda r: "[1, 2, 3]", "not a JSON object"),
+    ("v3", lambda r: {**r, "type": "tick"}, "unknown record type 'tick'"),
+    ("v3", lambda r: {k: v for k, v in r.items() if k != "offset"}, "integer 'offset'"),
+    ("v3", lambda r: {**r, "round": "1"}, "integer 'round'"),
+    ("v2", lambda r: {**r, "moves": [[0, 1]]}, "'moves' must be"),
+    ("v2", lambda r: {**r, "moves": [[0, 1, "2"]]}, "'moves' must be"),
+    ("v2", lambda r: {**r, "moves": 5}, "'moves' must be"),
+    ("v2", lambda r: {**r, "counts": [1, 2]}, "'counts' must be"),
+    ("v2", lambda r: {**r, "counts": [[0, 1, 2]]}, "'counts' names a block outside 1..4"),
+    ("v2", lambda r: {**r, "counts": [[5, 1, 2]]}, "'counts' names a block outside 1..4"),
+    ("v2", lambda r: {**r, "counts": [[2, 1, 2], [2, 2, 1]]}, "'counts' names a block twice"),
+    ("v2", lambda r: {**r, "counts": [[2, 1]]}, "'counts' rows must be"),
+    ("v2", lambda r: {**r, "counts": [[2, 1, 2, 0]]}, "'counts' rows must be"),
+    ("v2", lambda r: {**r, "counts": [[]]}, "'counts' rows must be"),
+    ("v2", lambda r: {**r, "counts": [[2, 1.0, 2]]}, "'counts' rows must be"),
+    ("v2", lambda r: {**r, "counts": [[2, "1", 2]]}, "'counts' rows must be"),
+    ("v2", lambda r: {**r, "counts": [[2, True, 2]]}, "'counts' rows must be"),
+    ("v2", lambda r: {**r, "counts": [[True, 1, 2]]}, "'counts' rows must be"),
+    ("v3", lambda r: {**r, "distance": "3"}, "'distance' must be"),
+    ("v3", lambda r: {**r, "checks": []}, "'checks' must be"),
+    ("v3", lambda r: {**r, "moves": r["moves"][:-1]}, "'moves' must be a list of agent id"),
+    ("v3", lambda r: {**r, "moves": [*r["moves"], 0]}, "'moves' must be a list of agent id"),
+    ("v3", lambda r: {**r, "moves": [True, 0, 1]}, "'moves' must be a list of agent id"),
+    ("v3", lambda r: {**r, "moves": [0, 0, 1.0]}, "'moves' must be a list of agent id"),
+    ("v3", lambda r: {**r, "moves": [0, "0", 1]}, "'moves' must be a list of agent id"),
+    ("v3", lambda r: {**r, "moves": [[0, 0, 1]]}, "'moves' must be a list of agent id"),
+    ("v3", lambda r: {**r, "moves": 5}, "'moves' must be a list of agent id"),
+    ("v3", lambda r: {**r, "moves": [0, 0, 2 ** 31]}, "'moves' must be integers that fit"),
+    ("v3", lambda r: {**r, "moves": [-2 ** 31 - 1, 0, 1]}, "'moves' must be integers that fit"),
+    ("v3", lambda r: {**r, "moves": [0, 0, 10 ** 30]}, "'moves' must be integers that fit"),
+    ("v3", lambda r: {**r, "counts": [2, 1]}, "'counts' rows must be"),
+    ("v3", lambda r: {**r, "counts": [2, 1, 2, 3]}, "'counts' rows must be"),
+    ("v3", lambda r: {**r, "counts": [2, 1, True]}, "'counts' rows must be"),
+    ("v3", lambda r: {**r, "counts": [[2, 1, 2]]}, "'counts' rows must be"),
+    ("v3", lambda r: {**r, "counts": 5}, "'counts' must be"),
+    ("v3", lambda r: {**r, "counts": [5, 1, 2]}, "'counts' names a block outside 1..4"),
+    ("v3", lambda r: {**r, "counts": [2, 1, 2, 2, 2, 1]}, "'counts' names a block twice"),
 ])
-def test_read_trace_names_the_line_of_a_malformed_round(mangle, message):
-    lines = _honest_trace_lines()
+def test_read_trace_names_the_line_of_a_malformed_round(version, mangle, message, tmp_path):
+    lines = _honest_trace_lines(version)
     mangled = mangle(json.loads(lines[2]))
     lines[2] = mangled if isinstance(mangled, str) else json.dumps(mangled)
     with pytest.raises(TraceError, match=message) as info:
         read_trace(lines)
     assert info.value.line == 3 and str(info.value).startswith("line 3: ")
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["verify", "--trace", str(path)]) == EXIT_VERIFICATION_FAILED
+    assert err.getvalue().startswith("invalid trace: line 3: ")
 
 
 def test_read_trace_rejects_malformed_header_and_summary():
@@ -581,7 +615,7 @@ def test_read_trace_rejects_malformed_header_and_summary():
         read_trace(lines + lines[-1:])
     assert info.value.line == n + 1
     header = json.loads(lines[0])
-    for fmt in ("ringform-trace-v3", None):
+    for fmt in ("ringform-trace-v4", None):
         with pytest.raises(TraceError, match="header format") as info:
             read_trace([json.dumps({**header, "format": fmt})] + lines[1:])
         assert info.value.line == 1

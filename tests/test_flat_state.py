@@ -4,11 +4,12 @@
 as first written, over per-slot ``(ring position, Agent)`` tuples.  The
 engine's steps read a block view of the flat colour bytes and id array;
 each pair must give the same moves in the same order.  The other tests
-show that a run and its audit build no Agent, and that the window
-arithmetic of ``stray_move`` and ``check_no_wraparound`` agrees with
+show that a run and its audit build no Agent and keep no Move, and that
+the window arithmetic of ``stray_move`` and ``check_no_wraparound`` agrees with
 ``build_pairing``.
 """
 
+import gc
 import io
 import random
 from typing import NamedTuple
@@ -24,7 +25,7 @@ from ringform.generators import (
     gen_random,
 )
 
-from helpers import make_p1
+from helpers import counts, make_p1
 
 
 class AgentView(NamedTuple):
@@ -37,7 +38,7 @@ class AgentView(NamedTuple):
 
 def agent_view(cfg, j):
     start = (j - 1) * cfg.p
-    return AgentView(j, tuple(enumerate(cfg.agents[start:start + cfg.p], start)), cfg.counts(j))
+    return AgentView(j, tuple(enumerate(cfg.agents[start:start + cfg.p], start)), counts(cfg, j))
 
 
 def agent_step_two_colour(left, right, blue_required_left, cap, *, blue_colour=1,
@@ -200,6 +201,28 @@ def test_run_and_audit_build_no_agent(monkeypatch):
     verdicts = verify.verify_trace(engine.read_trace(io.StringIO(buffer.getvalue())))
     assert result.terminated and all(v.passed for v in verdicts)
     assert built == []
+
+
+def _live_moves() -> int:
+    """The number of Move objects the collector can see."""
+    gc.collect()
+    return sum(type(o) is Move for o in gc.get_objects())
+
+
+def test_run_and_audit_keep_no_move_objects():
+    inst, _ = engine.orient_roles(gen_adversarial_half(16, 4))
+    before = _live_moves()
+    result = engine.run(inst)
+    buffer = io.StringIO()
+    engine.write_trace(result, buffer)
+    data = engine.read_trace(io.StringIO(buffer.getvalue()))
+    replayed = verify.replay_trace(data)
+    verdicts = verify.verify_trace(data)
+    assert result.terminated and all(v.passed for v in verdicts)
+    assert replayed.rounds == data.rounds == result.trace
+    assert _live_moves() == before
+    kept = tuple(result.trace[-result.instance.k - 1].moves)  # the count sees every Move
+    assert kept and _live_moves() == before + len(kept)
 
 
 def test_window_arithmetic_matches_build_pairing():

@@ -5,7 +5,8 @@ Whatever bytes arrive, ``parse_instance`` raises only
 ``InstanceFormatError`` for a bad embedded instance), ``verify_trace``
 returns verdicts, and ``ringform run``/``analyze``/``verify`` exit with a
 documented code.  The inputs are random text and bytes, and honest
-documents and traces with one field, line or move replaced.
+documents and traces (in the current v3 format and in v2) with one field,
+line or move replaced.
 """
 
 import contextlib
@@ -13,9 +14,10 @@ import io
 import json
 import os
 import tempfile
+from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringform import engine, verify
@@ -30,6 +32,8 @@ from ringform.core import (
 from ringform.engine import TraceError
 from ringform.generators import gen_p2_random, gen_p3_random, gen_random
 
+from helpers import v2_records
+
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5}
 
 INSTANCES = [gen_random(4, 3, 2, 1), gen_random(3, 4, 3, 2), gen_p2_random(4, 3, 2, 3),
@@ -41,16 +45,19 @@ def honest_trace(inst) -> list[dict]:
     oriented, reversed_roles = inst, False
     if inst.spec.kind is ProblemKind.P1 and inst.q == 2:
         oriented, reversed_roles = engine.orient_roles(inst)
-    return engine.trace_records(engine.run(oriented), reversed_roles=reversed_roles)
+    return list(engine.trace_records(engine.run(oriented), reversed_roles=reversed_roles))
 
 
 TRACES = [honest_trace(INSTANCES[0]), honest_trace(INSTANCES[2])]
+V2_TRACES = [v2_records(records) for records in TRACES]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
+# Integers that an ``array('i')`` cannot hold.
+wide_ints = st.integers(min_value=2 ** 31) | st.integers(max_value=-2 ** 31 - 1)
 
 
 @st.composite
@@ -75,28 +82,31 @@ def instance_docs(draw) -> str:
 
 @st.composite
 def trace_lines(draw) -> list[str]:
-    records = json.loads(json.dumps(draw(st.sampled_from(TRACES))))
+    records = json.loads(json.dumps(draw(st.sampled_from(TRACES + V2_TRACES))))
     i = draw(st.integers(0, len(records) - 1))
     record = records[i]
     lines = None
-    action = draw(st.sampled_from(["set", "delete", "move", "counts", "instance", "line"]))
+    action = draw(st.sampled_from(["set", "delete", "moves", "counts", "instance", "line"]))
     if action == "set":
         record[draw(st.sampled_from(sorted(record) + ["extra"]))] = draw(json_values)
     elif action == "delete":
         del record[draw(st.sampled_from(sorted(record)))]
-    elif action == "move" and record.get("moves"):
-        j = draw(st.integers(0, len(record["moves"]) - 1))
-        if draw(st.booleans()):
-            record["moves"][j] = draw(json_values)
-        else:
-            record["moves"][j][draw(st.integers(0, 2))] = draw(json_values)
-    elif action == "counts" and record.get("counts"):
-        j = draw(st.integers(0, len(record["counts"]) - 1))
-        if draw(st.booleans()):
-            record["counts"][j] = draw(json_values)
-        else:
-            row = record["counts"][j]
-            row[draw(st.integers(0, len(row) - 1))] = draw(json_values)
+    elif action in ("moves", "counts") and record.get(action):
+        values = record[action]
+        j = draw(st.integers(0, len(values) - 1))
+        if type(values[j]) is list:  # v2: one list per move or count row
+            if draw(st.booleans()):
+                values[j] = draw(json_values)
+            else:
+                values[j][draw(st.integers(0, len(values[j]) - 1))] = draw(json_values | wide_ints)
+        else:  # v3: one flat list of integers
+            edit = draw(st.sampled_from(["set", "delete", "insert"]))
+            if edit == "set":
+                values[j] = draw(json_values | wide_ints)
+            elif edit == "delete":
+                del values[j]
+            else:
+                values.insert(j, draw(json_values | wide_ints))
     elif action == "instance":
         records[0]["instance"] = draw(instance_docs())
     elif action == "line":
@@ -130,22 +140,45 @@ not_an_int = st.one_of(st.booleans(), st.floats(), st.text(max_size=3),
                        st.lists(st.integers(0, 9), max_size=3), st.none())
 
 
-@settings(max_examples=150, deadline=None)
-@given(bad=st.one_of(not_an_int.map(lambda v: ("field", v)),
-                     st.lists(st.integers(0, 9), min_size=2, max_size=4)
-                     .filter(lambda m: len(m) != 3).map(lambda m: ("move", m))),
-       where=st.integers(0, 2))
-def test_malformed_moves_raise_trace_error_naming_the_line(bad, where):
-    records = TRACES[0]
-    i = next(i for i, record in enumerate(records) if record.get("moves"))
+def _nested(values: list, width: int) -> list[list]:
+    """A flat v3 list as the v2 lists of ``width`` entries."""
+    return [values[i:i + width] for i in range(0, len(values), width)]
+
+
+def _mangled_round(version: str, field: str, width: int, mangle) -> tuple[int, list[str]]:
+    """The first round record with a non-empty ``field`` (of rows of
+    ``width`` entries) and the lines of TRACES[0] in ``version`` with that
+    field passed through ``mangle``, which edits a list of rows in place."""
+    records = TRACES[0] if version == "v3" else V2_TRACES[0]
+    i = next(i for i, record in enumerate(records) if record.get(field))
     lines = [json.dumps(record) for record in records]
     record = json.loads(lines[i])
-    kind, value = bad
-    if kind == "field":
-        record["moves"][0][where] = value
+    if version == "v3":
+        rows = _nested(record[field], width)
+        mangle(rows)
+        record[field] = list(chain.from_iterable(rows))
     else:
-        record["moves"][-1] = value
+        mangle(record[field])
     lines[i] = json.dumps(record)
+    return i, lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad=st.one_of(not_an_int.map(lambda v: ("field", v)),
+                     wide_ints.map(lambda v: ("field", v)),
+                     st.lists(st.integers(0, 9), min_size=2, max_size=4)
+                     .filter(lambda m: len(m) != 3).map(lambda m: ("move", m))),
+       where=st.integers(0, 2), version=st.sampled_from(["v2", "v3"]))
+def test_malformed_moves_raise_trace_error_naming_the_line(bad, where, version):
+    kind, value = bad
+
+    def mangle(moves: list[list]) -> None:
+        if kind == "field":
+            moves[0][where] = value
+        else:
+            moves[-1] = value
+
+    i, lines = _mangled_round(version, "moves", 3, mangle)
     with pytest.raises(TraceError) as caught:
         engine.read_trace(lines)
     assert caught.value.line == i + 1
@@ -159,24 +192,24 @@ def test_malformed_moves_raise_trace_error_naming_the_line(bad, where):
            st.lists(st.integers(0, 9), max_size=5)
            .filter(lambda row: len(row) != 3).map(lambda row: ("row", row)),
            st.just(("repeat", None))),
-       where=st.integers(0, 2))
-def test_malformed_count_rows_raise_trace_error_naming_the_line(bad, where):
+       where=st.integers(0, 2), version=st.sampled_from(["v2", "v3"]))
+def test_malformed_count_rows_raise_trace_error_naming_the_line(bad, where, version):
     # TRACES[0] is a k=4, q=2 run: a row is [block, count of colour 1, count of colour 2].
-    records = TRACES[0]
-    i = next(i for i, record in enumerate(records) if record.get("counts"))
-    lines = [json.dumps(record) for record in records]
-    record = json.loads(lines[i])
-    rows = record["counts"]
     kind, value = bad
-    if kind == "entry":
-        rows[0][where] = value
-    elif kind == "block":
-        rows[-1][0] = value
-    elif kind == "row":
-        rows[-1] = value
-    else:
-        rows.append(list(rows[0]))
-    lines[i] = json.dumps(record)
+    # A v3 row is three entries of one flat list: dropping a whole row leaves a well-formed one.
+    assume(not (version == "v3" and kind == "row" and not value))
+
+    def mangle(rows: list[list]) -> None:
+        if kind == "entry":
+            rows[0][where] = value
+        elif kind == "block":
+            rows[-1][0] = value
+        elif kind == "row":
+            rows[-1] = value
+        else:
+            rows.append(list(rows[0]))
+
+    i, lines = _mangled_round(version, "counts", 3, mangle)
     with pytest.raises(TraceError) as caught:
         engine.read_trace(lines)
     assert caught.value.line == i + 1

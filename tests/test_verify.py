@@ -176,7 +176,8 @@ def test_summary_forgery_detected():
 
 def _stored_records(inst, max_rounds=None):
     oriented, reversed_roles = engine.orient_roles(inst) if inst.q == 2 else (inst, False)
-    return engine.trace_records(engine.run(oriented, max_rounds), reversed_roles=reversed_roles)
+    return list(engine.trace_records(engine.run(oriented, max_rounds),
+                                     reversed_roles=reversed_roles))
 
 
 def _summary_verdict(records):
