@@ -3,15 +3,20 @@ analyze instances, and benchmark round counts against the bounds.
 
 Exit codes are stable contracts: 0 success, 2 invalid instance, 3 no
 termination within the round budget, 4 verification failure, 5 I/O error.
-``ringform verify`` on a malformed trace file (a line that is not UTF-8
-or not a JSON record, a record of unknown type, a round record with
-missing or ill-typed fields, no header, a header of another format, a
-second header or summary) prints one ``invalid trace`` line naming the
-file line to stderr and exits 4; a round recorded under the wrong round
-number fails the ``safety`` verdict, also exit 4.  ``run --verify``
-prints the same verdicts as ``verify`` on the run's trace.  ``run`` and ``analyze`` on
-an instance file that is not UTF-8 or not a well-formed document print
-one ``invalid instance document`` line to stderr and exit 2.
+``ringform verify`` audits a trace in one pass over the open file: it
+reads one line at a time and keeps no round once the checkers have seen
+it, so it holds one round record and two configurations at a time.  It
+prints the verdicts only once the whole file has been read.  On a malformed trace
+file (a line that is not UTF-8 or not a JSON record, a record of unknown
+type, a round record with missing or ill-typed fields, no header, a
+header of another format, a second header or summary) it prints one
+``invalid trace`` line naming the file line to stderr, nothing to stdout,
+and exits 4, wherever in the file that line stands; a round recorded
+under the wrong round number fails the ``safety`` verdict, also exit 4.
+``run --verify`` prints the same verdicts as ``verify`` on the run's
+trace.  ``run`` and ``analyze`` on an instance file that is not UTF-8 or
+not a well-formed document print one ``invalid instance document`` line
+to stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -159,9 +164,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.trace, "rb") as fp:  # read_trace decodes each line itself
-        data = engine.read_trace(fp)
-    verdicts = verify.verify_trace(data)
+    with open(args.trace, "rb") as fp:  # iter_trace decodes each line itself
+        verdicts = verify.verify_stream(engine.iter_trace(fp))
     for verdict in verdicts:
         print(verdict)
     return EXIT_OK if all(v.passed for v in verdicts) else EXIT_VERIFICATION_FAILED

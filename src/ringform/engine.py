@@ -623,18 +623,19 @@ def _patched_counts(before: tuple[tuple[int, ...], ...], flat: list[int], q: int
     return tuple(after)
 
 
-def _round_from_record(record: dict, line: int, before: tuple[tuple[int, ...], ...] | None,
-                       q: int, nested: bool) -> RoundTrace:
+def _round_from_record(record: dict, line: int, before: tuple[tuple[int, ...], ...],
+                       q: int, fmt: str) -> RoundTrace:
     """A round record as a RoundTrace; TraceError names ``line`` on any
     malformed field.  A v3 record lists its moves and count rows flat, a v1
-    or v2 record (``nested``) each in a list of its own.  The rows of v2
-    and v3 records patch ``before``, the counts of the previous round; a
-    v1 record (``before`` None) lists every row."""
+    or v2 record each in a list of its own.  The rows of a v2 or v3 record
+    patch ``before``, the counts of the previous round; a v1 record lists
+    the q counts of every block, without block numbers."""
     for key in ("round", "offset"):
         if not _is_int(record.get(key)):
             raise TraceError(f"round record needs an integer {key!r}", line)
     moves, counts = record.get("moves"), record.get("counts")
     distance, checks = record.get("distance"), record.get("checks")
+    nested = fmt != TRACE_FORMAT
     # Set-of-types tests run the per-element work in C; bool is not int here.
     if nested:  # a v1/v2 record lists each move as an [agent id, from, to] list
         triples = (type(moves) is list and set(map(type, moves)) <= {list}
@@ -648,11 +649,18 @@ def _round_from_record(record: dict, line: int, before: tuple[tuple[int, ...], .
         raise TraceError("'moves' must be integers that fit a C int", line) from None
     if type(counts) is not list or (nested and not set(map(type, counts)) <= {list}):
         raise TraceError("'counts' must be a list of per-block rows", line)
-    if nested and before is not None:
-        if not set(map(len, counts)) <= {q + 1}:
-            raise TraceError(f"'counts' rows must be [block, count of colour 1, ..., count of "
-                             f"colour {q}] integers", line)
-        counts = list(chain.from_iterable(counts))
+    if fmt == TRACE_FORMAT_V1:
+        if (len(counts) != len(before) or not set(map(len, counts)) <= {q}
+                or not set(map(type, chain.from_iterable(counts))) <= {int}):
+            raise TraceError(f"'counts' must list {len(before)} rows of {q} integers", line)
+        counts = tuple(map(tuple, counts))
+    else:
+        if nested:
+            if not set(map(len, counts)) <= {q + 1}:
+                raise TraceError(f"'counts' rows must be [block, count of colour 1, ..., "
+                                 f"count of colour {q}] integers", line)
+            counts = list(chain.from_iterable(counts))
+        counts = _patched_counts(before, counts, q, line)
     if distance is not None and not _is_int(distance):
         raise TraceError("'distance' must be an integer or null", line)
     if checks is not None and not isinstance(checks, dict):
@@ -661,32 +669,36 @@ def _round_from_record(record: dict, line: int, before: tuple[tuple[int, ...], .
         index=record["round"],
         offset=record["offset"],
         moves=MoveSet(flat),
-        counts=(tuple(map(tuple, counts)) if before is None
-                else _patched_counts(before, counts, q, line)),
+        counts=counts,
         distance=distance,
         checks=ROUND_CHECKS if checks is None
         else tuple((name, bool(v)) for name, v in checks.items()),
     )
 
 
-def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:
-    """Parse a JSON-lines trace, given as text lines or as raw byte lines.
+def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
+               ) -> Iterator[Instance | RoundTrace | dict]:
+    """Parse a JSON-lines trace, given as text lines or as raw byte lines,
+    one line at a time: yield the instance of the header record, then every
+    round record as a RoundTrace, then the summary.
 
     Reads ``ringform-trace-v3``, whose round records list their moves and
     the count rows that changed as flat integer lists, ``ringform-trace-v2``,
     which nests each move and row in a list, and ``ringform-trace-v1``,
-    whose round records list all the rows.  A byte line that is not UTF-8,
-    a line that is not a JSON object, a record of unknown type, a header without an instance
-    document or of another format, a malformed round or summary record, a
-    second header or summary and a missing header all raise
-    :class:`TraceError` with the file line when there is one; a malformed
-    embedded instance raises :class:`InstanceFormatError`.
+    whose round records list all the rows.  The summary is the summary
+    record, or ``{}`` without one, with the header's ``initial_distance``
+    and ``reversed`` where it has none of its own; it comes last wherever
+    its record stands in the file.  A byte line that is not UTF-8, a line
+    that is not a JSON object, a record of unknown type, a header without
+    an instance document or of another format, a malformed round or
+    summary record, a second header or summary and a missing header all
+    raise :class:`TraceError`, with the file line when there is one, once
+    the reader reaches that line; a malformed embedded instance raises
+    :class:`InstanceFormatError`.
     """
-    instance: Instance | None = None
-    rounds: list[RoundTrace] = []
-    summary: dict | None = None
     header: dict | None = None
-    counts: tuple[tuple[int, ...], ...] | None = None  # of the last round; None for v1
+    summary: dict | None = None
+    counts: tuple[tuple[int, ...], ...] = ()  # of the last round
     formats = (TRACE_FORMAT, TRACE_FORMAT_V2, TRACE_FORMAT_V1)
     for no, line in enumerate(fp, start=1):
         if isinstance(line, bytes):
@@ -717,16 +729,14 @@ def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:
                                  f"{', '.join(map(repr, formats))}", no)
             header = record
             instance = parse_instance(record["instance"])
-            if record["format"] != TRACE_FORMAT_V1:
-                counts = instance.initial.all_counts()
+            counts = instance.initial.all_counts()
+            yield instance
         elif rtype == "round":
-            if instance is None:
+            if header is None:
                 raise TraceError("trace has no header record")
-            rt = _round_from_record(record, no, counts, instance.q,
-                                    header["format"] != TRACE_FORMAT)
-            if counts is not None:
-                counts = rt.counts
-            rounds.append(rt)
+            rt = _round_from_record(record, no, counts, instance.q, header["format"])
+            counts = rt.counts
+            yield rt
         elif rtype == "summary":
             if summary is not None:
                 raise TraceError("a second summary record", no)
@@ -742,4 +752,10 @@ def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:
     summary = summary or {}
     summary.setdefault("initial_distance", header.get("initial_distance"))
     summary.setdefault("reversed", header.get("reversed", False))
+    yield summary
+
+
+def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:
+    """The whole of a trace that ``iter_trace`` reads, with its errors."""
+    instance, *rounds, summary = iter_trace(fp)
     return TraceData(instance=instance, rounds=tuple(rounds), summary=summary)

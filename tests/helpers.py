@@ -1,9 +1,11 @@
 """Shortcuts for building instances inline in tests, and small readers of
 the library's results."""
 
+from typing import Iterable
+
 from ringform import verify
 from ringform.core import Configuration, Instance, RequirementSpec, parse_instance
-from ringform.engine import RunResult, WindowPairing
+from ringform.engine import RoundTrace, WindowPairing, apply_moves
 
 
 def make_p1(config: str, k: int, p: int, rows) -> Instance:
@@ -54,10 +56,42 @@ def v2_records(records: list[dict]) -> list[dict]:
     return out
 
 
-def check_final(result: RunResult, inst: Instance) -> verify.InvariantVerdict:
-    """The final-condition verdict on a run's own final configuration."""
-    run = verify.ReplayedRun(instance=inst, rounds=(), configs=(result.final,), distances=None)
-    return verify.check_final_config(run, result.terminated)
+def v1_records(records: list[dict]) -> list[dict]:
+    """Trace records rewritten in the v1 format, which nests each move in a
+    list, lists every block's counts without block numbers and carries the
+    constant checks."""
+    inst = parse_instance(records[0]["instance"])
+    rows, width = [list(row) for row in inst.initial.all_counts()], inst.q + 1
+    out = []
+    for record in records:
+        record = dict(record)
+        if record["type"] == "header":
+            record["format"] = "ringform-trace-v1"
+        elif record["type"] == "round":
+            moves, counts = record["moves"], record["counts"]
+            for i in range(0, len(counts), width):
+                rows[counts[i] - 1] = counts[i + 1:i + width]
+            record["moves"] = [moves[i:i + 3] for i in range(0, len(moves), 3)]
+            record["counts"] = [list(row) for row in rows]
+            record["checks"] = {"collision_free": True, "within_window": True,
+                                "colours_conserved": True}
+        out.append(record)
+    return out
+
+
+def replayed_configs(inst: Instance, rounds: Iterable[RoundTrace]) -> list[Configuration]:
+    """The initial configuration and the one after every round, made by
+    chaining ``engine.apply_moves`` over the recorded moves."""
+    configs = [inst.initial]
+    for rt in rounds:
+        configs.append(apply_moves(configs[-1], rt.moves))
+    return configs
+
+
+def verdict_of(run: verify.ReplayedRun, name: str, rounds_used: int = 0,
+               terminated: bool = False) -> verify.InvariantVerdict:
+    """The verdict of the checker ``name`` alone on a replayed run."""
+    return verify.run_checks(run, rounds_used, terminated, [name])[0]
 
 
 def oracle_distance(cfg: Configuration, inst: Instance) -> int:

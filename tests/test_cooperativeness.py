@@ -1,4 +1,9 @@
-"""Differential tests of the cooperativeness, order and suffix checkers.
+"""Differential tests of the checkers.
+
+``test_single_pass_audit_matches_the_checkers_it_replaced`` compares the
+one-pass ``verify_trace`` with ``oracle.verify_trace``, which runs the
+checkers as they were when each walked a replayed run of its own, over
+the corpus below, the golden runs and every trace of ``faults``.
 
 ``scan_cooperativeness`` is the cooperativeness checker as first written:
 it scans every replayed configuration for the blue agents in renamed
@@ -14,16 +19,20 @@ trace.  The suffix checkers must also agree on the golden cases and on
 every trace of ``faults``.
 """
 
+import dataclasses
+import io
 import random
 
 from ringform import analysis, engine, verify
 from ringform.analysis import BLUE
 from ringform.core import ProblemKind
-from ringform.engine import Move, RoundTrace
+from ringform.engine import Move, RoundTrace, TraceData
 from ringform.generators import gen_adversarial_half, gen_homogeneous, gen_random
 from ringform.verify import InvariantVerdict
 
 import faults
+import oracle
+from helpers import replayed_configs, verdict_of
 from test_golden_traces import GOLDEN, golden_run
 
 
@@ -123,11 +132,11 @@ def continue_honestly(inst, cfg, rounds, count):
 
 def dropped_round(inst, result, j):
     """Round ``j`` records no moves; the engine carries on from there."""
-    run = verify.replay_result(result)
+    cfg = replayed_configs(inst, result.trace[:j - 1])[-1]
     stalled = RoundTrace(index=j, offset=result.trace[j - 1].offset, moves=(),
-                         counts=run.configs[j - 1].all_counts(), distance=None, checks=())
+                         counts=cfg.all_counts(), distance=None, checks=())
     rounds = list(result.trace[:j - 1]) + [stalled]
-    return continue_honestly(inst, run.configs[j - 1], rounds, len(result.trace) - j)
+    return continue_honestly(inst, cfg, rounds, len(result.trace) - j)
 
 
 def injected_cycle(inst, result, j, rng):
@@ -139,7 +148,7 @@ def injected_cycle(inst, result, j, rng):
     destination; it wraps a red agent round when the window's last slot
     holds one, so the blue order may survive it.
     """
-    cfg = verify.replay_result(result).configs[j - 1]
+    cfg = replayed_configs(inst, result.trace[:j - 1])[-1]
     offset = result.trace[j - 1].offset
     p = inst.p
     origin = analysis.rename_offset(analysis.surplus_profile(inst.initial, inst.spec.row(BLUE)))
@@ -202,9 +211,9 @@ def as_tuple(verdict):
 def test_incremental_checker_matches_the_scan():
     compared = failing = 0
     for inst, rounds in corpus():
-        run = verify.replay(inst, rounds)
-        expected = scan_cooperativeness(run)
-        assert as_tuple(verify.check_cooperativeness(run)) == as_tuple(expected), \
+        expected = scan_cooperativeness(oracle.replay(inst, rounds))
+        assert as_tuple(verdict_of(verify.replay(inst, rounds), "cooperativeness")) \
+            == as_tuple(expected), \
             (inst.initial.to_string(), [rt.moves for rt in rounds])
         compared += 1
         failing += not expected.passed
@@ -214,26 +223,26 @@ def test_incremental_checker_matches_the_scan():
 def test_incremental_order_checker_matches_the_scan():
     compared = failing = 0
     for inst, rounds in corpus():
-        run = verify.replay(inst, rounds)
-        expected = scan_order_preserving(run)
-        assert as_tuple(verify.check_order_preserving(run)) == as_tuple(expected), \
+        expected = scan_order_preserving(oracle.replay(inst, rounds))
+        assert as_tuple(verdict_of(verify.replay(inst, rounds), "order_preserving")) \
+            == as_tuple(expected), \
             (inst.initial.to_string(), [rt.moves for rt in rounds])
         compared += 1
         failing += not expected.passed
     assert compared >= 1000 and failing >= 100, (compared, failing)
 
 
-def test_incremental_checker_matches_the_scan_on_overlapping_classes():
-    # A caller-supplied partition may put a rank in two classes.
+def test_incremental_checker_matches_the_scan_on_overlapping_classes(monkeypatch):
+    # A partition may put a rank in two classes.
     inst, _ = engine.orient_roles(gen_random(6, 4, 2, 1))
     result = engine.run(inst)
+    n_blue = inst.initial.colour_totals()[0]
+    partition = analysis.BluePartition(
+        class_size=2, classes=((1, 2), (2, 3), tuple(range(1, n_blue + 1))))
+    monkeypatch.setattr(analysis, "blue_partition", lambda _: partition)
     for rounds in (list(result.trace), dropped_round(inst, result, 2)):
-        run = verify.replay(inst, rounds)
-        n_blue = inst.initial.colour_totals()[0]
-        partition = analysis.BluePartition(
-            class_size=2, classes=((1, 2), (2, 3), tuple(range(1, n_blue + 1))))
-        assert as_tuple(verify.check_cooperativeness(run, partition)) == \
-            as_tuple(scan_cooperativeness(run, partition))
+        assert as_tuple(verdict_of(verify.replay(inst, rounds), "cooperativeness")) == \
+            as_tuple(scan_cooperativeness(oracle.replay(inst, rounds), partition))
 
 
 def test_incremental_checker_reports_the_lowest_failing_rank():
@@ -241,31 +250,63 @@ def test_incremental_checker_reports_the_lowest_failing_rank():
     # destination fail together in round 4; the report names the lowest.
     for inst in [gen_adversarial_half(8, 4)] + [gen_random(8, 4, 2, s) for s in range(10)]:
         inst, _ = engine.orient_roles(inst)
-        run = verify.replay(inst, faults._stalled_rounds(inst, 12, distance=None))
-        assert as_tuple(verify.check_cooperativeness(run)) == \
-            as_tuple(scan_cooperativeness(run))
+        rounds = faults._stalled_rounds(inst, 12, distance=None)
+        assert as_tuple(verdict_of(verify.replay(inst, rounds), "cooperativeness")) == \
+            as_tuple(scan_cooperativeness(oracle.replay(inst, rounds)))
 
 
-def fault_runs(monkeypatch):
-    """Every replayed run that ``faults`` hands to a checker."""
-    runs = []
-    for name in [n for n in vars(verify) if n.startswith("check_")]:
-        check = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda run, *args, _check=check, **kwargs:
-                            runs.append(run) or _check(run, *args, **kwargs))
-    faults.fault_verdicts()
-    monkeypatch.undo()
-    return runs
-
-
-def test_incremental_suffix_checker_matches_the_scan(monkeypatch):
-    runs = [verify.replay(inst, rounds) for inst, rounds in corpus()]
-    runs += [verify.replay_result(golden_run(name)[0]) for name in sorted(GOLDEN)]
-    runs += fault_runs(monkeypatch)
+def test_incremental_suffix_checker_matches_the_scan():
+    traces = [(inst, rounds) for inst, rounds in corpus()]
+    traces += [(result.instance, result.trace)
+               for result, _ in map(golden_run, sorted(GOLDEN))]
+    traces += [(data.instance, data.rounds) for data in faults.fault_traces().values()]
     failing = 0
-    for run in runs:
-        expected = scan_suffix_property(run)
-        assert as_tuple(verify.check_suffix_property(run)) == as_tuple(expected), \
-            (run.instance.initial.to_string(), [rt.moves for rt in run.rounds])
+    for inst, rounds in traces:
+        expected = scan_suffix_property(oracle.replay(inst, rounds))
+        assert as_tuple(verdict_of(verify.replay(inst, rounds), "suffix_property")) \
+            == as_tuple(expected), (inst.initial.to_string(), [rt.moves for rt in rounds])
         failing += not expected.passed
-    assert len(runs) >= 1500 and failing >= 90, (len(runs), failing)
+    assert len(traces) >= 1500 and failing >= 90, (len(traces), failing)
+
+
+def recounted_distances(inst, rounds, rng):
+    """``rounds`` recording the distance of every replayed configuration,
+    one or two of them shifted, zeroed or made negative half the time."""
+    row = inst.spec.row(BLUE)
+    potential = analysis.distance_report(inst.initial, row)
+    distances = [analysis.distance(cfg, row, potential.rename_offset, potential.dest).total
+                 for cfg in replayed_configs(inst, rounds)[1:]]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        r = rng.randrange(len(distances))
+        distances[r] = rng.choice([distances[r] + 1, distances[r] - 1, 0, -1])
+    return [dataclasses.replace(rt, distance=d) for rt, d in zip(rounds, distances)]
+
+
+def audited_traces():
+    """The corpus, each trace as it is and recording recounted distances,
+    under a summary that may or may not match it; the golden runs as
+    stored; every trace of ``faults``."""
+    rng = random.Random("summaries")
+    for inst, rounds in corpus():
+        for rounds in (rounds, recounted_distances(inst, rounds, rng) if rounds else rounds):
+            used = rng.choice([len(rounds) - inst.k, len(rounds) - inst.k + rng.randint(-2, 2),
+                               rng.randint(-3, len(rounds) + 3)])
+            summary = {"rounds_used": used, "terminated": rng.random() < 0.8,
+                       "bound": analysis.theoretical_bound(inst), "bound_satisfied": True,
+                       "initial_distance": analysis.distance_report(inst.initial,
+                                                                    inst.spec.row(BLUE)).total}
+            yield TraceData(inst, tuple(rounds), summary)
+    for name in sorted(GOLDEN):
+        yield engine.read_trace(io.StringIO(golden_run(name)[1]))
+    yield from faults.fault_traces().values()
+
+
+def test_single_pass_audit_matches_the_checkers_it_replaced():
+    compared = failing = 0
+    for data in audited_traces():
+        expected = oracle.verify_trace(data)
+        assert verify.verify_trace(data) == expected, \
+            (data.instance.initial.to_string(), [rt.moves for rt in data.rounds], data.summary)
+        compared += 1
+        failing += not all(v.passed for v in expected)
+    assert compared >= 3000 and failing >= 1000, (compared, failing)

@@ -34,7 +34,17 @@ from ringform.generators import (
     gen_random,
 )
 
-from helpers import block_string, counts, make_p1, make_p2, make_p3, unpaired, v2_records
+from helpers import (
+    block_string,
+    counts,
+    make_p1,
+    make_p2,
+    make_p3,
+    replayed_configs,
+    unpaired,
+    v1_records,
+    v2_records,
+)
 
 
 def two_blocks(left: str, right: str, q: int = 2) -> tuple:
@@ -407,15 +417,14 @@ def test_moves_stay_local_and_colours_conserved():
     for seed in range(4):
         inst = gen_random(5, 3, 2, seed)
         result = run(inst)
-        replayed = verify.replay_result(result)
+        configs = replayed_configs(inst, result.trace)
         totals = inst.initial.colour_totals()
         for r, rt in enumerate(result.trace, start=1):
-            cfg = replayed.configs[r - 1]
             for m in rt.moves:
                 src_b, dst_b = m.src // inst.p + 1, m.dst // inst.p + 1
                 pairing = build_pairing(inst.k, rt.offset)
                 assert any({src_b, dst_b} <= {lb, rb} for lb, rb in pairing.pairs)
-            assert replayed.configs[r].colour_totals() == totals
+            assert configs[r].colour_totals() == totals
 
 
 def test_quiescence_after_target():
@@ -445,9 +454,9 @@ def test_settled_colours_never_change_blocks():
     for seed in range(5):
         inst = gen_random(4, 5, 4, seed)
         result = run(inst)
-        replayed = verify.replay_result(result)
+        configs = replayed_configs(inst, result.trace)
         for r, rt in enumerate(result.trace, start=1):
-            cfg = replayed.configs[r - 1]
+            cfg = configs[r - 1]
             pairing = build_pairing(inst.k, rt.offset)
             window_of = {}
             for pair in pairing.pairs:
@@ -539,7 +548,14 @@ def test_read_trace_reads_a_v2_trace():
 
 def _honest_trace_lines(version: str = "v3") -> list[str]:
     records = list(engine.trace_records(run(gen_random(4, 3, 2, seed=7))))
-    return [json.dumps(r) for r in (v2_records(records) if version == "v2" else records)]
+    rewrite = {"v1": v1_records, "v2": v2_records, "v3": list}[version]
+    return [json.dumps(r) for r in rewrite(records)]
+
+
+def test_honest_trace_lines_verify_in_every_format():
+    for version in ("v1", "v2", "v3"):
+        verdicts = verify.verify_trace(read_trace(_honest_trace_lines(version)))
+        assert all(v.passed for v in verdicts), version
 
 
 @pytest.mark.parametrize("version, mangle, message", [
@@ -562,6 +578,16 @@ def _honest_trace_lines(version: str = "v3") -> list[str]:
     ("v2", lambda r: {**r, "counts": [[2, "1", 2]]}, "'counts' rows must be"),
     ("v2", lambda r: {**r, "counts": [[2, True, 2]]}, "'counts' rows must be"),
     ("v2", lambda r: {**r, "counts": [[True, 1, 2]]}, "'counts' rows must be"),
+    ("v1", lambda r: {**r, "counts": r["counts"][:-1]}, "'counts' must list 4 rows of 2 integers"),
+    ("v1", lambda r: {**r, "counts": [*r["counts"], [1, 2]]}, "'counts' must list 4 rows"),
+    ("v1", lambda r: {**r, "counts": [["x", 1.5, 7], *r["counts"][1:]]}, "'counts' must list"),
+    ("v1", lambda r: {**r, "counts": [[1, 2, 0], *r["counts"][1:]]}, "'counts' must list"),
+    ("v1", lambda r: {**r, "counts": [[1], *r["counts"][1:]]}, "'counts' must list"),
+    ("v1", lambda r: {**r, "counts": [[True, 2], *r["counts"][1:]]}, "'counts' must list"),
+    ("v1", lambda r: {**r, "counts": [[1.0, 2], *r["counts"][1:]]}, "'counts' must list"),
+    ("v1", lambda r: {**r, "counts": [[1, "2"], *r["counts"][1:]]}, "'counts' must list"),
+    ("v1", lambda r: {**r, "counts": [5, *r["counts"][1:]]}, "'counts' must be a list of"),
+    ("v1", lambda r: {**r, "moves": [[0, 1]]}, "'moves' must be"),
     ("v3", lambda r: {**r, "distance": "3"}, "'distance' must be"),
     ("v3", lambda r: {**r, "checks": []}, "'checks' must be"),
     ("v3", lambda r: {**r, "moves": r["moves"][:-1]}, "'moves' must be a list of agent id"),
@@ -583,17 +609,23 @@ def _honest_trace_lines(version: str = "v3") -> list[str]:
     ("v3", lambda r: {**r, "counts": [2, 1, 2, 2, 2, 1]}, "'counts' names a block twice"),
 ])
 def test_read_trace_names_the_line_of_a_malformed_round(version, mangle, message, tmp_path):
-    lines = _honest_trace_lines(version)
-    mangled = mangle(json.loads(lines[2]))
-    lines[2] = mangled if isinstance(mangled, str) else json.dumps(mangled)
-    with pytest.raises(TraceError, match=message) as info:
-        read_trace(lines)
-    assert info.value.line == 3 and str(info.value).startswith("line 3: ")
-    path = tmp_path / "trace.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    with contextlib.redirect_stderr(io.StringIO()) as err:
-        assert main(["verify", "--trace", str(path)]) == EXIT_VERIFICATION_FAILED
-    assert err.getvalue().startswith("invalid trace: line 3: ")
+    honest = _honest_trace_lines(version)
+    mangled = mangle(json.loads(honest[2]))
+    mangled = mangled if isinstance(mangled, str) else json.dumps(mangled)
+    # The bad record in place of round 2, and after every record of the trace:
+    # ``ringform verify`` meets the last only once it has audited every round.
+    for lines in (honest[:2] + [mangled] + honest[3:], honest + [mangled]):
+        with pytest.raises(TraceError, match=message) as info:
+            read_trace(lines)
+        line = lines.index(mangled) + 1
+        assert info.value.line == line and str(info.value).startswith(f"line {line}: ")
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with contextlib.redirect_stderr(io.StringIO()) as err, \
+                contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["verify", "--trace", str(path)]) == EXIT_VERIFICATION_FAILED
+        assert err.getvalue().startswith(f"invalid trace: line {line}: ")
+        assert out.getvalue() == ""
 
 
 def test_read_trace_rejects_malformed_header_and_summary():

@@ -4,17 +4,21 @@
 as first written, over per-slot ``(ring position, Agent)`` tuples.  The
 engine's steps read a block view of the flat colour bytes and id array;
 each pair must give the same moves in the same order.  The other tests
-show that a run and its audit build no Agent and keep no Move, and that
-the window arithmetic of ``stray_move`` and ``check_no_wraparound`` agrees with
+show that a run and its audit build no Agent and keep no Move, that an
+audit keeps a bounded number of configurations alive, and that the window
+arithmetic of ``stray_move`` and the ``no_wraparound`` checker agrees with
 ``build_pairing``.
 """
 
+import contextlib
 import gc
 import io
 import random
+import weakref
 from typing import NamedTuple
 
 from ringform import engine, verify
+from ringform.cli import EXIT_OK, main
 from ringform.core import Agent, Configuration, ProblemKind, colour_symbols
 from ringform.engine import EngineError, Move, RoundTrace
 from ringform.generators import (
@@ -25,7 +29,7 @@ from ringform.generators import (
     gen_random,
 )
 
-from helpers import counts, make_p1
+from helpers import counts, make_p1, verdict_of
 
 
 class AgentView(NamedTuple):
@@ -225,6 +229,39 @@ def test_run_and_audit_keep_no_move_objects():
     assert kept and _live_moves() == before + len(kept)
 
 
+def test_audit_keeps_two_configurations_alive_whatever_the_round_count(monkeypatch, tmp_path):
+    # Every configuration but one built from Agent objects is made by
+    # Configuration._flat; the patch follows each while it is alive.
+    inst, _ = engine.orient_roles(gen_adversarial_half(16, 4))
+    result = engine.run(inst)
+    path = tmp_path / "trace.jsonl"
+    with open(path, "w", encoding="utf-8") as fp:
+        engine.write_trace(result, fp)
+    alive: weakref.WeakSet = weakref.WeakSet()
+    peak = []
+    flat = Configuration._flat.__func__
+
+    def followed(cls, *args):
+        cfg = flat(cls, *args)
+        alive.add(cfg)
+        peak.append(len(alive))
+        return cfg
+
+    monkeypatch.setattr(Configuration, "_flat", classmethod(followed))
+    with open(path, encoding="utf-8") as fp:
+        verdicts = verify.verify_trace(engine.read_trace(fp))
+    assert all(v.passed for v in verdicts)
+    moving = sum(bool(rt.moves) for rt in result.trace)
+    assert len(peak) > moving > 20  # one configuration a moving round, made by apply_moves
+    # The instance's initial configuration, and the ones before and after a round.
+    assert max(peak) <= 3
+    peak.clear()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["verify", "--trace", str(path)]) == EXIT_OK
+    assert "FAIL" not in out.getvalue()
+    assert len(peak) > moving and max(peak) <= 3
+
+
 def test_window_arithmetic_matches_build_pairing():
     for k in range(2, 13):
         # p = 1 and every agent blue: the renamed first block is block 2.
@@ -246,7 +283,7 @@ def test_window_arithmetic_matches_build_pairing():
             run = verify.replay(inst, [RoundTrace(index=1, offset=offset, moves=swap,
                                                   counts=after.all_counts(), distance=None,
                                                   checks=())])
-            assert verify.check_no_wraparound(run).passed == ((last, origin) not in pairs), \
+            assert verdict_of(run, "no_wraparound").passed == ((last, origin) not in pairs), \
                 (k, offset)
 
 

@@ -9,19 +9,11 @@ import pytest
 from ringform import analysis, engine, verify
 from ringform.engine import Move, RoundTrace
 from ringform.generators import gen_adversarial_half, gen_p2_random, gen_random
-from ringform.verify import (
-    TraceError,
-    check_cooperativeness,
-    check_distance_decrease,
-    check_distance_monotone,
-    check_order_preserving,
-    replay,
-    replay_result,
-    sequential_phase_counts,
-)
+from ringform.verify import TraceError, replay, replay_result, sequential_phase_counts
 
 import faults
-from helpers import check_final, make_p1, make_p2, oracle_distance
+import oracle
+from helpers import make_p1, make_p2, oracle_distance, replayed_configs, verdict_of
 from test_golden_traces import GOLDEN, golden_run
 
 
@@ -66,48 +58,52 @@ def test_checkers_are_pure(small_run):
 # --- mutation suite: every checker must reject its corrupted trace ---------------
 
 
+def fault(name: str) -> verify.InvariantVerdict:
+    return faults.checker_verdict(faults.FAULTS[name](), name)
+
+
 def test_order_fault_detected():
-    verdict = faults.order_fault()
+    verdict = fault("order_preserving")
     assert not verdict.passed and verdict.round == 1
 
 
 def test_suffix_fault_detected():
-    verdict = faults.suffix_fault()
+    verdict = fault("suffix_property")
     assert not verdict.passed and "prefix" in verdict.detail
 
 
 def test_wraparound_fault_detected():
-    verdict = faults.wraparound_fault()
+    verdict = fault("no_wraparound")
     assert not verdict.passed and "crossed" in verdict.detail
 
 
 def test_distance_monotone_fault_detected():
-    verdict = faults.monotone_fault()
+    verdict = fault("distance_monotone")
     assert not verdict.passed and "rose" in verdict.detail
 
 
 def test_distance_decrease_fault_detected():
-    verdict = faults.decrease_fault()
+    verdict = fault("distance_decrease")
     assert not verdict.passed
 
 
 def test_final_fault_detected():
-    verdict = faults.final_fault()
+    verdict = fault("final_condition")
     assert not verdict.passed and "misses the target" in verdict.detail
 
 
 def test_cooperativeness_fault_detected():
-    verdict = faults.cooperativeness_fault()
+    verdict = fault("cooperativeness")
     assert not verdict.passed and "class 1" in verdict.detail
 
 
 def test_safety_fault_detected():
-    assert not faults.safety_fault().passed
-    assert not faults.counts_fault().passed
+    assert not fault("safety").passed
+    assert not faults.checker_verdict(faults.counts_fault(), "safety").passed
 
 
 def test_distance_forgery_detected():
-    verdict = faults.distance_fault()
+    verdict = fault("safety[distance]")
     assert not verdict.passed and verdict.round == 1
     assert "recorded distance 15" in verdict.detail and "(16)" in verdict.detail
 
@@ -139,13 +135,13 @@ def test_stored_distance_forgery_fails_verify_trace():
 
 
 def test_round_number_forgery_detected():
-    verdict = faults.index_fault()
+    verdict = fault("safety[index]")
     assert (verdict.passed, verdict.round) == (False, 2)
     assert verdict.detail == "recorded round number 1"
 
 
 def test_offset_off_the_schedule_detected():
-    verdict = faults.offset_fault()
+    verdict = fault("safety[offset]")
     assert (verdict.passed, verdict.round) == (False, 2)
     assert verdict.detail == "recorded offset 1, the schedule gives 2"
 
@@ -164,12 +160,12 @@ def test_quiescence_names_the_position_of_the_round():
     result = engine.run(inst)
     assert result.trace[0].moves
     renumbered = [dataclasses.replace(rt, index=7) for rt in result.trace]
-    verdict = verify.check_quiescence(replay(inst, renumbered), 0, True)
-    assert (verdict.passed, verdict.round) == (False, 1)
+    quiet = verdict_of(replay(inst, renumbered), "quiescence", 0, True)
+    assert (quiet.passed, quiet.round) == (False, 1)
 
 
 def test_summary_forgery_detected():
-    verdict = faults.summary_fault()
+    verdict = fault("summary")
     assert not verdict.passed
     assert verdict.detail == "recorded bound 5 disagrees with the replay (28)"
 
@@ -229,16 +225,19 @@ def test_verify_trace_rejects_an_instance_the_engine_would_refuse():
 
 
 def test_replayed_distances_match_a_recount():
+    # safety passes only where every recorded distance is the one replayed from the moves
     for inst in (gen_adversarial_half(8, 2), gen_random(6, 4, 2, 3),
                  gen_p2_random(5, 3, 2, 1, extras=2)):
         result = engine.run(inst)
-        replayed = replay_result(result)
+        assert verdict_of(replay_result(result), "safety").passed
         row = inst.spec.row(1)
         report = analysis.distance_report(inst.initial, row)
-        assert replayed.replayed_distances == tuple(
+        assert [result.initial_distance] + [rt.distance for rt in result.trace] == [
             analysis.distance(cfg, row, report.rename_offset, report.dest).total
-            for cfg in replayed.configs)
-    assert replay_result(engine.run(gen_random(4, 4, 3, 1))).replayed_distances is None
+            for cfg in replayed_configs(inst, result.trace)]
+    many_colour = engine.run(gen_random(4, 4, 3, 1))
+    assert verdict_of(replay_result(many_colour), "safety").passed
+    assert {rt.distance for rt in many_colour.trace} == {None}
 
 
 def test_replay_rejects_offsets_outside_the_ring():
@@ -250,7 +249,7 @@ def test_replay_rejects_offsets_outside_the_ring():
 
 
 def test_quiescence_fault_detected():
-    verdict = faults.quiescence_fault()
+    verdict = fault("quiescence")
     assert not verdict.passed
 
 
@@ -270,20 +269,20 @@ def test_order_checker_accepts_cyclic_rotation():
     )
     _, rt = faults.fabricate_round(inst.initial, moves, 1, 1)
     run = replay(inst, [rt])
-    assert check_order_preserving(run).passed
+    assert verdict_of(run, "order_preserving").passed
 
 
 def test_distance_checkers_demand_distance_values():
     inst = gen_random(4, 4, 3, seed=5)  # many-colour trace has no distances
     replayed = replay_result(engine.run(inst))
-    assert not check_distance_monotone(replayed).passed
-    assert not check_distance_decrease(replayed, 2).passed
+    assert not verdict_of(replayed, "distance_monotone").passed
+    assert not verdict_of(replayed, "distance_decrease").passed
 
 
 def test_cooperativeness_requires_even_k():
     inst = gen_random(3, 2, 2, seed=0)
     replayed = replay_result(engine.run(inst))
-    assert not check_cooperativeness(replayed).passed
+    assert not verdict_of(replayed, "cooperativeness").passed
 
 
 def test_single_round_windows_can_stall():
@@ -295,8 +294,7 @@ def test_single_round_windows_can_stall():
     for inst in candidates:
         oriented, _ = engine.orient_roles(inst)
         result = engine.run(oriented)
-        replayed = replay_result(result)
-        if not check_distance_decrease(replayed, 1).passed:
+        if not oracle.check_distance_decrease(oracle.replay_result(result), 1).passed:
             found = True
             break
     assert found
@@ -333,7 +331,7 @@ def test_oracle_matches_analysis_on_reachable_configurations():
         inst = gen_random(k, p, 2, seed)
         result = engine.run(inst)
         row = inst.spec.row(1)
-        for cfg in replay_result(result).configs:
+        for cfg in replayed_configs(inst, result.trace):
             assert analysis.distance_report(cfg, row).total == oracle_distance(cfg, inst)
             checked += 1
     assert checked > 50
@@ -354,5 +352,6 @@ def test_sequential_phase_counts_rejects_other_kinds():
 
 
 def test_final_checker_on_real_result(small_run):
-    inst, result, _ = small_run
-    assert check_final(result, inst).passed
+    _, result, replayed = small_run
+    final = verdict_of(replayed, "final_condition", result.rounds_used, result.terminated)
+    assert final.passed
