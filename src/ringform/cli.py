@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from . import analysis, engine, generators, verify
 from .core import (
@@ -171,7 +172,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(v.passed for v in verdicts) else EXIT_VERIFICATION_FAILED
 
 
+BENCH_SUITES = ("random", "homogeneous", "adversarial", "all")
+
+
 def _bench_instances(suite: str, seeds: int) -> list[tuple[str, Instance]]:
+    if suite not in BENCH_SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
     items: list[tuple[str, Instance]] = []
     if suite in ("random", "all"):
         for k in (2, 4, 6, 8, 12, 16):
@@ -191,8 +199,6 @@ def _bench_instances(suite: str, seeds: int) -> list[tuple[str, Instance]]:
             for p in (2, 4):
                 inst = generators.gen_adversarial_half(k, p)
                 items.append((f"adversarial-k{k}-p{p}", inst))
-    if not items:
-        raise ValueError(f"unknown suite {suite!r}")
     return items
 
 
@@ -236,6 +242,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK if report.all_ok() else EXIT_VERIFICATION_FAILED
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer of at least ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ringform",
@@ -259,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="simulate an instance")
     runp.add_argument("--instance", required=True)
     runp.add_argument("--trace", default=None)
-    runp.add_argument("--max-rounds", type=int, default=None)
+    runp.add_argument("--max-rounds", type=_int_at_least(0), default=None)
     runp.add_argument("--verify", action="store_true")
     runp.set_defaults(func=cmd_run)
 
@@ -272,9 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="tabulate round counts against bounds")
-    bench.add_argument("--suite", default="all",
-                       choices=["random", "homogeneous", "adversarial", "all"])
-    bench.add_argument("--seeds", type=int, default=3)
+    bench.add_argument("--suite", default="all", choices=BENCH_SUITES)
+    bench.add_argument("--seeds", type=_int_at_least(1), default=3)
     bench.add_argument("--out", default=None)
     bench.set_defaults(func=cmd_bench)
 

@@ -24,8 +24,9 @@ import json
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count, filterfalse
 from operator import ne
+from types import SimpleNamespace
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import analysis
@@ -230,6 +231,135 @@ def orient_roles(inst: Instance) -> tuple[Instance, bool]:
     return Instance(spec=swapped_spec, initial=swapped_cfg, provenance=inst.provenance), True
 
 
+# A window step: the flat (agent id, from, to, agent id, ...) moves of the
+# window whose left block is ``lb`` (its right block is ``lb % k + 1``) in a
+# configuration, empty when the window moves nothing.
+Step = Callable[[Configuration, int], Sequence[int]]
+
+
+def _two_colour_moves(need: Sequence[int], cap: int, blue_colour: int, frozen: frozenset[int],
+                      cfg: Configuration, lb: int) -> Sequence[int]:
+    """The two-colour step of the window whose left block is ``lb``, which
+    needs ``need[lb - 1]`` agents of colour ``blue_colour``; see
+    ``window_step_two_colour``."""
+    deficit = need[lb - 1] - cfg._block_counts[lb - 1][blue_colour - 1]
+    if deficit <= 0:
+        return ()
+    p, colours, ids, positions = cfg.p, cfg.colours, cfg.ids, cfg._positions
+    left_start, right_start = (lb - 1) * p, lb % cfg.k * p
+    left_slots = positions[left_start:left_start + p]
+    right_slots = positions[right_start:right_start + p]
+    if frozen:
+        left_slots = [x for x in left_slots if colours[x] not in frozen]
+        right_slots = [x for x in right_slots if colours[x] not in frozen]
+    blues_left, reds_left, blues_right, reds_right = [], [], [], []
+    for x in left_slots:
+        (blues_left if colours[x] == blue_colour else reds_left).append(x)
+    for x in right_slots:
+        (blues_right if colours[x] == blue_colour else reds_right).append(x)
+    t = min(cap, deficit, len(blues_right))
+    if len(reds_left) < t:
+        raise EngineError(f"window [{lb}|{lb % cfg.k + 1}]: "
+                          f"{len(reds_left)} movable reds but t={t}")
+
+    # Where the agent of each mobile slot comes from, left block then right
+    # block: blues packed before reds, with the t leftmost reds of the left
+    # block traded for the t leftmost blues of the right block.
+    sources = (blues_left + blues_right[:t] + reds_left[t:]
+               + reds_left[:t] + blues_right[t:] + reds_right)
+    moves: list[int] = []
+    for dst, src in zip(chain(left_slots, right_slots), sources):
+        if src != dst:
+            moves += ids[src], src, dst
+    return moves
+
+
+def _rearrange_to_pattern(cfg: Configuration, b: int, spec: RequirementSpec) -> list[int]:
+    """Flat (agent id, from, to) moves that permute block ``b`` into its
+    target pattern, order-preserving per colour."""
+    p = cfg.p
+    start = (b - 1) * p
+    block = cfg.colours[start:start + p]
+    target = spec.target_colours[start:start + p]
+    if block == target:
+        return []
+    slots = cfg._positions[start:start + p]
+    queues = {colour: compress(slots, map(colour.__eq__, block)) for colour in set(block)}
+    ids = cfg.ids
+    moves: list[int] = []
+    for pos, colour in zip(slots, target):
+        src = next(queues.get(colour, iter(())), None)
+        if src is None:
+            raise EngineError(f"block {b} cannot form "
+                              f"{spec.patterns[b - 1]!r}: colour counts disagree")
+        if src != pos:
+            moves += ids[src], src, pos
+    return moves
+
+
+def _q_colour_moves(spec: RequirementSpec, cfg: Configuration, lb: int) -> Sequence[int]:
+    """The many-colour step of the window whose left block is ``lb``; see
+    ``window_step_q_colour``."""
+    rb = lb % cfg.k + 1
+    have_left, have_right = cfg._block_counts[lb - 1], cfg._block_counts[rb - 1]
+    need_left, need_right = spec.columns[lb - 1], spec.columns[rb - 1]
+    q = spec.q
+    i = 1
+    while i < q and have_left[i - 1] == need_left[i - 1] and have_right[i - 1] == need_right[i - 1]:
+        i += 1
+
+    if i < q:
+        deficit = need_left[i - 1] - have_left[i - 1]
+        if deficit <= 0:
+            return ()
+        t = min(deficit, have_right[i - 1])
+        if t <= 0:
+            return ()
+        # The t leftmost agents above colour i in the left block trade places
+        # with the t leftmost colour-i agents of the right block.
+        p, colours, ids = cfg.p, cfg.colours, cfg.ids
+        left_start, right_start = (lb - 1) * p, (rb - 1) * p
+        moves: list[int] = []
+        rpos, right_stop = right_start - 1, right_start + p
+        for lpos in range(left_start, left_start + p):
+            if colours[lpos] > i:
+                rpos = colours.find(i, rpos + 1, right_stop)
+                moves += ids[rpos], rpos, lpos, ids[lpos], lpos, rpos
+                t -= 1
+                if not t:
+                    return moves
+        raise EngineError(f"window [{lb}|{rb}]: not enough agents above colour {i}")
+
+    if spec.kind is not ProblemKind.P3:
+        return ()
+    return _rearrange_to_pattern(cfg, lb, spec) + _rearrange_to_pattern(cfg, rb, spec)
+
+
+def two_colour_step(need: Sequence[int], cap: int, *, blue_colour: int = 1,
+                    frozen: frozenset[int] = frozenset()) -> Step:
+    """The two-colour window step as a Step, for a run whose block b needs
+    ``need[b - 1]`` agents of colour ``blue_colour``."""
+    return partial(_two_colour_moves, need, cap, blue_colour, frozen)
+
+
+def _view_state(left: BlockView, right: BlockView) -> SimpleNamespace:
+    """A stand-in, made from two views of adjacent blocks, for the
+    Configuration a window step reads: its k, p, arrays and the count rows
+    of the two blocks."""
+    p = left.stop - left.start
+    k = len(left.colours) // p
+    if right.index != left.index % k + 1:
+        raise ValueError(f"block {right.index} does not follow block {left.index}")
+    return SimpleNamespace(k=k, p=p, colours=left.colours, ids=left.ids, _positions=left.positions,
+                           _block_counts={left.index - 1: left.counts,
+                                          right.index - 1: right.counts})
+
+
+def _triples(flat: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
+    it = iter(flat)
+    return tuple(zip(it, it, it))
+
+
 def window_step_two_colour(
     left: BlockView,
     right: BlockView,
@@ -246,62 +376,12 @@ def window_step_two_colour(
     (order-preserving), then the t leftmost reds of the left block trade
     positions with the t leftmost blues of the right block, where
     t = min(cap, deficit, blues available on the right).  Agents whose
-    colour is in ``frozen`` keep their exact positions.
+    colour is in ``frozen`` keep their exact positions.  ``right`` must be
+    the block after ``left``; ``run`` steps the same window through
+    ``two_colour_step``, without views.
     """
-
-    deficit = blue_required_left - left.counts[blue_colour - 1]
-    if deficit <= 0:
-        return ()
-    colours, ids = left.colours, left.ids  # the views share their configuration's arrays
-    left_slots = left.positions[left.start:left.stop]
-    right_slots = right.positions[right.start:right.stop]
-    if frozen:
-        left_slots = [x for x in left_slots if colours[x] not in frozen]
-        right_slots = [x for x in right_slots if colours[x] not in frozen]
-    blues_left, reds_left, blues_right, reds_right = [], [], [], []
-    for x in left_slots:
-        (blues_left if colours[x] == blue_colour else reds_left).append(x)
-    for x in right_slots:
-        (blues_right if colours[x] == blue_colour else reds_right).append(x)
-    t = min(cap, deficit, len(blues_right))
-    if len(reds_left) < t:
-        raise EngineError(
-            f"window [{left.index}|{right.index}]: {len(reds_left)} movable reds but t={t}"
-        )
-
-    # Where the agent of each mobile slot comes from, left block then right
-    # block: blues packed before reds, with the t leftmost reds of the left
-    # block traded for the t leftmost blues of the right block.
-    sources = (blues_left + blues_right[:t] + reds_left[t:]
-               + reds_left[:t] + blues_right[t:] + reds_right)
-    return tuple([(ids[src], src, dst) for dst, src
-                  in zip(chain(left_slots, right_slots), sources) if src != dst])
-
-
-def _slots_where(view: BlockView, keep: Callable[[int], bool]) -> Iterator[int]:
-    """Ring positions of ``view``, left to right, whose colour passes ``keep``."""
-    return compress(view.positions[view.start:view.stop],
-                    map(keep, view.colours[view.start:view.stop]))
-
-
-def _rearrange_to_pattern(view: BlockView, spec: RequirementSpec) -> list[tuple[int, int, int]]:
-    """(agent id, from, to) triples that permute a block into its target
-    pattern, order-preserving per colour."""
-    block = view.colours[view.start:view.stop]
-    target = spec.target_colours[view.start:view.stop]
-    if block == target:
-        return []
-    slots = view.positions[view.start:view.stop]
-    queues = {colour: compress(slots, map(colour.__eq__, block)) for colour in set(block)}
-    moves = []
-    for pos, colour in zip(slots, target):
-        src = next(queues.get(colour, iter(())), None)
-        if src is None:
-            raise EngineError(f"block {view.index} cannot form "
-                              f"{spec.patterns[view.index - 1]!r}: colour counts disagree")
-        if src != pos:
-            moves.append((view.ids[src], src, pos))
-    return moves
+    return _triples(_two_colour_moves({left.index - 1: blue_required_left}, cap, blue_colour,
+                                      frozen, _view_state(left, right), left.index))
 
 
 def window_step_q_colour(left: BlockView, right: BlockView,
@@ -314,43 +394,16 @@ def window_step_q_colour(left: BlockView, right: BlockView,
     the right block for the t leftmost higher-coloured agents of the left
     block.  If every constrained colour is correct in both blocks,
     exact-pattern problems rearrange each block into its target pattern.
+    ``right`` must be the block after ``left``.
     """
-    q = spec.q
-    need_left, need_right = spec.columns[left.index - 1], spec.columns[right.index - 1]
-    i = 1
-    while i < q and (
-        left.counts[i - 1] == need_left[i - 1]
-        and right.counts[i - 1] == need_right[i - 1]
-    ):
-        i += 1
-
-    if i < q:
-        deficit = need_left[i - 1] - left.counts[i - 1]
-        if deficit <= 0:
-            return ()
-        t = min(deficit, right.counts[i - 1])
-        if t <= 0:
-            return ()
-        incoming = islice(_slots_where(right, i.__eq__), t)
-        outgoing = list(islice(_slots_where(left, i.__lt__), t))  # colours above i
-        if len(outgoing) < t:
-            raise EngineError(
-                f"window [{left.index}|{right.index}]: not enough agents above colour {i}"
-            )
-        moves = []
-        for rpos, lpos in zip(incoming, outgoing):
-            moves += (right.ids[rpos], rpos, lpos), (left.ids[lpos], lpos, rpos)
-        return tuple(moves)
-
-    if spec.kind is not ProblemKind.P3:
-        return ()
-    return tuple(_rearrange_to_pattern(left, spec) + _rearrange_to_pattern(right, spec))
+    return _triples(_q_colour_moves(spec, _view_state(left, right), left.index))
 
 
 def apply_moves(cfg: Configuration, moves: Iterable[Sequence[int]],
-                pairing: WindowPairing | None = None) -> Configuration:
+                pairing: WindowPairing | int | None = None) -> Configuration:
     """Apply a round's net moves (a MoveSet, or any iterable of triples),
-    refusing collisions and out-of-window moves.
+    refusing collisions and, given the round's pairing or its offset,
+    out-of-window moves.
 
     The per-block counts of the result follow from ``cfg``'s counts and the
     moves that cross a block boundary; every block that no agent enters or
@@ -381,7 +434,8 @@ def apply_moves(cfg: Configuration, moves: Iterable[Sequence[int]],
                 raise EngineError(f"move {m} does not match the agent at its source")
     p = cfg.p
     if pairing is not None:
-        stray = stray_move(moves, pairing.offset, cfg.k, p)
+        offset = pairing if type(pairing) is int else pairing.offset
+        stray = stray_move(moves, offset, cfg.k, p)
         if stray is not None:
             raise EngineError(f"move {stray} leaves its window")
     colours, ids = bytearray(old_colours), old_ids[:]
@@ -403,46 +457,48 @@ def apply_moves(cfg: Configuration, moves: Iterable[Sequence[int]],
     return cfg._successor(bytes(colours), ids, tuple(counts))
 
 
-Step = Callable[[Configuration, int, int], Sequence[tuple[int, int, int]]]
-
-
 def _window_step(inst: Instance) -> Step:
-    """The window step of ``inst`` as a function of (configuration, left
-    block, right block)."""
+    """The window step of ``inst``."""
     spec = inst.spec
     if uses_two_colour_steps(inst):
         row = spec.row(1)
-        cap = min(row)
-        return lambda cfg, lb, rb: window_step_two_colour(
-            cfg.block_view(lb), cfg.block_view(rb), row[lb - 1], cap)
-    return lambda cfg, lb, rb: window_step_q_colour(
-        cfg.block_view(lb), cfg.block_view(rb), spec)
+        return two_colour_step(row, min(row))
+    return partial(_q_colour_moves, spec)
 
 
 def step_round(cfg: Configuration, offset: int, step: Step,
                idle: set[int]) -> tuple[Configuration, MoveSet]:
     """One synchronous round: ``step`` every window of the pairing at
-    ``offset`` whose left block is not in ``idle``, apply all the moves at
-    once and return the next configuration with the moves.
+    ``offset`` whose left block is not in ``idle``, in the order of
+    ``build_pairing(k, offset).pairs``, apply all the moves at once and
+    return the next configuration with the moves.
 
     A window step depends only on its two blocks, so a window that moves
     nothing joins ``idle`` and leaves it when a move touches one of its
     blocks; sharing ``idle`` between the rounds of one step function gives
-    the rounds a fresh empty set would give.
+    the rounds a fresh empty set would give.  The idle windows are passed
+    over in C: a round costs interpreted steps for its moves and the
+    windows it steps only.
     """
-    pairing = build_pairing(cfg.k, offset)
+    k = cfg.k
+    if not 1 <= offset <= k:
+        raise ValueError(f"offset {offset} out of range 1..{k}")
+    # The left blocks offset, offset + 2, ... of the k // 2 windows, those
+    # up to block k and then those past it, wrapped round to block 1 on.
+    stop = offset + k // 2 * 2
+    head = range(offset, min(stop, k + 1), 2)
+    lefts = chain(head, range(offset + 2 * len(head) - k, stop - k, 2))
     flat = array("i")
-    for lb, rb in pairing.pairs:
-        if lb not in idle:
-            window = step(cfg, lb, rb)
-            if window:
-                flat.extend(chain.from_iterable(window))
-            else:
-                idle.add(lb)
+    for lb in filterfalse(idle.__contains__, lefts):
+        window = step(cfg, lb)
+        if window:
+            flat.extend(window)
+        else:
+            idle.add(lb)
     moves = MoveSet(flat)
-    new_cfg = apply_moves(cfg, moves, pairing)
+    new_cfg = apply_moves(cfg, moves, offset)
     if flat:
-        p, k = cfg.p, cfg.k
+        p = cfg.p
         # The moves permute positions, so their sources lie in every block they touch.
         touched = {src // p for src in flat[1::3]}
         # The windows whose left block is 1-based block b + 1, and those whose right block it is.

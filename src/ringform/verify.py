@@ -35,8 +35,8 @@ from .engine import (
     step_round,
     stray_move,
     target_satisfied,
+    two_colour_step,
     uses_two_colour_steps,
-    window_step_two_colour,
     wrap_block,
 )
 
@@ -415,9 +415,9 @@ class _DistanceMonotone(_DistanceChecker):
 
 
 class _DistanceNonincreasing(_DistanceMonotone):
-    """The recorded distance never increases; the verdict is named
-    ``distance_monotone`` too."""
+    """The recorded distance never increases."""
 
+    name = "distance_nonincreasing"
     exact = False
 
 
@@ -617,12 +617,8 @@ def sequential_phase_counts(inst: Instance) -> tuple[tuple[int, ...], ...]:
     max_rounds = default_max_rounds(inst)
     for colour in range(1, inst.q):
         row = inst.spec.row(colour)
-        cap, frozen = min(row), frozenset(range(1, colour))
-
-        def step(state: Configuration, lb: int, rb: int) -> tuple[tuple[int, int, int], ...]:
-            return window_step_two_colour(state.block_view(lb), state.block_view(rb),
-                                          row[lb - 1], cap, blue_colour=colour, frozen=frozen)
-
+        step = two_colour_step(row, min(row), blue_colour=colour,
+                               frozen=frozenset(range(1, colour)))
         idle: set[int] = set()
         rounds = 0
         while any(counts[colour - 1] != need for counts, need in zip(cfg.all_counts(), row)):

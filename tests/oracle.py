@@ -227,10 +227,10 @@ def check_distance_monotone(
     *,
     require_nonnegative: bool = True,
     require_zero_quiescence: bool = True,
+    name: str = "distance_monotone",
 ) -> InvariantVerdict:
     """The recorded distance never increases; for exact problems it also stays
     non-negative and, once zero, no agent moves again."""
-    name = "distance_monotone"
     if run.distances is None:
         return InvariantVerdict(name, False, None, "trace carries no distance values")
     d = run.distances
@@ -449,7 +449,8 @@ def run_checks(run: ReplayedRun, rounds_used: int, terminated: bool,
         "no_wraparound": lambda: check_no_wraparound(run),
         "distance_monotone": lambda: check_distance_monotone(run),
         "distance_nonincreasing": lambda: check_distance_monotone(
-            run, require_nonnegative=False, require_zero_quiescence=False),
+            run, require_nonnegative=False, require_zero_quiescence=False,
+            name="distance_nonincreasing"),
         "distance_decrease": lambda: check_distance_decrease(run, window),
         "cooperativeness": lambda: check_cooperativeness(run),
         "final_condition": lambda: check_final_config(run, terminated),

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from ringform.cli import (
     EXIT_INVALID_INSTANCE,
     EXIT_IO_ERROR,
@@ -65,6 +67,24 @@ def test_run_reports_nontermination_with_zero_budget(tmp_path, capsys):
     assert main(["run", "--instance", str(path), "--max-rounds", "0"]) == EXIT_NO_TERMINATION
     summary = json.loads(capsys.readouterr().out.splitlines()[0])
     assert not summary["terminated"]
+
+
+def main_err(argv, capsys) -> str:
+    """The standard error of a command line that argparse refuses: exit 2
+    and nothing on standard output."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    return captured.err
+
+
+def test_run_rejects_a_negative_round_budget(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    main(["gen", "--kind", "adversarial_half", "--k", "8", "--p", "2", "--out", str(path)])
+    run = ["run", "--instance", str(path), "--max-rounds"]
+    assert "--max-rounds: must be at least 0, got -1" in main_err(run + ["-1"], capsys)
+    assert "--max-rounds: invalid int value: 'x'" in main_err(run + ["x"], capsys)
 
 
 def test_run_handles_malformed_document(tmp_path, capsys):
@@ -204,6 +224,18 @@ def test_bench_adversarial_suite(capsys):
     out = capsys.readouterr().out
     assert "max rounds/bound ratio" in out
     assert "NO" not in out
+
+
+def test_bench_needs_a_seed(capsys):
+    for suite in ("random", "homogeneous", "all"):
+        for seeds in ("0", "-2"):
+            err = main_err(["bench", "--suite", suite, "--seeds", seeds], capsys)
+            assert f"--seeds: must be at least 1, got {seeds}" in err, (suite, seeds)
+            assert "unknown suite" not in err
+    with pytest.raises(ValueError, match="seeds must be at least 1"):
+        run_bench("random", seeds=0)
+    with pytest.raises(ValueError, match="unknown suite 'spiral'"):
+        run_bench("spiral", seeds=1)
 
 
 def test_bench_report_rows(tmp_path):

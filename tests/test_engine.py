@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from ringform.engine import (
 from ringform.generators import (
     gen_adversarial_half,
     gen_homogeneous,
+    gen_p2_random,
     gen_p3_random,
     gen_random,
 )
@@ -93,6 +95,41 @@ def test_pairing_covers_each_block_once():
             assert len(seen) == len(set(seen)) == k - k % 2
             if k % 2:
                 assert unpaired(pairing, k) == engine.wrap_block(offset - 1, k)
+
+
+def test_step_round_steps_the_non_idle_windows_of_the_pairing_in_order():
+    rng = random.Random(9)
+    for k in range(2, 10):
+        cfg = Configuration.from_string("BR" * k, k, 2, 2)
+        for offset in range(1, k + 1):
+            pairs = build_pairing(k, offset).pairs
+            assert all(rb == lb % k + 1 for lb, rb in pairs)  # the right block a step reads
+            for _ in range(6):
+                idle = {b for b in range(1, k + 1) if rng.random() < 0.4}
+                after_idle, stepped = set(idle), []
+                after, moves = step_round(cfg, offset,
+                                          lambda state, lb: stepped.append((state, lb)), after_idle)
+                assert stepped == [(cfg, lb) for lb, _ in pairs if lb not in idle], (k, offset)
+                # A window that moves nothing joins the idle set.
+                assert after_idle == idle | {lb for lb, _ in pairs}
+                assert after is cfg and not moves
+        for offset in (0, k + 1):
+            with pytest.raises(ValueError, match="offset"):
+                step_round(cfg, offset, lambda state, lb: (), set())
+
+
+def test_run_steps_windows_without_views_or_pairings(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the round built a block view or a pairing")
+
+    monkeypatch.setattr(Configuration, "block_view", refuse)
+    monkeypatch.setattr(engine, "build_pairing", refuse)
+    for inst in (gen_adversarial_half(16, 2),  # two-colour step
+                 gen_p2_random(6, 4, 2, 1),  # two-colour step, lower bounds
+                 gen_random(6, 5, 3, 1),  # many-colour step
+                 gen_p3_random(5, 4, 3, 2)):  # many-colour step and pattern rearrangement
+        result = run(inst)
+        assert result.terminated and any(rt.moves for rt in result.trace), inst.provenance
 
 
 # --- role orientation ----------------------------------------------------------
@@ -177,6 +214,17 @@ def test_window_places_incoming_blues_after_resident_blues():
     assert (block_string(after, 1), block_string(after, 2)) == ("BBBR", "RBRR")
     # resident blues keep the lead, the incoming blue follows, red order intact
     assert [a.id for a in after.agents if a.colour == 1] == [1, 3, 4, 5]
+
+
+def test_window_steps_take_adjacent_views_only():
+    cfg = Configuration.from_string("RRBBRRBB", 4, 2, 2)
+    assert window_step_two_colour(cfg.block_view(4), cfg.block_view(1), 1, 1) == ()
+    for left, right in ((1, 3), (2, 1)):
+        views = cfg.block_view(left), cfg.block_view(right)
+        with pytest.raises(ValueError, match=f"block {right} does not follow block {left}"):
+            window_step_two_colour(*views, 1, 1)
+        with pytest.raises(ValueError, match="does not follow"):
+            window_step_q_colour(*views, make_p1("RRBBRRBB", 4, 2, [[1] * 4, [1] * 4]).spec)
 
 
 def test_window_respects_frozen_colours():
@@ -265,11 +313,12 @@ def test_shared_idle_set_gives_the_rounds_of_fresh_sets_for_the_phase_step():
                     frozen = frozenset(range(1, colour))
 
                     def counted(chain):
-                        def step(state, lb, rb):
+                        flat_step = engine.two_colour_step(row, min(row), blue_colour=colour,
+                                                           frozen=frozen)
+
+                        def step(state, lb):
                             calls[chain] += 1
-                            return window_step_two_colour(
-                                state.block_view(lb), state.block_view(rb), row[lb - 1],
-                                min(row), blue_colour=colour, frozen=frozen)
+                            return flat_step(state, lb)
                         return step
 
                     shared_step, fresh_step = counted("shared"), counted("fresh")
@@ -358,9 +407,9 @@ def test_run_p3_reaches_exact_patterns():
 def test_run_does_not_restep_idle_windows(monkeypatch):
     inst = gen_adversarial_half(32, 2)
     calls = []
-    step = engine.window_step_two_colour
-    monkeypatch.setattr(engine, "window_step_two_colour",
-                        lambda *args, **kw: calls.append(args[0].index) or step(*args, **kw))
+    step = engine._two_colour_moves
+    monkeypatch.setattr(engine, "_two_colour_moves",
+                        lambda *args: calls.append(args[-1]) or step(*args))
     result = run(inst)
     assert result.terminated
     # every window of every round would be len(trace) * k/2 steps

@@ -2,8 +2,9 @@
 
 ``agent_step_two_colour`` and ``agent_step_q_colour`` are the window steps
 as first written, over per-slot ``(ring position, Agent)`` tuples.  The
-engine's steps read a block view of the flat colour bytes and id array;
-each pair must give the same moves in the same order.  The other tests
+engine's steps read the flat colour bytes and id array, here through the
+block-view wrappers ``window_step_*``; each pair must give the same moves
+in the same order.  The other tests
 show that a run and its audit build no Agent and keep no Move, that an
 audit keeps a bounded number of configurations alive, and that the window
 arithmetic of ``stray_move`` and the ``no_wraparound`` checker agrees with
@@ -160,6 +161,7 @@ def test_window_steps_match_the_agent_tuple_steps():
     compared = {"two_colour": 0, "q_colour": 0, "frozen": 0}
     for inst in insts:
         spec = inst.spec
+        run_step = engine._window_step(inst)  # what run steps, on the configuration itself
         for cfg, offset in states(inst):
             for lb, rb in engine.build_pairing(inst.k, offset).pairs:
                 views = cfg.block_view(lb), cfg.block_view(rb)
@@ -167,13 +169,14 @@ def test_window_steps_match_the_agent_tuple_steps():
                 if engine.uses_two_colour_steps(inst):
                     row = spec.row(1)
                     args = row[lb - 1], min(row)
-                    assert outcome(engine.window_step_two_colour, *views, *args) \
-                        == outcome(agent_step_two_colour, *old, *args), (inst, cfg, lb)
+                    moves = outcome(engine.window_step_two_colour, *views, *args)
+                    assert moves == outcome(agent_step_two_colour, *old, *args), (inst, cfg, lb)
                     compared["two_colour"] += 1
                 else:
-                    assert outcome(engine.window_step_q_colour, *views, spec) \
-                        == outcome(agent_step_q_colour, *old, spec), (inst, cfg, lb)
+                    moves = outcome(engine.window_step_q_colour, *views, spec)
+                    assert moves == outcome(agent_step_q_colour, *old, spec), (inst, cfg, lb)
                     compared["q_colour"] += 1
+                assert list(run_step(cfg, lb)) == [x for move in moves for x in move]
                 # The two-colour step of every colour, with the phase oracle's
                 # frozen colours and with random ones.
                 for blue in range(1, inst.q):
