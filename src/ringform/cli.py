@@ -137,6 +137,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     report = validate(inst)
+    if report.valid:  # report on the instance that ``run`` executes
+        inst, reversed_roles = _prepare(inst)
     try:
         bound = analysis.theoretical_bound(inst)
     except ValueError:  # a zero colour-1 minimum, which validate reports as an issue
@@ -151,6 +153,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "bound": bound,
         "bound_proven": bound is not None and analysis.bound_is_proven(inst),
     }
+    if report.valid:
+        out["reversed"] = reversed_roles
     if report.extras is not None:
         out["extras"] = report.extras
     if inst.q == 2 or inst.spec.kind is ProblemKind.P2:

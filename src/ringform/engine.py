@@ -796,8 +796,9 @@ def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
         elif rtype == "summary":
             if summary is not None:
                 raise TraceError("a second summary record", no)
-            if "rounds_used" in record and not _is_int(record["rounds_used"]):
-                raise TraceError("summary 'rounds_used' must be an integer", no)
+            if "rounds_used" in record and not (_is_int(record["rounds_used"])
+                                                and record["rounds_used"] >= 0):
+                raise TraceError("summary 'rounds_used' must be a non-negative integer", no)
             if "terminated" in record and not isinstance(record["terminated"], bool):
                 raise TraceError("summary 'terminated' must be true or false", no)
             summary = record

@@ -1,23 +1,22 @@
 """Trace checkers: every structural guarantee of the algorithms, made testable.
 
 An audit is one pass over a trace's rounds.  It replays each round's
-recorded moves with ``engine.apply_moves`` and hands the round, with the
-configurations before and after it, to every checker; no other
-configuration is kept.  A checker keeps O(n + k) state (``quiescence``
-also one byte a round) and stops looking at its first failure.  Its
-:class:`InvariantVerdict`, which names the first offending round and the
-witnesses on failure, is settled once the trace has ended and its summary
-is known.  A stored trace is thus audited post hoc, without re-running
-the engine and without holding its rounds.
+recorded moves with ``engine.apply_moves``, walks a moving round's moves
+once, and checks the round against the state that the named verdicts
+share; no other configuration is kept.  A verdict checked round by round
+stops at its first failure; every verdict, an :class:`InvariantVerdict`
+that names the first offending round and the witnesses on failure, is
+settled once the trace has ended and its summary is known.  A stored
+trace is thus audited post hoc, without re-running the engine and without
+holding its rounds.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress
-from operator import attrgetter
+from operator import itemgetter, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from . import analysis
@@ -25,6 +24,7 @@ from .analysis import BLUE
 from .core import Configuration, Instance, ProblemKind, validate
 from .engine import (
     EngineError,
+    MoveSet,
     RoundTrace,
     RunResult,
     TraceData,
@@ -63,25 +63,71 @@ class ReplayedRun:
     rounds: tuple[RoundTrace, ...]
 
 
-_failure = attrgetter("failure")
-
-
 class _Audit:
-    """One pass over a trace's rounds: the configuration after the rounds
-    fed so far, the distance replayed from their moves, and the checkers."""
+    """One pass over a trace's rounds, keeping only what the named verdicts read.
+
+    Every audit keeps the configuration after the rounds fed so far, one
+    byte a round saying whether it moved an agent, and the distance that
+    two-colour runs replay from the blue counts of each configuration.  The
+    verdicts checked round by round (``safety``, ``order_preserving``,
+    ``suffix_property``, ``no_wraparound``, ``cooperativeness``) keep their
+    first failure and are not checked again; the others are settled at the
+    end of the trace.  A moving round's moves are walked once, in
+    ``_walk``, for the blue ranks that move and the moves that cross a
+    block boundary.
+    """
 
     def __init__(self, inst: Instance, names: Iterable[str]):
-        self.instance, self.k = inst, inst.k
+        self.instance, self.names = inst, tuple(names)
+        self.k, self.p = k, p = inst.k, inst.p
         self.cfg = inst.initial
         self.rounds = 0
-        self.distances_recorded = True  # every round so far records a distance
-        # The distance of two-colour runs, followed through the moves.
+        self.moved = bytearray()  # per round: 1 if it moved an agent
+        self.live = live = set(self.names)  # the named verdicts that have not failed
+        self.failures: dict[str, InvariantVerdict] = {}
+        # The first round after which the target holds, for ``summary``.
+        self.reached = 0 if "summary" in live and target_satisfied(self.cfg, inst) else None
+        # Every round's recorded distance, for the distance verdicts.
+        self.recorded: list[int | None] | None = (
+            [] if live & {"distance_monotone", "distance_nonincreasing", "distance_decrease"}
+            else None)
+        if "cooperativeness" in live and k % 2:
+            self.fail("cooperativeness", None, "only meaningful for an even block count")
         self.distance = self.potential.total if uses_two_colour_steps(inst) else None
-        self.checkers = [_CHECKERS[name](self) for name in names]
-        self.sort_live()
-        # What the trace records, known at its end: see settle.
-        self.rounds_used, self.terminated = 0, False
-        self.summary: Mapping[str, object] = {}
+        self.rank_of: dict[int, int] = {}  # of the blue agents, when a verdict follows them
+        if self.distance is None and not live & {"order_preserving", "suffix_property",
+                                                 "no_wraparound", "cooperativeness"}:
+            return
+        self.origin = self.potential.rename_offset  # the block renamed block 1
+        self.start = (self.origin - 1) * p  # the position renamed position 0
+        if self.distance is not None:
+            self.dest_total = sum(self.potential.dest)
+        if live & {"order_preserving", "cooperativeness"}:
+            # One blue-rank table: ranks in renamed reading order, each with
+            # its renamed position.
+            n, initial = inst.n, inst.initial
+            colours = initial.colours[self.start:] + initial.colours[:self.start]
+            ids = initial.ids[self.start:] + initial.ids[:self.start]
+            self.pos = list(compress(range(n), map(BLUE.__eq__, colours)))
+            self.rank_of = {ids[x]: i for i, x in enumerate(self.pos)}
+        if "suffix_property" in live:
+            self.need = analysis.renamed_row(inst.spec.row(BLUE), self.origin)
+            self.surplus = inst.initial.colour_totals()[BLUE - 1] - sum(self.need)
+            # The extras count of a lower-bound instance, 0 for exact ones.
+            self.allowed = self.surplus if inst.spec.kind is ProblemKind.P2 else 0
+            self.check_prefixes(0, self.renamed_blues(inst.initial))
+        if "cooperativeness" in live:
+            self.classes = analysis.blue_partition(inst).classes
+            self.dest = self.potential.dest
+            self.block = [x // p + 1 for x in self.pos]  # renamed, 1-based
+            self.classes_of: dict[int, list[int]] = {}
+            for class_index, ranks in enumerate(self.classes, start=1):
+                for rank in ranks:
+                    self.classes_of.setdefault(rank - 1, []).append(class_index)
+            self.active: set[int] = set()  # classes switched on, below any stuck one
+            self.pending: set[tuple[int, int]] = set()  # (class, rank) of active ranks off dest
+            # (class, round, rank, block before) of the failure to report
+            self.stuck: tuple[int, int, int, int] | None = None
 
     @cached_property
     def potential(self) -> analysis.DistanceReport:
@@ -90,435 +136,171 @@ class _Audit:
         inst = self.instance
         return analysis.distance_report(inst.initial, inst.spec.row(BLUE))
 
-    def sort_live(self) -> None:
-        """The checkers that have not failed, by the rounds they look at."""
-        live = [c for c in self.checkers if c.failure is None]
-        self.moving = [c for c in live if c.sees != "none"]
-        self.every = [c for c in live if c.sees == "every"]
+    def fail(self, name: str, r: int | None, detail: str) -> None:
+        self.failures[name] = InvariantVerdict(name, False, r, detail)
+        self.live.discard(name)
+
+    def renamed_blues(self, cfg: Configuration) -> list[int]:
+        """The blue count of every block of ``cfg``, from renamed block 1 on."""
+        column = list(map(itemgetter(BLUE - 1), cfg.all_counts()))
+        first = self.origin - 1
+        return column[first:] + column[:first]
 
     def advance(self, rt: RoundTrace) -> None:
-        """Replay round ``rt`` and hand it to every checker that has not
-        failed and looks at it; raises TraceError if its offset lies outside
-        1..k or ``apply_moves`` refuses its moves."""
-        if not 1 <= rt.offset <= self.k:
-            raise TraceError(f"round {rt.index}: offset {rt.offset} outside 1..{self.k}")
+        """Replay round ``rt`` and check it; raises TraceError if its offset
+        lies outside 1..k or ``apply_moves`` refuses its moves."""
+        inst, k, live = self.instance, self.k, self.live
+        if not 1 <= rt.offset <= k:
+            raise TraceError(f"round {rt.index}: offset {rt.offset} outside 1..{k}")
         before = after = self.cfg
-        self.rounds += 1
-        if rt.distance is None:
-            self.distances_recorded = False
-        checkers = self.every
-        if rt.moves.flat:
+        self.rounds = r = self.rounds + 1
+        moves = rt.moves
+        self.moved.append(bool(moves.flat))
+        was: dict[int, int] = {}  # the renamed block before the round of every moved rank
+        if moves.flat:
             try:
-                after = self.cfg = apply_moves(before, rt.moves)
+                after = self.cfg = apply_moves(before, moves)
             except EngineError as exc:
                 raise TraceError(f"round {rt.index}: {exc}") from None
-            if self.distance is not None:
-                self.distance += analysis.distance_change(before, rt.moves,
-                                                          self.potential.rename_offset)
-            checkers = self.moving
-        for checker in checkers:
-            checker.round(self, rt, before, after)
-        if any(map(_failure, checkers)):
-            self.sort_live()
+            if self.distance is not None or "suffix_property" in live:
+                blues = self.renamed_blues(after)
+                if self.distance is not None:
+                    # The renamed blocks of the blue agents, less their destinations.
+                    self.distance = sum(map(mul, blues, range(1, k + 1))) - self.dest_total
+                if "suffix_property" in live:
+                    self.check_prefixes(r, blues)
+            if self.rank_of or "no_wraparound" in live:
+                movers, crossings = self._walk(moves)
+                if "no_wraparound" in live:
+                    self.check_wrap(r, rt.offset, crossings)
+                if movers:
+                    was = self.move_ranks(r, movers, before, after)
+            if self.reached is None and "summary" in live and target_satisfied(after, inst):
+                self.reached = r
+        if "safety" in live:
+            self.check_safety(r, rt, after)
+        if self.recorded is not None:
+            self.recorded.append(rt.distance)
+        if "cooperativeness" in live:
+            self.check_cooperation(r, was)
 
-    def settle(self, rounds_used: int, terminated: bool,
-               summary: Mapping[str, object] | None = None) -> list[InvariantVerdict]:
-        """Every checker's verdict, given the ``rounds_used`` and
-        ``terminated`` that the trace records and its summary.  The replayed
-        distance is recounted from scratch first: a disagreement raises
-        EngineError."""
-        if self.distance is not None:
-            p = self.potential
-            final = analysis.distance(self.cfg, self.instance.spec.row(BLUE),
-                                      p.rename_offset, p.dest).total
-            if final != self.distance:
-                raise EngineError("replayed distance disagrees with a recount of the final state")
-        self.rounds_used, self.terminated = rounds_used, terminated
-        self.summary = summary or {}
-        return [checker.verdict(self) for checker in self.checkers]
+    def _walk(self, moves: MoveSet) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
+        """The blue ranks that move, as (rank, renamed position after), and
+        the moves that cross a block boundary, as (agent id, block before,
+        block after)."""
+        p, n, start, rank_of = self.p, self.instance.n, self.start, self.rank_of
+        movers, crossings = [], []
+        for agent_id, src, dst in moves.triples():
+            if agent_id in rank_of:
+                movers.append((rank_of[agent_id], (dst - start) % n))
+            if src // p != dst // p:
+                crossings.append((agent_id, src // p + 1, dst // p + 1))
+        return movers, crossings
 
-
-# --- individual checkers -------------------------------------------------------
-
-
-class _Checker:
-    """Fed one round at a time until it fails; ``verdict`` settles once the
-    trace has ended."""
-
-    name = ""
-    failure: InvariantVerdict | None = None
-    # The rounds ``round`` looks at: "every" round, only the "moving" rounds
-    # in which an agent moves, or "none".
-    sees = "every"
-
-    def __init__(self, audit: _Audit):
-        """Set up from ``audit``'s instance, before its first round."""
-
-    def fail(self, r: int | None, detail: str) -> None:
-        self.failure = InvariantVerdict(self.name, False, r, detail)
-
-    def round(self, audit: _Audit, rt: RoundTrace, before: Configuration,
-              after: Configuration) -> None:
-        """Check round ``audit.rounds``, which turned ``before`` into ``after``."""
-
-    def verdict(self, audit: _Audit) -> InvariantVerdict:
-        return self.failure or InvariantVerdict(self.name, True)
-
-
-class _Safety(_Checker):
-    """Rounds are numbered 1, 2, ... in order, round r runs at offset
-    ``(r - 1) % k + 1``, moves stay inside their window, and recorded counts
-    and distances match the replayed configurations.
-
-    Replay applies only moves that permute positions and match the ids at
-    their sources, so the colour totals cannot change and are not checked.
-    """
-
-    name = "safety"
-
-    def round(self, audit, rt, before, after):
-        r, k, p, replayed = audit.rounds, after.k, after.p, audit.distance
+    def check_safety(self, r: int, rt: RoundTrace, after: Configuration) -> None:
+        """Rounds are numbered 1, 2, ... in order, round r runs at offset
+        ``(r - 1) % k + 1``, moves stay inside their window, and recorded
+        counts and distances match the replayed configurations.  Replay
+        applies only moves that permute positions and match the ids at their
+        sources, so the colour totals cannot change and are not checked."""
+        k, p = self.k, self.p
         schedule = (r - 1) % k + 1
         if rt.index != r:
-            self.fail(r, f"recorded round number {rt.index}")
+            self.fail("safety", r, f"recorded round number {rt.index}")
         elif rt.offset != schedule:
-            self.fail(r, f"recorded offset {rt.offset}, the schedule gives {schedule}")
+            self.fail("safety", r, f"recorded offset {rt.offset}, the schedule gives {schedule}")
         elif rt.moves.flat and (stray := stray_move(rt.moves, rt.offset, k, p)) is not None:
-            self.fail(r, f"move {stray} leaves its window")
+            self.fail("safety", r, f"move {stray} leaves its window")
         elif after.all_counts() != rt.counts:
-            self.fail(r, "recorded counts disagree with the moves")
-        elif rt.distance != replayed:
-            self.fail(r, f"recorded distance {rt.distance} disagrees with the moves ({replayed})")
+            self.fail("safety", r, "recorded counts disagree with the moves")
+        elif rt.distance != self.distance:
+            self.fail("safety", r, f"recorded distance {rt.distance} disagrees with the moves "
+                                   f"({self.distance})")
 
-
-class _Quiescence(_Checker):
-    """After the target condition holds, the trailing verification rounds
-    (at least k of them) record no moves.
-
-    The recorded ``rounds_used`` that starts the tail comes with the
-    summary, at the end of the trace, so this checker keeps one byte per
-    round: whether it moved an agent.
-    """
-
-    name = "quiescence"
-    sees = "moving"
-
-    def __init__(self, audit):
-        super().__init__(audit)
-        self.moved = bytearray()
-
-    def round(self, audit, rt, before, after):
-        self.moved.extend(bytes(audit.rounds - 1 - len(self.moved)))  # the quiet rounds
-        self.moved.append(1)
-
-    def verdict(self, audit):
-        k = audit.k
-        if not audit.terminated:
-            return InvariantVerdict(self.name, False, None, "run did not terminate")
-        self.moved.extend(bytes(audit.rounds - len(self.moved)))
-        tail = self.moved[audit.rounds_used:]
-        if len(tail) < k:
-            return InvariantVerdict(self.name, False, None,
-                                    f"only {len(tail)} verification rounds, expected {k}")
-        first = tail.find(1)
-        if first >= 0:
-            return InvariantVerdict(self.name, False, audit.rounds_used + 1 + first,
-                                    "agents moved after the target condition held")
-        return InvariantVerdict(self.name, True)
-
-
-class _OrderPreserving(_Checker):
-    """The clockwise ordering of blue agents never changes between rounds.
-
-    Blue ranks are numbered in the ring order of the initial configuration.
-    They keep their cyclic order exactly while one rank i, and only one,
-    sits after rank i + 1 (the last rank after the first, in the initial
-    configuration).  The check follows that count of descents through the
-    moves, looking only at the pairs next to a moved rank, so a round costs
-    O(moves); a failure lists the blue agents in ring order before and after
-    the round, sorted from the ranks' own positions.
-    """
-
-    name = "order_preserving"
-    sees = "moving"
-
-    def __init__(self, audit):
-        super().__init__(audit)
-        initial = audit.instance.initial
-        self.pos = list(compress(range(initial.n), map(BLUE.__eq__, initial.colours)))
-        self.ids = [initial.ids[x] for x in self.pos]  # the agent id of every rank
-        self.rank_of = {agent_id: i for i, agent_id in enumerate(self.ids)}
-
-    def clockwise(self) -> tuple[int, ...]:
-        return tuple(self.ids[i] for i in sorted(range(len(self.pos)), key=self.pos.__getitem__))
-
-    def round(self, audit, rt, before, after):
-        pos, rank_of = self.pos, self.rank_of
-        moved = [(rank_of[agent_id], src, dst) for agent_id, src, dst in rt.moves.triples()
-                 if agent_id in rank_of]
-        if not moved:
+    def check_prefixes(self, r: int, blues: list[int]) -> None:
+        """``suffix_property``: in coordinates renamed from the initial state,
+        every prefix of blocks carries a cumulative blue surplus of at most
+        the extras count and every suffix one of at least 0, given the blue
+        count of every renamed block."""
+        allowed, total, k = self.allowed, self.surplus, self.k
+        prefix = list(accumulate(map(sub, blues, self.need)))
+        if max(prefix) <= min(allowed, total):
             return
-        n_blue = len(pos)
-        pairs = {i for rank, _, _ in moved for i in ((rank - 1) % n_blue, rank)}
-        was = _descents(pos, pairs)
-        for rank, _, dst in moved:
-            pos[rank] = dst
-        if _descents(pos, pairs) != was:
-            became = self.clockwise()
-            for rank, src, _ in moved:
-                pos[rank] = src
-            self.fail(audit.rounds, f"blue order {self.clockwise()} became {became}")
-
-
-def _descents(pos: list[int], ranks: Iterable[int]) -> int:
-    """How many of ``ranks`` sit after the next rank, cyclically."""
-    n = len(pos)
-    return sum(pos[i] > pos[(i + 1) % n] for i in ranks)
-
-
-def _lower_bound_extras(inst: Instance) -> int:
-    if inst.spec.kind is ProblemKind.P2:
-        return inst.initial.colour_totals()[0] - sum(inst.spec.row(BLUE))
-    return 0
-
-
-class _SuffixProperty(_Checker):
-    """In coordinates renamed from the initial state, every prefix of blocks
-    carries a cumulative blue surplus of at most the extras count (0 for
-    exact problems) and every suffix a cumulative surplus of at least 0,
-    after every round.
-
-    The k renamed prefix sums are counted once.  A blue agent moving from
-    renamed block a to b changes the sums of the prefixes ending in blocks
-    a..b-1 (b..a-1 moving left): one sum for a neighbour, all but the last
-    for the renamed wrap.  Only a changed sum can newly break a bound.
-    """
-
-    name = "suffix_property"
-    sees = "moving"
-
-    def __init__(self, audit):
-        super().__init__(audit)
-        inst = audit.instance
-        profile = analysis.surplus_profile(inst.initial, inst.spec.row(BLUE))
-        self.offset = audit.potential.rename_offset
-        self.allowed = _lower_bound_extras(inst)
-        self.total = profile.total
-        # prefix[j]: the surplus of renamed blocks 1..j
-        self.prefix = [0, *accumulate(analysis.renamed_row(profile.y, self.offset))]
-        self.check(0, range(1, inst.k + 1))
-
-    def check(self, r: int, blocks: Iterable[int]) -> None:
-        prefix, allowed, total, k = self.prefix, self.allowed, self.total, len(self.prefix) - 1
-        for j in sorted(blocks):
-            if prefix[j] > allowed:
-                self.fail(r, f"prefix of {j} renamed blocks has surplus {prefix[j]} > {allowed}")
+        for j, surplus in enumerate(prefix, start=1):
+            if surplus > allowed:
+                self.fail("suffix_property", r,
+                          f"prefix of {j} renamed blocks has surplus {surplus} > {allowed}")
                 return
-            if j < k and total - prefix[j] < 0:
-                self.fail(r, f"suffix after {j} renamed blocks has surplus "
-                             f"{total - prefix[j]} < 0")
+            if j < k and total - surplus < 0:
+                self.fail("suffix_property", r,
+                          f"suffix after {j} renamed blocks has surplus {total - surplus} < 0")
                 return
 
-    def round(self, audit, rt, before, after):
-        k, p, offset, prefix = before.k, before.p, self.offset, self.prefix
-        colours = before.colours
-        changed: set[int] = set()
-        for _, src, dst in rt.moves.triples():
-            src_b, dst_b = src // p, dst // p
-            if src_b != dst_b and colours[src] == BLUE:
-                a, b = (src_b + 1 - offset) % k, (dst_b + 1 - offset) % k  # renamed, 0-based
-                low, high, step = (a, b, -1) if a < b else (b, a, 1)
-                for j in range(low + 1, high + 1):
-                    prefix[j] += step
-                    changed.add(j)
-        if changed:
-            self.check(audit.rounds, changed)
-
-
-class _NoWraparound(_Checker):
-    """No agent is ever exchanged inside the window that pairs the renamed
-    last block with the renamed first block."""
-
-    name = "no_wraparound"
-    sees = "moving"
-
-    def __init__(self, audit):
-        super().__init__(audit)
-        self.origin = audit.potential.rename_offset
-        self.last = wrap_block(self.origin - 1, audit.k)
-
-    def round(self, audit, rt, before, after):
-        k, p, last, origin = after.k, after.p, self.last, self.origin
+    def check_wrap(self, r: int, offset: int, crossings: list[tuple[int, int, int]]) -> None:
+        """``no_wraparound``: no agent is ever exchanged inside the window that
+        pairs the renamed last block with the renamed first block."""
+        k, origin = self.k, self.origin
+        last = wrap_block(origin - 1, k)
         # The round pairs (last, origin) when ``last`` is an even number of
         # blocks after the offset, and is not the block an odd k leaves unpaired.
-        left = (last - rt.offset) % k
+        left = (last - offset) % k
         if left % 2 or left == k - 1:
             return
         forbidden = {last, origin}
-        for agent_id, src, dst in rt.moves.triples():
-            src_b, dst_b = src // p + 1, dst // p + 1
-            if src_b != dst_b and {src_b, dst_b} == forbidden:
-                self.fail(audit.rounds,
+        for agent_id, src_b, dst_b in crossings:
+            if {src_b, dst_b} == forbidden:
+                self.fail("no_wraparound", r,
                           f"agent {agent_id} crossed between blocks {last} and {origin}")
                 return
 
+    def move_ranks(self, r: int, movers: list[tuple[int, int]], before: Configuration,
+                   after: Configuration) -> dict[int, int]:
+        """Move the blue ranks and check ``order_preserving``: the clockwise
+        order of blue agents never changes.  Ranks keep their cyclic order
+        exactly while one rank i, and only one, sits after rank i + 1 (the
+        last after the first), so the check recounts those descents only
+        next to a moved rank.  Returns the renamed block before the round
+        of every moved rank, when ``cooperativeness`` follows the blocks."""
+        pos = self.pos
+        order = "order_preserving" in self.live
+        if order:
+            n_blue = len(pos)
+            pairs = [(i, (i + 1) % n_blue) for i in {j for rank, _ in movers
+                                                      for j in ((rank - 1) % n_blue, rank)}]
+            descents = sum(pos[i] > pos[j] for i, j in pairs)
+        for rank, x in movers:
+            pos[rank] = x
+        if order and sum(pos[i] > pos[j] for i, j in pairs) != descents:
+            self.fail("order_preserving", r,
+                      f"blue order {_clockwise(before)} became {_clockwise(after)}")
+        if "cooperativeness" not in self.live:
+            return {}
+        block, p = self.block, self.p
+        was = {}
+        for rank, x in movers:
+            was[rank] = block[rank]
+            block[rank] = x // p + 1
+        return was
 
-class _DistanceChecker(_Checker):
-    """A checker of the recorded distances, of which the replayed initial
-    distance is the first.  Without a distance potential (exact patterns)
-    or with a round that records none, its verdict says so."""
-
-    def verdict(self, audit):
-        if audit.instance.spec.kind is ProblemKind.P3 or not audit.distances_recorded:
-            return InvariantVerdict(self.name, False, None, "trace carries no distance values")
-        return super().verdict(audit)
-
-
-class _DistanceMonotone(_DistanceChecker):
-    """The recorded distance never increases; for exact problems it also
-    stays non-negative and, once zero, no agent moves again.  A rise
-    anywhere is reported before a negative distance, and a negative
-    distance before a move at zero."""
-
-    name = "distance_monotone"
-    exact = True
-
-    def __init__(self, audit):
-        super().__init__(audit)
-        self.negative: InvariantVerdict | None = None
-        self.moved_at_zero: InvariantVerdict | None = None
-        self.previous = audit.potential.total
-        self.zero = self.previous == 0  # some distance so far was 0
-        if self.previous < 0:
-            self.negative = InvariantVerdict(self.name, False, 0, f"distance {self.previous} < 0")
-
-    def round(self, audit, rt, before, after):
-        r, d = audit.rounds, rt.distance
-        if d is None:
-            self.fail(None, "trace carries no distance values")
-        elif d > self.previous:
-            self.fail(r, f"distance rose {self.previous} -> {d}")
-        else:
-            self.previous = d
-            if self.zero and rt.moves.flat and self.moved_at_zero is None:
-                self.moved_at_zero = InvariantVerdict(self.name, False, r,
-                                                      "agents moved after the distance reached 0")
-            if d < 0 and self.negative is None:
-                self.negative = InvariantVerdict(self.name, False, r, f"distance {d} < 0")
-            self.zero = self.zero or d == 0
-
-    def verdict(self, audit):
-        verdict = super().verdict(audit)
-        if verdict.passed and self.exact:
-            return self.negative or self.moved_at_zero or verdict
-        return verdict
-
-
-class _DistanceNonincreasing(_DistanceMonotone):
-    """The recorded distance never increases."""
-
-    name = "distance_nonincreasing"
-    exact = False
-
-
-class _DistanceDecrease(_DistanceChecker):
-    """While positive, the distance drops by at least 1 within a window of
-    2 rounds, 3 for odd k."""
-
-    def __init__(self, audit):
-        self.window = 2 if audit.k % 2 == 0 else 3
-        self.name = f"distance_decrease[{self.window}]"
-        super().__init__(audit)
-        self.recent = deque([audit.potential.total], maxlen=self.window + 1)
-
-    def round(self, audit, rt, before, after):
-        d = rt.distance
-        if d is None:
-            self.fail(None, "trace carries no distance values")
-            return
-        self.recent.append(d)
-        if len(self.recent) > self.window:
-            old = self.recent[0]  # the distance ``window`` rounds ago
-            if old > 0 and d > old - 1:
-                self.fail(audit.rounds - self.window,
-                          f"distance {old} did not drop within {self.window} rounds (still {d})")
-
-
-class _FinalCondition(_Checker):
-    """The run terminated, in a configuration that meets the target."""
-
-    name = "final_condition"
-    sees = "none"
-
-    def verdict(self, audit):
-        if not audit.terminated:
-            return InvariantVerdict(self.name, False, None, "run did not terminate")
-        if not target_satisfied(audit.cfg, audit.instance):
-            return InvariantVerdict(self.name, False, None, f"final configuration "
-                                    f"{audit.cfg.to_string()!r} misses the target")
-        return InvariantVerdict(self.name, True)
-
-
-class _Cooperativeness(_Checker):
-    """From round 2c+2 on, every blue agent of class c either advances one
-    block left each round or already sits in its destination block.
-
-    Blue ranks are numbered in the renamed reading order of the initial
-    configuration and must keep that order in every configuration; an
-    unstable round is reported before any class failure, and otherwise the
-    failure of the lowest class at its first failing round and rank.  The
-    cost is O(moves) per round plus the ranks of the active classes that
-    are not at their destination, each of which must move or fail.
-    """
-
-    name = "cooperativeness"
-
-    def __init__(self, audit):
-        super().__init__(audit)
-        inst = audit.instance
-        if inst.k % 2:
-            self.fail(None, "only meaningful for an even block count")
-            return
-        self.classes = analysis.blue_partition(inst).classes
-        potential = audit.potential
-        self.dest = potential.dest
-        # Renamed position and renamed block of every blue rank (0-based here).
-        n, p = inst.n, inst.p
-        self.start = start = (potential.rename_offset - 1) * p
-        colours, ids = inst.initial.colours, inst.initial.ids
-        self.pos = [x for x in range(n) if colours[(start + x) % n] == BLUE]
-        self.block = [x // p + 1 for x in self.pos]
-        self.rank_of = {ids[(start + x) % n]: i for i, x in enumerate(self.pos)}
-        self.classes_of: dict[int, list[int]] = {}
-        for class_index, ranks in enumerate(self.classes, start=1):
-            for rank in ranks:
-                self.classes_of.setdefault(rank - 1, []).append(class_index)
-        self.active: set[int] = set()               # classes switched on, below any failed one
-        self.pending: set[tuple[int, int]] = set()  # (class, rank) of active ranks off destination
-        self.stuck: tuple[int, int, int, int] | None = None  # (class, round, rank, block before)
-
-    def round(self, audit, rt, before, after):
-        r, n, p = audit.rounds, after.n, after.p
-        pos, block, dest, start = self.pos, self.block, self.dest, self.start
+    def check_cooperation(self, r: int, was: dict[int, int]) -> None:
+        """``cooperativeness``: from round 2c+2 on, every blue agent of class c
+        either advances one block left each round or already sits in its
+        destination block.  Blue ranks must keep their renamed reading order
+        in every configuration; an unstable round is reported before any
+        class failure, and otherwise the failure of the lowest class at its
+        first failing round and rank.  Only active ranks off their
+        destination are looked at, each of which must move or fail."""
+        pos, block, dest = self.pos, self.block, self.dest
         active, pending = self.active, self.pending
-        c = r // 2 - 1  # class c is checked from round 2c + 2 on
+        c = r // 2 - 1  # class c is checked from round 2c + 2 on, from its blocks before it
         if r % 2 == 0 and 1 <= c <= len(self.classes) and self.stuck is None:
             active.add(c)
             pending.update((c, rank - 1) for rank in self.classes[c - 1]
-                           if block[rank - 1] != dest[rank - 1])
-        was: dict[int, int] = {}  # the block before the round of every rank that moved
-        rank_of = self.rank_of
-        for agent_id, _, dst in rt.moves.triples():
-            i = rank_of.get(agent_id)
-            if i is not None:
-                x = (dst - start) % n
-                pos[i] = x
-                was[i] = block[i]
-                block[i] = x // p + 1
+                           if was.get(rank - 1, block[rank - 1]) != dest[rank - 1])
         n_blue = len(pos)
         for i in was:
             if (i and pos[i - 1] >= pos[i]) or (i + 1 < n_blue and pos[i] >= pos[i + 1]):
-                self.fail(r, "blue ranks are not stable")
+                self.fail("cooperativeness", r, "blue ranks are not stable")
                 return
         stuck = [(c, r, i, was.get(i, block[i])) for c, i in pending
                  if block[i] != was.get(i, block[i]) - 1]
@@ -536,71 +318,124 @@ class _Cooperativeness(_Checker):
                     else:
                         pending.add((c, i))
 
-    def verdict(self, audit):
-        if self.failure is None and self.stuck is not None:
-            c, r, i, was = self.stuck
-            return InvariantVerdict(self.name, False, r, f"rank {i + 1} (class {c}) stayed in "
-                                    f"block {was}, destination {self.dest[i]}")
-        return super().verdict(audit)
+    def settle(self, rounds_used: int, terminated: bool,
+               summary: Mapping[str, object] | None = None) -> list[InvariantVerdict]:
+        """The named verdicts, given the ``rounds_used`` and ``terminated``
+        that the trace records and its summary.  The replayed distance is
+        recounted from scratch first: a disagreement raises EngineError."""
+        if self.distance is not None:
+            p = self.potential
+            final = analysis.distance(self.cfg, self.instance.spec.row(BLUE),
+                                      p.rename_offset, p.dest).total
+            if final != self.distance:
+                raise EngineError("replayed distance disagrees with a recount of the final state")
+        return [self.failures.get(name) or self.verdict(name, rounds_used, terminated,
+                                                        summary or {})
+                for name in self.names]
 
+    def verdict(self, name: str, rounds_used: int, terminated: bool,
+                summary: Mapping[str, object]) -> InvariantVerdict:
+        """The verdict ``name`` at the end of the trace, if it has not failed
+        in a round."""
+        inst, k, moved = self.instance, self.k, self.moved
+        if name in ("safety", "order_preserving", "suffix_property", "no_wraparound"):
+            return InvariantVerdict(name, True)
+        if name == "cooperativeness":
+            if self.stuck is not None:
+                c, r, i, was = self.stuck
+                return InvariantVerdict(name, False, r, f"rank {i + 1} (class {c}) stayed in "
+                                        f"block {was}, destination {self.dest[i]}")
+            return InvariantVerdict(name, True)
+        if name in ("quiescence", "final_condition") and not terminated:
+            return InvariantVerdict(name, False, None, "run did not terminate")
+        if name == "quiescence":
+            # After the target condition holds, the trailing verification
+            # rounds (at least k of them) record no moves.
+            tail = moved[rounds_used:]
+            if len(tail) < k:
+                return InvariantVerdict(name, False, None,
+                                        f"only {len(tail)} verification rounds, expected {k}")
+            first = tail.find(1)
+            if first >= 0:
+                return InvariantVerdict(name, False, rounds_used + 1 + first,
+                                        "agents moved after the target condition held")
+            return InvariantVerdict(name, True)
+        if name == "final_condition":
+            # The run terminated, in a configuration that meets the target.
+            if not target_satisfied(self.cfg, inst):
+                return InvariantVerdict(name, False, None, f"final configuration "
+                                        f"{self.cfg.to_string()!r} misses the target")
+            return InvariantVerdict(name, True)
+        if name == "summary":
+            return self.summary_verdict(summary)
+        if name in ("distance_monotone", "distance_nonincreasing", "distance_decrease"):
+            return self.distance_verdict(name)
+        raise ValueError(f"unknown check {name!r}")
 
-class _Summary(_Checker):
-    """A stored trace's summary, and the initial distance of its header,
-    equal what the replay gives: ``rounds_used`` is the first configuration
-    that meets the target (every round if none does), ``terminated`` says
-    that one does and that at least k rounds without moves follow it,
-    ``bound`` is the instance's round bound and ``bound_satisfied`` says
-    that a terminated run stayed within it."""
-
-    name = "summary"
-    sees = "moving"
-
-    def __init__(self, audit):
-        super().__init__(audit)
-        self.reached = 0 if target_satisfied(audit.cfg, audit.instance) else None
-        self.moved_after = False  # an agent moved after the target was reached
-
-    def round(self, audit, rt, before, after):
-        if self.reached is not None:
-            self.moved_after = True
-        elif target_satisfied(after, audit.instance):
-            self.reached = audit.rounds
-
-    def verdict(self, audit):
-        inst, reached = audit.instance, self.reached
-        rounds_used = audit.rounds if reached is None else reached
-        terminated = (reached is not None and audit.rounds - rounds_used >= inst.k
-                      and not self.moved_after)
+    def summary_verdict(self, summary: Mapping[str, object]) -> InvariantVerdict:
+        """A stored trace's summary, and the initial distance of its header,
+        equal what the replay gives: ``rounds_used`` is the first
+        configuration that meets the target (every round if none does),
+        ``terminated`` says that one does and that at least k rounds without
+        moves follow it, ``bound`` is the instance's round bound and
+        ``bound_satisfied`` says that a terminated run stayed within it."""
+        inst, reached, rounds = self.instance, self.reached, self.rounds
+        rounds_used = rounds if reached is None else reached
+        terminated = (reached is not None and rounds - rounds_used >= inst.k
+                      and self.moved.find(1, rounds_used) < 0)
         bound = analysis.theoretical_bound(inst)
         replayed = {
             "rounds_used": rounds_used,
             "terminated": terminated,
             "bound": bound,
             "bound_satisfied": terminated and rounds_used <= bound,
-            "initial_distance": None if audit.distance is None else audit.potential.total,
+            "initial_distance": None if self.distance is None else self.potential.total,
         }
         for key, value in replayed.items():
-            recorded = audit.summary.get(key)
+            recorded = summary.get(key)
             if type(recorded) is not type(value) or recorded != value:
-                return InvariantVerdict(
-                    self.name, False, None,
-                    f"recorded {key} {recorded} disagrees with the replay ({value})")
-        return InvariantVerdict(self.name, True)
+                return InvariantVerdict("summary", False, None,
+                                        f"recorded {key} {recorded} disagrees with the replay "
+                                        f"({value})")
+        return InvariantVerdict("summary", True)
+
+    def distance_verdict(self, name: str) -> InvariantVerdict:
+        """A verdict on the recorded distances, of which the replayed initial
+        distance is the first.  ``distance_nonincreasing``: they never rise.
+        ``distance_monotone`` also wants them non-negative and no move once
+        one is 0; a rise is reported before a negative distance, and that
+        before a move at zero.  ``distance_decrease``: while positive, the
+        distance drops by at least 1 within 2 rounds, 3 for odd k."""
+        window = 2 if self.k % 2 == 0 else 3
+        decrease = name == "distance_decrease"
+        if decrease:
+            name = f"distance_decrease[{window}]"
+        if self.instance.spec.kind is ProblemKind.P3 or None in self.recorded:
+            return InvariantVerdict(name, False, None, "trace carries no distance values")
+        d = [self.potential.total, *self.recorded]
+        if decrease:
+            r = next((r for r in range(len(d) - window) if d[r] > 0 and d[r + window] > d[r] - 1),
+                     None)
+            if r is not None:
+                return InvariantVerdict(name, False, r, f"distance {d[r]} did not drop within "
+                                        f"{window} rounds (still {d[r + window]})")
+            return InvariantVerdict(name, True)
+        r = next((r for r in range(1, len(d)) if d[r] > d[r - 1]), None)
+        if r is not None:
+            return InvariantVerdict(name, False, r, f"distance rose {d[r - 1]} -> {d[r]}")
+        if name == "distance_monotone":
+            r = next((r for r, x in enumerate(d) if x < 0), None)
+            if r is not None:
+                return InvariantVerdict(name, False, r, f"distance {d[r]} < 0")
+            if 0 in d and (first := self.moved.find(1, d.index(0))) >= 0:
+                return InvariantVerdict(name, False, first + 1,
+                                        "agents moved after the distance reached 0")
+        return InvariantVerdict(name, True)
 
 
-_CHECKERS = {
-    "safety": _Safety,
-    "quiescence": _Quiescence,
-    "order_preserving": _OrderPreserving,
-    "suffix_property": _SuffixProperty,
-    "no_wraparound": _NoWraparound,
-    "distance_monotone": _DistanceMonotone,
-    "distance_nonincreasing": _DistanceNonincreasing,
-    "distance_decrease": _DistanceDecrease,
-    "cooperativeness": _Cooperativeness,
-    "final_condition": _FinalCondition,
-    "summary": _Summary,
-}
+def _clockwise(cfg: Configuration) -> tuple[int, ...]:
+    """The ids of the blue agents of ``cfg`` in ring order."""
+    return tuple(compress(cfg.ids, map(BLUE.__eq__, cfg.colours)))
 
 
 # --- sequential phase oracle ----------------------------------------------------
@@ -651,7 +486,7 @@ def replay(instance: Instance, rounds: Iterable[RoundTrace]) -> ReplayedRun:
 
     A round whose offset lies outside 1..k or whose moves ``apply_moves``
     refuses raises TraceError naming the round.  For two-colour runs the
-    distance is followed through the moves and recounted at the end; a
+    distance is replayed round by round and recounted at the end; a
     disagreement raises EngineError.
     """
     rounds = tuple(rounds)
@@ -672,9 +507,9 @@ def replay_trace(data: TraceData) -> ReplayedRun:
 
 def run_checks(run: ReplayedRun, rounds_used: int, terminated: bool,
                names: Sequence[str] | None = None) -> list[InvariantVerdict]:
-    """The named checkers' verdicts (default: all applicable ones), from one
-    pass over the replayed rounds, given the ``rounds_used`` and
-    ``terminated`` that the run records."""
+    """The named verdicts (default: all applicable ones), in the order of
+    ``names``, from one pass over the replayed rounds, given the
+    ``rounds_used`` and ``terminated`` that the run records."""
     audit = _Audit(run.instance, applicable_checks(run.instance) if names is None else names)
     for rt in run.rounds:
         audit.advance(rt)

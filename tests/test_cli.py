@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ringform import analysis
 from ringform.cli import (
     EXIT_INVALID_INSTANCE,
     EXIT_IO_ERROR,
@@ -15,6 +16,7 @@ from ringform.cli import (
     run_bench,
 )
 from ringform.core import parse_instance, validate
+from ringform.engine import orient_roles
 
 INVALID_DOC = """\
 kind: P1
@@ -209,6 +211,24 @@ def test_analyze_reports_surplus_and_bound(tmp_path, capsys):
     assert report["rename_offset"] == 1
     assert report["distance"] == 4
     assert report["bound"] == 16 and report["bound_proven"]
+
+
+def test_analyze_reports_the_oriented_instance_that_run_executes(tmp_path, capsys):
+    # Colour 2 has the smaller total-to-minimum ratio here, so run swaps the roles.
+    path = tmp_path / "inst.txt"
+    main(["gen", "--kind", "random", "--k", "8", "--p", "4", "--seed", "0",
+          "--out", str(path)])
+    capsys.readouterr()
+    assert main(["analyze", "--instance", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert main(["run", "--instance", str(path)]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["reversed"] and report["reversed"]
+    assert report["bound"] == summary["bound"] == 42
+    oriented, _ = orient_roles(parse_instance(path.read_text()))
+    row = oriented.spec.row(1)
+    assert report["surplus"] == list(analysis.surplus_profile(oriented.initial, row).y)
+    assert report["distance"] == analysis.distance_report(oriented.initial, row).total
 
 
 def test_analyze_flags_invalid(tmp_path, capsys):

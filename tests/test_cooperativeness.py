@@ -12,11 +12,11 @@ reading order and then walks every rank of every class in every round.
 the blue agents of every replayed configuration and compares consecutive
 lists up to rotation.  ``scan_suffix_property`` is the suffix checker as
 first written: it sums the renamed prefixes of every replayed
-configuration.  ``verify`` follows the blue ranks and the prefix sums
-through the moves instead; each pair must give the same verdict, including
-which failure they report, on honest traces and on three kinds of tampered
-trace.  The suffix checkers must also agree on the golden cases and on
-every trace of ``faults``.
+configuration.  ``verify`` follows the blue ranks through the moves and
+sums the prefixes from each configuration's count rows instead; each pair
+must give the same verdict, including which failure they report, on
+honest traces and on three kinds of tampered trace.  The suffix checkers
+must also agree on the golden cases and on every trace of ``faults``.
 """
 
 import dataclasses

@@ -685,10 +685,11 @@ def test_read_trace_rejects_malformed_header_and_summary():
     with pytest.raises(TraceError, match="instance document"):
         read_trace(['{"type": "header"}'] + lines[1:])
     summary = json.loads(lines[-1])
-    for field, value in (("rounds_used", "4"), ("terminated", 1)):
-        with pytest.raises(TraceError, match=field):
-            read_trace(lines[:-1] + [json.dumps({**summary, field: value})])
     n = len(lines)
+    for field, value in (("rounds_used", "4"), ("rounds_used", -8), ("terminated", 1)):
+        with pytest.raises(TraceError, match=field) as info:
+            read_trace(lines[:-1] + [json.dumps({**summary, field: value})])
+        assert info.value.line == n
     with pytest.raises(TraceError, match="second header") as info:
         read_trace(lines[:1] + lines)
     assert info.value.line == 2

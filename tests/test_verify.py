@@ -48,6 +48,40 @@ def test_verify_result_covers_many_kinds():
             assert verdict.passed, str(verdict)
 
 
+def test_each_check_alone_gives_its_verdict_in_the_full_audit():
+    traces = [engine.read_trace(io.StringIO(golden_run(name)[1])) for name in sorted(GOLDEN)]
+    traces += faults.fault_traces().values()
+    for data in traces:
+        full = verify.verify_trace(data)
+        names = verify.applicable_checks(data.instance)
+        assert [v.name.split("[")[0] for v in full] == [*names, "summary"]
+        run = verify.replay_trace(data)
+        used = data.summary.get("rounds_used", len(data.rounds))
+        terminated = data.summary.get("terminated", False)
+        alone = [verify.run_checks(run, used, terminated, [name])[0] for name in names]
+        assert alone == full[:-1], data.instance.provenance
+        assert verify.run_checks(run, used, terminated, names[::-1]) == alone[::-1]
+
+
+def test_an_audit_builds_only_what_a_named_verdict_reads(monkeypatch):
+    many_colour = engine.run(gen_random(5, 4, 3, 2))
+    two_colour = engine.run(gen_adversarial_half(8, 2))
+    replayed = replay_result(two_colour)
+
+    def refuse(*args):
+        raise AssertionError("built for a verdict that is not named")
+
+    # A many-colour audit needs no distance potential and no blue ranks.
+    monkeypatch.setattr(analysis, "distance_report", refuse)
+    assert all(v.passed for v in verify.verify_result(many_colour))
+    monkeypatch.undo()
+    # Only cooperativeness reads the class partition.
+    monkeypatch.setattr(analysis, "blue_partition", refuse)
+    for name in verify.applicable_checks(two_colour.instance):
+        if name != "cooperativeness":
+            assert verdict_of(replayed, name, two_colour.rounds_used, True).passed, name
+
+
 def test_checkers_are_pure(small_run):
     _, result, replayed = small_run
     first = verify.run_checks(replayed, result.rounds_used, result.terminated)
