@@ -11,13 +11,10 @@ round-count bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from typing import TYPE_CHECKING, Sequence
+from operator import itemgetter, mul
+from typing import Sequence
 
 from .core import Configuration, Instance, ProblemKind
-
-if TYPE_CHECKING:
-    from .engine import MoveSet
 
 BLUE = 1  # the tracked colour; roles are swapped before a run, never here
 
@@ -42,7 +39,7 @@ class SurplusProfile:
 class DistanceReport:
     rename_offset: int
     dest: tuple[int, ...]
-    displacement: tuple[int, ...]
+    blues: tuple[int, ...]  # the blue count of every block, from renamed block 1 on
     total: int
 
 
@@ -102,50 +99,24 @@ def destinations(n_blue: int, requirement_row: Sequence[int]) -> tuple[int, ...]
     return tuple(dest)
 
 
-def blue_scan(cfg: Configuration, offset: int) -> tuple[tuple[int, int], ...]:
-    """Blue agents in renamed reading order as (renamed block, agent id) pairs."""
-    p = cfg.p
-    start = (offset - 1) * p
-    colours = cfg.colours[start:] + cfg.colours[:start]
-    ids = cfg.ids[start:] + cfg.ids[:start]
-    return tuple((x // p + 1, ids[x])
-                 for x in compress(range(cfg.n), map(BLUE.__eq__, colours)))
-
-
 def distance(cfg: Configuration, requirement_row: Sequence[int], offset: int,
              dest: Sequence[int]) -> DistanceReport:
-    """Sum of displacements of all blue agents in renamed coordinates.
+    """The distance potential that certifies termination, in renamed coordinates.
 
     The rank-``i`` blue agent sitting in renamed block ``j`` contributes
-    ``j - dest[i]``; the total is the potential that certifies termination.
+    ``j - dest[i]``.  Summed over the agents, that is every renamed block
+    ``j`` times its blue count, less the sum of the destinations, so only
+    the per-block counts are read; ``dest`` carries ``requirement_row``.
     """
-    scan = blue_scan(cfg, offset)
-    if len(scan) != len(dest):
-        raise ValueError(f"{len(scan)} blue agents but {len(dest)} destinations")
-    displacement = tuple(block - dest[i] for i, (block, _) in enumerate(scan))
+    blues = renamed_row(tuple(map(itemgetter(BLUE - 1), cfg.all_counts())), offset)
+    if sum(blues) != len(dest):
+        raise ValueError(f"{sum(blues)} blue agents but {len(dest)} destinations")
     return DistanceReport(
         rename_offset=offset,
         dest=tuple(dest),
-        displacement=displacement,
-        total=sum(displacement),
+        blues=blues,
+        total=sum(map(mul, blues, range(1, len(blues) + 1))) - sum(dest),
     )
-
-
-def distance_change(cfg: Configuration, moves: MoveSet, offset: int) -> int:
-    """Change of the distance potential when ``moves`` are applied to ``cfg``.
-
-    The destinations sum to a constant (they depend only on the blue total
-    and the requirement row), so the distance is the sum of the renamed
-    blocks of all blue agents minus that constant.  Only a blue agent that
-    changes block changes it, by the change of its renamed block.
-    """
-    k, p, colours = cfg.k, cfg.p, cfg.colours
-    change = 0
-    for _, src, dst in moves.triples():
-        src_b, dst_b = src // p + 1, dst // p + 1
-        if src_b != dst_b and colours[src] == BLUE:
-            change += (dst_b - offset) % k - (src_b - offset) % k  # of the renamed blocks
-    return change
 
 
 def distance_report(cfg: Configuration, requirement_row: Sequence[int]) -> DistanceReport:

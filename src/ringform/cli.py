@@ -157,7 +157,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         out["reversed"] = reversed_roles
     if report.extras is not None:
         out["extras"] = report.extras
-    if inst.q == 2 or inst.spec.kind is ProblemKind.P2:
+    if engine.uses_two_colour_steps(inst):  # the instances whose runs track a distance
         row = inst.spec.row(1)
         profile = analysis.surplus_profile(inst.initial, row)
         out["surplus"] = list(profile.y)

@@ -14,7 +14,7 @@ every window in parallel:
   colours are locally correct rearranges blocks into their target
   patterns when the problem asks for exact patterns.
 
-All moves of a round are net displacements applied in one synchronous
+All moves of a round are net position changes applied in one synchronous
 step; the engine refuses to apply colliding or out-of-window move sets.
 """
 
@@ -67,7 +67,7 @@ class TraceError(ValueError):
 
 
 class Move(NamedTuple):
-    """One agent's net displacement in a round: a named tuple, so
+    """One agent's net move in a round: a named tuple, so
     ``Move(7, 2, 5) == (7, 2, 5)``."""
 
     agent_id: int
@@ -525,6 +525,14 @@ def target_satisfied(cfg: Configuration, inst: Instance) -> bool:
     return cfg.all_counts() == spec.columns
 
 
+def check_counts(cfg: Configuration, kept_by: str) -> None:
+    """Raise EngineError unless the block counts that ``cfg`` carries, kept
+    from round to round by ``apply_moves``, equal a recount of its colours."""
+    recount = Configuration._flat(cfg.colours, cfg.ids, cfg.k, cfg.p, cfg.q)
+    if recount.all_counts() != cfg.all_counts():
+        raise EngineError(f"block counts kept across the {kept_by} disagree with a recount")
+
+
 def run(inst: Instance, max_rounds: int | None = None) -> RunResult:
     """Drive rounds until the target holds, then observe quiescence.
 
@@ -536,8 +544,10 @@ def run(inst: Instance, max_rounds: int | None = None) -> RunResult:
 
     The rounds are those of a chain of ``execute_round`` calls, at a cost
     that follows the moves rather than the ring size: ``step_round`` keeps
-    one idle set across the run, and the distance potential is updated
-    from the blue agents that change block.
+    one idle set across the run, and the distance potential is computed
+    from the blue count row after each round that moves an agent.  The
+    block counts kept from round to round are recounted from the colours
+    at the end; a disagreement raises EngineError.
     """
     report = validate(inst)
     if not report.valid:
@@ -566,8 +576,9 @@ def run(inst: Instance, max_rounds: int | None = None) -> RunResult:
         nonlocal distance
         offset = len(rounds) % k + 1
         new_cfg, moves = step_round(cfg, offset, step, idle)
-        if two_colour:
-            distance += analysis.distance_change(cfg, moves, potential.rename_offset)
+        if two_colour and moves:
+            distance = analysis.distance(new_cfg, row, potential.rename_offset,
+                                         potential.dest).total
         rounds.append(RoundTrace(index=len(rounds) + 1, offset=offset, moves=moves,
                                  counts=new_cfg.all_counts(), distance=distance,
                                  checks=ROUND_CHECKS))
@@ -583,13 +594,7 @@ def run(inst: Instance, max_rounds: int | None = None) -> RunResult:
             cfg = advance(cfg)
         terminated = not any(rt.moves for rt in rounds[rounds_used:])
 
-    recount = Configuration._flat(cfg.colours, cfg.ids, cfg.k, cfg.p, cfg.q)
-    if recount.all_counts() != cfg.all_counts():
-        raise EngineError("block counts kept across the run disagree with a recount")
-    if two_colour and analysis.distance(recount, row, potential.rename_offset,
-                                        potential.dest).total != distance:
-        raise EngineError("distance kept across the run disagrees with a recount")
-
+    check_counts(cfg, "run")
     return RunResult(
         terminated=terminated,
         rounds_used=rounds_used,
@@ -747,10 +752,10 @@ def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
     its record stands in the file.  A byte line that is not UTF-8, a line
     that is not a JSON object, a record of unknown type, a header without
     an instance document or of another format, a malformed round or
-    summary record, a second header or summary and a missing header all
-    raise :class:`TraceError`, with the file line when there is one, once
-    the reader reaches that line; a malformed embedded instance raises
-    :class:`InstanceFormatError`.
+    summary record, a second header or summary, a round record before the
+    header and a missing header all raise :class:`TraceError`, with the
+    file line when there is one, once the reader reaches that line; a
+    malformed embedded instance raises :class:`InstanceFormatError`.
     """
     header: dict | None = None
     summary: dict | None = None
@@ -789,7 +794,7 @@ def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
             yield instance
         elif rtype == "round":
             if header is None:
-                raise TraceError("trace has no header record")
+                raise TraceError("round record before the header record", no)
             rt = _round_from_record(record, no, counts, instance.q, header["format"])
             counts = rt.counts
             yield rt

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import Configuration, Instance, RequirementSpec, colour_symbols
+from .core import MAX_COLOURS, Configuration, Instance, RequirementSpec, colour_symbols
 
 GENERATOR_VERSION = "py-mt19937-v1"
 
@@ -55,6 +55,8 @@ def _check_geometry(k: int, p: int, q: int) -> None:
         raise GeneratorError(f"need at least two blocks, got k={k}")
     if q < 2:
         raise GeneratorError(f"need at least two colours, got q={q}")
+    if q > MAX_COLOURS:
+        raise GeneratorError(f"at most {MAX_COLOURS} colours supported, got q={q}")
     if p < 1:
         raise GeneratorError(f"block length must be positive, got p={p}")
 

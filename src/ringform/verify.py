@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress
-from operator import itemgetter, mul, sub
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from . import analysis
@@ -30,6 +30,7 @@ from .engine import (
     TraceData,
     TraceError,
     apply_moves,
+    check_counts,
     default_max_rounds,
     run_summary,
     step_round,
@@ -68,8 +69,8 @@ class _Audit:
 
     Every audit keeps the configuration after the rounds fed so far, one
     byte a round saying whether it moved an agent, and the distance that
-    two-colour runs replay from the blue counts of each configuration.  The
-    verdicts checked round by round (``safety``, ``order_preserving``,
+    two-colour runs replay from the blue count row of each configuration.
+    The verdicts checked round by round (``safety``, ``order_preserving``,
     ``suffix_property``, ``no_wraparound``, ``cooperativeness``) keep their
     first failure and are not checked again; the others are settled at the
     end of the trace.  A moving round's moves are walked once, in
@@ -100,8 +101,7 @@ class _Audit:
             return
         self.origin = self.potential.rename_offset  # the block renamed block 1
         self.start = (self.origin - 1) * p  # the position renamed position 0
-        if self.distance is not None:
-            self.dest_total = sum(self.potential.dest)
+        self.dest = self.potential.dest
         if live & {"order_preserving", "cooperativeness"}:
             # One blue-rank table: ranks in renamed reading order, each with
             # its renamed position.
@@ -115,10 +115,9 @@ class _Audit:
             self.surplus = inst.initial.colour_totals()[BLUE - 1] - sum(self.need)
             # The extras count of a lower-bound instance, 0 for exact ones.
             self.allowed = self.surplus if inst.spec.kind is ProblemKind.P2 else 0
-            self.check_prefixes(0, self.renamed_blues(inst.initial))
+            self.check_prefixes(0, self.potential.blues)
         if "cooperativeness" in live:
             self.classes = analysis.blue_partition(inst).classes
-            self.dest = self.potential.dest
             self.block = [x // p + 1 for x in self.pos]  # renamed, 1-based
             self.classes_of: dict[int, list[int]] = {}
             for class_index, ranks in enumerate(self.classes, start=1):
@@ -140,12 +139,6 @@ class _Audit:
         self.failures[name] = InvariantVerdict(name, False, r, detail)
         self.live.discard(name)
 
-    def renamed_blues(self, cfg: Configuration) -> list[int]:
-        """The blue count of every block of ``cfg``, from renamed block 1 on."""
-        column = list(map(itemgetter(BLUE - 1), cfg.all_counts()))
-        first = self.origin - 1
-        return column[first:] + column[:first]
-
     def advance(self, rt: RoundTrace) -> None:
         """Replay round ``rt`` and check it; raises TraceError if its offset
         lies outside 1..k or ``apply_moves`` refuses its moves."""
@@ -163,12 +156,11 @@ class _Audit:
             except EngineError as exc:
                 raise TraceError(f"round {rt.index}: {exc}") from None
             if self.distance is not None or "suffix_property" in live:
-                blues = self.renamed_blues(after)
+                report = analysis.distance(after, inst.spec.row(BLUE), self.origin, self.dest)
                 if self.distance is not None:
-                    # The renamed blocks of the blue agents, less their destinations.
-                    self.distance = sum(map(mul, blues, range(1, k + 1))) - self.dest_total
+                    self.distance = report.total
                 if "suffix_property" in live:
-                    self.check_prefixes(r, blues)
+                    self.check_prefixes(r, report.blues)
             if self.rank_of or "no_wraparound" in live:
                 movers, crossings = self._walk(moves)
                 if "no_wraparound" in live:
@@ -217,7 +209,7 @@ class _Audit:
             self.fail("safety", r, f"recorded distance {rt.distance} disagrees with the moves "
                                    f"({self.distance})")
 
-    def check_prefixes(self, r: int, blues: list[int]) -> None:
+    def check_prefixes(self, r: int, blues: Sequence[int]) -> None:
         """``suffix_property``: in coordinates renamed from the initial state,
         every prefix of blocks carries a cumulative blue surplus of at most
         the extras count and every suffix one of at least 0, given the blue
@@ -321,14 +313,10 @@ class _Audit:
     def settle(self, rounds_used: int, terminated: bool,
                summary: Mapping[str, object] | None = None) -> list[InvariantVerdict]:
         """The named verdicts, given the ``rounds_used`` and ``terminated``
-        that the trace records and its summary.  The replayed distance is
-        recounted from scratch first: a disagreement raises EngineError."""
-        if self.distance is not None:
-            p = self.potential
-            final = analysis.distance(self.cfg, self.instance.spec.row(BLUE),
-                                      p.rename_offset, p.dest).total
-            if final != self.distance:
-                raise EngineError("replayed distance disagrees with a recount of the final state")
+        that the trace records and its summary.  The block counts kept
+        across the replay, from which the distance follows, are recounted
+        from the colours first: a disagreement raises EngineError."""
+        check_counts(self.cfg, "replay")
         return [self.failures.get(name) or self.verdict(name, rounds_used, terminated,
                                                         summary or {})
                 for name in self.names]
@@ -485,9 +473,10 @@ def replay(instance: Instance, rounds: Iterable[RoundTrace]) -> ReplayedRun:
     """Check that the recorded moves replay from ``instance``.
 
     A round whose offset lies outside 1..k or whose moves ``apply_moves``
-    refuses raises TraceError naming the round.  For two-colour runs the
-    distance is replayed round by round and recounted at the end; a
-    disagreement raises EngineError.
+    refuses raises TraceError naming the round.  The block counts kept
+    across the rounds, from which a two-colour run's distance follows, are
+    recounted from the colours at the end; a disagreement raises
+    EngineError.
     """
     rounds = tuple(rounds)
     audit = _Audit(instance, ())

@@ -15,6 +15,7 @@ from ringform.analysis import BLUE
 from ringform.core import Configuration, Instance, ProblemKind, validate
 from ringform.engine import (
     EngineError,
+    MoveSet,
     RoundTrace,
     RunResult,
     TraceData,
@@ -26,6 +27,34 @@ from ringform.engine import (
     wrap_block,
 )
 from ringform.verify import InvariantVerdict, applicable_checks
+
+
+def blue_scan(cfg: Configuration, offset: int) -> tuple[tuple[int, int], ...]:
+    """Blue agents in renamed reading order as (renamed block, agent id) pairs."""
+    p = cfg.p
+    start = (offset - 1) * p
+    colours = cfg.colours[start:] + cfg.colours[:start]
+    ids = cfg.ids[start:] + cfg.ids[:start]
+    return tuple((x // p + 1, ids[x])
+                 for x in compress(range(cfg.n), map(BLUE.__eq__, colours)))
+
+
+def distance_change(cfg: Configuration, moves: MoveSet, offset: int) -> int:
+    """Change of the distance potential when ``moves`` are applied to ``cfg``.
+
+    The destinations sum to a constant (they depend only on the blue total
+    and the requirement row), so the distance is the sum of the renamed
+    blocks of all blue agents minus that constant.  Only a blue agent that
+    changes block changes it, by the change of its renamed block.
+    """
+    k, p, colours = cfg.k, cfg.p, cfg.colours
+    change = 0
+    for _, src, dst in moves.triples():
+        src_b, dst_b = src // p + 1, dst // p + 1
+        if src_b != dst_b and colours[src] == BLUE:
+            change += (dst_b - offset) % k - (src_b - offset) % k  # of the renamed blocks
+    return change
+
 
 @dataclass(frozen=True)
 class ReplayedRun:
@@ -72,8 +101,7 @@ def replay(instance: Instance, rounds: Sequence[RoundTrace]) -> ReplayedRun:
     if two_colour:
         values = [report.total]
         for cfg, rt in zip(configs, rounds):
-            values.append(values[-1] + analysis.distance_change(cfg, rt.moves,
-                                                                report.rename_offset))
+            values.append(values[-1] + distance_change(cfg, rt.moves, report.rename_offset))
         final = analysis.distance(configs[-1], row, report.rename_offset, report.dest).total
         if final != values[-1]:
             raise EngineError("replayed distance disagrees with a recount of the final state")

@@ -102,12 +102,14 @@ def test_destinations_monotone_and_extras():
 
 def test_distance_examples():
     report = distance(cfg_of("RRBB", 2, 2), (1, 1), 1, destinations(2, (1, 1)))
-    assert report.displacement == (1, 0)
+    assert report.blues == (0, 2)
     assert report.total == 1
     assert distance_report(cfg_of("BRRB", 2, 2), (1, 1)).total == 0
     big = distance_report(cfg_of("RRRRBBBB", 4, 2), (1, 1, 1, 1))
     assert big.total == 4
-    assert big.displacement == (2, 1, 1, 0)
+    assert big.blues == (0, 0, 2, 2)
+    with pytest.raises(ValueError, match="2 blue agents but 1 destinations"):
+        distance(cfg_of("RRBB", 2, 2), (1, 1), 1, (2,))
 
 
 def test_prefix_nonpositive_suffix_nonnegative_on_renamed_start():

@@ -55,6 +55,15 @@ def test_gen_writes_to_stdout_without_out(capsys):
     assert parse_instance(doc).initial.to_string() == "RRRRBBBB"
 
 
+def test_gen_refuses_more_colours_than_symbols(capsys):
+    for kind in ("random", "p2_random", "p3_random"):
+        argv = ["gen", "--kind", kind, "--k", "4", "--p", "40", "--q", "36"]
+        assert main(argv) == EXIT_INVALID_INSTANCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: at most 35 colours supported, got q=36\n"
+
+
 def test_run_rejects_invalid_instance(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text(INVALID_DOC)
@@ -181,6 +190,9 @@ def test_verify_trace_without_header_or_with_unknown_record(tmp_path, capsys):
     lines = _stored_trace(tmp_path, capsys)
     code, _, err = _verify_lines(tmp_path, capsys, lines[1:])
     assert code == EXIT_VERIFICATION_FAILED
+    assert err.strip() == "invalid trace: line 1: round record before the header record"
+    code, _, err = _verify_lines(tmp_path, capsys, lines[-1:])
+    assert code == EXIT_VERIFICATION_FAILED
     assert err.strip() == "invalid trace: trace has no header record"
     code, _, err = _verify_lines(tmp_path, capsys, lines + ['{"type": "footer"}'])
     assert code == EXIT_VERIFICATION_FAILED
@@ -229,6 +241,20 @@ def test_analyze_reports_the_oriented_instance_that_run_executes(tmp_path, capsy
     row = oriented.spec.row(1)
     assert report["surplus"] == list(analysis.surplus_profile(oriented.initial, row).y)
     assert report["distance"] == analysis.distance_report(oriented.initial, row).total
+
+
+def test_analyze_reports_a_distance_only_where_run_tracks_one(tmp_path, capsys):
+    # Exact patterns run the many-colour step even with two colours.
+    path = tmp_path / "p3.txt"
+    path.write_text("kind: P3\nk: 3\np: 2\nq: 2\nconfig: BRBRRB\npatterns:\n  BR\n  BR\n  RB\n")
+    trace_path = tmp_path / "trace.jsonl"
+    assert main(["analyze", "--instance", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] and report["q"] == 2
+    assert not {"surplus", "rename_offset", "distance"} & report.keys()
+    assert main(["run", "--instance", str(path), "--trace", str(trace_path)]) == EXIT_OK
+    header = json.loads(trace_path.read_text().splitlines()[0])
+    assert header["initial_distance"] is None
 
 
 def test_analyze_flags_invalid(tmp_path, capsys):

@@ -49,7 +49,7 @@ def scan_cooperativeness(run, partition=None):
     n_blue = inst.initial.colour_totals()[0]
     dest = analysis.destinations(n_blue, analysis.renamed_row(row, offset))
 
-    scans = [analysis.blue_scan(cfg, offset) for cfg in run.configs]
+    scans = [oracle.blue_scan(cfg, offset) for cfg in run.configs]
     ids0 = tuple(agent_id for _, agent_id in scans[0])
     for r, scan in enumerate(scans):
         if tuple(agent_id for _, agent_id in scan) != ids0:
@@ -152,7 +152,7 @@ def injected_cycle(inst, result, j, rng):
     offset = result.trace[j - 1].offset
     p = inst.p
     origin = analysis.rename_offset(analysis.surplus_profile(inst.initial, inst.spec.row(BLUE)))
-    ids = [agent_id for _, agent_id in analysis.blue_scan(cfg, origin)]
+    ids = [agent_id for _, agent_id in oracle.blue_scan(cfg, origin)]
     active = {ids[rank - 1]
               for c, ranks in enumerate(analysis.blue_partition(inst).classes, start=1)
               if 2 * c + 2 <= j + 1 for rank in ranks}

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ringform import analysis, core, engine, verify
+from ringform import core, engine, verify
 from ringform.cli import EXIT_VERIFICATION_FAILED, main
 from ringform.core import Configuration, ProblemKind
 from ringform.engine import (
@@ -429,17 +429,12 @@ def test_apply_moves_shares_unchanged_count_rows():
 
 def test_run_recounts_the_final_state(monkeypatch):
     inst = gen_adversarial_half(8, 2)
-    with monkeypatch.context() as patch:
-        patch.setattr(analysis, "distance_change", lambda cfg, moves, offset: 0)
-        with pytest.raises(EngineError, match="distance"):
-            run(inst)
-    with monkeypatch.context() as patch:
-        successor = core.Configuration._successor
-        patch.setattr(core.Configuration, "_successor",
-                      lambda self, colours, ids, counts: successor(self, colours, ids,
-                                                                   self.all_counts()))
-        with pytest.raises(EngineError, match="block counts"):
-            run(inst, max_rounds=5)
+    successor = core.Configuration._successor
+    monkeypatch.setattr(core.Configuration, "_successor",
+                        lambda self, colours, ids, counts: successor(self, colours, ids,
+                                                                     self.all_counts()))
+    with pytest.raises(EngineError, match="block counts kept across the run disagree"):
+        run(inst, max_rounds=5)
 
 
 # --- safety guards ---------------------------------------------------------------
@@ -679,9 +674,13 @@ def test_read_trace_names_the_line_of_a_malformed_round(version, mangle, message
 
 def test_read_trace_rejects_malformed_header_and_summary():
     lines = _honest_trace_lines()
-    with pytest.raises(TraceError, match="no header") as info:
+    with pytest.raises(TraceError, match="round record before the header record") as info:
         read_trace(lines[1:])
-    assert info.value.line is None
+    assert info.value.line == 1
+    for headless in (lines[-1:], []):  # a file that ends with no header names no line
+        with pytest.raises(TraceError, match="no header") as info:
+            read_trace(headless)
+        assert info.value.line is None
     with pytest.raises(TraceError, match="instance document"):
         read_trace(['{"type": "header"}'] + lines[1:])
     summary = json.loads(lines[-1])

@@ -112,3 +112,6 @@ def test_generate_dispatch_and_provenance():
         generate(GenSpec(kind="mystery", k=2, p=2))
     with pytest.raises(GeneratorError):
         generate(GenSpec(kind="homogeneous", k=2, p=2))  # m missing
+    for kind in ("random", "p2_random", "p3_random"):  # more colours than symbols
+        with pytest.raises(GeneratorError, match="at most 35 colours supported, got q=36"):
+            generate(GenSpec(kind=kind, k=4, p=40, q=36))

@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from ringform import analysis, engine, verify
-from ringform.engine import Move, RoundTrace
+from ringform import analysis, core, engine, verify
+from ringform.engine import EngineError, Move, RoundTrace
 from ringform.generators import gen_adversarial_half, gen_p2_random, gen_random
 from ringform.verify import TraceError, replay, replay_result, sequential_phase_counts
 
@@ -272,6 +272,21 @@ def test_replayed_distances_match_a_recount():
     many_colour = engine.run(gen_random(4, 4, 3, 1))
     assert verdict_of(replay_result(many_colour), "safety").passed
     assert {rt.distance for rt in many_colour.trace} == {None}
+
+
+def test_the_audit_recounts_the_final_state(monkeypatch):
+    # Stale count rows in the replay would go unseen without the final recount.
+    buffer = io.StringIO()
+    engine.write_trace(engine.run(gen_adversarial_half(8, 2)), buffer)
+    trace = engine.read_trace(io.StringIO(buffer.getvalue()))
+    assert all(v.passed for v in verify.verify_trace(trace))
+    successor = core.Configuration._successor
+    monkeypatch.setattr(core.Configuration, "_successor",
+                        lambda self, colours, ids, counts: successor(self, colours, ids,
+                                                                     self.all_counts()))
+    with pytest.raises(EngineError, match="block counts kept across the replay disagree "
+                                          "with a recount"):
+        verify.verify_trace(trace)
 
 
 def test_replay_rejects_offsets_outside_the_ring():
