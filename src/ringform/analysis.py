@@ -99,24 +99,36 @@ def destinations(n_blue: int, requirement_row: Sequence[int]) -> tuple[int, ...]
     return tuple(dest)
 
 
+def renamed_blues(cfg: Configuration, offset: int) -> tuple[int, ...]:
+    """The blue count of every block of ``cfg``, from renamed block 1
+    (block ``offset``) on, read from the count rows."""
+    return renamed_row(tuple(map(itemgetter(BLUE - 1), cfg.all_counts())), offset)
+
+
+def distance_total(blues: Sequence[int], n_blue: int, dest_total: int) -> int:
+    """The distance potential of a configuration whose renamed blocks hold
+    ``blues`` blue agents: every renamed block j times its blue count, less
+    ``dest_total``, the sum of the destinations of the ``n_blue`` blue
+    ranks.  Raises ValueError when the blue counts do not add up to
+    ``n_blue``."""
+    if sum(blues) != n_blue:
+        raise ValueError(f"{sum(blues)} blue agents but {n_blue} destinations")
+    return sum(map(mul, blues, range(1, len(blues) + 1))) - dest_total
+
+
 def distance(cfg: Configuration, requirement_row: Sequence[int], offset: int,
              dest: Sequence[int]) -> DistanceReport:
     """The distance potential that certifies termination, in renamed coordinates.
 
     The rank-``i`` blue agent sitting in renamed block ``j`` contributes
-    ``j - dest[i]``.  Summed over the agents, that is every renamed block
-    ``j`` times its blue count, less the sum of the destinations, so only
-    the per-block counts are read; ``dest`` carries ``requirement_row``.
+    ``j - dest[i]``; ``distance_total`` sums that from the per-block
+    counts.  ``dest`` carries ``requirement_row``.  A run or an audit that
+    measures many configurations against the same destinations calls
+    ``renamed_blues`` and ``distance_total`` with their sum, once taken.
     """
-    blues = renamed_row(tuple(map(itemgetter(BLUE - 1), cfg.all_counts())), offset)
-    if sum(blues) != len(dest):
-        raise ValueError(f"{sum(blues)} blue agents but {len(dest)} destinations")
-    return DistanceReport(
-        rename_offset=offset,
-        dest=tuple(dest),
-        blues=blues,
-        total=sum(map(mul, blues, range(1, len(blues) + 1))) - sum(dest),
-    )
+    blues = renamed_blues(cfg, offset)
+    return DistanceReport(rename_offset=offset, dest=tuple(dest), blues=blues,
+                          total=distance_total(blues, len(dest), sum(dest)))
 
 
 def distance_report(cfg: Configuration, requirement_row: Sequence[int]) -> DistanceReport:

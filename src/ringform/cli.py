@@ -6,17 +6,23 @@ termination within the round budget, 4 verification failure, 5 I/O error.
 ``ringform verify`` audits a trace in one pass over the open file: it
 reads one line at a time and keeps no round once the checkers have seen
 it, so it holds one round record and two configurations at a time.  It
-prints the verdicts only once the whole file has been read.  On a malformed trace
-file (a line that is not UTF-8 or not a JSON record, a record of unknown
-type, a round record with missing or ill-typed fields, no header, a
-header of another format, a second header or summary) it prints one
-``invalid trace`` line naming the file line to stderr, nothing to stdout,
-and exits 4, wherever in the file that line stands; a round recorded
-under the wrong round number fails the ``safety`` verdict, also exit 4.
-``run --verify`` prints the same verdicts as ``verify`` on the run's
-trace.  ``run`` and ``analyze`` on an instance file that is not UTF-8 or
-not a well-formed document print one ``invalid instance document`` line
-to stderr and exit 2.
+prints the verdicts only once the whole file has been read.  On a
+malformed trace file (a line that is not UTF-8 or not a JSON record, a
+record of unknown type, a round record with missing or ill-typed fields,
+no header, a header of another format, a second header or summary) it
+prints one ``invalid trace`` line naming the file line to stderr, nothing
+to stdout, and exits 4, wherever in the file that line stands; a round
+recorded under the wrong round number fails the ``safety`` verdict, also
+exit 4.  ``ringform run`` keeps no round either: it writes each round's
+trace record as soon as the round has run (``engine.iter_rounds`` through
+``engine.iter_written``), and with ``--verify`` the audit reads the same
+rounds in the same pass, so ``run --trace --verify`` holds at most two
+rounds at a time.  It prints the summary, then the verdicts of a run that
+terminated, once the run has ended: the verdicts that ``verify`` prints
+for the run's trace, which holds the bytes that ``engine.write_trace``
+writes for the run.  ``run`` and ``analyze`` on an instance file that is
+not UTF-8 or not a well-formed document print one ``invalid instance
+document`` line to stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -24,8 +30,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import analysis, engine, generators, verify
 from .core import (
@@ -116,22 +124,36 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_INVALID_INSTANCE
 
     oriented, reversed_roles = _prepare(inst)
-    result = engine.run(oriented, max_rounds=args.max_rounds)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fp:
-            engine.write_trace(result, fp, reversed_roles=reversed_roles)
+    kept: list[dict] = []
+    items = _keep_last(engine.iter_rounds(oriented, args.max_rounds), kept)
+    with ExitStack() as stack:
+        if args.trace:
+            fp = stack.enter_context(open(args.trace, "w", encoding="utf-8"))
+            items = engine.iter_written(items, fp, reversed_roles=reversed_roles)
+        if args.verify:
+            verdicts = verify.verify_stream(items)
+        else:
+            verdicts = []
+            deque(items, maxlen=0)  # runs the rounds, and writes them
+    summary = kept[0]
 
-    print(json.dumps({**engine.run_summary(result), "reversed": reversed_roles,
-                      "final": result.final.to_string()}))
-    if not result.terminated:
+    print(json.dumps({**{key: summary[key] for key in engine.SUMMARY_FIELDS},
+                      "reversed": reversed_roles, "final": summary["final"].to_string()}))
+    if not summary["terminated"]:
         return EXIT_NO_TERMINATION
-    if args.verify:
-        verdicts = verify.verify_result(result)
-        for verdict in verdicts:
-            print(verdict)
-        if not all(v.passed for v in verdicts):
-            return EXIT_VERIFICATION_FAILED
+    for verdict in verdicts:
+        print(verdict)
+    if not all(v.passed for v in verdicts):
+        return EXIT_VERIFICATION_FAILED
     return EXIT_OK
+
+
+def _keep_last(items: Iterable[object], kept: list) -> Iterator[object]:
+    """Pass ``items`` on, then append the last of them to ``kept``."""
+    item = None
+    for item in items:
+        yield item
+    kept.append(item)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

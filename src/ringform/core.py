@@ -115,7 +115,12 @@ class Configuration:
     The per-block colour counts are counted once per configuration, on
     first use.  A configuration made by ``engine.apply_moves`` gets them
     from its predecessor's counts and the moves, and shares the row of
-    every block that no agent entered or left.  ``agents`` builds
+    every block that no agent entered or left.  Every count row passes
+    through the row table ``_rows``, a dict from each row value to the one
+    tuple that stands for it (``_rows.setdefault(row, row)``): a new
+    configuration starts an empty table and each successor shares its
+    predecessor's, so the rows of one run, and of a trace read from its
+    instance, are one tuple per distinct value.  ``agents`` builds
     :class:`Agent` objects on first use; the engine and the checkers never
     ask for them.
     """
@@ -129,14 +134,15 @@ class Configuration:
         for a in agents:
             if not 1 <= a.colour <= q:
                 raise ValueError(f"agent {a.id} has colour {a.colour} outside 1..{q}")
-        self.__dict__.update(colours=bytes(a.colour for a in agents), ids=ids, k=k, p=p, q=q)
+        self.__dict__.update(colours=bytes(a.colour for a in agents), ids=ids, k=k, p=p, q=q,
+                             _rows={})
 
     @classmethod
     def _flat(cls, colours: bytes, ids: array, k: int, p: int, q: int) -> "Configuration":
         """The configuration holding ``colours`` and ``ids``, which the
         caller guarantees to describe a valid configuration."""
         cfg = object.__new__(cls)
-        cfg.__dict__.update(colours=colours, ids=ids, k=k, p=p, q=q)
+        cfg.__dict__.update(colours=colours, ids=ids, k=k, p=p, q=q, _rows={})
         return cfg
 
     @classmethod
@@ -156,7 +162,8 @@ class Configuration:
         ``block_counts``.  Skips the O(n) validation of the constructor: only
         ``engine.apply_moves`` and ``engine.orient_roles`` call it."""
         successor = self._flat(colours, ids, self.k, self.p, self.q)
-        successor.__dict__.update(_block_counts=block_counts, _positions=self._positions)
+        successor.__dict__.update(_block_counts=block_counts, _positions=self._positions,
+                                  _rows=self._rows)
         return successor
 
     @cached_property
@@ -199,8 +206,9 @@ class Configuration:
     @cached_property
     def _block_counts(self) -> tuple[tuple[int, ...], ...]:
         colours, p, values = self.colours, self.p, range(1, self.q + 1)
-        return tuple(tuple(colours.count(c, start, start + p) for c in values)
-                     for start in range(0, self.n, p))
+        counted = [tuple(colours.count(c, start, start + p) for c in values)
+                   for start in range(0, self.n, p)]
+        return tuple(map(self._rows.setdefault, counted, counted))
 
     def all_counts(self) -> tuple[tuple[int, ...], ...]:
         return self._block_counts

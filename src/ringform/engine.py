@@ -25,9 +25,9 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, count, filterfalse
-from operator import ne
+from operator import itemgetter, ne
 from types import SimpleNamespace
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import analysis
 from .core import (
@@ -36,15 +36,23 @@ from .core import (
     Instance,
     ProblemKind,
     RequirementSpec,
-    parse_instance,
     serialize_instance,
     validate,
 )
-
-TRACE_FORMAT = "ringform-trace-v3"
-# Older formats read_trace reads: they nest each move and count row in a list;
-# a v1 round record lists all k count rows and the checks.
-TRACE_FORMAT_V2, TRACE_FORMAT_V1 = "ringform-trace-v2", "ringform-trace-v1"
+# The round records and the trace reader, which live in ``trace``, are
+# engine names too: the engine's callers reach them here.
+from .trace import (  # noqa: F401
+    ROUND_CHECKS,
+    TRACE_FORMAT,
+    Move,
+    MoveSet,
+    RoundTrace,
+    TraceData,
+    TraceError,
+    _new_move,
+    iter_trace,
+    read_trace,
+)
 
 
 class EngineError(RuntimeError):
@@ -53,75 +61,6 @@ class EngineError(RuntimeError):
 
 class InvalidInstanceError(ValueError):
     """The instance fails semantic validation and cannot be run."""
-
-
-class TraceError(ValueError):
-    """A malformed trace file, or recorded moves that cannot be replayed
-    from the trace's instance; names the file line when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
-class Move(NamedTuple):
-    """One agent's net move in a round: a named tuple, so
-    ``Move(7, 2, 5) == (7, 2, 5)``."""
-
-    agent_id: int
-    src: int
-    dst: int
-
-
-# A Move of an (agent id, from, to) triple, without Move's keyword handling.
-_new_move = partial(tuple.__new__, Move)
-
-
-class MoveSet(Sequence[Move]):
-    """The moves of one round as one ``array('i')`` of flat (agent id, from,
-    to) triples, made from an iterable of triples or from such an array: 12
-    bytes a move, where a stored Move would be an object that every garbage
-    collection visits (CPython never untracks a tuple subclass).  Iterating
-    yields Moves; the hot paths read the plain tuples of ``triples()`` or
-    the columns ``flat[0::3]`` (ids), ``flat[1::3]`` (from) and ``flat[2::3]``
-    (to).  It equals a tuple or list of the same moves."""
-
-    __slots__ = ("flat",)
-
-    def __new__(cls, moves: Iterable[Sequence[int]] | array = ()) -> "MoveSet":
-        if type(moves) is cls:
-            return moves  # type: ignore[return-value]
-        if type(moves) is not array:
-            moves = moves if isinstance(moves, (list, tuple)) else list(moves)
-            if not set(map(len, moves)) <= {3}:
-                raise ValueError("a move is an (agent id, from, to) triple")
-            moves = array("i", chain.from_iterable(moves))
-        self = object.__new__(cls)
-        self.flat = moves
-        return self
-
-    def triples(self) -> Iterator[tuple[int, int, int]]:
-        it = iter(self.flat)
-        return zip(it, it, it)
-
-    def __iter__(self) -> Iterator[Move]:
-        return map(_new_move, self.triples())
-
-    def __len__(self) -> int:
-        return len(self.flat) // 3
-
-    def __getitem__(self, i):  # type: ignore[override]
-        return tuple(self)[i]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, MoveSet):
-            return self.flat == other.flat
-        return isinstance(other, (tuple, list)) and tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:
-        return f"MoveSet({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -133,22 +72,6 @@ class WindowPairing:
 
 
 @dataclass(frozen=True)
-class RoundTrace:
-    """One round: ``moves`` is a MoveSet, made from any iterable of triples."""
-
-    index: int
-    offset: int
-    moves: MoveSet
-    counts: tuple[tuple[int, ...], ...]
-    distance: int | None
-    checks: tuple[tuple[str, bool], ...]
-
-    def __post_init__(self) -> None:
-        if type(self.moves) is not MoveSet:
-            object.__setattr__(self, "moves", MoveSet(self.moves))
-
-
-@dataclass(frozen=True)
 class RunResult:
     terminated: bool
     rounds_used: int
@@ -157,10 +80,6 @@ class RunResult:
     final: Configuration
     instance: Instance
     initial_distance: int | None
-
-
-# What every round record carries: apply_moves raises before any of them fails.
-ROUND_CHECKS = (("collision_free", True), ("within_window", True), ("colours_conserved", True))
 
 
 def wrap_block(b: int, k: int) -> int:
@@ -226,7 +145,9 @@ def orient_roles(inst: Instance) -> tuple[Instance, bool]:
         return inst, False
     cfg = inst.initial
     swapped = cfg.colours.translate(bytes.maketrans(b"\x01\x02", b"\x02\x01"))
-    swapped_cfg = cfg._successor(swapped, cfg.ids, tuple((b, a) for a, b in cfg.all_counts()))
+    swapped_rows = [row[::-1] for row in cfg.all_counts()]
+    swapped_cfg = cfg._successor(swapped, cfg.ids,
+                                 tuple(map(cfg._rows.setdefault, swapped_rows, swapped_rows)))
     swapped_spec = RequirementSpec.exact((inst.spec.row(2), inst.spec.row(1)), inst.p)
     return Instance(spec=swapped_spec, initial=swapped_cfg, provenance=inst.provenance), True
 
@@ -407,7 +328,9 @@ def apply_moves(cfg: Configuration, moves: Iterable[Sequence[int]],
 
     The per-block counts of the result follow from ``cfg``'s counts and the
     moves that cross a block boundary; every block that no agent enters or
-    leaves keeps ``cfg``'s row object.
+    leaves keeps ``cfg``'s row object, and every other row is the tuple of
+    ``cfg``'s row table with its value, so a run makes one row object per
+    distinct row value, however many rounds it has.
     """
     if type(moves) is not MoveSet:
         moves = MoveSet(moves)
@@ -452,8 +375,10 @@ def apply_moves(cfg: Configuration, moves: Iterable[Sequence[int]],
                 changed[dst_b] = list(counts[dst_b])
             changed[src_b][colour - 1] -= 1
             changed[dst_b][colour - 1] += 1
+    rows = cfg._rows
     for b, row in changed.items():
-        counts[b] = tuple(row)
+        row = tuple(row)
+        counts[b] = rows.setdefault(row, row)
     return cfg._successor(bytes(colours), ids, tuple(counts))
 
 
@@ -533,8 +458,26 @@ def check_counts(cfg: Configuration, kept_by: str) -> None:
         raise EngineError(f"block counts kept across the {kept_by} disagree with a recount")
 
 
-def run(inst: Instance, max_rounds: int | None = None) -> RunResult:
-    """Drive rounds until the target holds, then observe quiescence.
+def initial_potential(inst: Instance) -> analysis.DistanceReport | None:
+    """The distance of ``inst``'s initial configuration, with its renaming
+    and destinations, for an instance whose run tracks a distance (one that
+    ``uses_two_colour_steps``); None for the others."""
+    if not uses_two_colour_steps(inst):
+        return None
+    return analysis.distance_report(inst.initial, inst.spec.row(1))
+
+
+# The summary fields of a run, in the order its trace and ``ringform run`` report them.
+SUMMARY_FIELDS = ("terminated", "rounds_used", "bound", "bound_satisfied")
+
+
+def iter_rounds(inst: Instance, max_rounds: int | None = None
+                ) -> Iterator[Instance | RoundTrace | dict]:
+    """Run ``inst`` and yield what ``iter_trace`` yields for the run's
+    trace: the instance, each round as a RoundTrace as soon as it has run,
+    then the summary, ``SUMMARY_FIELDS`` with the ``initial_distance`` and,
+    as ``"final"``, the final configuration.  It keeps no round it has
+    yielded.
 
     Round r runs at offset ``(r - 1) % k + 1``.  Once the target condition
     first holds (after ``rounds_used`` rounds), k further verification
@@ -545,9 +488,11 @@ def run(inst: Instance, max_rounds: int | None = None) -> RunResult:
     The rounds are those of a chain of ``execute_round`` calls, at a cost
     that follows the moves rather than the ring size: ``step_round`` keeps
     one idle set across the run, and the distance potential is computed
-    from the blue count row after each round that moves an agent.  The
-    block counts kept from round to round are recounted from the colours
-    at the end; a disagreement raises EngineError.
+    from the blue count row after each round that moves an agent, against
+    a destination total taken once.  The block counts kept from round to
+    round are recounted from the colours at the end; a disagreement raises
+    EngineError.  An invalid instance raises InvalidInstanceError, and a
+    negative ``max_rounds`` ValueError, before anything is yielded.
     """
     report = validate(inst)
     if not report.valid:
@@ -561,263 +506,132 @@ def run(inst: Instance, max_rounds: int | None = None) -> RunResult:
         raise ValueError("max_rounds must be non-negative")
 
     k = inst.k
-    two_colour = uses_two_colour_steps(inst)
-    distance = initial_distance = None
-    if two_colour:
-        row = inst.spec.row(1)
-        potential = analysis.distance_report(inst.initial, row)
-        distance = initial_distance = potential.total
-
+    potential = initial_potential(inst)
+    distance = initial_distance = None if potential is None else potential.total
+    if potential is not None:
+        origin, dest = potential.rename_offset, potential.dest
+        n_blue, dest_total = len(dest), sum(dest)
     step = _window_step(inst)
     idle: set[int] = set()
-    rounds: list[RoundTrace] = []
 
-    def advance(cfg: Configuration) -> Configuration:
+    def advance(cfg: Configuration, r: int) -> tuple[Configuration, RoundTrace]:
         nonlocal distance
-        offset = len(rounds) % k + 1
+        offset = (r - 1) % k + 1
         new_cfg, moves = step_round(cfg, offset, step, idle)
-        if two_colour and moves:
-            distance = analysis.distance(new_cfg, row, potential.rename_offset,
-                                         potential.dest).total
-        rounds.append(RoundTrace(index=len(rounds) + 1, offset=offset, moves=moves,
-                                 counts=new_cfg.all_counts(), distance=distance,
-                                 checks=ROUND_CHECKS))
-        return new_cfg
+        if potential is not None and moves:
+            distance = analysis.distance_total(analysis.renamed_blues(new_cfg, origin),
+                                               n_blue, dest_total)
+        return new_cfg, RoundTrace(index=r, offset=offset, moves=moves,
+                                   counts=new_cfg.all_counts(), distance=distance,
+                                   checks=ROUND_CHECKS)
 
-    cfg = inst.initial
-    while len(rounds) < max_rounds and not target_satisfied(cfg, inst):
-        cfg = advance(cfg)
-    rounds_used = len(rounds)
+    yield inst
+    cfg, rounds_used = inst.initial, 0
+    while rounds_used < max_rounds and not target_satisfied(cfg, inst):
+        rounds_used += 1
+        cfg, rt = advance(cfg, rounds_used)
+        yield rt
     terminated = target_satisfied(cfg, inst)
     if terminated:
-        for _ in range(k):
-            cfg = advance(cfg)
-        terminated = not any(rt.moves for rt in rounds[rounds_used:])
+        for r in range(rounds_used + 1, rounds_used + k + 1):
+            cfg, rt = advance(cfg, r)
+            terminated = terminated and not rt.moves
+            yield rt
 
     check_counts(cfg, "run")
+    yield _summary(terminated, rounds_used, analysis.theoretical_bound(inst), initial_distance, cfg)
+
+
+def _summary(terminated: bool, rounds_used: int, bound: int, initial_distance: int | None,
+             final: Configuration) -> dict:
+    """The summary that ``iter_rounds`` yields last."""
+    return {"terminated": terminated, "rounds_used": rounds_used, "bound": bound,
+            "bound_satisfied": terminated and rounds_used <= bound,
+            "initial_distance": initial_distance, "final": final}
+
+
+def run(inst: Instance, max_rounds: int | None = None) -> RunResult:
+    """The run of ``iter_rounds``, with every round kept."""
+    instance, *rounds, summary = iter_rounds(inst, max_rounds)
     return RunResult(
-        terminated=terminated,
-        rounds_used=rounds_used,
-        bound=analysis.theoretical_bound(inst),
+        terminated=summary["terminated"],
+        rounds_used=summary["rounds_used"],
+        bound=summary["bound"],
         trace=tuple(rounds),
-        final=cfg,
-        instance=inst,
-        initial_distance=initial_distance,
+        final=summary["final"],
+        instance=instance,
+        initial_distance=summary["initial_distance"],
     )
 
 
-# --- trace serialization (JSON lines) -----------------------------------------
+# --- trace writing (JSON lines; the reader is in trace.py) ---------------------
+
+# What ``json.dumps`` returns for a record, without its per-call argument checks.
+_encode = json.JSONEncoder().encode
 
 
-@dataclass(frozen=True)
-class TraceData:
-    """A deserialized trace file: the instance as run, its rounds, the summary."""
-
-    instance: Instance
-    rounds: tuple[RoundTrace, ...]
-    summary: dict
+def trace_items(result: RunResult) -> Iterator[Instance | RoundTrace | dict]:
+    """``result`` as the items that ``iter_rounds`` yielded for it."""
+    summary = _summary(result.terminated, result.rounds_used, result.bound,
+                       result.initial_distance, result.final)
+    return chain((result.instance,), result.trace, (summary,))
 
 
-def run_summary(result: RunResult) -> dict:
-    """The summary fields of a run, as its trace and ``ringform run`` report them."""
-    return {
-        "terminated": result.terminated,
-        "rounds_used": result.rounds_used,
-        "bound": result.bound,
-        "bound_satisfied": result.terminated and result.rounds_used <= result.bound,
+def _records(items: Iterable[Instance | RoundTrace | dict], reversed_roles: bool,
+             initial_distance: int | None
+             ) -> Iterator[tuple[Instance | RoundTrace | dict, dict]]:
+    """Each of a run's items, as ``iter_rounds`` yields them, with its trace
+    record; the header records ``initial_distance``.  A v3 round record's
+    ``moves`` is the flat (agent id, from, to) list, and its ``counts`` the
+    flat ``[block, count of colour 1, ..., count of colour q, block, ...]``
+    list of every block whose row differs from the configuration the round
+    started from."""
+    items = iter(items)
+    inst = next(items)
+    yield inst, {
+        "type": "header",
+        "format": TRACE_FORMAT,
+        "instance": serialize_instance(inst),
+        "reversed": reversed_roles,
+        "initial_distance": initial_distance,
     }
+    before = inst.initial.all_counts()
+    for item in items:
+        if isinstance(item, RoundTrace):
+            changed = compress(count(1), map(ne, before, item.counts))
+            yield item, {"type": "round", "round": item.index, "offset": item.offset,
+                         "moves": item.moves.flat.tolist(),
+                         "counts": [x for b in changed for x in (b, *item.counts[b - 1])],
+                         "distance": item.distance}
+            before = item.counts
+        else:
+            yield item, {"type": "summary", **{key: item[key] for key in SUMMARY_FIELDS}}
 
 
 def trace_records(result: RunResult, *, reversed_roles: bool = False) -> Iterator[dict]:
-    """The records of ``result``'s trace, made one at a time.  A v3 round
-    record's ``moves`` is the flat (agent id, from, to) list, and its
-    ``counts`` the flat ``[block, count of colour 1, ..., count of colour
-    q, block, ...]`` list of every block whose row differs from the
-    configuration the round started from."""
-    yield {
-        "type": "header",
-        "format": TRACE_FORMAT,
-        "instance": serialize_instance(result.instance),
-        "reversed": reversed_roles,
-        "initial_distance": result.initial_distance,
-    }
-    before = result.instance.initial.all_counts()
-    for rt in result.trace:
-        changed = compress(count(1), map(ne, before, rt.counts))
-        yield {"type": "round", "round": rt.index, "offset": rt.offset,
-               "moves": rt.moves.flat.tolist(),
-               "counts": [x for b in changed for x in (b, *rt.counts[b - 1])],
-               "distance": rt.distance}
-        before = rt.counts
-    yield {"type": "summary", **run_summary(result)}
+    """The records of ``result``'s trace, made one at a time."""
+    items = trace_items(result)
+    return map(itemgetter(1), _records(items, reversed_roles, result.initial_distance))
+
+
+def iter_written(items: Iterable[Instance | RoundTrace | dict], fp: IO[str], *,
+                 reversed_roles: bool = False) -> Iterator[Instance | RoundTrace | dict]:
+    """Pass on a run's items, as ``iter_rounds`` yields them, each once its
+    trace record is written to ``fp`` as one JSON line: the file is written
+    while the run runs, and no record outlives its line.  The header, which
+    comes before the summary that carries the run's initial distance, takes
+    it from ``initial_potential``."""
+    items = iter(items)
+    inst = next(items)
+    potential = initial_potential(inst)
+    initial_distance = None if potential is None else potential.total
+    for item, record in _records(chain((inst,), items), reversed_roles, initial_distance):
+        fp.write(_encode(record) + "\n")
+        yield item
 
 
 def write_trace(result: RunResult, fp: IO[str], *, reversed_roles: bool = False) -> None:
-    """Write ``result`` as JSON lines, encoding one record at a time."""
+    """Write ``result`` as JSON lines, one record at a time, as
+    ``iter_written`` writes the items of its run."""
     for record in trace_records(result, reversed_roles=reversed_roles):
-        fp.write(json.dumps(record) + "\n")
-
-
-def _is_int(value: object) -> bool:
-    return type(value) is int
-
-
-def _patched_counts(before: tuple[tuple[int, ...], ...], flat: list[int], q: int,
-                    line: int) -> tuple[tuple[int, ...], ...]:
-    """``before`` with every ``block, count of colour 1, ..., count of colour
-    q`` row of a round record's flat ``counts`` put in its block's place;
-    the rows of the other blocks stay the same objects."""
-    if not set(map(type, flat)) <= {int} or len(flat) % (q + 1):
-        raise TraceError(f"'counts' rows must be [block, count of colour 1, ..., count of "
-                         f"colour {q}] integers", line)
-    if not flat:
-        return before
-    blocks = flat[::q + 1]
-    k = len(before)
-    if min(blocks) < 1 or max(blocks) > k:
-        raise TraceError(f"'counts' names a block outside 1..{k}", line)
-    if len(set(blocks)) != len(blocks):
-        raise TraceError("'counts' names a block twice", line)
-    after = list(before)
-    for i in range(0, len(flat), q + 1):
-        after[flat[i] - 1] = tuple(flat[i + 1:i + q + 1])
-    return tuple(after)
-
-
-def _round_from_record(record: dict, line: int, before: tuple[tuple[int, ...], ...],
-                       q: int, fmt: str) -> RoundTrace:
-    """A round record as a RoundTrace; TraceError names ``line`` on any
-    malformed field.  A v3 record lists its moves and count rows flat, a v1
-    or v2 record each in a list of its own.  The rows of a v2 or v3 record
-    patch ``before``, the counts of the previous round; a v1 record lists
-    the q counts of every block, without block numbers."""
-    for key in ("round", "offset"):
-        if not _is_int(record.get(key)):
-            raise TraceError(f"round record needs an integer {key!r}", line)
-    moves, counts = record.get("moves"), record.get("counts")
-    distance, checks = record.get("distance"), record.get("checks")
-    nested = fmt != TRACE_FORMAT
-    # Set-of-types tests run the per-element work in C; bool is not int here.
-    if nested:  # a v1/v2 record lists each move as an [agent id, from, to] list
-        triples = (type(moves) is list and set(map(type, moves)) <= {list}
-                   and set(map(len, moves)) <= {3})
-        moves = list(chain.from_iterable(moves)) if triples else None
-    if type(moves) is not list or not set(map(type, moves)) <= {int} or len(moves) % 3:
-        raise TraceError("'moves' must be a list of agent id, from, to integer triples", line)
-    try:
-        flat = array("i", moves)
-    except OverflowError:
-        raise TraceError("'moves' must be integers that fit a C int", line) from None
-    if type(counts) is not list or (nested and not set(map(type, counts)) <= {list}):
-        raise TraceError("'counts' must be a list of per-block rows", line)
-    if fmt == TRACE_FORMAT_V1:
-        if (len(counts) != len(before) or not set(map(len, counts)) <= {q}
-                or not set(map(type, chain.from_iterable(counts))) <= {int}):
-            raise TraceError(f"'counts' must list {len(before)} rows of {q} integers", line)
-        counts = tuple(map(tuple, counts))
-    else:
-        if nested:
-            if not set(map(len, counts)) <= {q + 1}:
-                raise TraceError(f"'counts' rows must be [block, count of colour 1, ..., "
-                                 f"count of colour {q}] integers", line)
-            counts = list(chain.from_iterable(counts))
-        counts = _patched_counts(before, counts, q, line)
-    if distance is not None and not _is_int(distance):
-        raise TraceError("'distance' must be an integer or null", line)
-    if checks is not None and not isinstance(checks, dict):
-        raise TraceError("'checks' must be an object", line)
-    return RoundTrace(
-        index=record["round"],
-        offset=record["offset"],
-        moves=MoveSet(flat),
-        counts=counts,
-        distance=distance,
-        checks=ROUND_CHECKS if checks is None
-        else tuple((name, bool(v)) for name, v in checks.items()),
-    )
-
-
-def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
-               ) -> Iterator[Instance | RoundTrace | dict]:
-    """Parse a JSON-lines trace, given as text lines or as raw byte lines,
-    one line at a time: yield the instance of the header record, then every
-    round record as a RoundTrace, then the summary.
-
-    Reads ``ringform-trace-v3``, whose round records list their moves and
-    the count rows that changed as flat integer lists, ``ringform-trace-v2``,
-    which nests each move and row in a list, and ``ringform-trace-v1``,
-    whose round records list all the rows.  The summary is the summary
-    record, or ``{}`` without one, with the header's ``initial_distance``
-    and ``reversed`` where it has none of its own; it comes last wherever
-    its record stands in the file.  A byte line that is not UTF-8, a line
-    that is not a JSON object, a record of unknown type, a header without
-    an instance document or of another format, a malformed round or
-    summary record, a second header or summary, a round record before the
-    header and a missing header all raise :class:`TraceError`, with the
-    file line when there is one, once the reader reaches that line; a
-    malformed embedded instance raises :class:`InstanceFormatError`.
-    """
-    header: dict | None = None
-    summary: dict | None = None
-    counts: tuple[tuple[int, ...], ...] = ()  # of the last round
-    formats = (TRACE_FORMAT, TRACE_FORMAT_V2, TRACE_FORMAT_V1)
-    for no, line in enumerate(fp, start=1):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise TraceError(
-                    f"not UTF-8 text: {exc.reason} at byte {exc.start} of the line", no) from None
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"not a JSON record: {exc.msg}", no) from None
-        except RecursionError:
-            raise TraceError("not a JSON record: nested too deeply", no) from None
-        if not isinstance(record, dict):
-            raise TraceError("record is not a JSON object", no)
-        rtype = record.get("type")
-        if rtype == "header":
-            if header is not None:
-                raise TraceError("a second header record", no)
-            if not isinstance(record.get("instance"), str):
-                raise TraceError("header record needs an instance document", no)
-            if record.get("format") not in formats:
-                raise TraceError(f"header format {record.get('format')!r} is not one of "
-                                 f"{', '.join(map(repr, formats))}", no)
-            header = record
-            instance = parse_instance(record["instance"])
-            counts = instance.initial.all_counts()
-            yield instance
-        elif rtype == "round":
-            if header is None:
-                raise TraceError("round record before the header record", no)
-            rt = _round_from_record(record, no, counts, instance.q, header["format"])
-            counts = rt.counts
-            yield rt
-        elif rtype == "summary":
-            if summary is not None:
-                raise TraceError("a second summary record", no)
-            if "rounds_used" in record and not (_is_int(record["rounds_used"])
-                                                and record["rounds_used"] >= 0):
-                raise TraceError("summary 'rounds_used' must be a non-negative integer", no)
-            if "terminated" in record and not isinstance(record["terminated"], bool):
-                raise TraceError("summary 'terminated' must be true or false", no)
-            summary = record
-        else:
-            raise TraceError(f"unknown record type {rtype!r}", no)
-    if header is None:
-        raise TraceError("trace has no header record")
-    summary = summary or {}
-    summary.setdefault("initial_distance", header.get("initial_distance"))
-    summary.setdefault("reversed", header.get("reversed", False))
-    yield summary
-
-
-def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:
-    """The whole of a trace that ``iter_trace`` reads, with its errors."""
-    instance, *rounds, summary = iter_trace(fp)
-    return TraceData(instance=instance, rounds=tuple(rounds), summary=summary)
+        fp.write(_encode(record) + "\n")

@@ -1,0 +1,304 @@
+"""Round records and the trace file reader.
+
+A round's moves are one :class:`MoveSet` and a round is one
+:class:`RoundTrace`, the records that ``engine.iter_rounds`` yields and
+that ``iter_trace`` reads back from a JSON-lines trace file, one line at
+a time.  This module depends on ``core`` only: the engine, which runs the
+rounds and writes the trace files, imports these names from here, and
+they are also reached as ``engine.RoundTrace``, ``engine.read_trace`` and
+so on.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from array import array
+from dataclasses import dataclass
+from functools import partial
+from itertools import chain
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+
+from .core import Configuration, Instance, parse_instance
+
+TRACE_FORMAT = "ringform-trace-v3"
+# Older formats read_trace reads: they nest each move and count row in a list;
+# a v1 round record lists all k count rows and the checks.
+TRACE_FORMAT_V2, TRACE_FORMAT_V1 = "ringform-trace-v2", "ringform-trace-v1"
+
+
+class TraceError(ValueError):
+    """A malformed trace file, or recorded moves that cannot be replayed
+    from the trace's instance; names the file line when known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class Move(NamedTuple):
+    """One agent's net move in a round: a named tuple, so
+    ``Move(7, 2, 5) == (7, 2, 5)``."""
+
+    agent_id: int
+    src: int
+    dst: int
+
+
+# A Move of an (agent id, from, to) triple, without Move's keyword handling.
+_new_move = partial(tuple.__new__, Move)
+
+
+class MoveSet(Sequence[Move]):
+    """The moves of one round as one ``array('i')`` of flat (agent id, from,
+    to) triples, made from an iterable of triples or from such an array: 12
+    bytes a move, where a stored Move would be an object that every garbage
+    collection visits (CPython never untracks a tuple subclass).  Iterating
+    yields Moves; the hot paths read the plain tuples of ``triples()`` or
+    the columns ``flat[0::3]`` (ids), ``flat[1::3]`` (from) and ``flat[2::3]``
+    (to).  It equals a tuple or list of the same moves."""
+
+    __slots__ = ("flat",)
+
+    def __new__(cls, moves: Iterable[Sequence[int]] | array = ()) -> "MoveSet":
+        if type(moves) is cls:
+            return moves  # type: ignore[return-value]
+        if type(moves) is not array:
+            moves = moves if isinstance(moves, (list, tuple)) else list(moves)
+            if not set(map(len, moves)) <= {3}:
+                raise ValueError("a move is an (agent id, from, to) triple")
+            moves = array("i", chain.from_iterable(moves))
+        self = object.__new__(cls)
+        self.flat = moves
+        return self
+
+    def triples(self) -> Iterator[tuple[int, int, int]]:
+        it = iter(self.flat)
+        return zip(it, it, it)
+
+    def __iter__(self) -> Iterator[Move]:
+        return map(_new_move, self.triples())
+
+    def __len__(self) -> int:
+        return len(self.flat) // 3
+
+    def __getitem__(self, i):  # type: ignore[override]
+        return tuple(self)[i]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MoveSet):
+            return self.flat == other.flat
+        return isinstance(other, (tuple, list)) and tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"MoveSet({list(self)!r})"
+
+
+@dataclass(frozen=True)
+class RoundTrace:
+    """One round: ``moves`` is a MoveSet, made from any iterable of triples."""
+
+    index: int
+    offset: int
+    moves: MoveSet
+    counts: tuple[tuple[int, ...], ...]
+    distance: int | None
+    checks: tuple[tuple[str, bool], ...]
+
+    def __post_init__(self) -> None:
+        if type(self.moves) is not MoveSet:
+            object.__setattr__(self, "moves", MoveSet(self.moves))
+
+
+# What every round record carries: apply_moves raises before any of them fails.
+ROUND_CHECKS = (("collision_free", True), ("within_window", True), ("colours_conserved", True))
+
+
+@dataclass(frozen=True)
+class TraceData:
+    """A deserialized trace file: the instance as run, its rounds, the summary."""
+
+    instance: Instance
+    rounds: tuple[RoundTrace, ...]
+    summary: dict
+
+
+def _is_int(value: object) -> bool:
+    return type(value) is int
+
+
+def _patched_counts(before: tuple[tuple[int, ...], ...], flat: list[int], q: int,
+                    line: int, rows: dict[tuple[int, ...], tuple[int, ...]]
+                    ) -> tuple[tuple[int, ...], ...]:
+    """``before`` with every ``block, count of colour 1, ..., count of colour
+    q`` row of a round record's flat ``counts`` put in its block's place, as
+    the tuple of the row table ``rows`` with its value; the rows of the
+    other blocks stay the same objects."""
+    if not set(map(type, flat)) <= {int} or len(flat) % (q + 1):
+        raise TraceError(f"'counts' rows must be [block, count of colour 1, ..., count of "
+                         f"colour {q}] integers", line)
+    if not flat:
+        return before
+    blocks = flat[::q + 1]
+    k = len(before)
+    if min(blocks) < 1 or max(blocks) > k:
+        raise TraceError(f"'counts' names a block outside 1..{k}", line)
+    if len(set(blocks)) != len(blocks):
+        raise TraceError("'counts' names a block twice", line)
+    after = list(before)
+    for i in range(0, len(flat), q + 1):
+        row = tuple(flat[i + 1:i + q + 1])
+        after[flat[i] - 1] = rows.setdefault(row, row)
+    return tuple(after)
+
+
+def _round_from_record(record: dict, line: int, before: tuple[tuple[int, ...], ...],
+                       initial: Configuration, fmt: str) -> RoundTrace:
+    """A round record as a RoundTrace; TraceError names ``line`` on any
+    malformed field.  A v3 record lists its moves and count rows flat, a v1
+    or v2 record each in a list of its own.  The rows of a v2 or v3 record
+    patch ``before``, the counts of the previous round; a v1 record lists
+    the q counts of every block, without block numbers.  Every row read is
+    the one of the row table of ``initial``, the instance's initial
+    configuration, with its value."""
+    q, rows = initial.q, initial._rows
+    for key in ("round", "offset"):
+        if not _is_int(record.get(key)):
+            raise TraceError(f"round record needs an integer {key!r}", line)
+    moves, counts = record.get("moves"), record.get("counts")
+    distance, checks = record.get("distance"), record.get("checks")
+    nested = fmt != TRACE_FORMAT
+    # Set-of-types tests run the per-element work in C; bool is not int here.
+    if nested:  # a v1/v2 record lists each move as an [agent id, from, to] list
+        triples = (type(moves) is list and set(map(type, moves)) <= {list}
+                   and set(map(len, moves)) <= {3})
+        moves = list(chain.from_iterable(moves)) if triples else None
+    if type(moves) is not list or not set(map(type, moves)) <= {int} or len(moves) % 3:
+        raise TraceError("'moves' must be a list of agent id, from, to integer triples", line)
+    try:
+        flat = array("i", moves)
+    except OverflowError:
+        raise TraceError("'moves' must be integers that fit a C int", line) from None
+    if type(counts) is not list or (nested and not set(map(type, counts)) <= {list}):
+        raise TraceError("'counts' must be a list of per-block rows", line)
+    if fmt == TRACE_FORMAT_V1:
+        if (len(counts) != len(before) or not set(map(len, counts)) <= {q}
+                or not set(map(type, chain.from_iterable(counts))) <= {int}):
+            raise TraceError(f"'counts' must list {len(before)} rows of {q} integers", line)
+        counts = list(map(tuple, counts))
+        counts = tuple(map(rows.setdefault, counts, counts))
+    else:
+        if nested:
+            if not set(map(len, counts)) <= {q + 1}:
+                raise TraceError(f"'counts' rows must be [block, count of colour 1, ..., "
+                                 f"count of colour {q}] integers", line)
+            counts = list(chain.from_iterable(counts))
+        counts = _patched_counts(before, counts, q, line, rows)
+    if distance is not None and not _is_int(distance):
+        raise TraceError("'distance' must be an integer or null", line)
+    if checks is not None and not isinstance(checks, dict):
+        raise TraceError("'checks' must be an object", line)
+    return RoundTrace(
+        index=record["round"],
+        offset=record["offset"],
+        moves=MoveSet(flat),
+        counts=counts,
+        distance=distance,
+        checks=ROUND_CHECKS if checks is None
+        else tuple((name, bool(v)) for name, v in checks.items()),
+    )
+
+
+def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
+               ) -> Iterator[Instance | RoundTrace | dict]:
+    """Parse a JSON-lines trace, given as text lines or as raw byte lines,
+    one line at a time: yield the instance of the header record, then every
+    round record as a RoundTrace, then the summary.
+
+    Reads ``ringform-trace-v3``, whose round records list their moves and
+    the count rows that changed as flat integer lists, ``ringform-trace-v2``,
+    which nests each move and row in a list, and ``ringform-trace-v1``,
+    whose round records list all the rows.  Every count row it builds is
+    the one of the row table of the header instance's initial
+    configuration with its value, the table from which ``apply_moves``
+    takes the rows of a replay.  The summary is the summary record, or
+    ``{}`` without one, with the header's ``initial_distance`` and
+    ``reversed`` where it has none of its own; it comes last wherever its
+    record stands in the file.  A byte line that is not UTF-8, a line that
+    is not a JSON object (or holds an integer literal longer than Python
+    converts), a record of unknown type, a header without
+    an instance document or of another format, a malformed round or
+    summary record, a second header or summary, a round record before the
+    header and a missing header all raise :class:`TraceError`, with the
+    file line when there is one, once the reader reaches that line; a
+    malformed embedded instance raises :class:`InstanceFormatError`.
+    """
+    header: dict | None = None
+    summary: dict | None = None
+    counts: tuple[tuple[int, ...], ...] = ()  # of the last round
+    formats = (TRACE_FORMAT, TRACE_FORMAT_V2, TRACE_FORMAT_V1)
+    for no, line in enumerate(fp, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TraceError(
+                    f"not UTF-8 text: {exc.reason} at byte {exc.start} of the line", no) from None
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"not a JSON record: {exc.msg}", no) from None
+        except RecursionError:
+            raise TraceError("not a JSON record: nested too deeply", no) from None
+        except ValueError:  # what json raises for an integer literal over the digit limit
+            raise TraceError(f"not a JSON record: an integer literal of more than "
+                             f"{sys.get_int_max_str_digits()} digits", no) from None
+        if not isinstance(record, dict):
+            raise TraceError("record is not a JSON object", no)
+        rtype = record.get("type")
+        if rtype == "header":
+            if header is not None:
+                raise TraceError("a second header record", no)
+            if not isinstance(record.get("instance"), str):
+                raise TraceError("header record needs an instance document", no)
+            if record.get("format") not in formats:
+                raise TraceError(f"header format {record.get('format')!r} is not one of "
+                                 f"{', '.join(map(repr, formats))}", no)
+            header = record
+            instance = parse_instance(record["instance"])
+            counts = instance.initial.all_counts()
+            yield instance
+        elif rtype == "round":
+            if header is None:
+                raise TraceError("round record before the header record", no)
+            rt = _round_from_record(record, no, counts, instance.initial, header["format"])
+            counts = rt.counts
+            yield rt
+        elif rtype == "summary":
+            if summary is not None:
+                raise TraceError("a second summary record", no)
+            if "rounds_used" in record and not (_is_int(record["rounds_used"])
+                                                and record["rounds_used"] >= 0):
+                raise TraceError("summary 'rounds_used' must be a non-negative integer", no)
+            if "terminated" in record and not isinstance(record["terminated"], bool):
+                raise TraceError("summary 'terminated' must be true or false", no)
+            summary = record
+        else:
+            raise TraceError(f"unknown record type {rtype!r}", no)
+    if header is None:
+        raise TraceError("trace has no header record")
+    summary = summary or {}
+    summary.setdefault("initial_distance", header.get("initial_distance"))
+    summary.setdefault("reversed", header.get("reversed", False))
+    yield summary
+
+
+def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:
+    """The whole of a trace that ``iter_trace`` reads, with its errors."""
+    instance, *rounds, summary = iter_trace(fp)
+    return TraceData(instance=instance, rounds=tuple(rounds), summary=summary)

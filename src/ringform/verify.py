@@ -24,22 +24,19 @@ from .analysis import BLUE
 from .core import Configuration, Instance, ProblemKind, validate
 from .engine import (
     EngineError,
-    MoveSet,
-    RoundTrace,
     RunResult,
-    TraceData,
-    TraceError,
     apply_moves,
     check_counts,
     default_max_rounds,
-    run_summary,
     step_round,
     stray_move,
     target_satisfied,
+    trace_items,
     two_colour_step,
     uses_two_colour_steps,
     wrap_block,
 )
+from .trace import MoveSet, RoundTrace, TraceData, TraceError
 
 
 @dataclass(frozen=True)
@@ -102,6 +99,7 @@ class _Audit:
         self.origin = self.potential.rename_offset  # the block renamed block 1
         self.start = (self.origin - 1) * p  # the position renamed position 0
         self.dest = self.potential.dest
+        self.dest_total = sum(self.dest)
         if live & {"order_preserving", "cooperativeness"}:
             # One blue-rank table: ranks in renamed reading order, each with
             # its renamed position.
@@ -156,11 +154,11 @@ class _Audit:
             except EngineError as exc:
                 raise TraceError(f"round {rt.index}: {exc}") from None
             if self.distance is not None or "suffix_property" in live:
-                report = analysis.distance(after, inst.spec.row(BLUE), self.origin, self.dest)
+                blues = analysis.renamed_blues(after, self.origin)
                 if self.distance is not None:
-                    self.distance = report.total
+                    self.distance = analysis.distance_total(blues, len(self.dest), self.dest_total)
                 if "suffix_property" in live:
-                    self.check_prefixes(r, report.blues)
+                    self.check_prefixes(r, blues)
             if self.rank_of or "no_wraparound" in live:
                 movers, crossings = self._walk(moves)
                 if "no_wraparound" in live:
@@ -507,8 +505,7 @@ def run_checks(run: ReplayedRun, rounds_used: int, terminated: bool,
 
 def verify_result(result: RunResult) -> list[InvariantVerdict]:
     """Audit a run as ``verify_trace`` audits its stored trace."""
-    summary = {**run_summary(result), "initial_distance": result.initial_distance}
-    return verify_trace(TraceData(result.instance, result.trace, summary))
+    return verify_stream(trace_items(result))
 
 
 def verify_trace(data: TraceData) -> list[InvariantVerdict]:

@@ -390,6 +390,41 @@ def test_run_rejects_invalid_instance():
         run(make_p1("BRRR", 2, 2, [[1, 1], [1, 1]]))
 
 
+def test_iter_rounds_yields_the_items_of_the_run_and_of_its_trace():
+    for inst in (orient_roles(gen_adversarial_half(8, 2))[0], gen_p2_random(5, 4, 2, 1),
+                 gen_p3_random(4, 3, 3, 0)):
+        for max_rounds in (None, 3):
+            result = run(inst, max_rounds)
+            items = list(engine.iter_rounds(inst, max_rounds))
+            assert items[0] is inst and tuple(items[1:-1]) == result.trace
+            summary = items[-1]
+            assert summary.pop("final") == result.final
+            buffer = io.StringIO()
+            write_trace(result, buffer)
+            stored = list(engine.iter_trace(io.StringIO(buffer.getvalue())))
+            assert tuple(stored[1:-1]) == result.trace
+            assert {"type": "summary", **summary, "reversed": False} == stored[-1]
+    with pytest.raises(InvalidInstanceError):  # before any item
+        next(engine.iter_rounds(make_p1("BRRR", 2, 2, [[1, 1], [1, 1]])))
+    with pytest.raises(ValueError, match="non-negative"):
+        next(engine.iter_rounds(gen_adversarial_half(8, 2), -1))
+
+
+def test_a_run_and_its_audit_build_one_distance_report_each(monkeypatch):
+    # The per-round distance comes from the blue count row and a destination
+    # total taken once: ``analysis.distance`` builds a report with it.
+    inst = orient_roles(gen_adversarial_half(16, 4))[0]
+    reports = []
+    distance = engine.analysis.distance
+    monkeypatch.setattr(engine.analysis, "distance",
+                        lambda *args: reports.append(args) or distance(*args))
+    result = run(inst)
+    assert len(reports) == 1 and sum(bool(rt.moves) for rt in result.trace) > 20
+    reports.clear()
+    assert all(v.passed for v in verify.verify_result(result))
+    assert len(reports) == 1
+
+
 def test_run_p2_lower_bounds_hold():
     inst = make_p2("RRRBBB", 3, 2, [[1, 1, 1], [0, 0, 0]])
     result = run(inst)
@@ -651,6 +686,10 @@ def test_honest_trace_lines_verify_in_every_format():
     ("v3", lambda r: {**r, "counts": 5}, "'counts' must be"),
     ("v3", lambda r: {**r, "counts": [5, 1, 2]}, "'counts' names a block outside 1..4"),
     ("v3", lambda r: {**r, "counts": [2, 1, 2, 2, 2, 1]}, "'counts' names a block twice"),
+    # Python converts an integer literal of at most 4300 digits by default.
+    ("v3", lambda r: json.dumps({**r, "offset": 0}).replace('"offset": 0',
+                                                            '"offset": ' + "7" * 5001),
+     "not a JSON record: an integer literal of more than"),
 ])
 def test_read_trace_names_the_line_of_a_malformed_round(version, mangle, message, tmp_path):
     honest = _honest_trace_lines(version)

@@ -6,9 +6,11 @@ engine's steps read the flat colour bytes and id array, here through the
 block-view wrappers ``window_step_*``; each pair must give the same moves
 in the same order.  The other tests
 show that a run and its audit build no Agent and keep no Move, that an
-audit keeps a bounded number of configurations alive, and that the window
-arithmetic of ``stray_move`` and the ``no_wraparound`` checker agrees with
-``build_pairing``.
+audit keeps a bounded number of configurations alive and ``ringform run
+--trace --verify`` a bounded number of rounds, that a run, a trace read
+back and its audit make one count row object per row value, and that the
+window arithmetic of ``stray_move`` and the ``no_wraparound`` checker
+agrees with ``build_pairing``.
 """
 
 import contextlib
@@ -16,11 +18,12 @@ import gc
 import io
 import random
 import weakref
+from pathlib import Path
 from typing import NamedTuple
 
 from ringform import engine, verify
 from ringform.cli import EXIT_OK, main
-from ringform.core import Agent, Configuration, ProblemKind, colour_symbols
+from ringform.core import Agent, Configuration, ProblemKind, colour_symbols, serialize_instance
 from ringform.engine import EngineError, Move, RoundTrace
 from ringform.generators import (
     gen_adversarial_half,
@@ -263,6 +266,89 @@ def test_audit_keeps_two_configurations_alive_whatever_the_round_count(monkeypat
         assert main(["verify", "--trace", str(path)]) == EXIT_OK
     assert "FAIL" not in out.getvalue()
     assert len(peak) > moving and max(peak) <= 3
+
+
+def _rows(counts_seq):
+    """Every count row of a sequence of count-row tuples."""
+    return [row for counts in counts_seq for row in counts]
+
+
+def _one_object_per_value(rows) -> bool:
+    return len({id(row) for row in rows}) == len(set(rows))
+
+
+def _audited_counts(monkeypatch, data):
+    """The count rows of every configuration the audit of ``data`` replays."""
+    replayed = []
+    apply = verify.apply_moves
+
+    def recorded(cfg, moves):
+        after = apply(cfg, moves)
+        replayed.append(after.all_counts())
+        return after
+
+    monkeypatch.setattr(verify, "apply_moves", recorded)
+    assert all(v.passed for v in verify.verify_trace(data))
+    monkeypatch.setattr(verify, "apply_moves", apply)
+    return replayed
+
+
+def _check_reader_and_audit(monkeypatch, data):
+    """The rows that ``data`` was read into, and those its audit replays,
+    are one object per value, and the audit's rows are the reader's."""
+    initial = data.instance.initial.all_counts()
+    read = [initial, *(rt.counts for rt in data.rounds)]
+    assert _one_object_per_value(_rows(read))
+    replayed = _audited_counts(monkeypatch, data)
+    moving = [rt.counts for rt in data.rounds if rt.moves]
+    assert len(replayed) == len(moving) > 0
+    assert all(a is b for ours, theirs in zip(replayed, moving) for a, b in zip(ours, theirs))
+    assert _one_object_per_value(_rows([initial, *replayed]))
+
+
+def test_run_reader_and_audit_make_one_row_object_per_row_value(monkeypatch):
+    insts = [engine.orient_roles(gen_adversarial_half(16, 4))[0],
+             *(gen_random(8, 8, 4, s) for s in range(3))]
+    for inst in insts:
+        result = engine.run(inst)
+        rows = _rows([inst.initial.all_counts(), *(rt.counts for rt in result.trace)])
+        assert result.terminated and _one_object_per_value(rows), inst.provenance
+        if inst.q == 2:  # a block of p agents has one of p + 1 two-colour rows
+            assert len(set(rows)) <= inst.p + 1 < sum(bool(rt.moves) for rt in result.trace)
+        buffer = io.StringIO()
+        engine.write_trace(result, buffer)
+        _check_reader_and_audit(monkeypatch, engine.read_trace(io.StringIO(buffer.getvalue())))
+
+
+def test_older_trace_formats_read_into_one_row_object_per_row_value(monkeypatch):
+    for version in ("v1", "v2"):
+        path = Path(__file__).parent / "data" / f"adversarial-half-k8-p2.{version}.jsonl"
+        with open(path, encoding="utf-8") as fp:
+            _check_reader_and_audit(monkeypatch, engine.read_trace(fp))
+
+
+def test_run_trace_verify_keeps_two_rounds_alive_whatever_the_round_count(monkeypatch,
+                                                                          tmp_path):
+    inst = gen_adversarial_half(16, 4)
+    instance_path, trace_path = tmp_path / "inst.txt", tmp_path / "trace.jsonl"
+    instance_path.write_text(serialize_instance(inst))
+    alive: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # RoundTrace is unhashable
+    peak = []
+    post_init = RoundTrace.__post_init__
+
+    def followed(self):
+        post_init(self)
+        alive[id(self)] = self
+        peak.append(len(alive))
+
+    monkeypatch.setattr(RoundTrace, "__post_init__", followed)
+    argv = ["run", "--instance", str(instance_path), "--trace", str(trace_path), "--verify"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == EXIT_OK
+    assert "FAIL" not in out.getvalue()
+    assert len(peak) > 2 * inst.k  # one RoundTrace a round
+    # The round being written and audited, and the one before it.
+    assert max(peak) <= 2
 
 
 def test_window_arithmetic_matches_build_pairing():

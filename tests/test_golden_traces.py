@@ -7,17 +7,22 @@ digests: one of the ``write_trace`` output, and one of the run that
 counts and distance, then the summary).  A change that alters any round,
 move, count, distance or summary field changes both; a change of the
 file format alone changes only the first.  Either change must be
-deliberate and its reason recorded in CHANGES.md.
+deliberate and its reason recorded in CHANGES.md.  ``ringform run
+--trace``, which writes each round as it runs, must write the same bytes
+as ``write_trace`` on the whole run, and with ``--verify`` print what the
+whole run and ``verify_result`` give.
 """
 
+import contextlib
 import hashlib
 import io
 import json
 
 import pytest
 
-from ringform import engine
-from ringform.core import ProblemKind
+from ringform import engine, verify
+from ringform.cli import EXIT_NO_TERMINATION, EXIT_OK, EXIT_VERIFICATION_FAILED, main
+from ringform.core import ProblemKind, serialize_instance
 from ringform.generators import (
     gen_adversarial_half,
     gen_homogeneous,
@@ -110,16 +115,22 @@ GOLDEN = {
 }
 
 
-def golden_run(name: str) -> tuple[engine.RunResult, str]:
-    """The case's run and its ``write_trace`` output."""
-    inst = GOLDEN[name][0]()
+def whole_run(inst, max_rounds=None) -> tuple[engine.RunResult, str, bool]:
+    """The run of ``inst`` as ``ringform run`` executes it, its
+    ``write_trace`` output, and whether its colour roles were swapped."""
     reversed_roles = False
     if inst.spec.kind is ProblemKind.P1 and inst.q == 2:
         inst, reversed_roles = engine.orient_roles(inst)
-    result = engine.run(inst)
+    result = engine.run(inst, max_rounds)
     buffer = io.StringIO()
     engine.write_trace(result, buffer, reversed_roles=reversed_roles)
-    return result, buffer.getvalue()
+    return result, buffer.getvalue(), reversed_roles
+
+
+def golden_run(name: str) -> tuple[engine.RunResult, str]:
+    """The case's run and its ``write_trace`` output."""
+    result, text, _ = whole_run(GOLDEN[name][0]())
+    return result, text
 
 
 def decoded_digest(text: str) -> str:
@@ -159,3 +170,53 @@ def test_golden_cases_cover_every_family():
     two_colour_p1 = [i for i in insts if i.spec.kind is ProblemKind.P1 and i.q == 2]
     assert {i.k % 2 for i in two_colour_p1} == {0, 1}
     assert any(engine.orient_roles(i)[1] for i in two_colour_p1)
+
+
+def cli_run(tmp_path, inst, *flags: str) -> tuple[int, str, bytes]:
+    """The exit code, standard output and trace file of ``ringform run
+    --trace`` on ``inst``."""
+    instance_path, trace_path = tmp_path / "inst.txt", tmp_path / "trace.jsonl"
+    instance_path.write_text(serialize_instance(inst))
+    argv = ["run", "--instance", str(instance_path), "--trace", str(trace_path), *flags]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return code, out.getvalue(), trace_path.read_bytes()
+
+
+def whole_run_output(inst, max_rounds=None, verifying=True) -> tuple[int, str, bytes]:
+    """What ``cli_run`` gives when the run is made whole first, then written
+    by ``write_trace`` and audited by ``verify_result``: the summary line,
+    then the verdicts of a run that terminated."""
+    result, text, reversed_roles = whole_run(inst, max_rounds)
+    summary = {"terminated": result.terminated, "rounds_used": result.rounds_used,
+               "bound": result.bound,
+               "bound_satisfied": result.terminated and result.rounds_used <= result.bound,
+               "reversed": reversed_roles, "final": result.final.to_string()}
+    lines = [json.dumps(summary)]
+    code = EXIT_OK
+    if not result.terminated:
+        code = EXIT_NO_TERMINATION
+    elif verifying:
+        verdicts = verify.verify_result(result)
+        lines += map(str, verdicts)
+        code = EXIT_OK if all(v.passed for v in verdicts) else EXIT_VERIFICATION_FAILED
+    return code, "".join(line + "\n" for line in lines), text.encode()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_trace_streams_the_bytes_of_the_whole_run(name, tmp_path):
+    inst = GOLDEN[name][0]()
+    expected = whole_run_output(inst, verifying=False)
+    assert cli_run(tmp_path, inst) == expected
+    assert hashlib.sha256(expected[2]).hexdigest() == GOLDEN[name][1]
+    assert cli_run(tmp_path, inst, "--verify") == whole_run_output(inst)
+
+
+def test_a_truncated_run_streams_the_bytes_of_the_whole_run(tmp_path):
+    inst = GOLDEN["p1-even-adversarial-k16-p4"][0]()
+    for flags in ((), ("--verify",)):
+        code, out, written = cli_run(tmp_path, inst, "--max-rounds", "5", *flags)
+        assert (code, out, written) == whole_run_output(inst, 5)
+        assert code == EXIT_NO_TERMINATION
+        assert written.decode().count('"type": "round"') == 5
+        assert json.loads(written.decode().splitlines()[-1])["terminated"] is False
