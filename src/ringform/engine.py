@@ -27,7 +27,7 @@ from functools import partial
 from itertools import chain, compress, count, filterfalse
 from operator import itemgetter, ne
 from types import SimpleNamespace
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Collection, Iterable, Iterator, Sequence
 
 from . import analysis
 from .core import (
@@ -92,25 +92,6 @@ def build_pairing(k: int, offset: int) -> WindowPairing:
         raise ValueError(f"offset {offset} out of range 1..{k}")
     ring = [*range(offset, k + 1), *range(1, offset)]  # the blocks from ``offset`` on
     return WindowPairing(offset=offset, pairs=tuple(zip(ring[::2], ring[1::2])))
-
-
-def stray_move(moves: Iterable[Sequence[int]], offset: int, k: int, p: int) -> Move | None:
-    """The first move that does not stay inside one window of the pairing at
-    ``offset`` (k blocks of length ``p``), or None.
-
-    Block b lies in window ``(b - offset) % k // 2``, counted in the order of
-    ``build_pairing(k, offset).pairs``; for odd k, window ``k // 2`` is the
-    block left unpaired, and for even k that window does not occur.
-    """
-    if type(moves) is not MoveSet:
-        moves = MoveSet(moves)
-    unpaired = k // 2
-    for m in moves.triples():
-        _, src, dst = m
-        window = (src // p + 1 - offset) % k // 2
-        if window == unpaired or window != (dst // p + 1 - offset) % k // 2:
-            return _new_move(m)
-    return None
 
 
 def uses_two_colour_steps(inst: Instance) -> bool:
@@ -320,23 +301,20 @@ def window_step_q_colour(left: BlockView, right: BlockView,
     return _triples(_q_colour_moves(spec, _view_state(left, right), left.index))
 
 
-def apply_moves(cfg: Configuration, moves: Iterable[Sequence[int]],
-                pairing: WindowPairing | int | None = None) -> Configuration:
-    """Apply a round's net moves (a MoveSet, or any iterable of triples),
-    refusing collisions and, given the round's pairing or its offset,
-    out-of-window moves.
-
-    The per-block counts of the result follow from ``cfg``'s counts and the
-    moves that cross a block boundary; every block that no agent enters or
-    leaves keeps ``cfg``'s row object, and every other row is the tuple of
-    ``cfg``'s row table with its value, so a run makes one row object per
-    distinct row value, however many rounds it has.
+def _apply(cfg: Configuration, moves: MoveSet, offset: int
+           ) -> tuple[Configuration, Move | None, Collection[int]]:
+    """Apply a round's net moves in one walk that also finds the first move
+    out of its window of the pairing at ``offset``: the next configuration,
+    that move or None, and the 0-based blocks that a move across a block
+    boundary entered or left.  A collision, a move outside the ring or an
+    id other than the one at the move's source raises EngineError naming
+    the first bad move.  Block b lies in window ``(b - offset) % k // 2``
+    of ``build_pairing(k, offset).pairs``; for odd k, window ``k // 2`` is
+    the block left unpaired.
     """
-    if type(moves) is not MoveSet:
-        moves = MoveSet(moves)
     flat = moves.flat
     if not flat:
-        return cfg
+        return cfg, None, ()
     srcs = flat[1::3]
     src_set, dst_set = set(srcs), set(flat[2::3])
     if len(dst_set) != len(srcs):
@@ -345,41 +323,65 @@ def apply_moves(cfg: Configuration, moves: Iterable[Sequence[int]],
         raise EngineError("two moves leave the same position")
     if src_set != dst_set:
         raise EngineError("moves do not permute positions: some node would empty")
-    n, old_colours, old_ids = cfg.n, cfg.colours, cfg.ids
+    n, k, p, old_colours, old_ids = cfg.n, cfg.k, cfg.p, cfg.colours, cfg.ids
     # The positions are a permutation, so bounds on the sources bound the
     # destinations too; the loop names the first bad move.
-    if (min(srcs) < 0 or max(srcs) >= n
-            or array("i", map(old_ids.__getitem__, srcs)) != flat[0::3]):
+    if min(srcs) < 0 or max(srcs) >= n:
         for m in moves:
             if not 0 <= m.src < n or not 0 <= m.dst < n:
                 raise EngineError(f"move {m} outside the ring")
             if old_ids[m.src] != m.agent_id:
                 raise EngineError(f"move {m} does not match the agent at its source")
-    p = cfg.p
-    if pairing is not None:
-        offset = pairing if type(pairing) is int else pairing.offset
-        stray = stray_move(moves, offset, cfg.k, p)
-        if stray is not None:
-            raise EngineError(f"move {stray} leaves its window")
+    shift = 1 - offset
+    unpaired = (offset - 2) % k if k % 2 else -1  # the 0-based block of window k // 2
+    stray = None
     colours, ids = bytearray(old_colours), old_ids[:]
     counts = list(cfg.all_counts())
     changed: dict[int, list[int]] = {}
     for agent_id, src, dst in moves.triples():
+        if old_ids[src] != agent_id:
+            raise EngineError(f"move {_new_move((agent_id, src, dst))} "
+                              "does not match the agent at its source")
         colour = colours[dst] = old_colours[src]
         ids[dst] = agent_id
         src_b, dst_b = src // p, dst // p
         if src_b != dst_b:
+            if (src_b + shift) % k // 2 != (dst_b + shift) % k // 2 and stray is None:
+                stray = _new_move((agent_id, src, dst))
             if src_b not in changed:
                 changed[src_b] = list(counts[src_b])
             if dst_b not in changed:
                 changed[dst_b] = list(counts[dst_b])
             changed[src_b][colour - 1] -= 1
             changed[dst_b][colour - 1] += 1
+        elif src_b == unpaired and stray is None:
+            stray = _new_move((agent_id, src, dst))
     rows = cfg._rows
     for b, row in changed.items():
         row = tuple(row)
         counts[b] = rows.setdefault(row, row)
-    return cfg._successor(bytes(colours), ids, tuple(counts))
+    return cfg._successor(bytes(colours), ids, tuple(counts)), stray, changed
+
+
+def apply_moves(cfg: Configuration, moves: Iterable[Sequence[int]],
+                pairing: WindowPairing | int | None = None) -> Configuration:
+    """Apply a round's net moves (a MoveSet, or any iterable of triples),
+    refusing collisions, moves outside the ring, ids that do not match the
+    agent at the source and, given the round's pairing or its offset,
+    out-of-window moves; ``_apply`` checks them all in its one walk.
+
+    The per-block counts of the result follow from ``cfg``'s counts and the
+    moves that cross a block boundary; every block that no agent enters or
+    leaves keeps ``cfg``'s row object, and every other row is the tuple of
+    ``cfg``'s row table with its value, so a run makes one row object per
+    distinct row value, however many rounds it has.
+    """
+    offset = pairing if pairing is None or type(pairing) is int else pairing.offset
+    # Without a pairing no window test is asked for: the one made at offset 1 is dropped.
+    new_cfg, stray, _ = _apply(cfg, MoveSet(moves), 1 if offset is None else offset)
+    if stray is not None and offset is not None:
+        raise EngineError(f"move {stray} leaves its window")
+    return new_cfg
 
 
 def _window_step(inst: Instance) -> Step:

@@ -1,9 +1,9 @@
 """Trace checkers: every structural guarantee of the algorithms, made testable.
 
 An audit is one pass over a trace's rounds.  It replays each round's
-recorded moves with ``engine.apply_moves``, walks a moving round's moves
-once, and checks the round against the state that the named verdicts
-share; no other configuration is kept.  A verdict checked round by round
+recorded moves in the one walk that ``engine.apply_moves`` makes, which
+also finds a move out of its window, and checks the round against the
+state that the named verdicts share; no other configuration is kept.  A verdict checked round by round
 stops at its first failure; every verdict, an :class:`InvariantVerdict`
 that names the first offending round and the witnesses on failure, is
 settled once the trace has ended and its summary is known.  A stored
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress
 from operator import sub
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from . import analysis
 from .analysis import BLUE
@@ -25,18 +25,17 @@ from .core import Configuration, Instance, ProblemKind, validate
 from .engine import (
     EngineError,
     RunResult,
-    apply_moves,
+    _apply,
     check_counts,
     default_max_rounds,
     step_round,
-    stray_move,
     target_satisfied,
     trace_items,
     two_colour_step,
     uses_two_colour_steps,
     wrap_block,
 )
-from .trace import MoveSet, RoundTrace, TraceData, TraceError
+from .trace import Move, MoveSet, RoundTrace, TraceData, TraceError
 
 
 @dataclass(frozen=True)
@@ -70,9 +69,10 @@ class _Audit:
     The verdicts checked round by round (``safety``, ``order_preserving``,
     ``suffix_property``, ``no_wraparound``, ``cooperativeness``) keep their
     first failure and are not checked again; the others are settled at the
-    end of the trace.  A moving round's moves are walked once, in
-    ``_walk``, for the blue ranks that move and the moves that cross a
-    block boundary.
+    end of the trace.  The replay (``engine._apply``) walks a moving
+    round's moves once and also yields its first move out of its window
+    and the blocks that its crossings entered or left; one more walk finds
+    the blue ranks that move, while a verdict follows them.
     """
 
     def __init__(self, inst: Instance, names: Iterable[str]):
@@ -148,58 +148,51 @@ class _Audit:
         moves = rt.moves
         self.moved.append(bool(moves.flat))
         was: dict[int, int] = {}  # the renamed block before the round of every moved rank
+        stray = None
         if moves.flat:
             try:
-                after = self.cfg = apply_moves(before, moves)
+                after, stray, crossed = _apply(before, moves, rt.offset)
             except EngineError as exc:
                 raise TraceError(f"round {rt.index}: {exc}") from None
+            self.cfg = after
             if self.distance is not None or "suffix_property" in live:
                 blues = analysis.renamed_blues(after, self.origin)
                 if self.distance is not None:
                     self.distance = analysis.distance_total(blues, len(self.dest), self.dest_total)
                 if "suffix_property" in live:
                     self.check_prefixes(r, blues)
-            if self.rank_of or "no_wraparound" in live:
-                movers, crossings = self._walk(moves)
-                if "no_wraparound" in live:
-                    self.check_wrap(r, rt.offset, crossings)
+            if "no_wraparound" in live:
+                self.check_wrap(r, rt.offset, moves, crossed)
+            if rank_of := self.rank_of:
+                # The blue ranks that move, as (rank, renamed position after).
+                start, n = self.start, inst.n
+                movers = [(rank_of[agent_id], (dst - start) % n)
+                          for agent_id, _, dst in moves.triples() if agent_id in rank_of]
                 if movers:
                     was = self.move_ranks(r, movers, before, after)
             if self.reached is None and "summary" in live and target_satisfied(after, inst):
                 self.reached = r
         if "safety" in live:
-            self.check_safety(r, rt, after)
+            self.check_safety(r, rt, after, stray)
         if self.recorded is not None:
             self.recorded.append(rt.distance)
         if "cooperativeness" in live:
             self.check_cooperation(r, was)
 
-    def _walk(self, moves: MoveSet) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
-        """The blue ranks that move, as (rank, renamed position after), and
-        the moves that cross a block boundary, as (agent id, block before,
-        block after)."""
-        p, n, start, rank_of = self.p, self.instance.n, self.start, self.rank_of
-        movers, crossings = [], []
-        for agent_id, src, dst in moves.triples():
-            if agent_id in rank_of:
-                movers.append((rank_of[agent_id], (dst - start) % n))
-            if src // p != dst // p:
-                crossings.append((agent_id, src // p + 1, dst // p + 1))
-        return movers, crossings
-
-    def check_safety(self, r: int, rt: RoundTrace, after: Configuration) -> None:
+    def check_safety(self, r: int, rt: RoundTrace, after: Configuration,
+                     stray: Move | None) -> None:
         """Rounds are numbered 1, 2, ... in order, round r runs at offset
-        ``(r - 1) % k + 1``, moves stay inside their window, and recorded
-        counts and distances match the replayed configurations.  Replay
-        applies only moves that permute positions and match the ids at their
-        sources, so the colour totals cannot change and are not checked."""
-        k, p = self.k, self.p
-        schedule = (r - 1) % k + 1
+        ``(r - 1) % k + 1``, moves stay inside their window (``stray`` is
+        the replay's first move that does not), and recorded counts and
+        distances match the replayed configurations.  Replay applies only
+        moves that permute positions and match the ids at their sources, so
+        the colour totals cannot change and are not checked."""
+        schedule = (r - 1) % self.k + 1
         if rt.index != r:
             self.fail("safety", r, f"recorded round number {rt.index}")
         elif rt.offset != schedule:
             self.fail("safety", r, f"recorded offset {rt.offset}, the schedule gives {schedule}")
-        elif rt.moves.flat and (stray := stray_move(rt.moves, rt.offset, k, p)) is not None:
+        elif stray is not None:
             self.fail("safety", r, f"move {stray} leaves its window")
         elif after.all_counts() != rt.counts:
             self.fail("safety", r, "recorded counts disagree with the moves")
@@ -226,19 +219,20 @@ class _Audit:
                           f"suffix after {j} renamed blocks has surplus {total - surplus} < 0")
                 return
 
-    def check_wrap(self, r: int, offset: int, crossings: list[tuple[int, int, int]]) -> None:
+    def check_wrap(self, r: int, offset: int, moves: MoveSet, crossed: Collection[int]) -> None:
         """``no_wraparound``: no agent is ever exchanged inside the window that
-        pairs the renamed last block with the renamed first block."""
+        pairs the renamed last block with the renamed first block.  Such a
+        crossing puts both in ``crossed``, and only then are the moves read."""
         k, origin = self.k, self.origin
         last = wrap_block(origin - 1, k)
         # The round pairs (last, origin) when ``last`` is an even number of
         # blocks after the offset, and is not the block an odd k leaves unpaired.
         left = (last - offset) % k
-        if left % 2 or left == k - 1:
+        if left % 2 or left == k - 1 or last - 1 not in crossed or origin - 1 not in crossed:
             return
-        forbidden = {last, origin}
-        for agent_id, src_b, dst_b in crossings:
-            if {src_b, dst_b} == forbidden:
+        forbidden, p = {last, origin}, self.p
+        for agent_id, src, dst in moves.triples():
+            if {src // p + 1, dst // p + 1} == forbidden:
                 self.fail("no_wraparound", r,
                           f"agent {agent_id} crossed between blocks {last} and {origin}")
                 return

@@ -15,13 +15,14 @@ from ringform.analysis import BLUE
 from ringform.core import Configuration, Instance, ProblemKind, validate
 from ringform.engine import (
     EngineError,
+    Move,
     MoveSet,
     RoundTrace,
     RunResult,
     TraceData,
     TraceError,
+    _new_move,
     apply_moves,
-    stray_move,
     target_satisfied,
     uses_two_colour_steps,
     wrap_block,
@@ -38,6 +39,24 @@ def blue_scan(cfg: Configuration, offset: int) -> tuple[tuple[int, int], ...]:
     return tuple((x // p + 1, ids[x])
                  for x in compress(range(cfg.n), map(BLUE.__eq__, colours)))
 
+
+def stray_move(moves: Iterable[Sequence[int]], offset: int, k: int, p: int) -> Move | None:
+    """The first move that does not stay inside one window of the pairing at
+    ``offset`` (k blocks of length ``p``), or None.
+
+    Block b lies in window ``(b - offset) % k // 2``, counted in the order of
+    ``build_pairing(k, offset).pairs``; for odd k, window ``k // 2`` is the
+    block left unpaired, and for even k that window does not occur.
+    """
+    if type(moves) is not MoveSet:
+        moves = MoveSet(moves)
+    unpaired = k // 2
+    for m in moves.triples():
+        _, src, dst = m
+        window = (src // p + 1 - offset) % k // 2
+        if window == unpaired or window != (dst // p + 1 - offset) % k // 2:
+            return _new_move(m)
+    return None
 
 def distance_change(cfg: Configuration, moves: MoveSet, offset: int) -> int:
     """Change of the distance potential when ``moves`` are applied to ``cfg``.

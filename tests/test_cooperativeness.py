@@ -3,7 +3,11 @@
 ``test_single_pass_audit_matches_the_checkers_it_replaced`` compares the
 one-pass ``verify_trace`` with ``oracle.verify_trace``, which runs the
 checkers as they were when each walked a replayed run of its own, over
-the corpus below, the golden runs and every trace of ``faults``.
+the corpus below, the golden runs and every trace of ``faults``;
+``test_single_pass_audit_matches_the_checkers_on_odd_k_and_stray_moves``
+does the same on odd-k runs with moves out of their window, and
+``test_replay_names_the_first_bad_move_in_order`` on rounds that the
+replay refuses.
 
 ``scan_cooperativeness`` is the cooperativeness checker as first written:
 it scans every replayed configuration for the blue agents in renamed
@@ -310,3 +314,74 @@ def test_single_pass_audit_matches_the_checkers_it_replaced():
         compared += 1
         failing += not all(v.passed for v in expected)
     assert compared >= 3000 and failing >= 1000, (compared, failing)
+
+
+def _swap(cfg, x, y):
+    """The agents at positions ``x`` and ``y`` trade places."""
+    return [Move(cfg.ids[x], x, y), Move(cfg.ids[y], y, x)]
+
+
+def odd_k_traces():
+    """Odd-k two-colour runs, each as it is and with its middle round
+    replaced, then carried on honestly: by a swap inside the block the
+    round leaves unpaired, by a swap across the boundary between its first
+    and second window (the unpaired block for k = 3), and by both in one
+    round, in either order.  Each trace comes with the number of its
+    tampered round and that round's first move out of its window, both
+    None for the honest run."""
+    for k in (3, 5, 7):
+        for seed in range(3):
+            inst, _ = engine.orient_roles(gen_random(k, 3, 2, seed))
+            result = engine.run(inst)
+            *_, summary = engine.trace_items(result)
+            yield TraceData(inst, result.trace, summary), None, None
+            j = (len(result.trace) + 1) // 2
+            cfg = replayed_configs(inst, result.trace[:j - 1])[-1]
+            offset, p = result.trace[j - 1].offset, inst.p
+            unpaired = engine.wrap_block(offset - 1, k)
+            inside = _swap(cfg, unpaired * p - 2, unpaired * p - 1)
+            across = _swap(cfg, engine.wrap_block(offset + 1, k) * p - 1,
+                           engine.wrap_block(offset + 2, k) * p - p)
+            for moves in (inside, across, across + inside, inside + across):
+                after, rt = faults.fabricate_round(cfg, moves, j, offset)
+                rounds = list(result.trace[:j - 1]) + [rt]
+                rounds = continue_honestly(inst, after, rounds, len(result.trace) - j)
+                yield TraceData(inst, tuple(rounds), summary), j, moves[0]
+
+
+def test_single_pass_audit_matches_the_checkers_on_odd_k_and_stray_moves():
+    compared = 0
+    for data, j, stray in odd_k_traces():
+        verdicts = verify.verify_trace(data)
+        assert verdicts == oracle.verify_trace(data), \
+            (data.instance.initial.to_string(), [rt.moves for rt in data.rounds])
+        safety = verdicts[0]
+        assert safety.name == "safety"
+        if stray is None:
+            assert all(v.passed for v in verdicts), verdicts
+        else:
+            assert as_tuple(safety) == ("safety", False, j, f"move {stray} leaves its window")
+        compared += 1
+    assert compared == 3 * 3 * 5
+
+
+def test_replay_names_the_first_bad_move_in_order():
+    # An id mismatch before a move out of the ring, and the other way round:
+    # the replay names whichever comes first.
+    inst, _ = engine.orient_roles(gen_random(5, 3, 2, 0))
+    result = engine.run(inst)
+    j = 3
+    cfg = replayed_configs(inst, result.trace[:j - 1])[-1]
+    n, ids = inst.n, cfg.ids
+    *_, summary = engine.trace_items(result)
+    wrong_id = Move(ids[1], 0, 1)  # the agent at position 1 does not stand at 0
+    outside = Move(ids[1], 1, n)
+    back = Move(ids[0], n, 0)
+    for moves, error in (([wrong_id, outside, back],
+                          f"move {wrong_id} does not match the agent at its source"),
+                         ([outside, wrong_id, back], f"move {outside} outside the ring")):
+        bad = RoundTrace(index=j, offset=result.trace[j - 1].offset, moves=moves,
+                         counts=cfg.all_counts(), distance=None, checks=())
+        data = TraceData(inst, (*result.trace[:j - 1], bad, *result.trace[j:]), summary)
+        expected = [InvariantVerdict("replay", False, None, f"round {j}: {error}")]
+        assert verify.verify_trace(data) == oracle.verify_trace(data) == expected

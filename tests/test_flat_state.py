@@ -8,9 +8,12 @@ in the same order.  The other tests
 show that a run and its audit build no Agent and keep no Move, that an
 audit keeps a bounded number of configurations alive and ``ringform run
 --trace --verify`` a bounded number of rounds, that a run, a trace read
-back and its audit make one count row object per row value, and that the
-window arithmetic of ``stray_move`` and the ``no_wraparound`` checker
-agrees with ``build_pairing``.
+back and its audit make one count row object per row value, that the
+window arithmetic of ``oracle.stray_move`` and the ``no_wraparound``
+checker agrees with ``build_pairing``, that ``apply_moves`` refuses
+exactly the moves that ``oracle.stray_move`` finds out of their window,
+and that a run and its audit walk each moving round's moves as often as
+they should.
 """
 
 import contextlib
@@ -20,6 +23,8 @@ import random
 import weakref
 from pathlib import Path
 from typing import NamedTuple
+
+import pytest
 
 from ringform import engine, verify
 from ringform.cli import EXIT_OK, main
@@ -33,6 +38,7 @@ from ringform.generators import (
     gen_random,
 )
 
+import oracle
 from helpers import counts, make_p1, verdict_of
 
 
@@ -280,16 +286,16 @@ def _one_object_per_value(rows) -> bool:
 def _audited_counts(monkeypatch, data):
     """The count rows of every configuration the audit of ``data`` replays."""
     replayed = []
-    apply = verify.apply_moves
+    apply = verify._apply
 
-    def recorded(cfg, moves):
-        after = apply(cfg, moves)
+    def recorded(cfg, moves, offset):
+        after, stray, crossed = apply(cfg, moves, offset)
         replayed.append(after.all_counts())
-        return after
+        return after, stray, crossed
 
-    monkeypatch.setattr(verify, "apply_moves", recorded)
+    monkeypatch.setattr(verify, "_apply", recorded)
     assert all(v.passed for v in verify.verify_trace(data))
-    monkeypatch.setattr(verify, "apply_moves", apply)
+    monkeypatch.setattr(verify, "_apply", apply)
     return replayed
 
 
@@ -363,7 +369,7 @@ def test_window_arithmetic_matches_build_pairing():
                 for dst in range(1, k + 1):
                     inside = src in window and window.get(src) == window.get(dst)
                     move = Move(0, src - 1, dst - 1)
-                    assert (engine.stray_move([move], offset, k, 1) is None) == inside, \
+                    assert (oracle.stray_move([move], offset, k, 1) is None) == inside, \
                         (k, offset, src, dst)
             # One exchange across the boundary between renamed blocks k and 1.
             last = (origin - 2) % k + 1
@@ -374,6 +380,55 @@ def test_window_arithmetic_matches_build_pairing():
                                                   checks=())])
             assert verdict_of(run, "no_wraparound").passed == ((last, origin) not in pairs), \
                 (k, offset)
+
+
+def test_apply_moves_refuses_exactly_the_moves_out_of_their_window():
+    # Every (src, dst) pair of positions, as a swap of the two agents, or as
+    # one move that stays put when src == dst; at p = 2 that includes swaps
+    # inside one block, the unpaired block of an odd k among them.
+    for k in range(2, 8):
+        for p in (1, 2):
+            n = k * p
+            inst = make_p1("BR" * (n // 2) + "B" * (n % 2), k, p,
+                           [[p - p // 2] * k, [p // 2] * k])
+            cfg = inst.initial
+            for offset in range(1, k + 1):
+                for src in range(n):
+                    for dst in range(n):
+                        moves = [Move(src, src, dst)] + ([Move(dst, dst, src)] if dst != src
+                                                         else [])
+                        stray = oracle.stray_move(moves, offset, k, p)
+                        where = (k, p, offset, src, dst)
+                        if stray is None:
+                            after = engine.apply_moves(cfg, moves, offset)
+                            assert after.ids[dst] == src and after.ids[src] == dst, where
+                        else:
+                            with pytest.raises(EngineError) as caught:
+                                engine.apply_moves(cfg, moves, offset)
+                            assert str(caught.value) == f"move {stray} leaves its window", where
+                        # The audit's replay names the same move and applies it all the same.
+                        _, found, _ = engine._apply(cfg, engine.MoveSet(moves), offset)
+                        assert found == stray, where
+
+
+def test_a_run_and_its_audit_walk_each_moving_round_once_or_twice(monkeypatch):
+    walks = []  # one entry a call of MoveSet.triples
+    triples = engine.MoveSet.triples
+    monkeypatch.setattr(engine.MoveSet, "triples", lambda moves: walks.append(1) or triples(moves))
+    for inst in [*(gen_random(8, 8, 4, s) for s in range(3)),
+                 engine.orient_roles(gen_adversarial_half(16, 4))[0]]:
+        walks.clear()
+        result = engine.run(inst)
+        moving = sum(bool(rt.moves) for rt in result.trace)
+        assert result.terminated and moving > 10, inst.provenance
+        assert len(walks) == moving, inst.provenance
+        walks.clear()
+        assert all(v.passed for v in verify.verify_result(result))
+        if inst.q == 2:
+            # The replay, then the blue ranks that move.
+            assert moving < len(walks) <= 2 * moving, inst.provenance
+        else:
+            assert len(walks) == moving, inst.provenance
 
 
 def test_agents_are_built_from_the_flat_state():
