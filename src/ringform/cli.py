@@ -15,14 +15,15 @@ to stdout, and exits 4, wherever in the file that line stands; a round
 recorded under the wrong round number fails the ``safety`` verdict, also
 exit 4.  ``ringform run`` keeps no round either: it writes each round's
 trace record as soon as the round has run (``engine.iter_rounds`` through
-``engine.iter_written``), and with ``--verify`` the audit reads the same
-rounds in the same pass, so ``run --trace --verify`` holds at most two
-rounds at a time.  It prints the summary, then the verdicts of a run that
-terminated, once the run has ended: the verdicts that ``verify`` prints
-for the run's trace, which holds the bytes that ``engine.write_trace``
-writes for the run.  ``run`` and ``analyze`` on an instance file that is
-not UTF-8 or not a well-formed document print one ``invalid instance
-document`` line to stderr and exit 2.
+``trace.iter_written``, the one trace writer, given the header's initial
+distance from ``engine.initial_potential``), and with ``--verify`` the
+audit reads the same rounds in the same pass, so ``run --trace --verify``
+holds at most two rounds at a time.  It prints the summary, then the
+verdicts of a run that terminated, once the run has ended: the verdicts
+that ``verify`` prints for the run's trace, which holds the bytes that
+``engine.write_trace`` writes for the run.  ``run`` and ``analyze`` on an
+instance file that is not UTF-8 or not a well-formed document print one
+``invalid instance document`` line to stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -129,7 +130,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         if args.trace:
             fp = stack.enter_context(open(args.trace, "w", encoding="utf-8"))
-            items = engine.iter_written(items, fp, reversed_roles=reversed_roles)
+            potential = engine.initial_potential(oriented)
+            items = engine.iter_written(items, fp, None if potential is None else potential.total,
+                                        reversed_roles=reversed_roles)
         if args.verify:
             verdicts = verify.verify_stream(items)
         else:

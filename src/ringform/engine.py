@@ -20,12 +20,11 @@ step; the engine refuses to apply colliding or out-of-window move sets.
 
 from __future__ import annotations
 
-import json
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, count, filterfalse
-from operator import itemgetter, ne
+from itertools import chain, compress, filterfalse
 from types import SimpleNamespace
 from typing import IO, Callable, Collection, Iterable, Iterator, Sequence
 
@@ -36,13 +35,13 @@ from .core import (
     Instance,
     ProblemKind,
     RequirementSpec,
-    serialize_instance,
     validate,
 )
-# The round records and the trace reader, which live in ``trace``, are
-# engine names too: the engine's callers reach them here.
+# The round records and the trace writer and reader, which live in
+# ``trace``, are engine names too: the engine's callers reach them here.
 from .trace import (  # noqa: F401
     ROUND_CHECKS,
+    SUMMARY_FIELDS,
     TRACE_FORMAT,
     Move,
     MoveSet,
@@ -51,6 +50,7 @@ from .trace import (  # noqa: F401
     TraceError,
     _new_move,
     iter_trace,
+    iter_written,
     read_trace,
 )
 
@@ -429,7 +429,7 @@ def step_round(cfg: Configuration, offset: int, step: Step,
         # The moves permute positions, so their sources lie in every block they touch.
         touched = {src // p for src in flat[1::3]}
         # The windows whose left block is 1-based block b + 1, and those whose right block it is.
-        idle.difference_update([b + 1 for b in touched], [wrap_block(b, k) for b in touched])
+        idle.difference_update([b + 1 for b in touched], [b or k for b in touched])
     return new_cfg, moves
 
 
@@ -467,10 +467,6 @@ def initial_potential(inst: Instance) -> analysis.DistanceReport | None:
     if not uses_two_colour_steps(inst):
         return None
     return analysis.distance_report(inst.initial, inst.spec.row(1))
-
-
-# The summary fields of a run, in the order its trace and ``ringform run`` report them.
-SUMMARY_FIELDS = ("terminated", "rounds_used", "bound", "bound_satisfied")
 
 
 def iter_rounds(inst: Instance, max_rounds: int | None = None
@@ -566,12 +562,6 @@ def run(inst: Instance, max_rounds: int | None = None) -> RunResult:
     )
 
 
-# --- trace writing (JSON lines; the reader is in trace.py) ---------------------
-
-# What ``json.dumps`` returns for a record, without its per-call argument checks.
-_encode = json.JSONEncoder().encode
-
-
 def trace_items(result: RunResult) -> Iterator[Instance | RoundTrace | dict]:
     """``result`` as the items that ``iter_rounds`` yielded for it."""
     summary = _summary(result.terminated, result.rounds_used, result.bound,
@@ -579,61 +569,7 @@ def trace_items(result: RunResult) -> Iterator[Instance | RoundTrace | dict]:
     return chain((result.instance,), result.trace, (summary,))
 
 
-def _records(items: Iterable[Instance | RoundTrace | dict], reversed_roles: bool,
-             initial_distance: int | None
-             ) -> Iterator[tuple[Instance | RoundTrace | dict, dict]]:
-    """Each of a run's items, as ``iter_rounds`` yields them, with its trace
-    record; the header records ``initial_distance``.  A v3 round record's
-    ``moves`` is the flat (agent id, from, to) list, and its ``counts`` the
-    flat ``[block, count of colour 1, ..., count of colour q, block, ...]``
-    list of every block whose row differs from the configuration the round
-    started from."""
-    items = iter(items)
-    inst = next(items)
-    yield inst, {
-        "type": "header",
-        "format": TRACE_FORMAT,
-        "instance": serialize_instance(inst),
-        "reversed": reversed_roles,
-        "initial_distance": initial_distance,
-    }
-    before = inst.initial.all_counts()
-    for item in items:
-        if isinstance(item, RoundTrace):
-            changed = compress(count(1), map(ne, before, item.counts))
-            yield item, {"type": "round", "round": item.index, "offset": item.offset,
-                         "moves": item.moves.flat.tolist(),
-                         "counts": [x for b in changed for x in (b, *item.counts[b - 1])],
-                         "distance": item.distance}
-            before = item.counts
-        else:
-            yield item, {"type": "summary", **{key: item[key] for key in SUMMARY_FIELDS}}
-
-
-def trace_records(result: RunResult, *, reversed_roles: bool = False) -> Iterator[dict]:
-    """The records of ``result``'s trace, made one at a time."""
-    items = trace_items(result)
-    return map(itemgetter(1), _records(items, reversed_roles, result.initial_distance))
-
-
-def iter_written(items: Iterable[Instance | RoundTrace | dict], fp: IO[str], *,
-                 reversed_roles: bool = False) -> Iterator[Instance | RoundTrace | dict]:
-    """Pass on a run's items, as ``iter_rounds`` yields them, each once its
-    trace record is written to ``fp`` as one JSON line: the file is written
-    while the run runs, and no record outlives its line.  The header, which
-    comes before the summary that carries the run's initial distance, takes
-    it from ``initial_potential``."""
-    items = iter(items)
-    inst = next(items)
-    potential = initial_potential(inst)
-    initial_distance = None if potential is None else potential.total
-    for item, record in _records(chain((inst,), items), reversed_roles, initial_distance):
-        fp.write(_encode(record) + "\n")
-        yield item
-
-
 def write_trace(result: RunResult, fp: IO[str], *, reversed_roles: bool = False) -> None:
-    """Write ``result`` as JSON lines, one record at a time, as
-    ``iter_written`` writes the items of its run."""
-    for record in trace_records(result, reversed_roles=reversed_roles):
-        fp.write(_encode(record) + "\n")
+    """Write ``result`` as JSON lines, one record at a time, through ``iter_written``."""
+    deque(iter_written(trace_items(result), fp, result.initial_distance,
+                       reversed_roles=reversed_roles), maxlen=0)

@@ -1,11 +1,12 @@
-"""Round records and the trace file reader.
+"""Round records and the trace file format: its one writer and its reader.
 
 A round's moves are one :class:`MoveSet` and a round is one
-:class:`RoundTrace`, the records that ``engine.iter_rounds`` yields and
-that ``iter_trace`` reads back from a JSON-lines trace file, one line at
-a time.  This module depends on ``core`` only: the engine, which runs the
-rounds and writes the trace files, imports these names from here, and
-they are also reached as ``engine.RoundTrace``, ``engine.read_trace`` and
+:class:`RoundTrace`, the records that ``engine.iter_rounds`` yields,
+that ``iter_written`` writes to a JSON-lines trace file and that
+``iter_trace`` reads back from one, one line at a time.  This module
+depends on ``core`` only: the engine, which runs the rounds, imports
+these names from here, and they are also reached as
+``engine.RoundTrace``, ``engine.iter_written``, ``engine.read_trace`` and
 so on.
 """
 
@@ -16,15 +17,18 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, compress, count
+from operator import ne
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import Configuration, Instance, parse_instance
+from .core import Configuration, Instance, parse_instance, serialize_instance
 
 TRACE_FORMAT = "ringform-trace-v3"
 # Older formats read_trace reads: they nest each move and count row in a list;
 # a v1 round record lists all k count rows and the checks.
 TRACE_FORMAT_V2, TRACE_FORMAT_V1 = "ringform-trace-v2", "ringform-trace-v1"
+# The summary fields of a run, in the order its trace and ``ringform run`` report them.
+SUMMARY_FIELDS = ("terminated", "rounds_used", "bound", "bound_satisfied")
 
 
 class TraceError(ValueError):
@@ -123,6 +127,42 @@ class TraceData:
     instance: Instance
     rounds: tuple[RoundTrace, ...]
     summary: dict
+
+
+# What ``json.dumps`` returns for a record, without its per-call argument checks.
+_encode = json.JSONEncoder().encode
+
+
+def iter_written(items: Iterable[Instance | RoundTrace | dict], fp: IO[str],
+                 initial_distance: int | None, *, reversed_roles: bool = False
+                 ) -> Iterator[Instance | RoundTrace | dict]:
+    """Pass on a run's items, as ``engine.iter_rounds`` yields them, each
+    once its record is written to ``fp`` as one JSON line: the file is
+    written while the run runs, and no record outlives its line.  The
+    header records ``initial_distance``, passed in because the header comes
+    before the summary that carries it.  A round record's ``moves`` is the
+    flat (agent id, from, to) list, and its ``counts`` the flat ``[block,
+    count of colour 1, ..., count of colour q, block, ...]`` list of every
+    block whose row differs from the configuration the round started from.
+    """
+    before: tuple[tuple[int, ...], ...] = ()
+    for item in items:
+        if isinstance(item, RoundTrace):
+            changed = compress(count(1), map(ne, before, item.counts))
+            record = {"type": "round", "round": item.index, "offset": item.offset,
+                      "moves": item.moves.flat.tolist(),
+                      "counts": [x for b in changed for x in (b, *item.counts[b - 1])],
+                      "distance": item.distance}
+            before = item.counts
+        elif isinstance(item, Instance):
+            record = {"type": "header", "format": TRACE_FORMAT,
+                      "instance": serialize_instance(item), "reversed": reversed_roles,
+                      "initial_distance": initial_distance}
+            before = item.initial.all_counts()
+        else:
+            record = {"type": "summary", **{key: item[key] for key in SUMMARY_FIELDS}}
+        fp.write(_encode(record) + "\n")
+        yield item
 
 
 def _is_int(value: object) -> bool:
@@ -225,15 +265,16 @@ def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
     configuration with its value, the table from which ``apply_moves``
     takes the rows of a replay.  The summary is the summary record, or
     ``{}`` without one, with the header's ``initial_distance`` and
-    ``reversed`` where it has none of its own; it comes last wherever its
+    ``reversed`` in place of any of its own; it comes last wherever its
     record stands in the file.  A byte line that is not UTF-8, a line that
     is not a JSON object (or holds an integer literal longer than Python
-    converts), a record of unknown type, a header without
-    an instance document or of another format, a malformed round or
-    summary record, a second header or summary, a round record before the
-    header and a missing header all raise :class:`TraceError`, with the
-    file line when there is one, once the reader reaches that line; a
-    malformed embedded instance raises :class:`InstanceFormatError`.
+    converts), a record of unknown type, a header without an instance
+    document, of another format or with a ``reversed`` that is not a
+    bool, a malformed round or summary record, a second header or summary,
+    a round record before the header and a missing header all raise
+    :class:`TraceError`, with the file line when there is one, once the
+    reader reaches that line; a malformed embedded instance raises
+    :class:`InstanceFormatError`.
     """
     header: dict | None = None
     summary: dict | None = None
@@ -269,6 +310,8 @@ def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
             if record.get("format") not in formats:
                 raise TraceError(f"header format {record.get('format')!r} is not one of "
                                  f"{', '.join(map(repr, formats))}", no)
+            if not isinstance(record.get("reversed", False), bool):
+                raise TraceError("header 'reversed' must be true or false", no)
             header = record
             instance = parse_instance(record["instance"])
             counts = instance.initial.all_counts()
@@ -292,10 +335,8 @@ def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
             raise TraceError(f"unknown record type {rtype!r}", no)
     if header is None:
         raise TraceError("trace has no header record")
-    summary = summary or {}
-    summary.setdefault("initial_distance", header.get("initial_distance"))
-    summary.setdefault("reversed", header.get("reversed", False))
-    yield summary
+    yield {**(summary or {}), "initial_distance": header.get("initial_distance"),
+           "reversed": header.get("reversed", False)}
 
 
 def read_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]) -> TraceData:

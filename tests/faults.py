@@ -16,7 +16,7 @@ from ringform.engine import Move, RoundTrace, TraceData
 from ringform.generators import gen_adversarial_half
 from ringform.verify import InvariantVerdict
 
-from helpers import make_p1
+from helpers import make_p1, written_records
 
 
 def fabricate_round(cfg, moves, index, offset, distance=None):
@@ -133,7 +133,7 @@ def distance_fault() -> TraceData:
 def summary_fault() -> TraceData:
     # Honest moves of a k=8 half-and-half run (11 rounds used), stored with
     # its summary's bound rewritten from 28 to 5.
-    records = list(engine.trace_records(engine.run(gen_adversarial_half(8, 2))))
+    records = written_records(engine.run(gen_adversarial_half(8, 2)))
     records[-1]["bound"] = 5
     return engine.read_trace(json.dumps(record) for record in records)
 
@@ -141,7 +141,7 @@ def summary_fault() -> TraceData:
 def index_fault() -> TraceData:
     # Honest moves of a k=8 half-and-half run, stored with every round
     # record's "round" rewritten to 1.
-    records = list(engine.trace_records(engine.run(gen_adversarial_half(8, 2))))
+    records = written_records(engine.run(gen_adversarial_half(8, 2)))
     for record in records:
         if record["type"] == "round":
             record["round"] = 1

@@ -1,11 +1,13 @@
 """Shortcuts for building instances inline in tests, and small readers of
 the library's results."""
 
+import io
+import json
 from typing import Iterable
 
 from ringform import verify
 from ringform.core import Configuration, Instance, RequirementSpec, parse_instance
-from ringform.engine import RoundTrace, WindowPairing, apply_moves
+from ringform.engine import RoundTrace, RunResult, WindowPairing, apply_moves, write_trace
 
 
 def make_p1(config: str, k: int, p: int, rows) -> Instance:
@@ -37,6 +39,13 @@ def unpaired(pairing: WindowPairing, k: int) -> int | None:
     """The block that no pair of ``pairing`` holds: None for even k."""
     idle = set(range(1, k + 1)).difference(*pairing.pairs)
     return idle.pop() if idle else None
+
+
+def written_records(result: RunResult, *, reversed_roles: bool = False) -> list[dict]:
+    """The records that ``engine.write_trace`` writes for ``result``, parsed."""
+    buffer = io.StringIO()
+    write_trace(result, buffer, reversed_roles=reversed_roles)
+    return [json.loads(line) for line in buffer.getvalue().splitlines()]
 
 
 def v2_records(records: list[dict]) -> list[dict]:

@@ -46,6 +46,7 @@ from helpers import (
     unpaired,
     v1_records,
     v2_records,
+    written_records,
 )
 
 
@@ -579,9 +580,41 @@ def test_trace_roundtrip():
     assert data.summary["reversed"] is False
 
 
+@pytest.mark.parametrize("inst, tracks_distance", [
+    (gen_random(4, 3, 2, seed=7), True),          # P1, q = 2
+    (gen_p2_random(5, 3, 2, 1, extras=2), True),  # P2
+    (gen_random(4, 4, 3, 1), False),              # P1, q = 3
+    (gen_p3_random(3, 4, 3, 4), False),           # P3
+])
+def test_iter_written_writes_each_record_before_it_passes_the_item_on(inst, tracks_distance):
+    result = run(inst)
+    potential = engine.initial_potential(inst)
+    buffer = io.StringIO()
+    items = engine.iter_written(engine.iter_rounds(inst), buffer,
+                                None if potential is None else potential.total)
+    assert next(items) is inst
+    header = json.loads(buffer.getvalue())
+    assert header["type"] == "header" and header["reversed"] is False
+    if tracks_distance:
+        assert type(header["initial_distance"]) is int
+        assert header["initial_distance"] == result.initial_distance
+    else:
+        assert header["initial_distance"] is None and result.initial_distance is None
+    for r, item in enumerate(items, start=1):
+        lines = buffer.getvalue().splitlines()
+        if isinstance(item, engine.RoundTrace):
+            assert item.index == r
+            assert [json.loads(line)["type"] for line in lines] == ["header"] + ["round"] * r
+        else:
+            assert r == len(result.trace) + 1 and json.loads(lines[-1])["type"] == "summary"
+    written = io.StringIO()
+    write_trace(result, written)
+    assert buffer.getvalue() == written.getvalue()
+
+
 def test_v3_round_records_are_flat_and_carry_only_the_changed_rows():
     result = run(gen_adversarial_half(8, 2))
-    records = list(engine.trace_records(result))
+    records = written_records(result)
     assert records[0]["format"] == "ringform-trace-v3"
     rounds = [r for r in records if r["type"] == "round"]
     assert all("checks" not in r for r in rounds)
@@ -626,7 +659,7 @@ def test_read_trace_reads_a_v2_trace():
 
 
 def _honest_trace_lines(version: str = "v3") -> list[str]:
-    records = list(engine.trace_records(run(gen_random(4, 3, 2, seed=7))))
+    records = written_records(run(gen_random(4, 3, 2, seed=7)))
     rewrite = {"v1": v1_records, "v2": v2_records, "v3": list}[version]
     return [json.dumps(r) for r in rewrite(records)]
 

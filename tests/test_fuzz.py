@@ -32,7 +32,7 @@ from ringform.core import (
 from ringform.engine import TraceError
 from ringform.generators import gen_p2_random, gen_p3_random, gen_random
 
-from helpers import v2_records
+from helpers import v2_records, written_records
 
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5}
 
@@ -45,7 +45,7 @@ def honest_trace(inst) -> list[dict]:
     oriented, reversed_roles = inst, False
     if inst.spec.kind is ProblemKind.P1 and inst.q == 2:
         oriented, reversed_roles = engine.orient_roles(inst)
-    return list(engine.trace_records(engine.run(oriented), reversed_roles=reversed_roles))
+    return written_records(engine.run(oriented), reversed_roles=reversed_roles)
 
 
 TRACES = [honest_trace(INSTANCES[0]), honest_trace(INSTANCES[2])]

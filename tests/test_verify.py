@@ -13,7 +13,14 @@ from ringform.verify import TraceError, replay, replay_result, sequential_phase_
 
 import faults
 import oracle
-from helpers import make_p1, make_p2, oracle_distance, replayed_configs, verdict_of
+from helpers import (
+    make_p1,
+    make_p2,
+    oracle_distance,
+    replayed_configs,
+    verdict_of,
+    written_records,
+)
 from test_golden_traces import GOLDEN, golden_run
 
 
@@ -206,8 +213,7 @@ def test_summary_forgery_detected():
 
 def _stored_records(inst, max_rounds=None):
     oriented, reversed_roles = engine.orient_roles(inst) if inst.q == 2 else (inst, False)
-    return list(engine.trace_records(engine.run(oriented, max_rounds),
-                                     reversed_roles=reversed_roles))
+    return written_records(engine.run(oriented, max_rounds), reversed_roles=reversed_roles)
 
 
 def _summary_verdict(records):
@@ -242,6 +248,27 @@ def test_summary_check_on_unfinished_and_many_colour_runs():
     assert records[0]["initial_distance"] is None and _summary_verdict(records).passed
     records[0]["initial_distance"] = 0
     assert not _summary_verdict(records).passed
+
+
+def test_a_summary_record_cannot_mask_the_header():
+    # The header's initial distance is the one audited, whatever the summary record holds.
+    records = _stored_records(gen_adversarial_half(8, 2))
+    records[0]["initial_distance"] = 999
+    records[-1]["initial_distance"] = 16
+    records[-1]["reversed"] = True
+    data = engine.read_trace(json.dumps(record) for record in records)
+    assert (data.summary["initial_distance"], data.summary["reversed"]) == (999, False)
+    assert verify.verify_trace(data)[-1] == verify.InvariantVerdict(
+        "summary", False, None, "recorded initial_distance 999 disagrees with the replay (16)")
+
+
+@pytest.mark.parametrize("value", [1, "false", None])
+def test_a_header_reversed_that_is_not_a_bool_is_a_trace_error(value):
+    records = _stored_records(gen_adversarial_half(8, 2))
+    records[0]["reversed"] = value
+    with pytest.raises(TraceError, match="header 'reversed' must be true or false") as info:
+        engine.read_trace(json.dumps(record) for record in records)
+    assert info.value.line == 1
 
 
 def test_summary_check_counts_trailing_quiet_rounds():
