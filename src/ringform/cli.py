@@ -16,14 +16,15 @@ recorded under the wrong round number fails the ``safety`` verdict, also
 exit 4.  ``ringform run`` keeps no round either: it writes each round's
 trace record as soon as the round has run (``engine.iter_rounds`` through
 ``trace.iter_written``, the one trace writer, given the header's initial
-distance from ``engine.initial_potential``), and with ``--verify`` the
-audit reads the same rounds in the same pass, so ``run --trace --verify``
-holds at most two rounds at a time.  It prints the summary, then the
-verdicts of a run that terminated, once the run has ended: the verdicts
-that ``verify`` prints for the run's trace, which holds the bytes that
-``engine.write_trace`` writes for the run.  ``run`` and ``analyze`` on an
-instance file that is not UTF-8 or not a well-formed document print one
-``invalid instance document`` line to stderr and exit 2.
+distance from ``engine.initial_potential``, which the run reuses), and
+with ``--verify`` the audit reads the same rounds in the same pass, so
+``run --trace --verify`` holds at most two rounds at a time.  It prints
+the summary, then the verdicts of a run that terminated, once the run
+has ended: the verdicts that ``verify`` prints for the run's trace,
+which holds the bytes that ``engine.write_trace`` writes for the run.
+``run`` and ``analyze`` on an instance file that is not UTF-8 or not a
+well-formed document print one ``invalid instance document`` line to
+stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -125,12 +126,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_INVALID_INSTANCE
 
     oriented, reversed_roles = _prepare(inst)
+    # The run and the trace header share one computation of the initial distance.
+    potential = engine.initial_potential(oriented)
     kept: list[dict] = []
-    items = _keep_last(engine.iter_rounds(oriented, args.max_rounds), kept)
+    items = _keep_last(engine.iter_rounds(oriented, args.max_rounds, potential), kept)
     with ExitStack() as stack:
         if args.trace:
             fp = stack.enter_context(open(args.trace, "w", encoding="utf-8"))
-            potential = engine.initial_potential(oriented)
             items = engine.iter_written(items, fp, None if potential is None else potential.total,
                                         reversed_roles=reversed_roles)
         if args.verify:

@@ -25,6 +25,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 _MANY_COLOUR_SYMBOLS = "123456789" + string.ascii_uppercase
@@ -205,9 +206,11 @@ class Configuration:
 
     @cached_property
     def _block_counts(self) -> tuple[tuple[int, ...], ...]:
-        colours, p, values = self.colours, self.p, range(1, self.q + 1)
-        counted = [tuple(colours.count(c, start, start + p) for c in values)
-                   for start in range(0, self.n, p)]
+        # One column of per-block counts per colour, counted in C, zipped into rows.
+        colours, p, n = self.colours, self.p, self.n
+        starts, stops = range(0, n, p), range(p, n + p, p)
+        counted = list(zip(*[map(colours.count, repeat(c), starts, stops)
+                             for c in range(1, self.q + 1)]))
         return tuple(map(self._rows.setdefault, counted, counted))
 
     def all_counts(self) -> tuple[tuple[int, ...], ...]:

@@ -139,40 +139,54 @@ def orient_roles(inst: Instance) -> tuple[Instance, bool]:
 Step = Callable[[Configuration, int], Sequence[int]]
 
 
-def _two_colour_moves(need: Sequence[int], cap: int, blue_colour: int, frozen: frozenset[int],
-                      cfg: Configuration, lb: int) -> Sequence[int]:
-    """The two-colour step of the window whose left block is ``lb``, which
-    needs ``need[lb - 1]`` agents of colour ``blue_colour``; see
-    ``window_step_two_colour``."""
-    deficit = need[lb - 1] - cfg._block_counts[lb - 1][blue_colour - 1]
-    if deficit <= 0:
-        return ()
-    p, colours, ids, positions = cfg.p, cfg.colours, cfg.ids, cfg._positions
-    left_start, right_start = (lb - 1) * p, lb % cfg.k * p
-    left_slots = positions[left_start:left_start + p]
-    right_slots = positions[right_start:right_start + p]
-    if frozen:
-        left_slots = [x for x in left_slots if colours[x] not in frozen]
-        right_slots = [x for x in right_slots if colours[x] not in frozen]
-    blues_left, reds_left, blues_right, reds_right = [], [], [], []
-    for x in left_slots:
-        (blues_left if colours[x] == blue_colour else reds_left).append(x)
-    for x in right_slots:
-        (blues_right if colours[x] == blue_colour else reds_right).append(x)
+_PLAN_CAP = 4096  # the most plans a step function stores; it builds the others unstored
+
+
+def _two_colour_plan(window: bytes, deficit: int, cap: int, blue_colour: int,
+                     frozen: frozenset[int], lb: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The (from slot, to slot) pairs of the two-colour step of a window of
+    colours ``window`` whose left block ``lb`` is ``deficit`` blues short;
+    slots 0..p-1 are the left block and p..2p-1 the right."""
+    p = len(window) // 2
+    mobile = [x for x in range(2 * p) if window[x] not in frozen]
+    blues_left, reds_left, blues_right, reds_right = groups = [], [], [], []
+    for x in mobile:
+        groups[2 * (x >= p) + (window[x] != blue_colour)].append(x)
     t = min(cap, deficit, len(blues_right))
     if len(reds_left) < t:
-        raise EngineError(f"window [{lb}|{lb % cfg.k + 1}]: "
-                          f"{len(reds_left)} movable reds but t={t}")
+        raise EngineError(f"window [{lb}|{lb % k + 1}]: {len(reds_left)} movable reds but t={t}")
 
     # Where the agent of each mobile slot comes from, left block then right
     # block: blues packed before reds, with the t leftmost reds of the left
     # block traded for the t leftmost blues of the right block.
     sources = (blues_left + blues_right[:t] + reds_left[t:]
                + reds_left[:t] + blues_right[t:] + reds_right)
+    return tuple((src, dst) for dst, src in zip(mobile, sources) if src != dst)
+
+
+def _two_colour_moves(need: Sequence[int], cap: int, blue_colour: int, frozen: frozenset[int],
+                      plans: dict, cfg: Configuration, lb: int) -> Sequence[int]:
+    """The two-colour step of the window whose left block is ``lb``, which
+    needs ``need[lb - 1]`` agents of colour ``blue_colour``, through the step
+    function's memo ``plans``; see ``window_step_two_colour``."""
+    deficit = need[lb - 1] - cfg._block_counts[lb - 1][blue_colour - 1]
+    if deficit <= 0:
+        return ()
+    p, colours, ids, positions = cfg.p, cfg.colours, cfg.ids, cfg._positions
+    start = (lb - 1) * p
+    if lb < cfg.k:
+        window, at = colours[start:start + 2 * p], positions[start:start + 2 * p]
+    else:  # the wrap window: block k, then block 1
+        window, at = colours[start:] + colours[:p], positions[start:] + positions[:p]
+    plan = plans.get((window, deficit))
+    if plan is None:
+        plan = _two_colour_plan(window, deficit, cap, blue_colour, frozen, lb, cfg.k)
+        if len(plans) < _PLAN_CAP:
+            plans[window, deficit] = plan
     moves: list[int] = []
-    for dst, src in zip(chain(left_slots, right_slots), sources):
-        if src != dst:
-            moves += ids[src], src, dst
+    for src, dst in plan:
+        x = at[src]
+        moves += ids[x], x, at[dst]
     return moves
 
 
@@ -240,8 +254,9 @@ def _q_colour_moves(spec: RequirementSpec, cfg: Configuration, lb: int) -> Seque
 def two_colour_step(need: Sequence[int], cap: int, *, blue_colour: int = 1,
                     frozen: frozenset[int] = frozenset()) -> Step:
     """The two-colour window step as a Step, for a run whose block b needs
-    ``need[b - 1]`` agents of colour ``blue_colour``."""
-    return partial(_two_colour_moves, need, cap, blue_colour, frozen)
+    ``need[b - 1]`` agents of colour ``blue_colour``, with its own memo of
+    window plans."""
+    return partial(_two_colour_moves, need, cap, blue_colour, frozen, {})
 
 
 def _view_state(left: BlockView, right: BlockView) -> SimpleNamespace:
@@ -283,7 +298,7 @@ def window_step_two_colour(
     ``two_colour_step``, without views.
     """
     return _triples(_two_colour_moves({left.index - 1: blue_required_left}, cap, blue_colour,
-                                      frozen, _view_state(left, right), left.index))
+                                      frozen, {}, _view_state(left, right), left.index))
 
 
 def window_step_q_colour(left: BlockView, right: BlockView,
@@ -469,7 +484,8 @@ def initial_potential(inst: Instance) -> analysis.DistanceReport | None:
     return analysis.distance_report(inst.initial, inst.spec.row(1))
 
 
-def iter_rounds(inst: Instance, max_rounds: int | None = None
+def iter_rounds(inst: Instance, max_rounds: int | None = None,
+                potential: analysis.DistanceReport | None = None
                 ) -> Iterator[Instance | RoundTrace | dict]:
     """Run ``inst`` and yield what ``iter_trace`` yields for the run's
     trace: the instance, each round as a RoundTrace as soon as it has run,
@@ -491,6 +507,8 @@ def iter_rounds(inst: Instance, max_rounds: int | None = None
     round are recounted from the colours at the end; a disagreement raises
     EngineError.  An invalid instance raises InvalidInstanceError, and a
     negative ``max_rounds`` ValueError, before anything is yielded.
+    ``potential``, when given, is ``initial_potential(inst)``, taken from a
+    caller that needed it first (for a trace header) and not computed again.
     """
     report = validate(inst)
     if not report.valid:
@@ -504,7 +522,8 @@ def iter_rounds(inst: Instance, max_rounds: int | None = None
         raise ValueError("max_rounds must be non-negative")
 
     k = inst.k
-    potential = initial_potential(inst)
+    if potential is None:
+        potential = initial_potential(inst)
     distance = initial_distance = None if potential is None else potential.total
     if potential is not None:
         origin, dest = potential.rename_offset, potential.dest

@@ -452,6 +452,92 @@ def test_run_does_not_restep_idle_windows(monkeypatch):
     assert 0 < len(calls) < len(result.trace) * inst.k // 2 // 2
 
 
+def _memo_corpus():
+    """Two-colour instances for the plan memo: p in 1..8, odd and even k
+    (so the unpaired block and the wrap window), P1 oriented as ``ringform
+    run`` orients it, and P2."""
+    for p in range(1, 9):
+        for k in (3, 4, 5, 8, 15, 16):
+            yield orient_roles(gen_random(k, p, 2, p + k))[0]
+            yield gen_p2_random(k, p, 2, p + k)
+            if p > 1:
+                yield orient_roles(gen_homogeneous(k, p, p // 2, p + k))[0]
+            if p % 2 == 0 and k % 2 == 0:
+                yield orient_roles(gen_adversarial_half(k, p))[0]
+
+
+def _phase_moves(inst, monkeypatch) -> list:
+    """The MoveSet of every round of ``sequential_phase_counts(inst)``."""
+    moves = []
+
+    def recorded(*args):
+        new_cfg, round_moves = step_round(*args)
+        moves.append(round_moves)
+        return new_cfg, round_moves
+    monkeypatch.setattr(verify, "step_round", recorded)
+    verify.sequential_phase_counts(inst)
+    return moves
+
+
+def test_the_plan_memo_gives_the_moves_of_plans_never_stored(monkeypatch):
+    built = []
+    plan = engine._two_colour_plan
+    monkeypatch.setattr(engine, "_two_colour_plan", lambda *args: built.append(args) or plan(*args))
+    # The plans built for the runs and for the phases, with the memo and without.
+    builds = {"runs": [0, 0], "phases": [0, 0]}
+
+    def compare(kind, moves_of, inst):
+        built.clear()
+        memo_moves = moves_of(inst)
+        builds[kind][0] += len(built)
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_PLAN_CAP", 0)
+            assert moves_of(inst) == memo_moves, inst.provenance
+        builds[kind][1] += len(built)
+
+    for inst in _memo_corpus():
+        compare("runs", lambda inst: [rt.moves for rt in run(inst).trace], inst)
+    # The frozen-colour phases of the phase oracle step colour c as blue.
+    for q in (3, 4):
+        for k in (3, 4, 5, 12, 15):
+            compare("phases", lambda inst: _phase_moves(inst, monkeypatch),
+                    gen_random(k, q + 1, q, k))
+    # Both reuse stored plans.
+    assert all(0 < memo < unstored for memo, unstored in builds.values())
+
+
+def test_the_plan_memo_holds_at_most_its_cap(monkeypatch):
+    inst = orient_roles(gen_random(16, 8, 2, 1))[0]
+    expected = run(inst)
+    steps, keys = [], set()
+    make_step, plan = engine.two_colour_step, engine._two_colour_plan
+    monkeypatch.setattr(engine, "two_colour_step",
+                        lambda *args, **kw: steps.append(make_step(*args, **kw)) or steps[-1])
+    monkeypatch.setattr(engine, "_two_colour_plan",
+                        lambda *args: keys.add(args[:2]) or plan(*args))
+    monkeypatch.setattr(engine, "_PLAN_CAP", 16)
+    assert run(inst) == expected
+    (step,) = steps
+    plans = step.args[-1]  # the memo, the step function's last bound argument
+    assert len(keys) > 16 and len(plans) == 16 and plans.keys() <= keys
+
+
+def test_the_plan_memo_builds_each_window_plan_once(monkeypatch):
+    # Counts, not time: a memo that is never hit builds a plan on every
+    # deficient step.
+    inst = orient_roles(gen_adversarial_half(64, 4))[0]
+    steps, built = [], []
+    step, plan = engine._two_colour_moves, engine._two_colour_plan
+    monkeypatch.setattr(engine, "_two_colour_moves",
+                        lambda *args: steps.append(args[-1]) or step(*args))
+    monkeypatch.setattr(engine, "_two_colour_plan",
+                        lambda *args: built.append(args[:2]) or plan(*args))
+    assert run(inst).terminated
+    assert len(built) == len(set(built))
+    assert len(steps) > 100 * len(built)
+
+
 def test_apply_moves_shares_unchanged_count_rows():
     cfg = Configuration.from_string("RRBBRRBB", 4, 2, 2)
     after = apply_moves(cfg, (Move(2, 2, 1), Move(1, 1, 2)))  # blocks 1 and 2 trade

@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from ringform import engine, verify
+from ringform import analysis, engine, verify
 from ringform.cli import EXIT_NO_TERMINATION, EXIT_OK, EXIT_VERIFICATION_FAILED, main
 from ringform.core import ProblemKind, serialize_instance
 from ringform.generators import (
@@ -210,6 +210,19 @@ def test_run_trace_streams_the_bytes_of_the_whole_run(name, tmp_path):
     assert cli_run(tmp_path, inst) == expected
     assert hashlib.sha256(expected[2]).hexdigest() == GOLDEN[name][1]
     assert cli_run(tmp_path, inst, "--verify") == whole_run_output(inst)
+
+
+@pytest.mark.parametrize("name", ["p1-even-random-k6-p4-s0-reversed", "p2-random-k5-p4-s1-e2"])
+def test_run_trace_computes_the_initial_distance_once(name, tmp_path, monkeypatch):
+    # The trace header and the run share one distance report.
+    inst = GOLDEN[name][0]()
+    expected = whole_run_output(inst, verifying=False)
+    reports = []
+    report = analysis.distance_report
+    monkeypatch.setattr(analysis, "distance_report",
+                        lambda *args: reports.append(args) or report(*args))
+    assert cli_run(tmp_path, inst) == expected
+    assert len(reports) == 1
 
 
 def test_a_truncated_run_streams_the_bytes_of_the_whole_run(tmp_path):
