@@ -129,7 +129,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # The run and the trace header share one computation of the initial distance.
     potential = engine.initial_potential(oriented)
     kept: list[dict] = []
-    items = _keep_last(engine.iter_rounds(oriented, args.max_rounds, potential), kept)
+    items = _keep_last(engine.iter_rounds(oriented, args.max_rounds, potential=potential), kept)
     with ExitStack() as stack:
         if args.trace:
             fp = stack.enter_context(open(args.trace, "w", encoding="utf-8"))

@@ -139,51 +139,73 @@ def orient_roles(inst: Instance) -> tuple[Instance, bool]:
 Step = Callable[[Configuration, int], Sequence[int]]
 
 
-_PLAN_CAP = 4096  # the most plans a step function stores; it builds the others unstored
+# The most window slots (2p a key) that a step function's memo covers, so
+# that its memory does not grow with p; past it, new windows are not kept.
+_PLAN_SLOTS = 1 << 15
+
+
+def _two_colour_sources(colours: Sequence[int], left: Sequence[int], right: Sequence[int],
+                        deficit: int, cap: int, blue_colour: int, frozen: frozenset[int],
+                        lb: int, k: int) -> tuple[Iterable[int], list[int]]:
+    """The two-colour step of a window whose left block ``lb`` is ``deficit``
+    blues short and whose slots, indices into ``colours``, are ``left`` then
+    ``right``: its mobile slots, and the slot whose agent each one receives."""
+    if frozen:
+        left = [x for x in left if colours[x] not in frozen]
+        right = [x for x in right if colours[x] not in frozen]
+    blues_left, reds_left, blues_right, reds_right = [], [], [], []
+    for x in left:
+        (blues_left if colours[x] == blue_colour else reds_left).append(x)
+    for x in right:
+        (blues_right if colours[x] == blue_colour else reds_right).append(x)
+    t = min(cap, deficit, len(blues_right))
+    if len(reds_left) < t:
+        raise EngineError(f"window [{lb}|{lb % k + 1}]: {len(reds_left)} movable reds but t={t}")
+
+    # Blues packed before reds, with the t leftmost reds of the left block
+    # traded for the t leftmost blues of the right block.
+    return chain(left, right), (blues_left + blues_right[:t] + reds_left[t:]
+                                + reds_left[:t] + blues_right[t:] + reds_right)
 
 
 def _two_colour_plan(window: bytes, deficit: int, cap: int, blue_colour: int,
                      frozen: frozenset[int], lb: int, k: int) -> tuple[tuple[int, int], ...]:
     """The (from slot, to slot) pairs of the two-colour step of a window of
-    colours ``window`` whose left block ``lb`` is ``deficit`` blues short;
-    slots 0..p-1 are the left block and p..2p-1 the right."""
+    colours ``window``; slots 0..p-1 are the left block and p..2p-1 the right."""
     p = len(window) // 2
-    mobile = [x for x in range(2 * p) if window[x] not in frozen]
-    blues_left, reds_left, blues_right, reds_right = groups = [], [], [], []
-    for x in mobile:
-        groups[2 * (x >= p) + (window[x] != blue_colour)].append(x)
-    t = min(cap, deficit, len(blues_right))
-    if len(reds_left) < t:
-        raise EngineError(f"window [{lb}|{lb % k + 1}]: {len(reds_left)} movable reds but t={t}")
-
-    # Where the agent of each mobile slot comes from, left block then right
-    # block: blues packed before reds, with the t leftmost reds of the left
-    # block traded for the t leftmost blues of the right block.
-    sources = (blues_left + blues_right[:t] + reds_left[t:]
-               + reds_left[:t] + blues_right[t:] + reds_right)
+    mobile, sources = _two_colour_sources(window, range(p), range(p, 2 * p), deficit, cap,
+                                          blue_colour, frozen, lb, k)
     return tuple((src, dst) for dst, src in zip(mobile, sources) if src != dst)
 
 
 def _two_colour_moves(need: Sequence[int], cap: int, blue_colour: int, frozen: frozenset[int],
                       plans: dict, cfg: Configuration, lb: int) -> Sequence[int]:
     """The two-colour step of the window whose left block is ``lb``, which
-    needs ``need[lb - 1]`` agents of colour ``blue_colour``, through the step
-    function's memo ``plans``; see ``window_step_two_colour``."""
+    needs ``need[lb - 1]`` agents of colour ``blue_colour``; see
+    ``window_step_two_colour``.  The memo ``plans`` keys a window by its
+    colours and deficit.  A key's first step steps the window directly and
+    maps the key to None; its second builds and stores the key's plan, which
+    later steps emit."""
     deficit = need[lb - 1] - cfg._block_counts[lb - 1][blue_colour - 1]
     if deficit <= 0:
         return ()
-    p, colours, ids, positions = cfg.p, cfg.colours, cfg.ids, cfg._positions
-    start = (lb - 1) * p
-    if lb < cfg.k:
-        window, at = colours[start:start + 2 * p], positions[start:start + 2 * p]
-    else:  # the wrap window: block k, then block 1
-        window, at = colours[start:] + colours[:p], positions[start:] + positions[:p]
-    plan = plans.get((window, deficit))
-    if plan is None:
-        plan = _two_colour_plan(window, deficit, cap, blue_colour, frozen, lb, cfg.k)
-        if len(plans) < _PLAN_CAP:
-            plans[window, deficit] = plan
+    p, k, colours, ids, positions = cfg.p, cfg.k, cfg.colours, cfg.ids, cfg._positions
+    start, right_start = (lb - 1) * p, lb % k * p
+    left, right = positions[start:start + p], positions[right_start:right_start + p]
+    key = colours[start:start + p] + colours[right_start:right_start + p], deficit
+    plan = plans.get(key)
     moves: list[int] = []
+    if plan is None:
+        if key not in plans:
+            for dst, src in zip(*_two_colour_sources(colours, left, right, deficit, cap,
+                                                     blue_colour, frozen, lb, k)):
+                if src != dst:
+                    moves += ids[src], src, dst
+            if (len(plans) + 1) * 2 * p <= _PLAN_SLOTS:
+                plans[key] = None
+            return moves
+        plans[key] = plan = _two_colour_plan(*key, cap, blue_colour, frozen, lb, k)
+    at = left + right
     for src, dst in plan:
         x = at[src]
         moves += ids[x], x, at[dst]
@@ -484,8 +506,8 @@ def initial_potential(inst: Instance) -> analysis.DistanceReport | None:
     return analysis.distance_report(inst.initial, inst.spec.row(1))
 
 
-def iter_rounds(inst: Instance, max_rounds: int | None = None,
-                potential: analysis.DistanceReport | None = None
+def iter_rounds(inst: Instance, max_rounds: int | None = None, *,
+                potential: analysis.DistanceReport | None
                 ) -> Iterator[Instance | RoundTrace | dict]:
     """Run ``inst`` and yield what ``iter_trace`` yields for the run's
     trace: the instance, each round as a RoundTrace as soon as it has run,
@@ -507,8 +529,8 @@ def iter_rounds(inst: Instance, max_rounds: int | None = None,
     round are recounted from the colours at the end; a disagreement raises
     EngineError.  An invalid instance raises InvalidInstanceError, and a
     negative ``max_rounds`` ValueError, before anything is yielded.
-    ``potential``, when given, is ``initial_potential(inst)``, taken from a
-    caller that needed it first (for a trace header) and not computed again.
+    ``potential`` is ``initial_potential(inst)``, which the caller computes
+    (``ringform run --trace`` also writes its total into the trace header).
     """
     report = validate(inst)
     if not report.valid:
@@ -522,8 +544,6 @@ def iter_rounds(inst: Instance, max_rounds: int | None = None,
         raise ValueError("max_rounds must be non-negative")
 
     k = inst.k
-    if potential is None:
-        potential = initial_potential(inst)
     distance = initial_distance = None if potential is None else potential.total
     if potential is not None:
         origin, dest = potential.rename_offset, potential.dest
@@ -569,7 +589,8 @@ def _summary(terminated: bool, rounds_used: int, bound: int, initial_distance: i
 
 def run(inst: Instance, max_rounds: int | None = None) -> RunResult:
     """The run of ``iter_rounds``, with every round kept."""
-    instance, *rounds, summary = iter_rounds(inst, max_rounds)
+    instance, *rounds, summary = iter_rounds(inst, max_rounds,
+                                             potential=initial_potential(inst))
     return RunResult(
         terminated=summary["terminated"],
         rounds_used=summary["rounds_used"],

@@ -396,7 +396,8 @@ def test_iter_rounds_yields_the_items_of_the_run_and_of_its_trace():
                  gen_p3_random(4, 3, 3, 0)):
         for max_rounds in (None, 3):
             result = run(inst, max_rounds)
-            items = list(engine.iter_rounds(inst, max_rounds))
+            items = list(engine.iter_rounds(inst, max_rounds,
+                                            potential=engine.initial_potential(inst)))
             assert items[0] is inst and tuple(items[1:-1]) == result.trace
             summary = items[-1]
             assert summary.pop("final") == result.final
@@ -405,10 +406,12 @@ def test_iter_rounds_yields_the_items_of_the_run_and_of_its_trace():
             stored = list(engine.iter_trace(io.StringIO(buffer.getvalue())))
             assert tuple(stored[1:-1]) == result.trace
             assert {"type": "summary", **summary, "reversed": False} == stored[-1]
+    invalid = make_p1("BRRR", 2, 2, [[1, 1], [1, 1]])
     with pytest.raises(InvalidInstanceError):  # before any item
-        next(engine.iter_rounds(make_p1("BRRR", 2, 2, [[1, 1], [1, 1]])))
+        next(engine.iter_rounds(invalid, potential=engine.initial_potential(invalid)))
+    adversarial = gen_adversarial_half(8, 2)
     with pytest.raises(ValueError, match="non-negative"):
-        next(engine.iter_rounds(gen_adversarial_half(8, 2), -1))
+        next(engine.iter_rounds(adversarial, -1, potential=engine.initial_potential(adversarial)))
 
 
 def test_a_run_and_its_audit_build_one_distance_report_each(monkeypatch):
@@ -483,7 +486,8 @@ def test_the_plan_memo_gives_the_moves_of_plans_never_stored(monkeypatch):
     built = []
     plan = engine._two_colour_plan
     monkeypatch.setattr(engine, "_two_colour_plan", lambda *args: built.append(args) or plan(*args))
-    # The plans built for the runs and for the phases, with the memo and without.
+    # The plans built for the runs and for the phases, with the memo and
+    # without it (when every window is stepped directly).
     builds = {"runs": [0, 0], "phases": [0, 0]}
 
     def compare(kind, moves_of, inst):
@@ -492,7 +496,7 @@ def test_the_plan_memo_gives_the_moves_of_plans_never_stored(monkeypatch):
         builds[kind][0] += len(built)
         built.clear()
         with monkeypatch.context() as m:
-            m.setattr(engine, "_PLAN_CAP", 0)
+            m.setattr(engine, "_PLAN_SLOTS", 0)
             assert moves_of(inst) == memo_moves, inst.provenance
         builds[kind][1] += len(built)
 
@@ -503,24 +507,35 @@ def test_the_plan_memo_gives_the_moves_of_plans_never_stored(monkeypatch):
         for k in (3, 4, 5, 12, 15):
             compare("phases", lambda inst: _phase_moves(inst, monkeypatch),
                     gen_random(k, q + 1, q, k))
-    # Both reuse stored plans.
-    assert all(0 < memo < unstored for memo, unstored in builds.values())
+    # Both step windows from stored plans.
+    assert all(memo > 0 and unstored == 0 for memo, unstored in builds.values())
 
 
-def test_the_plan_memo_holds_at_most_its_cap(monkeypatch):
-    inst = orient_roles(gen_random(16, 8, 2, 1))[0]
-    expected = run(inst)
-    steps, keys = [], set()
-    make_step, plan = engine.two_colour_step, engine._two_colour_plan
+@pytest.mark.parametrize("p", [4, 8])
+def test_the_plan_memo_covers_at_most_its_window_slots(p, monkeypatch):
+    # The memo is bounded by the window slots its keys cover, so a run with
+    # larger blocks keeps fewer windows.
+    inst = orient_roles(gen_random(16, p, 2, 1))[0]
+    steps = []
+    make_step = engine.two_colour_step
     monkeypatch.setattr(engine, "two_colour_step",
                         lambda *args, **kw: steps.append(make_step(*args, **kw)) or steps[-1])
-    monkeypatch.setattr(engine, "_two_colour_plan",
-                        lambda *args: keys.add(args[:2]) or plan(*args))
-    monkeypatch.setattr(engine, "_PLAN_CAP", 16)
+    expected = run(inst)
+    monkeypatch.setattr(engine, "_PLAN_SLOTS", 64)
     assert run(inst) == expected
-    (step,) = steps
-    plans = step.args[-1]  # the memo, the step function's last bound argument
-    assert len(keys) > 16 and len(plans) == 16 and plans.keys() <= keys
+    # The memo, each step function's last bound argument.
+    unbounded, bounded = (step.args[-1] for step in steps)
+    assert len(unbounded) > 64 // (2 * p) == len(bounded)
+    assert bounded.keys() <= unbounded.keys()
+
+
+def test_the_plan_memo_keeps_no_window_whose_step_raises():
+    cfg = Configuration.from_string("133222", 2, 3, 3)
+    step = engine.two_colour_step([2, 1], 2, blue_colour=2, frozen=frozenset({3}))
+    for _ in range(2):
+        with pytest.raises(EngineError, match=r"window \[1\|2\]: 1 movable reds but t=2"):
+            step(cfg, 1)
+    assert step.args[-1] == {}
 
 
 def test_the_plan_memo_builds_each_window_plan_once(monkeypatch):
@@ -676,7 +691,7 @@ def test_iter_written_writes_each_record_before_it_passes_the_item_on(inst, trac
     result = run(inst)
     potential = engine.initial_potential(inst)
     buffer = io.StringIO()
-    items = engine.iter_written(engine.iter_rounds(inst), buffer,
+    items = engine.iter_written(engine.iter_rounds(inst, potential=potential), buffer,
                                 None if potential is None else potential.total)
     assert next(items) is inst
     header = json.loads(buffer.getvalue())
