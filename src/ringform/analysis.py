@@ -20,22 +20,6 @@ BLUE = 1  # the tracked colour; roles are swapped before a run, never here
 
 
 @dataclass(frozen=True)
-class SurplusProfile:
-    """Per-block colour-1 surplus: count present minus count required."""
-
-    y: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.y)
-
-    @property
-    def total(self) -> int:
-        """Whole-ring surplus: 0 for exact instances, the extras d for P2."""
-        return sum(self.y)
-
-
-@dataclass(frozen=True)
 class DistanceReport:
     rename_offset: int
     dest: tuple[int, ...]
@@ -43,27 +27,16 @@ class DistanceReport:
     total: int
 
 
-@dataclass(frozen=True)
-class BluePartition:
-    """Blue ranks 1..N grouped into classes of ``class_size`` (last may be short)."""
-
-    class_size: int
-    classes: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.classes)
-
-
-def surplus_profile(cfg: Configuration, requirement_row: Sequence[int]) -> SurplusProfile:
-    """Surplus of colour 1 per block relative to ``requirement_row``."""
+def surplus_profile(cfg: Configuration, requirement_row: Sequence[int]) -> tuple[int, ...]:
+    """Surplus of colour 1 per block relative to ``requirement_row``: count
+    present minus count required.  Its sum is the whole-ring surplus, 0 for
+    exact instances and the extras count for lower-bound ones."""
     if len(requirement_row) != cfg.k:
         raise ValueError(f"requirement row has {len(requirement_row)} entries, expected {cfg.k}")
-    y = tuple(row[BLUE - 1] - need for row, need in zip(cfg.all_counts(), requirement_row))
-    return SurplusProfile(y=y)
+    return tuple(row[BLUE - 1] - need for row, need in zip(cfg.all_counts(), requirement_row))
 
 
-def rename_offset(profile: SurplusProfile) -> int:
+def rename_offset(surplus: Sequence[int]) -> int:
     """Block to relabel as block 1 so cumulative surpluses never exceed the total.
 
     Taking the smallest prefix-sum maximiser ``j`` (scanning from block 1)
@@ -72,11 +45,11 @@ def rename_offset(profile: SurplusProfile) -> int:
     """
     prefix = 0
     best_j, best = 1, None
-    for j in range(1, profile.k + 1):
-        prefix += profile.y[j - 1]
+    for j, y in enumerate(surplus, start=1):
+        prefix += y
         if best is None or prefix > best:
             best, best_j = prefix, j
-    return best_j % profile.k + 1
+    return best_j % len(surplus) + 1
 
 
 def renamed_row(row: Sequence[int], offset: int) -> tuple[int, ...]:
@@ -139,17 +112,15 @@ def distance_report(cfg: Configuration, requirement_row: Sequence[int]) -> Dista
     return distance(cfg, requirement_row, offset, dest)
 
 
-def blue_partition(inst: Instance) -> BluePartition:
-    """Partition blue ranks into consecutive classes of size min-requirement."""
+def blue_partition(inst: Instance) -> tuple[tuple[int, ...], ...]:
+    """Blue ranks 1..N in consecutive classes of the minimum colour-1
+    requirement each (the last may be short)."""
     size = min(inst.spec.row(BLUE))
     if size < 1:
         raise ValueError("colour-1 requirement must be positive in every block")
     n_blue = inst.initial.colour_totals()[BLUE - 1]
-    classes = tuple(
-        tuple(range(lo, min(lo + size - 1, n_blue) + 1))
-        for lo in range(1, n_blue + 1, size)
-    )
-    return BluePartition(class_size=size, classes=classes)
+    return tuple(tuple(range(lo, min(lo + size - 1, n_blue) + 1))
+                 for lo in range(1, n_blue + 1, size))
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -19,9 +19,11 @@ trace record as soon as the round has run (``engine.iter_rounds`` through
 distance from ``engine.initial_potential``, which the run reuses), and
 with ``--verify`` the audit reads the same rounds in the same pass, so
 ``run --trace --verify`` holds at most two rounds at a time.  It prints
-the summary, then the verdicts of a run that terminated, once the run
-has ended: the verdicts that ``verify`` prints for the run's trace,
-which holds the bytes that ``engine.write_trace`` writes for the run.
+the summary, then the verdicts, once the run has ended: the verdicts
+that ``verify`` prints for the run's trace, which holds the bytes that
+``engine.write_trace`` writes for the run.  A run that did not terminate
+within its round budget prints them too, failing ``quiescence`` and
+``final_condition``, and exits 3.
 ``run`` and ``analyze`` on an instance file that is not UTF-8 or not a
 well-formed document print one ``invalid instance document`` line to
 stderr and exit 2.
@@ -144,10 +146,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     print(json.dumps({**{key: summary[key] for key in engine.SUMMARY_FIELDS},
                       "reversed": reversed_roles, "final": summary["final"].to_string()}))
-    if not summary["terminated"]:
-        return EXIT_NO_TERMINATION
     for verdict in verdicts:
         print(verdict)
+    if not summary["terminated"]:
+        return EXIT_NO_TERMINATION
     if not all(v.passed for v in verdicts):
         return EXIT_VERIFICATION_FAILED
     return EXIT_OK
@@ -186,9 +188,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         out["extras"] = report.extras
     if engine.uses_two_colour_steps(inst):  # the instances whose runs track a distance
         row = inst.spec.row(1)
-        profile = analysis.surplus_profile(inst.initial, row)
-        out["surplus"] = list(profile.y)
-        out["rename_offset"] = analysis.rename_offset(profile)
+        surplus = analysis.surplus_profile(inst.initial, row)
+        out["surplus"] = list(surplus)
+        out["rename_offset"] = analysis.rename_offset(surplus)
         if report.valid:
             out["distance"] = analysis.distance_report(inst.initial, row).total
     print(json.dumps(out))

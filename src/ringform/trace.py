@@ -24,9 +24,6 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 from .core import Configuration, Instance, parse_instance, serialize_instance
 
 TRACE_FORMAT = "ringform-trace-v3"
-# Older formats read_trace reads: they nest each move and count row in a list;
-# a v1 round record lists all k count rows and the checks.
-TRACE_FORMAT_V2, TRACE_FORMAT_V1 = "ringform-trace-v2", "ringform-trace-v1"
 # The summary fields of a run, in the order its trace and ``ringform run`` report them.
 SUMMARY_FIELDS = ("terminated", "rounds_used", "bound", "bound_satisfied")
 
@@ -116,7 +113,8 @@ class RoundTrace:
             object.__setattr__(self, "moves", MoveSet(self.moves))
 
 
-# What every round record carries: apply_moves raises before any of them fails.
+# The checks of every RoundTrace, run or read; no record carries them, since
+# apply_moves raises before any of them fails.
 ROUND_CHECKS = (("collision_free", True), ("within_window", True), ("colours_conserved", True))
 
 
@@ -195,60 +193,29 @@ def _patched_counts(before: tuple[tuple[int, ...], ...], flat: list[int], q: int
 
 
 def _round_from_record(record: dict, line: int, before: tuple[tuple[int, ...], ...],
-                       initial: Configuration, fmt: str) -> RoundTrace:
+                       initial: Configuration) -> RoundTrace:
     """A round record as a RoundTrace; TraceError names ``line`` on any
-    malformed field.  A v3 record lists its moves and count rows flat, a v1
-    or v2 record each in a list of its own.  The rows of a v2 or v3 record
-    patch ``before``, the counts of the previous round; a v1 record lists
-    the q counts of every block, without block numbers.  Every row read is
-    the one of the row table of ``initial``, the instance's initial
-    configuration, with its value."""
-    q, rows = initial.q, initial._rows
+    malformed field.  Its count rows patch ``before``, the counts of the
+    previous round, and every row read is the one of the row table of
+    ``initial``, the instance's initial configuration, with its value."""
     for key in ("round", "offset"):
         if not _is_int(record.get(key)):
             raise TraceError(f"round record needs an integer {key!r}", line)
-    moves, counts = record.get("moves"), record.get("counts")
-    distance, checks = record.get("distance"), record.get("checks")
-    nested = fmt != TRACE_FORMAT
+    moves, counts, distance = record.get("moves"), record.get("counts"), record.get("distance")
     # Set-of-types tests run the per-element work in C; bool is not int here.
-    if nested:  # a v1/v2 record lists each move as an [agent id, from, to] list
-        triples = (type(moves) is list and set(map(type, moves)) <= {list}
-                   and set(map(len, moves)) <= {3})
-        moves = list(chain.from_iterable(moves)) if triples else None
     if type(moves) is not list or not set(map(type, moves)) <= {int} or len(moves) % 3:
         raise TraceError("'moves' must be a list of agent id, from, to integer triples", line)
     try:
         flat = array("i", moves)
     except OverflowError:
         raise TraceError("'moves' must be integers that fit a C int", line) from None
-    if type(counts) is not list or (nested and not set(map(type, counts)) <= {list}):
+    if type(counts) is not list:
         raise TraceError("'counts' must be a list of per-block rows", line)
-    if fmt == TRACE_FORMAT_V1:
-        if (len(counts) != len(before) or not set(map(len, counts)) <= {q}
-                or not set(map(type, chain.from_iterable(counts))) <= {int}):
-            raise TraceError(f"'counts' must list {len(before)} rows of {q} integers", line)
-        counts = list(map(tuple, counts))
-        counts = tuple(map(rows.setdefault, counts, counts))
-    else:
-        if nested:
-            if not set(map(len, counts)) <= {q + 1}:
-                raise TraceError(f"'counts' rows must be [block, count of colour 1, ..., "
-                                 f"count of colour {q}] integers", line)
-            counts = list(chain.from_iterable(counts))
-        counts = _patched_counts(before, counts, q, line, rows)
+    counts = _patched_counts(before, counts, initial.q, line, initial._rows)
     if distance is not None and not _is_int(distance):
         raise TraceError("'distance' must be an integer or null", line)
-    if checks is not None and not isinstance(checks, dict):
-        raise TraceError("'checks' must be an object", line)
-    return RoundTrace(
-        index=record["round"],
-        offset=record["offset"],
-        moves=MoveSet(flat),
-        counts=counts,
-        distance=distance,
-        checks=ROUND_CHECKS if checks is None
-        else tuple((name, bool(v)) for name, v in checks.items()),
-    )
+    return RoundTrace(index=record["round"], offset=record["offset"], moves=MoveSet(flat),
+                      counts=counts, distance=distance, checks=ROUND_CHECKS)
 
 
 def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
@@ -257,11 +224,9 @@ def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
     one line at a time: yield the instance of the header record, then every
     round record as a RoundTrace, then the summary.
 
-    Reads ``ringform-trace-v3``, whose round records list their moves and
-    the count rows that changed as flat integer lists, ``ringform-trace-v2``,
-    which nests each move and row in a list, and ``ringform-trace-v1``,
-    whose round records list all the rows.  Every count row it builds is
-    the one of the row table of the header instance's initial
+    Reads ``ringform-trace-v3`` only, whose round records list their moves
+    and the count rows that changed as flat integer lists.  Every count row
+    it builds is the one of the row table of the header instance's initial
     configuration with its value, the table from which ``apply_moves``
     takes the rows of a replay.  The summary is the summary record, or
     ``{}`` without one, with the header's ``initial_distance`` and
@@ -279,7 +244,6 @@ def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
     header: dict | None = None
     summary: dict | None = None
     counts: tuple[tuple[int, ...], ...] = ()  # of the last round
-    formats = (TRACE_FORMAT, TRACE_FORMAT_V2, TRACE_FORMAT_V1)
     for no, line in enumerate(fp, start=1):
         if isinstance(line, bytes):
             try:
@@ -307,9 +271,9 @@ def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
                 raise TraceError("a second header record", no)
             if not isinstance(record.get("instance"), str):
                 raise TraceError("header record needs an instance document", no)
-            if record.get("format") not in formats:
-                raise TraceError(f"header format {record.get('format')!r} is not one of "
-                                 f"{', '.join(map(repr, formats))}", no)
+            if record.get("format") != TRACE_FORMAT:
+                raise TraceError(f"header format {record.get('format')!r} is not "
+                                 f"{TRACE_FORMAT!r}", no)
             if not isinstance(record.get("reversed", False), bool):
                 raise TraceError("header 'reversed' must be true or false", no)
             header = record
@@ -319,7 +283,7 @@ def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
         elif rtype == "round":
             if header is None:
                 raise TraceError("round record before the header record", no)
-            rt = _round_from_record(record, no, counts, instance.initial, header["format"])
+            rt = _round_from_record(record, no, counts, instance.initial)
             counts = rt.counts
             yield rt
         elif rtype == "summary":

@@ -52,14 +52,6 @@ class InvariantVerdict:
         return f"{status} {self.name}{where}{tail}"
 
 
-@dataclass(frozen=True)
-class ReplayedRun:
-    """A trace's rounds, which ``replay`` found to replay from its instance."""
-
-    instance: Instance
-    rounds: tuple[RoundTrace, ...]
-
-
 class _Audit:
     """One pass over a trace's rounds, keeping only what the named verdicts read.
 
@@ -115,7 +107,7 @@ class _Audit:
             self.allowed = self.surplus if inst.spec.kind is ProblemKind.P2 else 0
             self.check_prefixes(0, self.potential.blues)
         if "cooperativeness" in live:
-            self.classes = analysis.blue_partition(inst).classes
+            self.classes = analysis.blue_partition(inst)
             self.block = [x // p + 1 for x in self.pos]  # renamed, 1-based
             self.classes_of: dict[int, list[int]] = {}
             for class_index, ranks in enumerate(self.classes, start=1):
@@ -461,8 +453,8 @@ def applicable_checks(inst: Instance) -> tuple[str, ...]:
     return ("safety", "quiescence", "final_condition")
 
 
-def replay(instance: Instance, rounds: Iterable[RoundTrace]) -> ReplayedRun:
-    """Check that the recorded moves replay from ``instance``.
+def replay_trace(data: TraceData) -> TraceData:
+    """``data``, once its recorded moves are found to replay from its instance.
 
     A round whose offset lies outside 1..k or whose moves ``apply_moves``
     refuses raises TraceError naming the round.  The block counts kept
@@ -470,29 +462,17 @@ def replay(instance: Instance, rounds: Iterable[RoundTrace]) -> ReplayedRun:
     recounted from the colours at the end; a disagreement raises
     EngineError.
     """
-    rounds = tuple(rounds)
-    audit = _Audit(instance, ())
-    for rt in rounds:
-        audit.advance(rt)
-    audit.settle(0, False)
-    return ReplayedRun(instance=instance, rounds=rounds)
+    run_checks(data, 0, False, ())
+    return data
 
 
-def replay_result(result: RunResult) -> ReplayedRun:
-    return replay(result.instance, result.trace)
-
-
-def replay_trace(data: TraceData) -> ReplayedRun:
-    return replay(data.instance, data.rounds)
-
-
-def run_checks(run: ReplayedRun, rounds_used: int, terminated: bool,
+def run_checks(data: TraceData, rounds_used: int, terminated: bool,
                names: Sequence[str] | None = None) -> list[InvariantVerdict]:
     """The named verdicts (default: all applicable ones), in the order of
-    ``names``, from one pass over the replayed rounds, given the
+    ``names``, from one pass over the rounds of ``data``, given the
     ``rounds_used`` and ``terminated`` that the run records."""
-    audit = _Audit(run.instance, applicable_checks(run.instance) if names is None else names)
-    for rt in run.rounds:
+    audit = _Audit(data.instance, applicable_checks(data.instance) if names is None else names)
+    for rt in data.rounds:
         audit.advance(rt)
     return audit.settle(rounds_used, terminated)
 

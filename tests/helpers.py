@@ -6,8 +6,15 @@ import json
 from typing import Iterable
 
 from ringform import verify
-from ringform.core import Configuration, Instance, RequirementSpec, parse_instance
-from ringform.engine import RoundTrace, RunResult, WindowPairing, apply_moves, write_trace
+from ringform.core import Configuration, Instance, RequirementSpec
+from ringform.engine import (
+    RoundTrace,
+    RunResult,
+    TraceData,
+    WindowPairing,
+    apply_moves,
+    write_trace,
+)
 
 
 def make_p1(config: str, k: int, p: int, rows) -> Instance:
@@ -48,44 +55,14 @@ def written_records(result: RunResult, *, reversed_roles: bool = False) -> list[
     return [json.loads(line) for line in buffer.getvalue().splitlines()]
 
 
-def v2_records(records: list[dict]) -> list[dict]:
-    """Trace records rewritten in the v2 format, which nests each move and
-    each changed count row in a list of its own."""
-    width = parse_instance(records[0]["instance"]).q + 1
-    out = []
-    for record in records:
-        record = dict(record)
-        if record["type"] == "header":
-            record["format"] = "ringform-trace-v2"
-        elif record["type"] == "round":
-            moves, counts = record["moves"], record["counts"]
-            record["moves"] = [moves[i:i + 3] for i in range(0, len(moves), 3)]
-            record["counts"] = [counts[i:i + width] for i in range(0, len(counts), width)]
-        out.append(record)
-    return out
+def replay(inst: Instance, rounds: Iterable[RoundTrace]) -> TraceData:
+    """The rounds, as a trace of ``inst`` that ``verify.replay_trace`` found
+    to replay."""
+    return verify.replay_trace(TraceData(instance=inst, rounds=tuple(rounds), summary={}))
 
 
-def v1_records(records: list[dict]) -> list[dict]:
-    """Trace records rewritten in the v1 format, which nests each move in a
-    list, lists every block's counts without block numbers and carries the
-    constant checks."""
-    inst = parse_instance(records[0]["instance"])
-    rows, width = [list(row) for row in inst.initial.all_counts()], inst.q + 1
-    out = []
-    for record in records:
-        record = dict(record)
-        if record["type"] == "header":
-            record["format"] = "ringform-trace-v1"
-        elif record["type"] == "round":
-            moves, counts = record["moves"], record["counts"]
-            for i in range(0, len(counts), width):
-                rows[counts[i] - 1] = counts[i + 1:i + width]
-            record["moves"] = [moves[i:i + 3] for i in range(0, len(moves), 3)]
-            record["counts"] = [list(row) for row in rows]
-            record["checks"] = {"collision_free": True, "within_window": True,
-                                "colours_conserved": True}
-        out.append(record)
-    return out
+def replay_result(result: RunResult) -> TraceData:
+    return replay(result.instance, result.trace)
 
 
 def replayed_configs(inst: Instance, rounds: Iterable[RoundTrace]) -> list[Configuration]:
@@ -97,7 +74,7 @@ def replayed_configs(inst: Instance, rounds: Iterable[RoundTrace]) -> list[Confi
     return configs
 
 
-def verdict_of(run: verify.ReplayedRun, name: str, rounds_used: int = 0,
+def verdict_of(run: TraceData, name: str, rounds_used: int = 0,
                terminated: bool = False) -> verify.InvariantVerdict:
     """The verdict of the checker ``name`` alone on a replayed run."""
     return verify.run_checks(run, rounds_used, terminated, [name])[0]

@@ -208,11 +208,11 @@ def check_suffix_property(run: ReplayedRun) -> InvariantVerdict:
     name = "suffix_property"
     inst = run.instance
     k, p = inst.k, inst.p
-    profile = analysis.surplus_profile(inst.initial, inst.spec.row(BLUE))
-    offset = analysis.rename_offset(profile)
+    surplus = analysis.surplus_profile(inst.initial, inst.spec.row(BLUE))
+    offset = analysis.rename_offset(surplus)
     allowed = _lower_bound_extras(inst)
-    total = profile.total
-    prefix = [0, *accumulate(analysis.renamed_row(profile.y, offset))]  # prefix[j]: blocks 1..j
+    total = sum(surplus)
+    prefix = [0, *accumulate(analysis.renamed_row(surplus, offset))]  # prefix[j]: blocks 1..j
 
     def first_failure(r: int, blocks: Iterable[int]) -> InvariantVerdict | None:
         for j in sorted(blocks):
@@ -329,7 +329,8 @@ def check_final_config(run: ReplayedRun, terminated: bool) -> InvariantVerdict:
 
 
 def check_cooperativeness(run: ReplayedRun,
-                          partition: analysis.BluePartition | None = None) -> InvariantVerdict:
+                          partition: tuple[tuple[int, ...], ...] | None = None
+                          ) -> InvariantVerdict:
     """From round 2c+2 on, every blue agent of class c either advances one
     block left each round or already sits in its destination block.
 
@@ -358,7 +359,7 @@ def check_cooperativeness(run: ReplayedRun,
     block = [x // p + 1 for x in pos]
     rank_of = {ids[(start + x) % n]: i for i, x in enumerate(pos)}
     classes_of: dict[int, list[int]] = {}
-    for class_index, ranks in enumerate(partition.classes, start=1):
+    for class_index, ranks in enumerate(partition, start=1):
         for rank in ranks:
             classes_of.setdefault(rank - 1, []).append(class_index)
 
@@ -367,9 +368,9 @@ def check_cooperativeness(run: ReplayedRun,
     failure = None                          # (class, round, rank, block before)
     for r, rt in enumerate(run.rounds, start=1):
         c = r // 2 - 1  # class c is checked from round 2c + 2 on
-        if r % 2 == 0 and 1 <= c <= len(partition.classes) and failure is None:
+        if r % 2 == 0 and 1 <= c <= len(partition) and failure is None:
             active.add(c)
-            pending.update((c, rank - 1) for rank in partition.classes[c - 1]
+            pending.update((c, rank - 1) for rank in partition[c - 1]
                            if block[rank - 1] != dest[rank - 1])
         before: dict[int, int] = {}
         for agent_id, _, dst in rt.moves.triples():

@@ -22,7 +22,7 @@ from ringform.generators import (
 )
 
 import faults
-from helpers import counts, oracle_distance, replayed_configs, verdict_of
+from helpers import counts, oracle_distance, replay_result, replayed_configs, verdict_of
 
 
 def report(criterion: str, detail: str) -> None:
@@ -178,14 +178,14 @@ def test_c04_per_round_invariants(even_random_runs, homogeneous_runs,
     violations = 0
     checked = 0
     for inst, result in even_random_runs + homogeneous_runs + adversarial_runs:
-        replayed = verify.replay_result(result)
+        replayed = replay_result(result)
         for verdict in verify.run_checks(replayed, result.rounds_used,
                                          result.terminated, even_checks):
             checked += 1
             assert verdict.passed, (inst.provenance, str(verdict))
             violations += 0 if verdict.passed else 1
     for inst, result in odd_random_runs:
-        replayed = verify.replay_result(result)
+        replayed = replay_result(result)
         for verdict in verify.run_checks(replayed, result.rounds_used,
                                          result.terminated, odd_checks):
             checked += 1
@@ -220,7 +220,7 @@ def test_c05_distance_oracle_equivalence():
                                                      cfg.q).all_counts()
             compared += 1
         # safety passes only where every recorded count and distance is the replayed one
-        safety = verdict_of(verify.replay_result(result), "safety")
+        safety = verdict_of(replay_result(result), "safety")
         assert safety.passed, (inst.provenance, str(safety))
     assert compared >= 1000
     report("C5", f"analysis distance equals the independent oracle on {compared} "
@@ -257,7 +257,7 @@ def test_c08_lower_bound_problem(p2_runs):
         assert result.terminated and result.rounds_used <= cap, inst.provenance
         for j in range(1, inst.k + 1):
             assert counts(result.final, j)[0] >= inst.spec.required(1, j), inst.provenance
-        replayed = verify.replay_result(result)
+        replayed = replay_result(result)
         suffix = verdict_of(replayed, "suffix_property")
         assert suffix.passed, (inst.provenance, str(suffix))
     report("C8", f"{len(p2_runs)} lower-bound runs keep every block stocked and "
@@ -269,7 +269,7 @@ def test_c09_safety_everywhere(even_random_runs, homogeneous_runs, adversarial_r
     corpora = (even_random_runs + homogeneous_runs + adversarial_runs
                + odd_random_runs + qcolour_runs + p3_runs + p2_runs)
     for inst, result in corpora:
-        replayed = verify.replay_result(result)
+        replayed = replay_result(result)
         safety, quiet = verify.run_checks(replayed, result.rounds_used, result.terminated,
                                           ["safety", "quiescence"])
         assert safety.passed, (inst.provenance, str(safety))

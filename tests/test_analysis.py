@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringform.analysis import (
-    SurplusProfile,
     blue_partition,
     bound_is_proven,
     destinations,
@@ -26,51 +25,50 @@ def cfg_of(text, k, p):
     return Configuration.from_string(text, k, p, 2)
 
 
-def cumulative_surplus(profile: SurplusProfile, start: int, length: int) -> int:
+def cumulative_surplus(surplus: tuple[int, ...], start: int, length: int) -> int:
     """Sum of ``length`` consecutive surpluses beginning at block ``start`` (wrapping)."""
-    k = profile.k
+    k = len(surplus)
     if not 1 <= start <= k:
         raise ValueError(f"start block {start} out of range 1..{k}")
     if not 1 <= length <= k:
         raise ValueError(f"length {length} out of range 1..{k}")
-    return sum(profile.y[(start - 1 + j) % k] for j in range(length))
+    return sum(surplus[(start - 1 + j) % k] for j in range(length))
 
 
-def max_cumulative(profile: SurplusProfile, start: int) -> int:
+def max_cumulative(surplus: tuple[int, ...], start: int) -> int:
     """Largest cumulative surplus over all window lengths from ``start``."""
-    return max(cumulative_surplus(profile, start, length) for length in range(1, profile.k + 1))
+    return max(cumulative_surplus(surplus, start, length)
+               for length in range(1, len(surplus) + 1))
 
 
 def test_surplus_examples():
-    assert surplus_profile(cfg_of("BBRR", 2, 2), (1, 1)).y == (1, -1)
-    assert surplus_profile(cfg_of("BRRB", 2, 2), (1, 1)).y == (0, 0)
-    profile = surplus_profile(cfg_of("BBBR", 2, 2), (1, 1))
-    assert profile.y == (1, 0)
-    assert profile.total == 1
+    assert surplus_profile(cfg_of("BBRR", 2, 2), (1, 1)) == (1, -1)
+    assert surplus_profile(cfg_of("BRRB", 2, 2), (1, 1)) == (0, 0)
+    assert surplus_profile(cfg_of("BBBR", 2, 2), (1, 1)) == (1, 0)
 
 
 def test_cumulative_examples():
-    two = SurplusProfile((1, -1))
+    two = (1, -1)
     assert cumulative_surplus(two, 1, 2) == 0
     assert cumulative_surplus(two, 2, 1) == -1
-    four = SurplusProfile((2, -1, 1, -2))
+    four = (2, -1, 1, -2)
     assert cumulative_surplus(four, 3, 3) == 1  # wraps past the last block
 
 
 def test_cumulative_range_errors():
-    profile = SurplusProfile((1, -1))
+    surplus = (1, -1)
     with pytest.raises(ValueError):
-        cumulative_surplus(profile, 0, 1)
+        cumulative_surplus(surplus, 0, 1)
     with pytest.raises(ValueError):
-        cumulative_surplus(profile, 1, 3)
+        cumulative_surplus(surplus, 1, 3)
 
 
 def test_rename_offset_examples():
-    assert rename_offset(SurplusProfile((1, -1))) == 2
-    assert max_cumulative(SurplusProfile((1, -1)), 2) == 0
-    assert rename_offset(SurplusProfile((0, 0))) == 2
-    assert rename_offset(SurplusProfile((-1, 1))) == 1
-    assert max_cumulative(SurplusProfile((-1, 1)), 1) == 0
+    assert rename_offset((1, -1)) == 2
+    assert max_cumulative((1, -1), 2) == 0
+    assert rename_offset((0, 0)) == 2
+    assert rename_offset((-1, 1)) == 1
+    assert max_cumulative((-1, 1), 1) == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,10 +80,10 @@ def test_rename_offset_pins_max_cumulative_at_total(values):
     if total < 0:
         values[0] -= total
         total = 0
-    profile = SurplusProfile(tuple(values))
-    offset = rename_offset(profile)
-    assert max_cumulative(profile, offset) == total
-    assert cumulative_surplus(profile, offset, profile.k) == total
+    surplus = tuple(values)
+    offset = rename_offset(surplus)
+    assert max_cumulative(surplus, offset) == total
+    assert cumulative_surplus(surplus, offset, len(surplus)) == total
 
 
 def test_destination_examples():
@@ -116,30 +114,30 @@ def test_prefix_nonpositive_suffix_nonnegative_on_renamed_start():
     for seed in range(30):
         inst = gen_random(5, 3, 2, seed)
         row = inst.spec.row(1)
-        profile = surplus_profile(inst.initial, row)
-        offset = rename_offset(profile)
-        rotated = renamed_row(profile.y, offset)
+        surplus = surplus_profile(inst.initial, row)
+        offset = rename_offset(surplus)
+        rotated = renamed_row(surplus, offset)
         prefix = 0
         for j, value in enumerate(rotated, start=1):
             prefix += value
             assert prefix <= 0
             if j < len(rotated):
-                assert profile.total - prefix >= 0
+                assert sum(surplus) - prefix >= 0
 
 
 def test_prefix_bounded_by_extras_for_lower_bound_instances():
     for seed in range(30):
         inst = gen_p2_random(4, 3, 2, seed)
         row = inst.spec.row(1)
-        profile = surplus_profile(inst.initial, row)
-        offset = rename_offset(profile)
-        rotated = renamed_row(profile.y, offset)
+        surplus = surplus_profile(inst.initial, row)
+        offset = rename_offset(surplus)
+        rotated = renamed_row(surplus, offset)
         prefix = 0
         for j, value in enumerate(rotated, start=1):
             prefix += value
-            assert prefix <= profile.total
+            assert prefix <= sum(surplus)
             if j < len(rotated):
-                assert profile.total - prefix >= 0
+                assert sum(surplus) - prefix >= 0
 
 
 def test_blue_partition_examples():
@@ -148,17 +146,14 @@ def test_blue_partition_examples():
     with pytest.raises(ValueError):
         blue_partition(inst)
     inst = make_p1("BBRRBBRR", 2, 4, [[2, 2], [2, 2]])
-    part = blue_partition(inst)
-    assert part.class_size == 2
-    assert part.classes == ((1, 2), (3, 4))
+    assert blue_partition(inst) == ((1, 2), (3, 4))
     inst = make_p1("BBBRBBRR", 2, 4, [[2, 3], [2, 1]])
-    part = blue_partition(inst)  # five blues, class size two
-    assert part.classes == ((1, 2), (3, 4), (5,))
+    assert blue_partition(inst) == ((1, 2), (3, 4), (5,))  # five blues, class size two
     inst = make_p1("BBBRRR", 2, 3, [[3, 0], [0, 3]])
     with pytest.raises(ValueError):
         blue_partition(inst)  # zero minimum again
     inst = make_p1("BBBRRRBBBRRR", 2, 6, [[3, 3], [3, 3]])
-    assert blue_partition(inst).classes == ((1, 2, 3), (4, 5, 6))
+    assert blue_partition(inst) == ((1, 2, 3), (4, 5, 6))
 
 
 def test_theoretical_bound_examples():

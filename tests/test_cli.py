@@ -1,7 +1,6 @@
 """End-to-end command-line behaviour: pipelines, exit codes, report shapes."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -199,16 +198,14 @@ def test_verify_trace_without_header_or_with_unknown_record(tmp_path, capsys):
     assert err.strip() == f"invalid trace: line {len(lines) + 1}: unknown record type 'footer'"
 
 
-def test_verify_accepts_a_v1_trace(capsys):
-    path = Path(__file__).parent / "data" / "adversarial-half-k8-p2.v1.jsonl"
-    assert main(["verify", "--trace", str(path)]) == EXIT_OK
-    assert "FAIL" not in capsys.readouterr().out
-
-
-def test_verify_accepts_a_v2_trace(capsys):
-    path = Path(__file__).parent / "data" / "adversarial-half-k8-p2.v2.jsonl"
-    assert main(["verify", "--trace", str(path)]) == EXIT_OK
-    assert "FAIL" not in capsys.readouterr().out
+@pytest.mark.parametrize("fmt", ["ringform-trace-v1", "ringform-trace-v2"])
+def test_verify_refuses_an_older_trace_format(fmt, tmp_path, capsys):
+    lines = _stored_trace(tmp_path, capsys)
+    header = {**json.loads(lines[0]), "format": fmt}
+    code, out, err = _verify_lines(tmp_path, capsys, [json.dumps(header)] + lines[1:])
+    assert code == EXIT_VERIFICATION_FAILED and out == ""
+    assert err.splitlines() == [f"invalid trace: line 1: header format {fmt!r} is not "
+                                "'ringform-trace-v3'"]
 
 
 def test_analyze_reports_surplus_and_bound(tmp_path, capsys):
@@ -239,7 +236,7 @@ def test_analyze_reports_the_oriented_instance_that_run_executes(tmp_path, capsy
     assert report["bound"] == summary["bound"] == 42
     oriented, _ = orient_roles(parse_instance(path.read_text()))
     row = oriented.spec.row(1)
-    assert report["surplus"] == list(analysis.surplus_profile(oriented.initial, row).y)
+    assert report["surplus"] == list(analysis.surplus_profile(oriented.initial, row))
     assert report["distance"] == analysis.distance_report(oriented.initial, row).total
 
 

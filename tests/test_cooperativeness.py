@@ -36,7 +36,7 @@ from ringform.verify import InvariantVerdict
 
 import faults
 import oracle
-from helpers import replayed_configs, verdict_of
+from helpers import replay, replayed_configs, verdict_of
 from test_golden_traces import GOLDEN, golden_run
 
 
@@ -60,7 +60,7 @@ def scan_cooperativeness(run, partition=None):
             return InvariantVerdict(name, False, r, "blue ranks are not stable")
 
     blocks = [tuple(block for block, _ in scan) for scan in scans]
-    for class_index, ranks in enumerate(partition.classes, start=1):
+    for class_index, ranks in enumerate(partition, start=1):
         active_from = 2 * class_index + 2
         for r in range(active_from, len(run.configs)):
             for rank in ranks:
@@ -105,9 +105,9 @@ def scan_suffix_property(run):
     if inst.spec.kind is ProblemKind.P2:
         allowed = inst.initial.colour_totals()[0] - sum(row)
     for r, cfg in enumerate(run.configs):
-        profile = analysis.surplus_profile(cfg, row)
-        rotated = analysis.renamed_row(profile.y, offset)
-        total = profile.total
+        surplus = analysis.surplus_profile(cfg, row)
+        rotated = analysis.renamed_row(surplus, offset)
+        total = sum(surplus)
         prefix = 0
         for j, value in enumerate(rotated, start=1):
             prefix += value
@@ -158,7 +158,7 @@ def injected_cycle(inst, result, j, rng):
     origin = analysis.rename_offset(analysis.surplus_profile(inst.initial, inst.spec.row(BLUE)))
     ids = [agent_id for _, agent_id in oracle.blue_scan(cfg, origin)]
     active = {ids[rank - 1]
-              for c, ranks in enumerate(analysis.blue_partition(inst).classes, start=1)
+              for c, ranks in enumerate(analysis.blue_partition(inst), start=1)
               if 2 * c + 2 <= j + 1 for rank in ranks}
     blocks = {x // p + 1 for x, a in enumerate(cfg.agents) if a.id in active}
     pairs = engine.build_pairing(inst.k, offset).pairs
@@ -216,7 +216,7 @@ def test_incremental_checker_matches_the_scan():
     compared = failing = 0
     for inst, rounds in corpus():
         expected = scan_cooperativeness(oracle.replay(inst, rounds))
-        assert as_tuple(verdict_of(verify.replay(inst, rounds), "cooperativeness")) \
+        assert as_tuple(verdict_of(replay(inst, rounds), "cooperativeness")) \
             == as_tuple(expected), \
             (inst.initial.to_string(), [rt.moves for rt in rounds])
         compared += 1
@@ -228,7 +228,7 @@ def test_incremental_order_checker_matches_the_scan():
     compared = failing = 0
     for inst, rounds in corpus():
         expected = scan_order_preserving(oracle.replay(inst, rounds))
-        assert as_tuple(verdict_of(verify.replay(inst, rounds), "order_preserving")) \
+        assert as_tuple(verdict_of(replay(inst, rounds), "order_preserving")) \
             == as_tuple(expected), \
             (inst.initial.to_string(), [rt.moves for rt in rounds])
         compared += 1
@@ -241,11 +241,10 @@ def test_incremental_checker_matches_the_scan_on_overlapping_classes(monkeypatch
     inst, _ = engine.orient_roles(gen_random(6, 4, 2, 1))
     result = engine.run(inst)
     n_blue = inst.initial.colour_totals()[0]
-    partition = analysis.BluePartition(
-        class_size=2, classes=((1, 2), (2, 3), tuple(range(1, n_blue + 1))))
+    partition = ((1, 2), (2, 3), tuple(range(1, n_blue + 1)))
     monkeypatch.setattr(analysis, "blue_partition", lambda _: partition)
     for rounds in (list(result.trace), dropped_round(inst, result, 2)):
-        assert as_tuple(verdict_of(verify.replay(inst, rounds), "cooperativeness")) == \
+        assert as_tuple(verdict_of(replay(inst, rounds), "cooperativeness")) == \
             as_tuple(scan_cooperativeness(oracle.replay(inst, rounds), partition))
 
 
@@ -255,7 +254,7 @@ def test_incremental_checker_reports_the_lowest_failing_rank():
     for inst in [gen_adversarial_half(8, 4)] + [gen_random(8, 4, 2, s) for s in range(10)]:
         inst, _ = engine.orient_roles(inst)
         rounds = faults._stalled_rounds(inst, 12, distance=None)
-        assert as_tuple(verdict_of(verify.replay(inst, rounds), "cooperativeness")) == \
+        assert as_tuple(verdict_of(replay(inst, rounds), "cooperativeness")) == \
             as_tuple(scan_cooperativeness(oracle.replay(inst, rounds)))
 
 
@@ -267,7 +266,7 @@ def test_incremental_suffix_checker_matches_the_scan():
     failing = 0
     for inst, rounds in traces:
         expected = scan_suffix_property(oracle.replay(inst, rounds))
-        assert as_tuple(verdict_of(verify.replay(inst, rounds), "suffix_property")) \
+        assert as_tuple(verdict_of(replay(inst, rounds), "suffix_property")) \
             == as_tuple(expected), (inst.initial.to_string(), [rt.moves for rt in rounds])
         failing += not expected.passed
     assert len(traces) >= 1500 and failing >= 90, (len(traces), failing)

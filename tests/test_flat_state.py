@@ -21,7 +21,6 @@ import gc
 import io
 import random
 import weakref
-from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -39,7 +38,7 @@ from ringform.generators import (
 )
 
 import oracle
-from helpers import counts, make_p1, verdict_of
+from helpers import counts, make_p1, replay, verdict_of
 
 
 class AgentView(NamedTuple):
@@ -326,13 +325,6 @@ def test_run_reader_and_audit_make_one_row_object_per_row_value(monkeypatch):
         _check_reader_and_audit(monkeypatch, engine.read_trace(io.StringIO(buffer.getvalue())))
 
 
-def test_older_trace_formats_read_into_one_row_object_per_row_value(monkeypatch):
-    for version in ("v1", "v2"):
-        path = Path(__file__).parent / "data" / f"adversarial-half-k8-p2.{version}.jsonl"
-        with open(path, encoding="utf-8") as fp:
-            _check_reader_and_audit(monkeypatch, engine.read_trace(fp))
-
-
 def test_run_trace_verify_keeps_two_rounds_alive_whatever_the_round_count(monkeypatch,
                                                                           tmp_path):
     inst = gen_adversarial_half(16, 4)
@@ -375,7 +367,7 @@ def test_window_arithmetic_matches_build_pairing():
             last = (origin - 2) % k + 1
             swap = (Move(last - 1, last - 1, origin - 1), Move(origin - 1, origin - 1, last - 1))
             after = engine.apply_moves(inst.initial, swap)
-            run = verify.replay(inst, [RoundTrace(index=1, offset=offset, moves=swap,
+            run = replay(inst, [RoundTrace(index=1, offset=offset, moves=swap,
                                                   counts=after.all_counts(), distance=None,
                                                   checks=())])
             assert verdict_of(run, "no_wraparound").passed == ((last, origin) not in pairs), \

@@ -5,8 +5,7 @@ Whatever bytes arrive, ``parse_instance`` raises only
 ``InstanceFormatError`` for a bad embedded instance), ``verify_trace``
 returns verdicts, and ``ringform run``/``analyze``/``verify`` exit with a
 documented code.  The inputs are random text and bytes, and honest
-documents and traces (in the current v3 format and in v2) with one field,
-line or move replaced.
+documents and traces with one field, line or move replaced.
 """
 
 import contextlib
@@ -32,7 +31,7 @@ from ringform.core import (
 from ringform.engine import TraceError
 from ringform.generators import gen_p2_random, gen_p3_random, gen_random
 
-from helpers import v2_records, written_records
+from helpers import written_records
 
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5}
 
@@ -49,7 +48,6 @@ def honest_trace(inst) -> list[dict]:
 
 
 TRACES = [honest_trace(INSTANCES[0]), honest_trace(INSTANCES[2])]
-V2_TRACES = [v2_records(records) for records in TRACES]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=4),
@@ -82,7 +80,7 @@ def instance_docs(draw) -> str:
 
 @st.composite
 def trace_lines(draw) -> list[str]:
-    records = json.loads(json.dumps(draw(st.sampled_from(TRACES + V2_TRACES))))
+    records = json.loads(json.dumps(draw(st.sampled_from(TRACES))))
     i = draw(st.integers(0, len(records) - 1))
     record = records[i]
     lines = None
@@ -92,21 +90,15 @@ def trace_lines(draw) -> list[str]:
     elif action == "delete":
         del record[draw(st.sampled_from(sorted(record)))]
     elif action in ("moves", "counts") and record.get(action):
-        values = record[action]
+        values = record[action]  # one flat list of integers
         j = draw(st.integers(0, len(values) - 1))
-        if type(values[j]) is list:  # v2: one list per move or count row
-            if draw(st.booleans()):
-                values[j] = draw(json_values)
-            else:
-                values[j][draw(st.integers(0, len(values[j]) - 1))] = draw(json_values | wide_ints)
-        else:  # v3: one flat list of integers
-            edit = draw(st.sampled_from(["set", "delete", "insert"]))
-            if edit == "set":
-                values[j] = draw(json_values | wide_ints)
-            elif edit == "delete":
-                del values[j]
-            else:
-                values.insert(j, draw(json_values | wide_ints))
+        edit = draw(st.sampled_from(["set", "delete", "insert"]))
+        if edit == "set":
+            values[j] = draw(json_values | wide_ints)
+        elif edit == "delete":
+            del values[j]
+        else:
+            values.insert(j, draw(json_values | wide_ints))
     elif action == "instance":
         records[0]["instance"] = draw(instance_docs())
     elif action == "line":
@@ -140,25 +132,18 @@ not_an_int = st.one_of(st.booleans(), st.floats(), st.text(max_size=3),
                        st.lists(st.integers(0, 9), max_size=3), st.none())
 
 
-def _nested(values: list, width: int) -> list[list]:
-    """A flat v3 list as the v2 lists of ``width`` entries."""
-    return [values[i:i + width] for i in range(0, len(values), width)]
-
-
-def _mangled_round(version: str, field: str, width: int, mangle) -> tuple[int, list[str]]:
+def _mangled_round(field: str, width: int, mangle) -> tuple[int, list[str]]:
     """The first round record with a non-empty ``field`` (of rows of
-    ``width`` entries) and the lines of TRACES[0] in ``version`` with that
-    field passed through ``mangle``, which edits a list of rows in place."""
-    records = TRACES[0] if version == "v3" else V2_TRACES[0]
+    ``width`` entries) and the lines of TRACES[0] with that field passed
+    through ``mangle``, which edits a list of rows in place."""
+    records = TRACES[0]
     i = next(i for i, record in enumerate(records) if record.get(field))
     lines = [json.dumps(record) for record in records]
     record = json.loads(lines[i])
-    if version == "v3":
-        rows = _nested(record[field], width)
-        mangle(rows)
-        record[field] = list(chain.from_iterable(rows))
-    else:
-        mangle(record[field])
+    values = record[field]
+    rows = [values[j:j + width] for j in range(0, len(values), width)]
+    mangle(rows)
+    record[field] = list(chain.from_iterable(rows))
     lines[i] = json.dumps(record)
     return i, lines
 
@@ -168,8 +153,8 @@ def _mangled_round(version: str, field: str, width: int, mangle) -> tuple[int, l
                      wide_ints.map(lambda v: ("field", v)),
                      st.lists(st.integers(0, 9), min_size=2, max_size=4)
                      .filter(lambda m: len(m) != 3).map(lambda m: ("move", m))),
-       where=st.integers(0, 2), version=st.sampled_from(["v2", "v3"]))
-def test_malformed_moves_raise_trace_error_naming_the_line(bad, where, version):
+       where=st.integers(0, 2))
+def test_malformed_moves_raise_trace_error_naming_the_line(bad, where):
     kind, value = bad
 
     def mangle(moves: list[list]) -> None:
@@ -178,7 +163,7 @@ def test_malformed_moves_raise_trace_error_naming_the_line(bad, where, version):
         else:
             moves[-1] = value
 
-    i, lines = _mangled_round(version, "moves", 3, mangle)
+    i, lines = _mangled_round("moves", 3, mangle)
     with pytest.raises(TraceError) as caught:
         engine.read_trace(lines)
     assert caught.value.line == i + 1
@@ -192,12 +177,12 @@ def test_malformed_moves_raise_trace_error_naming_the_line(bad, where, version):
            st.lists(st.integers(0, 9), max_size=5)
            .filter(lambda row: len(row) != 3).map(lambda row: ("row", row)),
            st.just(("repeat", None))),
-       where=st.integers(0, 2), version=st.sampled_from(["v2", "v3"]))
-def test_malformed_count_rows_raise_trace_error_naming_the_line(bad, where, version):
+       where=st.integers(0, 2))
+def test_malformed_count_rows_raise_trace_error_naming_the_line(bad, where):
     # TRACES[0] is a k=4, q=2 run: a row is [block, count of colour 1, count of colour 2].
     kind, value = bad
-    # A v3 row is three entries of one flat list: dropping a whole row leaves a well-formed one.
-    assume(not (version == "v3" and kind == "row" and not value))
+    # A row is three entries of one flat list: dropping a whole row leaves a well-formed one.
+    assume(not (kind == "row" and not value))
 
     def mangle(rows: list[list]) -> None:
         if kind == "entry":
@@ -209,7 +194,7 @@ def test_malformed_count_rows_raise_trace_error_naming_the_line(bad, where, vers
         else:
             rows.append(list(rows[0]))
 
-    i, lines = _mangled_round(version, "counts", 3, mangle)
+    i, lines = _mangled_round("counts", 3, mangle)
     with pytest.raises(TraceError) as caught:
         engine.read_trace(lines)
     assert caught.value.line == i + 1

@@ -186,7 +186,7 @@ def cli_run(tmp_path, inst, *flags: str) -> tuple[int, str, bytes]:
 def whole_run_output(inst, max_rounds=None, verifying=True) -> tuple[int, str, bytes]:
     """What ``cli_run`` gives when the run is made whole first, then written
     by ``write_trace`` and audited by ``verify_result``: the summary line,
-    then the verdicts of a run that terminated."""
+    then the verdicts, also of a run that did not terminate."""
     result, text, reversed_roles = whole_run(inst, max_rounds)
     summary = {"terminated": result.terminated, "rounds_used": result.rounds_used,
                "bound": result.bound,
@@ -194,12 +194,12 @@ def whole_run_output(inst, max_rounds=None, verifying=True) -> tuple[int, str, b
                "reversed": reversed_roles, "final": result.final.to_string()}
     lines = [json.dumps(summary)]
     code = EXIT_OK
-    if not result.terminated:
-        code = EXIT_NO_TERMINATION
-    elif verifying:
+    if verifying:
         verdicts = verify.verify_result(result)
         lines += map(str, verdicts)
         code = EXIT_OK if all(v.passed for v in verdicts) else EXIT_VERIFICATION_FAILED
+    if not result.terminated:
+        code = EXIT_NO_TERMINATION
     return code, "".join(line + "\n" for line in lines), text.encode()
 
 
@@ -229,7 +229,9 @@ def test_a_truncated_run_streams_the_bytes_of_the_whole_run(tmp_path):
     inst = GOLDEN["p1-even-adversarial-k16-p4"][0]()
     for flags in ((), ("--verify",)):
         code, out, written = cli_run(tmp_path, inst, "--max-rounds", "5", *flags)
-        assert (code, out, written) == whole_run_output(inst, 5)
+        assert (code, out, written) == whole_run_output(inst, 5, verifying=bool(flags))
         assert code == EXIT_NO_TERMINATION
+        # The audit of the rounds that ran is printed, not dropped.
+        assert ("FAIL quiescence: run did not terminate" in out.splitlines()) == bool(flags)
         assert written.decode().count('"type": "round"') == 5
         assert json.loads(written.decode().splitlines()[-1])["terminated"] is False

@@ -1,6 +1,6 @@
 """The trace format lives in one module: ``trace.py`` writes and reads it,
-depends on no package module but ``core``, and no other module spells out
-a format name or a record type."""
+spells out its one format name, depends on no package module but
+``core``, and no other module spells out a format name or a record type."""
 
 import ast
 import re
@@ -40,7 +40,9 @@ def test_trace_module_imports_only_core():
 
 def test_only_the_trace_module_holds_the_format():
     text = (PACKAGE / "trace.py").read_text(encoding="utf-8")
-    assert FORMAT_LITERAL.search(text) and record_types(ast.parse(text)) == RECORD_TYPES
+    # One format name, so one reader path: a second name would be a second format.
+    assert len(FORMAT_LITERAL.findall(text)) == 1
+    assert record_types(ast.parse(text)) == RECORD_TYPES
     leaks = {}
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "trace.py":

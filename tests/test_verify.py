@@ -9,7 +9,7 @@ import pytest
 from ringform import analysis, core, engine, verify
 from ringform.engine import EngineError, Move, RoundTrace
 from ringform.generators import gen_adversarial_half, gen_p2_random, gen_random
-from ringform.verify import TraceError, replay, replay_result, sequential_phase_counts
+from ringform.verify import TraceError, sequential_phase_counts
 
 import faults
 import oracle
@@ -17,6 +17,8 @@ from helpers import (
     make_p1,
     make_p2,
     oracle_distance,
+    replay,
+    replay_result,
     replayed_configs,
     verdict_of,
     written_records,
