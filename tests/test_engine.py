@@ -739,13 +739,37 @@ def _honest_trace_lines() -> list[str]:
     return [json.dumps(r) for r in written_records(run(gen_random(4, 3, 2, seed=7)))]
 
 
+def test_honest_trace_lines_verify():
+    verdicts = verify.verify_trace(read_trace(_honest_trace_lines()))
+    assert verdicts and all(v.passed for v in verdicts)
+
+
+@pytest.mark.parametrize("fmt", ["ringform-trace-v1", "ringform-trace-v2"])
+def test_read_trace_refuses_an_older_format_at_its_header(fmt):
+    # The rest of the file is an honest v3 run; the reader stops at line 1.
+    lines = _honest_trace_lines()
+    reader = engine.iter_trace([json.dumps({**json.loads(lines[0]), "format": fmt})]
+                               + lines[1:])
+    with pytest.raises(TraceError) as info:
+        next(reader)
+    assert info.value.line == 1
+    assert str(info.value) == f"line 1: header format {fmt!r} is not 'ringform-trace-v3'"
+
+
 @pytest.mark.parametrize("mangle, message", [
     (lambda r: '{"type": "round", "round": 1', "not a JSON record"),
     (lambda r: "[1, 2, 3]", "not a JSON object"),
     (lambda r: {**r, "type": "tick"}, "unknown record type 'tick'"),
     (lambda r: {k: v for k, v in r.items() if k != "offset"}, "integer 'offset'"),
     (lambda r: {**r, "round": "1"}, "integer 'round'"),
+    (lambda r: {**r, "round": True}, "integer 'round'"),
+    (lambda r: {k: v for k, v in r.items() if k != "round"}, "integer 'round'"),
+    (lambda r: {**r, "offset": 1.5}, "integer 'offset'"),
+    (lambda r: {**r, "offset": None}, "integer 'offset'"),
     (lambda r: {**r, "distance": "3"}, "'distance' must be"),
+    (lambda r: {**r, "distance": True}, "'distance' must be"),
+    (lambda r: {**r, "distance": 3.0}, "'distance' must be"),
+    (lambda r: {**r, "distance": [3]}, "'distance' must be"),
     (lambda r: {**r, "moves": r["moves"][:-1]}, "'moves' must be a list of agent id"),
     (lambda r: {**r, "moves": [*r["moves"], 0]}, "'moves' must be a list of agent id"),
     (lambda r: {**r, "moves": [True, 0, 1]}, "'moves' must be a list of agent id"),
@@ -753,6 +777,12 @@ def _honest_trace_lines() -> list[str]:
     (lambda r: {**r, "moves": [0, "0", 1]}, "'moves' must be a list of agent id"),
     (lambda r: {**r, "moves": [[0, 0, 1]]}, "'moves' must be a list of agent id"),
     (lambda r: {**r, "moves": 5}, "'moves' must be a list of agent id"),
+    (lambda r: {**r, "moves": [0, 1]}, "'moves' must be a list of agent id"),
+    (lambda r: {**r, "moves": [0, 0, None]}, "'moves' must be a list of agent id"),
+    (lambda r: {**r, "moves": {"0": [0, 1]}}, "'moves' must be a list of agent id"),
+    (lambda r: {**r, "moves": "0 0 1"}, "'moves' must be a list of agent id"),
+    (lambda r: {**r, "moves": None}, "'moves' must be a list of agent id"),
+    (lambda r: {k: v for k, v in r.items() if k != "moves"}, "'moves' must be a list"),
     (lambda r: {**r, "moves": [0, 0, 2 ** 31]}, "'moves' must be integers that fit"),
     (lambda r: {**r, "moves": [-2 ** 31 - 1, 0, 1]}, "'moves' must be integers that fit"),
     (lambda r: {**r, "moves": [0, 0, 10 ** 30]}, "'moves' must be integers that fit"),
@@ -760,9 +790,23 @@ def _honest_trace_lines() -> list[str]:
     (lambda r: {**r, "counts": [2, 1, 2, 3]}, "'counts' rows must be"),
     (lambda r: {**r, "counts": [2, 1, True]}, "'counts' rows must be"),
     (lambda r: {**r, "counts": [[2, 1, 2]]}, "'counts' rows must be"),
+    (lambda r: {**r, "counts": [2]}, "'counts' rows must be"),
+    (lambda r: {**r, "counts": [2, 1, 2, 2]}, "'counts' rows must be"),
+    (lambda r: {**r, "counts": [2, 1.0, 2]}, "'counts' rows must be"),
+    (lambda r: {**r, "counts": [2, "1", 2]}, "'counts' rows must be"),
+    (lambda r: {**r, "counts": [2, 1, None]}, "'counts' rows must be"),
+    (lambda r: {**r, "counts": [True, 1, 2]}, "'counts' rows must be"),
     (lambda r: {**r, "counts": 5}, "'counts' must be"),
+    (lambda r: {**r, "counts": None}, "'counts' must be"),
+    (lambda r: {**r, "counts": {"2": [1, 2]}}, "'counts' must be"),
+    (lambda r: {**r, "counts": "2 1 2"}, "'counts' must be"),
+    (lambda r: {k: v for k, v in r.items() if k != "counts"}, "'counts' must be"),
     (lambda r: {**r, "counts": [5, 1, 2]}, "'counts' names a block outside 1..4"),
+    (lambda r: {**r, "counts": [0, 1, 2]}, "'counts' names a block outside 1..4"),
+    (lambda r: {**r, "counts": [-1, 1, 2]}, "'counts' names a block outside 1..4"),
+    (lambda r: {**r, "counts": [2, 1, 2, 5, 1, 2]}, "'counts' names a block outside 1..4"),
     (lambda r: {**r, "counts": [2, 1, 2, 2, 2, 1]}, "'counts' names a block twice"),
+    (lambda r: {**r, "counts": [2, 1, 2, 3, 2, 1, 2, 2, 1]}, "'counts' names a block twice"),
     # Python converts an integer literal of at most 4300 digits by default.
     (lambda r: json.dumps({**r, "offset": 0}).replace('"offset": 0',
                                                       '"offset": ' + "7" * 5001),
