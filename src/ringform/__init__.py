@@ -13,7 +13,7 @@ from .core import (
     serialize_instance,
     validate,
 )
-from .engine import RunResult, execute_round, orient_roles, run, target_satisfied
+from .engine import RunResult, orient_roles, run, target_satisfied
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,6 @@ __all__ = [
     "RequirementSpec",
     "RunResult",
     "ValidityReport",
-    "execute_round",
     "orient_roles",
     "parse_instance",
     "run",

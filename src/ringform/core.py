@@ -161,7 +161,7 @@ class Configuration:
         """The configuration holding ``colours`` and ``ids``, which permute or
         recolour this configuration's agents into per-block counts
         ``block_counts``.  Skips the O(n) validation of the constructor: only
-        ``engine.apply_moves`` and ``engine.orient_roles`` call it."""
+        ``engine._apply``, which applies a round's moves, calls it."""
         successor = self._flat(colours, ids, self.k, self.p, self.q)
         successor.__dict__.update(_block_counts=block_counts, _positions=self._positions,
                                   _rows=self._rows)
@@ -355,8 +355,9 @@ def validate(inst: Instance) -> ValidityReport:
 
     P1/P3 need every global colour total to equal the required total; P2
     needs at least the required colour-1 total.  Count requirements must be
-    positive for colours 1..q-1 (P1), for colour 1 (P2), and for every
-    colour of every pattern (P3).
+    positive for colours 1..q-1 (P1), for colour 1 (P2, where they may not
+    exceed the block length p either), and for every colour of every
+    pattern (P3).
     """
     spec = inst.spec
     totals = inst.initial.colour_totals()
@@ -375,6 +376,9 @@ def validate(inst: Instance) -> ValidityReport:
         for j in range(1, spec.k + 1):
             if spec.required(1, j) < 1:
                 issues.append(f"block {j}: colour 1 requirement must be at least 1")
+            elif spec.required(1, j) > spec.p:
+                issues.append(f"block {j}: colour 1 requirement {spec.required(1, j)} "
+                              f"exceeds the block length p={spec.p}")
     else:
         for i in range(1, spec.q + 1):
             checks.append(ColourCheck(i, required[i - 1], totals[i - 1],

@@ -29,6 +29,7 @@ from types import SimpleNamespace
 from typing import IO, Callable, Collection, Iterable, Iterator, Sequence
 
 from . import analysis
+from .analysis import BLUE
 from .core import (
     BlockView,
     Configuration,
@@ -126,9 +127,7 @@ def orient_roles(inst: Instance) -> tuple[Instance, bool]:
         return inst, False
     cfg = inst.initial
     swapped = cfg.colours.translate(bytes.maketrans(b"\x01\x02", b"\x02\x01"))
-    swapped_rows = [row[::-1] for row in cfg.all_counts()]
-    swapped_cfg = cfg._successor(swapped, cfg.ids,
-                                 tuple(map(cfg._rows.setdefault, swapped_rows, swapped_rows)))
+    swapped_cfg = Configuration._flat(swapped, cfg.ids, cfg.k, cfg.p, cfg.q)
     swapped_spec = RequirementSpec.exact((inst.spec.row(2), inst.spec.row(1)), inst.p)
     return Instance(spec=swapped_spec, initial=swapped_cfg, provenance=inst.provenance), True
 
@@ -145,48 +144,42 @@ _PLAN_SLOTS = 1 << 15
 
 
 def _two_colour_sources(colours: Sequence[int], left: Sequence[int], right: Sequence[int],
-                        deficit: int, cap: int, blue_colour: int, frozen: frozenset[int],
-                        lb: int, k: int) -> tuple[Iterable[int], list[int]]:
+                        deficit: int, cap: int, lb: int, k: int) -> list[int]:
     """The two-colour step of a window whose left block ``lb`` is ``deficit``
     blues short and whose slots, indices into ``colours``, are ``left`` then
-    ``right``: its mobile slots, and the slot whose agent each one receives."""
-    if frozen:
-        left = [x for x in left if colours[x] not in frozen]
-        right = [x for x in right if colours[x] not in frozen]
+    ``right``: the slot whose agent each of those slots receives, in order."""
     blues_left, reds_left, blues_right, reds_right = [], [], [], []
     for x in left:
-        (blues_left if colours[x] == blue_colour else reds_left).append(x)
+        (blues_left if colours[x] == BLUE else reds_left).append(x)
     for x in right:
-        (blues_right if colours[x] == blue_colour else reds_right).append(x)
+        (blues_right if colours[x] == BLUE else reds_right).append(x)
     t = min(cap, deficit, len(blues_right))
     if len(reds_left) < t:
         raise EngineError(f"window [{lb}|{lb % k + 1}]: {len(reds_left)} movable reds but t={t}")
 
     # Blues packed before reds, with the t leftmost reds of the left block
     # traded for the t leftmost blues of the right block.
-    return chain(left, right), (blues_left + blues_right[:t] + reds_left[t:]
-                                + reds_left[:t] + blues_right[t:] + reds_right)
+    return (blues_left + blues_right[:t] + reds_left[t:]
+            + reds_left[:t] + blues_right[t:] + reds_right)
 
 
-def _two_colour_plan(window: bytes, deficit: int, cap: int, blue_colour: int,
-                     frozen: frozenset[int], lb: int, k: int) -> tuple[tuple[int, int], ...]:
+def _two_colour_plan(window: bytes, deficit: int, cap: int, lb: int,
+                     k: int) -> tuple[tuple[int, int], ...]:
     """The (from slot, to slot) pairs of the two-colour step of a window of
     colours ``window``; slots 0..p-1 are the left block and p..2p-1 the right."""
     p = len(window) // 2
-    mobile, sources = _two_colour_sources(window, range(p), range(p, 2 * p), deficit, cap,
-                                          blue_colour, frozen, lb, k)
-    return tuple((src, dst) for dst, src in zip(mobile, sources) if src != dst)
+    sources = _two_colour_sources(window, range(p), range(p, 2 * p), deficit, cap, lb, k)
+    return tuple((src, dst) for dst, src in enumerate(sources) if src != dst)
 
 
-def _two_colour_moves(need: Sequence[int], cap: int, blue_colour: int, frozen: frozenset[int],
-                      plans: dict, cfg: Configuration, lb: int) -> Sequence[int]:
+def _two_colour_moves(need: Sequence[int], cap: int, plans: dict, cfg: Configuration,
+                      lb: int) -> Sequence[int]:
     """The two-colour step of the window whose left block is ``lb``, which
-    needs ``need[lb - 1]`` agents of colour ``blue_colour``; see
-    ``window_step_two_colour``.  The memo ``plans`` keys a window by its
-    colours and deficit.  A key's first step steps the window directly and
-    maps the key to None; its second builds and stores the key's plan, which
-    later steps emit."""
-    deficit = need[lb - 1] - cfg._block_counts[lb - 1][blue_colour - 1]
+    needs ``need[lb - 1]`` blue agents; see ``window_step_two_colour``.  The
+    memo ``plans`` keys a window by its colours and deficit.  A key's first
+    step steps the window directly and maps the key to None; its second
+    builds and stores the key's plan, which later steps emit."""
+    deficit = need[lb - 1] - cfg._block_counts[lb - 1][BLUE - 1]
     if deficit <= 0:
         return ()
     p, k, colours, ids, positions = cfg.p, cfg.k, cfg.colours, cfg.ids, cfg._positions
@@ -194,18 +187,17 @@ def _two_colour_moves(need: Sequence[int], cap: int, blue_colour: int, frozen: f
     left, right = positions[start:start + p], positions[right_start:right_start + p]
     key = colours[start:start + p] + colours[right_start:right_start + p], deficit
     plan = plans.get(key)
+    at = left + right
     moves: list[int] = []
     if plan is None:
         if key not in plans:
-            for dst, src in zip(*_two_colour_sources(colours, left, right, deficit, cap,
-                                                     blue_colour, frozen, lb, k)):
+            for dst, src in zip(at, _two_colour_sources(colours, left, right, deficit, cap, lb, k)):
                 if src != dst:
                     moves += ids[src], src, dst
             if (len(plans) + 1) * 2 * p <= _PLAN_SLOTS:
                 plans[key] = None
             return moves
-        plans[key] = plan = _two_colour_plan(*key, cap, blue_colour, frozen, lb, k)
-    at = left + right
+        plans[key] = plan = _two_colour_plan(*key, cap, lb, k)
     for src, dst in plan:
         x = at[src]
         moves += ids[x], x, at[dst]
@@ -273,12 +265,10 @@ def _q_colour_moves(spec: RequirementSpec, cfg: Configuration, lb: int) -> Seque
     return _rearrange_to_pattern(cfg, lb, spec) + _rearrange_to_pattern(cfg, rb, spec)
 
 
-def two_colour_step(need: Sequence[int], cap: int, *, blue_colour: int = 1,
-                    frozen: frozenset[int] = frozenset()) -> Step:
+def two_colour_step(need: Sequence[int], cap: int) -> Step:
     """The two-colour window step as a Step, for a run whose block b needs
-    ``need[b - 1]`` agents of colour ``blue_colour``, with its own memo of
-    window plans."""
-    return partial(_two_colour_moves, need, cap, blue_colour, frozen, {})
+    ``need[b - 1]`` blue agents, with its own memo of window plans."""
+    return partial(_two_colour_moves, need, cap, {})
 
 
 def _view_state(left: BlockView, right: BlockView) -> SimpleNamespace:
@@ -299,28 +289,20 @@ def _triples(flat: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
     return tuple(zip(it, it, it))
 
 
-def window_step_two_colour(
-    left: BlockView,
-    right: BlockView,
-    blue_required_left: int,
-    cap: int,
-    *,
-    blue_colour: int = 1,
-    frozen: frozenset[int] = frozenset(),
-) -> tuple[tuple[int, int, int], ...]:
+def window_step_two_colour(left: BlockView, right: BlockView, blue_required_left: int,
+                           cap: int) -> tuple[tuple[int, int, int], ...]:
     """Net (agent id, from, to) moves of one two-colour window.
 
-    Nothing happens unless the left block is short of blue agents.  On a
-    deficit, both blocks pack their mobile blue agents before the red ones
-    (order-preserving), then the t leftmost reds of the left block trade
-    positions with the t leftmost blues of the right block, where
-    t = min(cap, deficit, blues available on the right).  Agents whose
-    colour is in ``frozen`` keep their exact positions.  ``right`` must be
-    the block after ``left``; ``run`` steps the same window through
-    ``two_colour_step``, without views.
+    Nothing happens unless the left block is short of blue agents (colour
+    1).  On a deficit, both blocks pack their blue agents before the red
+    ones (every other colour, order-preserving), then the t leftmost reds
+    of the left block trade positions with the t leftmost blues of the
+    right block, where t = min(cap, deficit, blues available on the right).
+    ``right`` must be the block after ``left``; ``run`` steps the same
+    window through ``two_colour_step``, without views.
     """
-    return _triples(_two_colour_moves({left.index - 1: blue_required_left}, cap, blue_colour,
-                                      frozen, {}, _view_state(left, right), left.index))
+    return _triples(_two_colour_moves({left.index - 1: blue_required_left}, cap, {},
+                                      _view_state(left, right), left.index))
 
 
 def window_step_q_colour(left: BlockView, right: BlockView,
@@ -470,16 +452,6 @@ def step_round(cfg: Configuration, offset: int, step: Step,
     return new_cfg, moves
 
 
-def execute_round(cfg: Configuration, inst: Instance, offset: int, *,
-                  index: int = 0) -> tuple[Configuration, RoundTrace]:
-    """Apply the window step to every window of the round's pairing in
-    parallel: ``step_round`` with a fresh idle set, the reference for the
-    rounds of ``run``."""
-    new_cfg, moves = step_round(cfg, offset, _window_step(inst), set())
-    return new_cfg, RoundTrace(index=index, offset=offset, moves=moves,
-                               counts=new_cfg.all_counts(), distance=None, checks=ROUND_CHECKS)
-
-
 def target_satisfied(cfg: Configuration, inst: Instance) -> bool:
     spec = inst.spec
     if spec.kind is ProblemKind.P2:
@@ -521,11 +493,12 @@ def iter_rounds(inst: Instance, max_rounds: int | None = None, *,
     produce empty move sets.  Exhausting ``max_rounds`` (default
     ``4*n*k + 16``) yields ``terminated=False``.
 
-    The rounds are those of a chain of ``execute_round`` calls, at a cost
-    that follows the moves rather than the ring size: ``step_round`` keeps
-    one idle set across the run, and the distance potential is computed
-    from the blue count row after each round that moves an agent, against
-    a destination total taken once.  The block counts kept from round to
+    The rounds are those that ``step_round`` gives with a fresh idle set
+    each round, which steps every window, at a cost that follows the moves
+    rather than the ring size: the run keeps one idle set across its
+    rounds, and the distance potential is computed from the blue count row
+    after each round that moves an agent, against a destination total
+    taken once.  The block counts kept from round to
     round are recounted from the colours at the end; a disagreement raises
     EngineError.  An invalid instance raises InvalidInstanceError, and a
     negative ``max_rounds`` ValueError, before anything is yielded.

@@ -27,11 +27,8 @@ from .engine import (
     RunResult,
     _apply,
     check_counts,
-    default_max_rounds,
-    step_round,
     target_satisfied,
     trace_items,
-    two_colour_step,
     uses_two_colour_steps,
     wrap_block,
 )
@@ -408,32 +405,6 @@ class _Audit:
 def _clockwise(cfg: Configuration) -> tuple[int, ...]:
     """The ids of the blue agents of ``cfg`` in ring order."""
     return tuple(compress(cfg.ids, map(BLUE.__eq__, cfg.colours)))
-
-
-# --- sequential phase oracle ----------------------------------------------------
-
-
-def sequential_phase_counts(inst: Instance) -> tuple[tuple[int, ...], ...]:
-    """Final per-block colour counts after running one two-colour pass per
-    constrained colour, in colour order, each pass freezing the colours
-    already fixed.  Raises :class:`TraceError` if any pass fails to settle
-    within ``default_max_rounds`` rounds."""
-    if inst.spec.kind is not ProblemKind.P1:
-        raise ValueError("the phase oracle applies to exact-count instances")
-    cfg = inst.initial
-    max_rounds = default_max_rounds(inst)
-    for colour in range(1, inst.q):
-        row = inst.spec.row(colour)
-        step = two_colour_step(row, min(row), blue_colour=colour,
-                               frozen=frozenset(range(1, colour)))
-        idle: set[int] = set()
-        rounds = 0
-        while any(counts[colour - 1] != need for counts, need in zip(cfg.all_counts(), row)):
-            if rounds >= max_rounds:
-                raise TraceError(f"phase for colour {colour} did not settle")
-            cfg, _ = step_round(cfg, rounds % inst.k + 1, step, idle)
-            rounds += 1
-    return cfg.all_counts()
 
 
 # --- orchestration ----------------------------------------------------------------

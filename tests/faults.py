@@ -16,7 +16,7 @@ from ringform.engine import Move, RoundTrace, TraceData
 from ringform.generators import gen_adversarial_half
 from ringform.verify import InvariantVerdict
 
-from helpers import make_p1, written_records
+from helpers import fresh_round, make_p1, written_records
 
 
 def fabricate_round(cfg, moves, index, offset, distance=None):
@@ -156,7 +156,7 @@ def offset_fault() -> TraceData:
     row = inst.spec.row(1)
     potential = analysis.distance_report(inst.initial, row)
     for index in range(1, 5):
-        cfg, rt = engine.execute_round(cfg, inst, 1, index=index)
+        cfg, rt = fresh_round(cfg, inst, 1, index=index)
         distance = analysis.distance(cfg, row, potential.rename_offset, potential.dest).total
         rounds.append(dataclasses.replace(rt, distance=distance))
     return _trace(inst, rounds)

@@ -5,14 +5,16 @@ import io
 import json
 from typing import Iterable
 
-from ringform import verify
+from ringform import engine, verify
 from ringform.core import Configuration, Instance, RequirementSpec
 from ringform.engine import (
+    ROUND_CHECKS,
     RoundTrace,
     RunResult,
     TraceData,
     WindowPairing,
     apply_moves,
+    step_round,
     write_trace,
 )
 
@@ -46,6 +48,17 @@ def unpaired(pairing: WindowPairing, k: int) -> int | None:
     """The block that no pair of ``pairing`` holds: None for even k."""
     idle = set(range(1, k + 1)).difference(*pairing.pairs)
     return idle.pop() if idle else None
+
+
+def fresh_round(cfg: Configuration, inst: Instance, offset: int, *,
+                index: int = 0) -> tuple[Configuration, RoundTrace]:
+    """One round of ``inst`` from ``cfg`` at ``offset``: ``step_round`` with
+    the run's window step and a fresh idle set, so that every window of the
+    pairing is stepped; the reference for the rounds of ``run``.  The round
+    records no distance."""
+    new_cfg, moves = step_round(cfg, offset, engine._window_step(inst), set())
+    return new_cfg, RoundTrace(index=index, offset=offset, moves=moves,
+                               counts=new_cfg.all_counts(), distance=None, checks=ROUND_CHECKS)
 
 
 def written_records(result: RunResult, *, reversed_roles: bool = False) -> list[dict]:

@@ -2,17 +2,22 @@
 walks a replayed run of its own, and ``replay`` keeps every configuration.
 They are the oracle of the differential tests of ``ringform.verify``: on
 the same trace, ``verify_trace`` here and there must give the same
-verdicts, in the same order and with the same text."""
+verdicts, in the same order and with the same text.
+
+The module also holds the sequential-phase oracle of the many-colour runs,
+``sequential_phase_counts``, which runs one two-colour pass per colour
+with the agent-level window step ``agent_step_two_colour``, as the step
+was first written, and shares no step with the engine."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ringform import analysis
 from ringform.analysis import BLUE
-from ringform.core import Configuration, Instance, ProblemKind, validate
+from ringform.core import Agent, Configuration, Instance, ProblemKind, validate
 from ringform.engine import (
     EngineError,
     Move,
@@ -23,6 +28,8 @@ from ringform.engine import (
     TraceError,
     _new_move,
     apply_moves,
+    build_pairing,
+    default_max_rounds,
     target_satisfied,
     uses_two_colour_steps,
     wrap_block,
@@ -523,3 +530,87 @@ def verify_trace(data: TraceData) -> list[InvariantVerdict]:
     verdicts = run_checks(run, data.summary.get("rounds_used", len(data.rounds)),
                           data.summary.get("terminated", False))
     return verdicts + [check_summary(run, data.summary)]
+
+
+# --- sequential phase oracle ---------------------------------------------------
+
+
+class AgentView(NamedTuple):
+    """A block as the agent-level steps read it: its per-slot (ring
+    position, Agent) tuples and its colour counts (index 0 holds colour 1)."""
+
+    index: int
+    slots: tuple[tuple[int, Agent], ...]
+    counts: tuple[int, ...]
+
+
+def agent_view(cfg: Configuration, j: int) -> AgentView:
+    view = cfg.block_view(j)
+    return AgentView(j, tuple(enumerate(cfg.agents[view.start:view.stop], view.start)),
+                     view.counts)
+
+
+def agent_step_two_colour(left: AgentView, right: AgentView, blue_required_left: int, cap: int,
+                          *, blue_colour: int = 1, frozen: frozenset[int] = frozenset()
+                          ) -> tuple[Move, ...]:
+    """The two-colour window step as first written, over Agent tuples, with
+    ``blue_colour`` playing blue and every colour in ``frozen`` kept at its
+    exact positions."""
+    left_mobile = [(pos, a) for pos, a in left.slots if a.colour not in frozen]
+    blues_left = [a for _, a in left_mobile if a.colour == blue_colour]
+    deficit = blue_required_left - len(blues_left)
+    if deficit <= 0:
+        return ()
+
+    right_mobile = [(pos, a) for pos, a in right.slots if a.colour not in frozen]
+    blues_right = [a for _, a in right_mobile if a.colour == blue_colour]
+    reds_left = [a for _, a in left_mobile if a.colour != blue_colour]
+    reds_right = [a for _, a in right_mobile if a.colour != blue_colour]
+    t = min(cap, deficit, len(blues_right))
+    if len(reds_left) < t:
+        raise EngineError(
+            f"window [{left.index}|{right.index}]: {len(reds_left)} movable reds but t={t}"
+        )
+
+    new_left = blues_left + reds_left
+    new_right = blues_right + reds_right
+    base = len(blues_left)
+    for x in range(t):
+        new_left[base + x], new_right[x] = new_right[x], new_left[base + x]
+
+    old_pos = {a.id: pos for pos, a in left_mobile + right_mobile}
+    moves = []
+    for slots, layout in ((left_mobile, new_left), (right_mobile, new_right)):
+        for (pos, _), agent in zip(slots, layout):
+            if old_pos[agent.id] != pos:
+                moves.append(Move(agent.id, old_pos[agent.id], pos))
+    return tuple(moves)
+
+
+def sequential_phase_counts(inst: Instance) -> tuple[tuple[int, ...], ...]:
+    """Final per-block colour counts after one two-colour pass per
+    constrained colour, in colour order.  The pass for colour c plays c as
+    blue and freezes the colours below it; its round r steps every window
+    of ``build_pairing(k, (r - 1) % k + 1)`` with ``agent_step_two_colour``
+    and applies the moves at once, until every block holds its colour-c
+    requirement.  Raises TraceError if a pass does not settle within
+    ``default_max_rounds`` rounds."""
+    if inst.spec.kind is not ProblemKind.P1:
+        raise ValueError("the phase oracle applies to exact-count instances")
+    cfg, k = inst.initial, inst.k
+    max_rounds = default_max_rounds(inst)
+    for colour in range(1, inst.q):
+        row = inst.spec.row(colour)
+        frozen = frozenset(range(1, colour))
+        rounds = 0
+        while any(counts[colour - 1] != need for counts, need in zip(cfg.all_counts(), row)):
+            if rounds >= max_rounds:
+                raise TraceError(f"phase for colour {colour} did not settle")
+            pairing = build_pairing(k, rounds % k + 1)
+            moves = [move for lb, rb in pairing.pairs
+                     for move in agent_step_two_colour(agent_view(cfg, lb), agent_view(cfg, rb),
+                                                       row[lb - 1], min(row),
+                                                       blue_colour=colour, frozen=frozen)]
+            cfg = apply_moves(cfg, moves, pairing)
+            rounds += 1
+    return cfg.all_counts()

@@ -12,7 +12,7 @@ import pytest
 
 from ringform import analysis, verify
 from ringform.core import Configuration
-from ringform.engine import execute_round, orient_roles, run, uses_two_colour_steps
+from ringform.engine import orient_roles, run, uses_two_colour_steps
 from ringform.generators import (
     gen_adversarial_half,
     gen_homogeneous,
@@ -22,7 +22,15 @@ from ringform.generators import (
 )
 
 import faults
-from helpers import counts, oracle_distance, replay_result, replayed_configs, verdict_of
+import oracle
+from helpers import (
+    counts,
+    fresh_round,
+    oracle_distance,
+    replay_result,
+    replayed_configs,
+    verdict_of,
+)
 
 
 def report(criterion: str, detail: str) -> None:
@@ -117,7 +125,7 @@ def p2_runs():
 def assert_incremental_state_matches_scratch(inst, result) -> int:
     """Check what ``run`` keeps incrementally against a recomputation.
 
-    A chain of ``execute_round`` calls, which steps every window, must give
+    A chain of ``fresh_round`` calls, which steps every window, must give
     the same rounds; every configuration's cached counts must equal a
     recount; every recorded distance must equal ``analysis.distance`` of
     the configuration from scratch.  Returns the configurations compared.
@@ -130,7 +138,7 @@ def assert_incremental_state_matches_scratch(inst, result) -> int:
     cfg = inst.initial
     offset = 1
     for rt in result.trace:
-        cfg, stepped = execute_round(cfg, inst, offset, index=rt.index)
+        cfg, stepped = fresh_round(cfg, inst, offset, index=rt.index)
         assert (stepped.offset, stepped.moves, stepped.counts) \
             == (rt.offset, rt.moves, rt.counts), (inst.provenance, rt.index)
         recount = Configuration(cfg.agents, cfg.k, cfg.p, cfg.q)
@@ -236,7 +244,7 @@ def test_c06_many_colour_termination(qcolour_runs):
         assert result.rounds_used <= cap, (inst.provenance, result.rounds_used)
         expected = tuple(inst.spec.column(j) for j in range(1, inst.k + 1))
         assert result.final.all_counts() == expected, inst.provenance
-        assert verify.sequential_phase_counts(inst) == expected, inst.provenance
+        assert oracle.sequential_phase_counts(inst) == expected, inst.provenance
     report("C6", f"{len(qcolour_runs)} runs with 3..5 colours settle within 4nk+16 "
                  "and match the sequential-phase oracle")
 

@@ -69,6 +69,41 @@ def test_run_rejects_invalid_instance(tmp_path, capsys):
     assert main(["run", "--instance", str(path)]) == EXIT_INVALID_INSTANCE
     assert "colour 1" in capsys.readouterr().err
 
+# Enough colour-1 agents in total, but block 1 needs more than p of them.
+INFEASIBLE_P2_DOC = """\
+kind: P2
+k: 2
+p: 3
+q: 2
+config: BBBBBR
+requirements:
+  4 1
+  0 0
+"""
+
+
+def test_a_p2_requirement_above_the_block_length_is_an_invalid_instance(tmp_path, capsys):
+    issue = "block 1: colour 1 requirement 4 exceeds the block length p=3"
+    path = tmp_path / "infeasible.txt"
+    path.write_text(INFEASIBLE_P2_DOC)
+    assert main(["analyze", "--instance", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert not report["valid"] and report["issues"] == [issue]
+    assert main(["run", "--instance", str(path)]) == EXIT_INVALID_INSTANCE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"invalid: {issue}\n"
+
+    # A trace of a feasible instance, stored under the infeasible one's header.
+    feasible_path, trace_path = tmp_path / "feasible.txt", tmp_path / "trace.jsonl"
+    feasible_path.write_text(INFEASIBLE_P2_DOC.replace("  4 1\n", "  3 1\n"))
+    assert main(["run", "--instance", str(feasible_path), "--trace", str(trace_path)]) == EXIT_OK
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    records[0]["instance"] = INFEASIBLE_P2_DOC
+    trace_path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    capsys.readouterr()
+    assert main(["verify", "--trace", str(trace_path)]) == EXIT_VERIFICATION_FAILED
+    assert capsys.readouterr().out == f"FAIL instance: {issue}\n"
+
 
 def test_run_reports_nontermination_with_zero_budget(tmp_path, capsys):
     path = tmp_path / "inst.txt"

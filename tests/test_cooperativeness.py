@@ -36,7 +36,7 @@ from ringform.verify import InvariantVerdict
 
 import faults
 import oracle
-from helpers import replay, replayed_configs, verdict_of
+from helpers import fresh_round, replay, replayed_configs, verdict_of
 from test_golden_traces import GOLDEN, golden_run
 
 
@@ -128,7 +128,7 @@ def continue_honestly(inst, cfg, rounds, count):
     rounds = list(rounds)
     offset = rounds[-1].offset % inst.k + 1 if rounds else 1
     for _ in range(count):
-        cfg, rt = engine.execute_round(cfg, inst, offset, index=len(rounds) + 1)
+        cfg, rt = fresh_round(cfg, inst, offset, index=len(rounds) + 1)
         rounds.append(rt)
         offset = offset % inst.k + 1
     return rounds

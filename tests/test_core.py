@@ -185,6 +185,14 @@ def test_validate_p2_shortfall_invalid():
     assert report.extras is None
 
 
+def test_validate_p2_rejects_a_requirement_above_the_block_length():
+    # Enough blues overall, yet block 1 cannot hold four agents of any colour.
+    report = validate(make_p2("BBBBBR", 2, 3, [[4, 1], [0, 0]]))
+    assert not report.valid
+    assert report.issues == ("block 1: colour 1 requirement 4 exceeds the block length p=3",)
+    assert validate(make_p2("BBBBBR", 2, 3, [[3, 1], [0, 0]])).valid
+
+
 def test_validate_p2_rejects_constrained_other_colours():
     report = validate(make_p2("BBRR", 2, 2, [[1, 1], [1, 1]]))
     assert not report.valid

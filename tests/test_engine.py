@@ -17,7 +17,6 @@ from ringform.engine import (
     TraceError,
     apply_moves,
     build_pairing,
-    execute_round,
     orient_roles,
     read_trace,
     run,
@@ -35,9 +34,11 @@ from ringform.generators import (
     gen_random,
 )
 
+import oracle
 from helpers import (
     block_string,
     counts,
+    fresh_round,
     make_p1,
     make_p2,
     make_p3,
@@ -225,17 +226,6 @@ def test_window_steps_take_adjacent_views_only():
             window_step_q_colour(*views, make_p1("RRBBRRBB", 4, 2, [[1] * 4, [1] * 4]).spec)
 
 
-def test_window_respects_frozen_colours():
-    cfg = Configuration.from_string("123223", 2, 3, 3)
-    left, right = cfg.block_view(1), cfg.block_view(2)
-    # colour 2 plays blue for this pass, colour 1 is frozen in place
-    moves = window_step_two_colour(left, right, 2, 1, blue_colour=2, frozen=frozenset({1}))
-    after = apply_moves(cfg, moves)
-    assert block_string(after, 1) == "122"  # frozen '1' pinned at its node
-    assert block_string(after, 2) == "323"
-    assert after.agents[0].id == 0
-
-
 # --- many-colour window step -----------------------------------------------------
 
 
@@ -279,61 +269,61 @@ def test_q_window_skips_rearrangement_for_count_problems():
 # --- rounds ----------------------------------------------------------------------
 
 
-def test_execute_round_example():
+def test_fresh_round_example():
     inst = make_p1("RRBB", 2, 2, [[1, 1], [1, 1]])
-    cfg, trace = execute_round(inst.initial, inst, 1, index=1)
+    cfg, trace = fresh_round(inst.initial, inst, 1, index=1)
     assert cfg.to_string() == "BRRB"
     assert trace.offset == 1
     assert trace.counts == ((1, 1), (1, 1))
     assert len(trace.moves) == 2
 
 
-def test_execute_round_quiescent_when_satisfied():
+def test_fresh_round_quiescent_when_satisfied():
     inst = make_p1("BRRB", 2, 2, [[1, 1], [1, 1]])
     for offset in (1, 2):
-        _, trace = execute_round(inst.initial, inst, offset)
+        _, trace = fresh_round(inst.initial, inst, offset)
         assert trace.moves == ()
 
 
-def test_shared_idle_set_gives_the_rounds_of_fresh_sets_for_the_phase_step():
-    # The phase oracle's step (colour c as blue, lower colours frozen): one
-    # idle set kept across each phase must give, round for round, what a
-    # fresh set, which steps every window, gives.
-    calls = {"shared": 0, "fresh": 0}
-    rounds = 0
-    for q in (3, 4, 5):
-        for k in (2, 3, 4, 5, 6, 8):
-            for seed in range(3):
-                inst = gen_random(k, q + 1, q, seed)
-                cfg = inst.initial
-                for colour in range(1, q):
-                    row = inst.spec.row(colour)
-                    frozen = frozenset(range(1, colour))
+def _recoloured_outside(cfg, lb, rng):
+    """``cfg`` with a random colour for every agent outside the window whose
+    left block is ``lb``, and the window's ring positions."""
+    k, p = cfg.k, cfg.p
+    start, right_start = (lb - 1) * p, lb % k * p
+    window = {*range(start, start + p), *range(right_start, right_start + p)}
+    colours = bytes(c if x in window else rng.randint(1, cfg.q) for x, c in enumerate(cfg.colours))
+    return Configuration._flat(colours, cfg.ids, k, p, cfg.q), window
 
-                    def counted(chain):
-                        flat_step = engine.two_colour_step(row, min(row), blue_colour=colour,
-                                                           frozen=frozen)
 
-                        def step(state, lb):
-                            calls[chain] += 1
-                            return flat_step(state, lb)
-                        return step
-
-                    shared_step, fresh_step = counted("shared"), counted("fresh")
-                    idle: set[int] = set()
-                    r = 0
-                    while [c[colour - 1] for c in cfg.all_counts()] != list(row):
-                        assert r < engine.default_max_rounds(inst), (inst.provenance, colour)
-                        offset = r % k + 1
-                        shared = step_round(cfg, offset, shared_step, idle)
-                        assert shared == step_round(cfg, offset, fresh_step, set()), \
-                            (inst.provenance, colour, r + 1)
-                        cfg = shared[0]
-                        r += 1
-                    rounds += r
-                assert cfg.all_counts() == verify.sequential_phase_counts(inst), inst.provenance
-    assert rounds > 500
-    assert calls["shared"] < calls["fresh"]  # the shared set left windows unstepped
+def test_a_window_moves_what_its_two_blocks_alone_decide():
+    # The agents of a window see only its two blocks, so its moves must not
+    # change when every agent outside them is recoloured: neither the run's
+    # step nor the moves that a round makes inside the window.
+    rng = random.Random(17)
+    ks = (3, 4, 5, 7)
+    families = {
+        "P1 q=2": [orient_roles(gen_random(k, 4, 2, s))[0] for k in ks for s in range(5)],
+        "P2": [gen_p2_random(k, 4, 2, s, extras=s % 3) for k in ks for s in range(5)],
+        "P1 q>=3": [gen_random(k, q + 2, q, s) for k in ks for q in (3, 4) for s in range(2)],
+        "P3": [gen_p3_random(k, 4, q, s) for k in ks for q in (2, 3) for s in range(2)],
+    }
+    moving = dict.fromkeys(families, 0)
+    for family, insts in families.items():
+        for inst in insts:
+            step = engine._window_step(inst)
+            result = run(inst)
+            for cfg, rt in zip(replayed_configs(inst, result.trace), result.trace):
+                for lb, _ in build_pairing(inst.k, rt.offset).pairs:
+                    other, window = _recoloured_outside(cfg, lb, rng)
+                    moves = list(step(cfg, lb))
+                    assert list(step(other, lb)) == moves, (inst.provenance, rt.index, lb)
+                    inside = [[m for m in step_round(state, rt.offset, engine._window_step(inst),
+                                                     set())[1].triples() if m[1] in window]
+                              for state in (cfg, other)]
+                    assert inside[0] == inside[1], (inst.provenance, rt.index, lb)
+                    assert [x for m in inside[0] for x in m] == moves
+                    moving[family] += bool(moves)
+    assert min(moving.values()) >= 50, moving
 
 
 def test_run_single_swap_instance():
@@ -466,46 +456,24 @@ def _memo_corpus():
                 yield orient_roles(gen_adversarial_half(k, p))[0]
 
 
-def _phase_moves(inst, monkeypatch) -> list:
-    """The MoveSet of every round of ``sequential_phase_counts(inst)``."""
-    moves = []
-
-    def recorded(*args):
-        new_cfg, round_moves = step_round(*args)
-        moves.append(round_moves)
-        return new_cfg, round_moves
-    monkeypatch.setattr(verify, "step_round", recorded)
-    verify.sequential_phase_counts(inst)
-    return moves
-
-
 def test_the_plan_memo_gives_the_moves_of_plans_never_stored(monkeypatch):
     built = []
     plan = engine._two_colour_plan
     monkeypatch.setattr(engine, "_two_colour_plan", lambda *args: built.append(args) or plan(*args))
-    # The plans built for the runs and for the phases, with the memo and
-    # without it (when every window is stepped directly).
-    builds = {"runs": [0, 0], "phases": [0, 0]}
-
-    def compare(kind, moves_of, inst):
+    # The plans built for the runs, with the memo and without it (when every
+    # window is stepped directly).
+    memo_builds = unstored_builds = 0
+    for inst in _memo_corpus():
         built.clear()
-        memo_moves = moves_of(inst)
-        builds[kind][0] += len(built)
+        memo_moves = [rt.moves for rt in run(inst).trace]
+        memo_builds += len(built)
         built.clear()
         with monkeypatch.context() as m:
             m.setattr(engine, "_PLAN_SLOTS", 0)
-            assert moves_of(inst) == memo_moves, inst.provenance
-        builds[kind][1] += len(built)
-
-    for inst in _memo_corpus():
-        compare("runs", lambda inst: [rt.moves for rt in run(inst).trace], inst)
-    # The frozen-colour phases of the phase oracle step colour c as blue.
-    for q in (3, 4):
-        for k in (3, 4, 5, 12, 15):
-            compare("phases", lambda inst: _phase_moves(inst, monkeypatch),
-                    gen_random(k, q + 1, q, k))
-    # Both step windows from stored plans.
-    assert all(memo > 0 and unstored == 0 for memo, unstored in builds.values())
+            assert [rt.moves for rt in run(inst).trace] == memo_moves, inst.provenance
+        unstored_builds += len(built)
+    # The runs step windows from stored plans.
+    assert memo_builds > 0 and unstored_builds == 0
 
 
 @pytest.mark.parametrize("p", [4, 8])
@@ -527,10 +495,12 @@ def test_the_plan_memo_covers_at_most_its_window_slots(p, monkeypatch):
 
 
 def test_the_plan_memo_keeps_no_window_whose_step_raises():
-    cfg = Configuration.from_string("133222", 2, 3, 3)
-    step = engine.two_colour_step([2, 1], 2, blue_colour=2, frozen=frozenset({3}))
+    # Block 1 is all blue and one short of a requirement above p, which no
+    # valid instance has: its step has no red to trade.
+    cfg = Configuration.from_string("BBBBBR", 2, 3, 2)
+    step = engine.two_colour_step([4, 1], 1)
     for _ in range(2):
-        with pytest.raises(EngineError, match=r"window \[1\|2\]: 1 movable reds but t=2"):
+        with pytest.raises(EngineError, match=r"window \[1\|2\]: 0 movable reds but t=1"):
             step(cfg, 1)
     assert step.args[-1] == {}
 
@@ -658,7 +628,7 @@ def test_interleaved_counts_match_sequential_phases():
             inst = gen_random(4, q + 1, q, seed)
             result = run(inst)
             assert result.terminated
-            assert verify.sequential_phase_counts(inst) == result.final.all_counts()
+            assert oracle.sequential_phase_counts(inst) == result.final.all_counts()
 
 
 # --- trace serialization -----------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from ringform import analysis, core, engine, verify
 from ringform.engine import EngineError, Move, RoundTrace
 from ringform.generators import gen_adversarial_half, gen_p2_random, gen_random
-from ringform.verify import TraceError, sequential_phase_counts
+from ringform.verify import TraceError
 
 import faults
 import oracle
@@ -420,13 +420,23 @@ def test_oracle_matches_analysis_on_reachable_configurations():
 
 def test_sequential_phase_counts_settles_to_requirements():
     inst = gen_random(5, 4, 3, seed=8)
-    final_counts = sequential_phase_counts(inst)
+    final_counts = oracle.sequential_phase_counts(inst)
     assert final_counts == tuple(inst.spec.column(j) for j in range(1, inst.k + 1))
 
 
 def test_sequential_phase_counts_rejects_other_kinds():
     with pytest.raises(ValueError):
-        sequential_phase_counts(make_p2("BBBR", 2, 2, [[1, 1], [0, 0]]))
+        oracle.sequential_phase_counts(make_p2("BBBR", 2, 2, [[1, 1], [0, 0]]))
+
+
+def test_the_phase_oracle_step_keeps_frozen_colours_in_place():
+    cfg = core.Configuration.from_string("123223", 2, 3, 3)
+    # Colour 2 plays blue for this pass, and colour 1 is frozen in place.
+    moves = oracle.agent_step_two_colour(oracle.agent_view(cfg, 1), oracle.agent_view(cfg, 2),
+                                         2, 1, blue_colour=2, frozen=frozenset({1}))
+    after = engine.apply_moves(cfg, moves)
+    assert after.to_string() == "122323"  # the frozen 1 keeps its node
+    assert after.agents[0].id == 0
 
 
 def test_final_checker_on_real_result(small_run):
