@@ -339,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid instance document: {exc}", file=sys.stderr)
         return EXIT_INVALID_INSTANCE
     except engine.InvalidInstanceError as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
+        print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID_INSTANCE
     except engine.TraceError as exc:
         print(f"invalid trace: {exc}", file=sys.stderr)

@@ -186,9 +186,9 @@ def _patched_counts(before: tuple[tuple[int, ...], ...], flat: list[int], q: int
     if len(set(blocks)) != len(blocks):
         raise TraceError("'counts' names a block twice", line)
     after = list(before)
-    for i in range(0, len(flat), q + 1):
-        row = tuple(flat[i + 1:i + q + 1])
-        after[flat[i] - 1] = rows.setdefault(row, row)
+    changed = list(zip(*[flat[j::q + 1] for j in range(1, q + 1)]))
+    for b, row in zip(blocks, map(rows.setdefault, changed, changed)):
+        after[b - 1] = row
     return tuple(after)
 
 

@@ -57,11 +57,10 @@ class _Audit:
     two-colour runs replay from the blue count row of each configuration.
     The verdicts checked round by round (``safety``, ``order_preserving``,
     ``suffix_property``, ``no_wraparound``, ``cooperativeness``) keep their
-    first failure and are not checked again; the others are settled at the
-    end of the trace.  The replay (``engine._apply``) walks a moving
-    round's moves once and also yields its first move out of its window
-    and the blocks that its crossings entered or left; one more walk finds
-    the blue ranks that move, while a verdict follows them.
+    first failure; the others are settled at the end of the trace.  The
+    replay (``engine._apply``) walks a moving round's moves once, and finds
+    its first move out of its window and the blocks its crossings touched;
+    ``move_ranks`` walks its blue movers, while a verdict follows them.
     """
 
     def __init__(self, inst: Instance, names: Iterable[str]):
@@ -81,7 +80,6 @@ class _Audit:
         if "cooperativeness" in live and k % 2:
             self.fail("cooperativeness", None, "only meaningful for an even block count")
         self.distance = self.potential.total if uses_two_colour_steps(inst) else None
-        self.rank_of: dict[int, int] = {}  # of the blue agents, when a verdict follows them
         if self.distance is None and not live & {"order_preserving", "suffix_property",
                                                  "no_wraparound", "cooperativeness"}:
             return
@@ -90,13 +88,16 @@ class _Audit:
         self.dest = self.potential.dest
         self.dest_total = sum(self.dest)
         if live & {"order_preserving", "cooperativeness"}:
-            # One blue-rank table: ranks in renamed reading order, each with
-            # its renamed position.
+            # The rank 1..N of every blue agent in renamed reading order, and the
+            # renamed position of every rank, with a rank 0 before the first and N + 1 after.
             n, initial = inst.n, inst.initial
             colours = initial.colours[self.start:] + initial.colours[:self.start]
             ids = initial.ids[self.start:] + initial.ids[:self.start]
-            self.pos = list(compress(range(n), map(BLUE.__eq__, colours)))
-            self.rank_of = {ids[x]: i for i, x in enumerate(self.pos)}
+            blue = list(compress(range(n), map(BLUE.__eq__, colours)))
+            self.rank_of = {ids[x]: i for i, x in enumerate(blue, 1)}
+            self.pos = [-1, *blue, n]
+            self.renamed = [*range(n - self.start, n), *range(n - self.start)]  # by position
+            self.linear = True  # every rank has sat before the next one so far
         if "suffix_property" in live:
             self.need = analysis.renamed_row(inst.spec.row(BLUE), self.origin)
             self.surplus = inst.initial.colour_totals()[BLUE - 1] - sum(self.need)
@@ -105,13 +106,10 @@ class _Audit:
             self.check_prefixes(0, self.potential.blues)
         if "cooperativeness" in live:
             self.classes = analysis.blue_partition(inst)
-            self.block = [x // p + 1 for x in self.pos]  # renamed, 1-based
-            self.classes_of: dict[int, list[int]] = {}
-            for class_index, ranks in enumerate(self.classes, start=1):
-                for rank in ranks:
-                    self.classes_of.setdefault(rank - 1, []).append(class_index)
-            self.active: set[int] = set()  # classes switched on, below any stuck one
-            self.pending: set[tuple[int, int]] = set()  # (class, rank) of active ranks off dest
+            # The lowest class of every rank, which switches the rank on.
+            self.low = {i: c for c, ranks in reversed([*enumerate(self.classes, 1)]) for i in ranks}
+            self.top = 0  # classes 1..top are switched on, all below any stuck one
+            self.pending: set[int] = set()  # ranks of switched-on classes off their destination
             # (class, round, rank, block before) of the failure to report
             self.stuck: tuple[int, int, int, int] | None = None
 
@@ -136,7 +134,7 @@ class _Audit:
         self.rounds = r = self.rounds + 1
         moves = rt.moves
         self.moved.append(bool(moves.flat))
-        was: dict[int, int] = {}  # the renamed block before the round of every moved rank
+        was: dict[int, int] = {}  # the renamed position before the round of every moved rank
         stray = None
         if moves.flat:
             try:
@@ -152,13 +150,8 @@ class _Audit:
                     self.check_prefixes(r, blues)
             if "no_wraparound" in live:
                 self.check_wrap(r, rt.offset, moves, crossed)
-            if rank_of := self.rank_of:
-                # The blue ranks that move, as (rank, renamed position after).
-                start, n = self.start, inst.n
-                movers = [(rank_of[agent_id], (dst - start) % n)
-                          for agent_id, _, dst in moves.triples() if agent_id in rank_of]
-                if movers:
-                    was = self.move_ranks(r, movers, before, after)
+            if "order_preserving" in live or "cooperativeness" in live:
+                was = self.move_ranks(r, moves, before, after)
             if self.reached is None and "summary" in live and target_satisfied(after, inst):
                 self.reached = r
         if "safety" in live:
@@ -226,70 +219,65 @@ class _Audit:
                           f"agent {agent_id} crossed between blocks {last} and {origin}")
                 return
 
-    def move_ranks(self, r: int, movers: list[tuple[int, int]], before: Configuration,
+    def move_ranks(self, r: int, moves: MoveSet, before: Configuration,
                    after: Configuration) -> dict[int, int]:
-        """Move the blue ranks and check ``order_preserving``: the clockwise
-        order of blue agents never changes.  Ranks keep their cyclic order
-        exactly while one rank i, and only one, sits after rank i + 1 (the
-        last after the first), so the check recounts those descents only
-        next to a moved rank.  Returns the renamed block before the round
-        of every moved rank, when ``cooperativeness`` follows the blocks."""
-        pos = self.pos
-        order = "order_preserving" in self.live
-        if order:
-            n_blue = len(pos)
-            pairs = [(i, (i + 1) % n_blue) for i in {j for rank, _ in movers
-                                                      for j in ((rank - 1) % n_blue, rank)}]
-            descents = sum(pos[i] > pos[j] for i, j in pairs)
-        for rank, x in movers:
-            pos[rank] = x
-        if order and sum(pos[i] > pos[j] for i, j in pairs) != descents:
-            self.fail("order_preserving", r,
-                      f"blue order {_clockwise(before)} became {_clockwise(after)}")
-        if "cooperativeness" not in self.live:
-            return {}
-        block, p = self.block, self.p
+        """Move the blue ranks of ``moves``, walking the blue movers only, and
+        return the renamed position before the round of each.  While every
+        rank sits before the next, as ``cooperativeness`` wants, the cyclic
+        order that ``order_preserving`` wants holds too; it is checked apart
+        only once a moved rank has broken the linear order."""
+        rank_of, pos, renamed = self.rank_of, self.pos, self.renamed
         was = {}
-        for rank, x in movers:
-            was[rank] = block[rank]
-            block[rank] = x // p + 1
+        for agent_id, _, dst in compress(moves.triples(),
+                                         map(rank_of.__contains__, moves.flat[0::3])):
+            rank = rank_of[agent_id]
+            was[rank] = pos[rank]
+            pos[rank] = renamed[dst]
+        if self.linear:
+            for i in was:
+                if not pos[i - 1] < pos[i] < pos[i + 1]:
+                    self.linear = False
+                    if "cooperativeness" in self.live:
+                        self.fail("cooperativeness", r, "blue ranks are not stable")
+                    break
+        if not self.linear and "order_preserving" in self.live:
+            # The ranks keep their cyclic order exactly while one rank i, and
+            # only one, sits after rank i + 1 (the last after the first), so
+            # the descents are recounted next to the moved ranks only.
+            n_blue = len(rank_of)
+            pairs = [(i, i % n_blue + 1)
+                     for i in {j for rank in was for j in ((rank - 2) % n_blue + 1, rank)}]
+            old = was.get
+            if (sum(old(i, pos[i]) > old(j, pos[j]) for i, j in pairs)
+                    != sum(pos[i] > pos[j] for i, j in pairs)):
+                self.fail("order_preserving", r,
+                          f"blue order {_clockwise(before)} became {_clockwise(after)}")
         return was
 
     def check_cooperation(self, r: int, was: dict[int, int]) -> None:
         """``cooperativeness``: from round 2c+2 on, every blue agent of class c
         either advances one block left each round or already sits in its
-        destination block.  Blue ranks must keep their renamed reading order
-        in every configuration; an unstable round is reported before any
-        class failure, and otherwise the failure of the lowest class at its
-        first failing round and rank.  Only active ranks off their
-        destination are looked at, each of which must move or fail."""
-        pos, block, dest = self.pos, self.block, self.dest
-        active, pending = self.active, self.pending
+        destination block.  An unstable round (``move_ranks``, which gives
+        ``was``) is reported before any class failure, and otherwise the
+        failure of the lowest class at its first failing round and rank.
+        Only the pending ranks are looked at: each must move or fail."""
+        pos, p, dest, low, pending = self.pos, self.p, self.dest, self.low, self.pending
         c = r // 2 - 1  # class c is checked from round 2c + 2 on, from its blocks before it
         if r % 2 == 0 and 1 <= c <= len(self.classes) and self.stuck is None:
-            active.add(c)
-            pending.update((c, rank - 1) for rank in self.classes[c - 1]
-                           if was.get(rank - 1, block[rank - 1]) != dest[rank - 1])
-        n_blue = len(pos)
-        for i in was:
-            if (i and pos[i - 1] >= pos[i]) or (i + 1 < n_blue and pos[i] >= pos[i + 1]):
-                self.fail("cooperativeness", r, "blue ranks are not stable")
-                return
-        stuck = [(c, r, i, was.get(i, block[i])) for c, i in pending
-                 if block[i] != was.get(i, block[i]) - 1]
+            self.top = c
+            pending.update(i for i in self.classes[c - 1]
+                           if was.get(i, pos[i]) // p + 1 != dest[i - 1])
+        stuck = [i for i in pending if i not in was or pos[i] // p + 1 != was[i] // p]
         if stuck:
             # Only a lower class can still displace this failure from the report.
-            self.stuck = min(stuck)
-            self.active = active = {c for c in active if c < self.stuck[0]}
-            self.pending = pending = {(c, i) for c, i in pending if c in active}
-        classes_of = self.classes_of
+            c, i = min((low[i], i) for i in stuck)
+            self.stuck = (c, r, i, was.get(i, pos[i]) // p + 1)
+            self.top = c - 1
+            self.pending = pending = {i for i in pending if low[i] < c}
+        top = self.top
         for i in was:
-            for c in classes_of.get(i, ()):
-                if c in active:
-                    if block[i] == dest[i]:
-                        pending.discard((c, i))
-                    else:
-                        pending.add((c, i))
+            if low[i] <= top:
+                (pending.discard if pos[i] // p + 1 == dest[i - 1] else pending.add)(i)
 
     def settle(self, rounds_used: int, terminated: bool,
                summary: Mapping[str, object] | None = None) -> list[InvariantVerdict]:
@@ -312,8 +300,8 @@ class _Audit:
         if name == "cooperativeness":
             if self.stuck is not None:
                 c, r, i, was = self.stuck
-                return InvariantVerdict(name, False, r, f"rank {i + 1} (class {c}) stayed in "
-                                        f"block {was}, destination {self.dest[i]}")
+                return InvariantVerdict(name, False, r, f"rank {i} (class {c}) stayed in "
+                                        f"block {was}, destination {self.dest[i - 1]}")
             return InvariantVerdict(name, True)
         if name in ("quiescence", "final_condition") and not terminated:
             return InvariantVerdict(name, False, None, "run did not terminate")

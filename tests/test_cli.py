@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ringform import analysis
+from ringform import analysis, cli
 from ringform.cli import (
     EXIT_INVALID_INSTANCE,
     EXIT_IO_ERROR,
@@ -14,7 +14,7 @@ from ringform.cli import (
     main,
     run_bench,
 )
-from ringform.core import parse_instance, validate
+from ringform.core import ValidityReport, parse_instance, validate
 from ringform.engine import orient_roles
 
 INVALID_DOC = """\
@@ -103,6 +103,19 @@ def test_a_p2_requirement_above_the_block_length_is_an_invalid_instance(tmp_path
     capsys.readouterr()
     assert main(["verify", "--trace", str(trace_path)]) == EXIT_VERIFICATION_FAILED
     assert capsys.readouterr().out == f"FAIL instance: {issue}\n"
+
+
+def test_an_instance_the_engine_refuses_is_reported_as_run_reports_it(tmp_path, capsys,
+                                                                      monkeypatch):
+    # ``run`` validates before it runs; were that skipped, the engine's own
+    # refusal reaches ``main`` and is printed in the same ``invalid:`` form.
+    issue = "block 1: colour 1 requirement 4 exceeds the block length p=3"
+    path = tmp_path / "infeasible.txt"
+    path.write_text(INFEASIBLE_P2_DOC)
+    monkeypatch.setattr(cli, "validate", lambda inst: ValidityReport(True, (), ()))
+    assert main(["run", "--instance", str(path)]) == EXIT_INVALID_INSTANCE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"invalid: {issue}\n"
 
 
 def test_run_reports_nontermination_with_zero_budget(tmp_path, capsys):

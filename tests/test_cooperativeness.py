@@ -236,6 +236,28 @@ def test_incremental_order_checker_matches_the_scan():
     assert compared >= 1000 and failing >= 100, (compared, failing)
 
 
+def test_order_checker_recounts_descents_once_the_reading_order_breaks():
+    # A blue agent moved across the renamed boundary, as some injected cycles
+    # move one, breaks the renamed reading order of the ranks but may keep
+    # their cyclic order.  The audit then fails ``cooperativeness`` and checks
+    # ``order_preserving`` by recounting descents from then on.
+    fallback = 0
+    for inst, rounds in corpus():
+        audit = verify._Audit(inst, ["order_preserving", "cooperativeness"])
+        for rt in rounds:
+            audit.advance(rt)
+        if audit.linear or "order_preserving" in audit.failures:
+            continue
+        fallback += 1
+        run = oracle.replay(inst, rounds)
+        assert scan_order_preserving(run).passed
+        expected = scan_cooperativeness(run)
+        assert expected.detail == "blue ranks are not stable"
+        assert [as_tuple(v) for v in audit.settle(0, False)] == \
+            [("order_preserving", True, None, ""), as_tuple(expected)]
+    assert fallback >= 100, fallback
+
+
 def test_incremental_checker_matches_the_scan_on_overlapping_classes(monkeypatch):
     # A partition may put a rank in two classes.
     inst, _ = engine.orient_roles(gen_random(6, 4, 2, 1))

@@ -777,10 +777,27 @@ def test_read_trace_refuses_an_older_format_at_its_header(fmt):
     (lambda r: {**r, "counts": [2, 1, 2, 5, 1, 2]}, "'counts' names a block outside 1..4"),
     (lambda r: {**r, "counts": [2, 1, 2, 2, 2, 1]}, "'counts' names a block twice"),
     (lambda r: {**r, "counts": [2, 1, 2, 3, 2, 1, 2, 2, 1]}, "'counts' names a block twice"),
+    # JSON true and false are not integers, though array('i') takes them for 1 and 0.
+    (lambda r: {**r, "moves": [0, False, 1]}, "'moves' must be a list of agent id"),
+    (lambda r: {**r, "moves": [*r["moves"][:-1], True]}, "'moves' must be a list of agent id"),
+    (lambda r: {**r, "note": "true", "moves": [0, 1, False]}, "'moves' must be a list of agent"),
+    (lambda r: {**r, "counts": [2, False, 2]}, "'counts' rows must be"),
+    (lambda r: {**r, "counts": [2, 1, 2, 3, 2, True]}, "'counts' rows must be"),
+    # A wide integer before a wrong entry does not decide the message.
+    (lambda r: {**r, "moves": [0, 10 ** 30, 1.5]}, "'moves' must be a list of agent id"),
+    (lambda r: {**r, "moves": [0, 2 ** 31, None]}, "'moves' must be a list of agent id"),
+    (lambda r: {**r, "counts": [2, 10 ** 30, 2.5]}, "'counts' rows must be"),
+    (lambda r: {**r, "counts": [2 ** 31, 1, 2]}, "'counts' names a block outside 1..4"),
+    (lambda r: {**r, "counts": [-2 ** 31 - 1, 1, 2]}, "'counts' names a block outside 1..4"),
     # Python converts an integer literal of at most 4300 digits by default.
     (lambda r: json.dumps({**r, "offset": 0}).replace('"offset": 0',
                                                       '"offset": ' + "7" * 5001),
      "not a JSON record: an integer literal of more than"),
+    # A line cut off where a value should follow, or with a bad token there.
+    (lambda r: '{"type": "round", "round": 1, "offset": ', "not a JSON record: Expecting value"),
+    (lambda r: '{"type": "round", "moves": [0, x]}', "not a JSON record: Expecting value"),
+    (lambda r: json.dumps({**r, "distance": None}).replace("null", "nu"),
+     "not a JSON record: Expecting value"),
 ])
 def test_read_trace_names_the_line_of_a_malformed_round(mangle, message, tmp_path):
     honest = _honest_trace_lines()
@@ -800,6 +817,27 @@ def test_read_trace_names_the_line_of_a_malformed_round(mangle, message, tmp_pat
             assert main(["verify", "--trace", str(path)]) == EXIT_VERIFICATION_FAILED
         assert err.getvalue().startswith(f"invalid trace: line {line}: ")
         assert out.getvalue() == ""
+
+
+def test_read_trace_reads_a_round_whose_ignored_key_says_true_or_false():
+    # Only the integer lists of a round are type-checked, not its whole line.
+    honest = _honest_trace_lines()
+    expected = read_trace(honest)
+    for note in ("true", "false", True, False, [0, True]):
+        records = [json.loads(line) for line in honest]
+        lines = [json.dumps({**r, "note": note} if r["type"] == "round" else r) for r in records]
+        assert read_trace(lines) == expected, note
+
+
+def test_read_trace_keeps_a_count_too_wide_for_a_c_int_for_the_audit_to_refuse():
+    honest = _honest_trace_lines()
+    record = json.loads(honest[2])
+    record["counts"] = [2, 2 ** 31, 0]
+    data = read_trace(honest[:2] + [json.dumps(record)] + honest[3:])
+    assert data.rounds[1].counts[1] == (2 ** 31, 0)
+    safety = verify.verify_trace(data)[0]
+    assert (safety.name, safety.passed, safety.round) == ("safety", False, 2)
+    assert safety.detail == "recorded counts disagree with the moves"
 
 
 def test_read_trace_rejects_malformed_header_and_summary():

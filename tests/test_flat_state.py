@@ -19,6 +19,7 @@ they should.
 import contextlib
 import gc
 import io
+import sys
 import weakref
 
 import pytest
@@ -357,6 +358,36 @@ def test_a_run_and_its_audit_walk_each_moving_round_once_or_twice(monkeypatch):
         if inst.q == 2:
             # The replay, then the blue ranks that move.
             assert moving < len(walks) <= 2 * moving, inst.provenance
+        else:
+            assert len(walks) == moving, inst.provenance
+
+
+def test_an_audit_of_a_stored_trace_walks_each_moving_round_at_most_twice(monkeypatch):
+    # Not counting ``check_wrap``, which reads a round's moves only when one of
+    # them may cross between the renamed last and first blocks.
+    walks = []
+    triples = engine.MoveSet.triples
+
+    def counted(moves):
+        if sys._getframe(1).f_code.co_name != "check_wrap":
+            walks.append(1)
+        return triples(moves)
+
+    monkeypatch.setattr(engine.MoveSet, "triples", counted)
+    for inst in [*(gen_random(8, 8, 4, s) for s in range(3)),
+                 *(engine.orient_roles(gen_random(8, 4, 2, s))[0] for s in range(3)),
+                 engine.orient_roles(gen_adversarial_half(16, 4))[0]]:
+        buffer = io.StringIO()
+        engine.write_trace(engine.run(inst), buffer)
+        data = engine.read_trace(io.StringIO(buffer.getvalue()))
+        moving = sum(bool(rt.moves) for rt in data.rounds)
+        walks.clear()
+        verdicts = verify.verify_trace(data)
+        assert moving and all(v.passed for v in verdicts), inst.provenance
+        if inst.q == 2:
+            # The replay, then one walk of the blue movers for both rank verdicts.
+            assert "cooperativeness" in verify.applicable_checks(inst)
+            assert len(walks) <= 2 * moving, inst.provenance
         else:
             assert len(walks) == moving, inst.provenance
 

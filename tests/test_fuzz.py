@@ -168,12 +168,16 @@ def test_malformed_moves_raise_trace_error_naming_the_line(bad, where):
         engine.read_trace(lines)
     assert caught.value.line == i + 1
     assert str(caught.value).startswith(f"line {i + 1}: 'moves' must be")
+    # Only an integer entry too wide for a C int is named as such.
+    wide = kind == "field" and type(value) is int
+    assert str(caught.value).endswith("that fit a C int") == wide
 
 
 @settings(max_examples=150, deadline=None)
 @given(bad=st.one_of(
            not_an_int.map(lambda v: ("entry", v)),
-           st.one_of(st.integers(-3, 0), st.integers(5, 40)).map(lambda b: ("block", b)),
+           st.one_of(st.integers(-3, 0), st.integers(5, 40), wide_ints)
+           .map(lambda b: ("block", b)),
            st.lists(st.integers(0, 9), max_size=5)
            .filter(lambda row: len(row) != 3).map(lambda row: ("row", row)),
            st.just(("repeat", None))),
@@ -199,6 +203,31 @@ def test_malformed_count_rows_raise_trace_error_naming_the_line(bad, where):
         engine.read_trace(lines)
     assert caught.value.line == i + 1
     assert str(caught.value).startswith(f"line {i + 1}: 'counts' ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(note=json_values, which=st.integers(0, 10 ** 6))
+def test_an_ignored_key_of_a_round_record_changes_nothing_read(note, which):
+    # Whatever it holds, a JSON true or false among it too.
+    records = TRACES[0]
+    lines = [json.dumps(record) for record in records]
+    expected = engine.read_trace(lines)
+    rounds = [i for i, record in enumerate(records) if record["type"] == "round"]
+    i = rounds[which % len(rounds)]
+    lines[i] = json.dumps({**records[i], "note": note})
+    assert engine.read_trace(lines) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.integers(0, 10 ** 6), cut=st.integers(1, 10 ** 6))
+def test_a_record_cut_short_is_not_a_json_record(which, cut):
+    # As a writer killed in the middle of a line leaves it.
+    lines = [json.dumps(record) for record in TRACES[which % 2]]
+    i = which % len(lines)
+    lines[i] = lines[i][:cut % (len(lines[i]) - 1) + 1]
+    with pytest.raises(TraceError, match="not a JSON record: ") as caught:
+        engine.read_trace(lines)
+    assert caught.value.line == i + 1
 
 
 def _exit_code(argv: list[str], path: str, content: bytes) -> int:
