@@ -118,14 +118,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     report = validate(inst)
-    if not report.valid:
-        for check in report.colour_checks:
-            if not check.ok:
-                print(f"invalid: colour {check.colour}: have {check.actual}, "
-                      f"need {check.required}", file=sys.stderr)
-        for issue in report.issues:
-            print(f"invalid: {issue}", file=sys.stderr)
-        return EXIT_INVALID_INSTANCE
+    if not report.valid:  # before ``_prepare`` may swap the colours the issues name
+        raise engine.InvalidInstanceError(*report.issues)
 
     oriented, reversed_roles = _prepare(inst)
     # The run and the trace header share one computation of the initial distance.
@@ -339,7 +333,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid instance document: {exc}", file=sys.stderr)
         return EXIT_INVALID_INSTANCE
     except engine.InvalidInstanceError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
+        for issue in exc.issues:
+            print(f"invalid: {issue}", file=sys.stderr)
         return EXIT_INVALID_INSTANCE
     except engine.TraceError as exc:
         print(f"invalid trace: {exc}", file=sys.stderr)

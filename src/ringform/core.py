@@ -333,19 +333,10 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class ColourCheck:
-    colour: int
-    required: int
-    actual: int
-    ok: bool
-
-
-@dataclass(frozen=True)
 class ValidityReport:
     """Outcome of semantic validation; invalidity is reported, never raised."""
 
     valid: bool
-    colour_checks: tuple[ColourCheck, ...]
     issues: tuple[str, ...]
     extras: int | None = None  # surplus colour-1 agents for P2
 
@@ -357,20 +348,23 @@ def validate(inst: Instance) -> ValidityReport:
     needs at least the required colour-1 total.  Count requirements must be
     positive for colours 1..q-1 (P1), for colour 1 (P2, where they may not
     exceed the block length p either), and for every colour of every
-    pattern (P3).
+    pattern (P3).  Every condition that fails is one issue; the colour
+    totals that miss come first, as ``colour i: have h, need r``.
     """
     spec = inst.spec
     totals = inst.initial.colour_totals()
     required = spec.required_totals()
-    issues: list[str] = []
-    checks: list[ColourCheck] = []
     extras: int | None = None
 
     if spec.kind is ProblemKind.P2:
-        checks.append(ColourCheck(1, required[0], totals[0], totals[0] >= required[0]))
-        extras = totals[0] - required[0] if totals[0] >= required[0] else None
+        missed = [1] if totals[0] < required[0] else []
+        extras = None if missed else totals[0] - required[0]
+    else:
+        missed = [i for i in range(1, spec.q + 1) if totals[i - 1] != required[i - 1]]
+    issues = [f"colour {i}: have {totals[i - 1]}, need {required[i - 1]}" for i in missed]
+
+    if spec.kind is ProblemKind.P2:
         for i in range(2, spec.q + 1):
-            checks.append(ColourCheck(i, 0, totals[i - 1], True))
             if any(v != 0 for v in spec.row(i)):
                 issues.append(f"colour {i}: lower-bound instances may only constrain colour 1")
         for j in range(1, spec.k + 1):
@@ -379,28 +373,22 @@ def validate(inst: Instance) -> ValidityReport:
             elif spec.required(1, j) > spec.p:
                 issues.append(f"block {j}: colour 1 requirement {spec.required(1, j)} "
                               f"exceeds the block length p={spec.p}")
-    else:
-        for i in range(1, spec.q + 1):
-            checks.append(ColourCheck(i, required[i - 1], totals[i - 1],
-                                      totals[i - 1] == required[i - 1]))
-        if spec.kind is ProblemKind.P1:
-            for j in range(1, spec.k + 1):
-                if sum(spec.column(j)) != spec.p:
-                    issues.append(
-                        f"block {j}: requirement column sums to {sum(spec.column(j))}, expected p={spec.p}"
-                    )
-                for i in range(1, spec.q):
-                    if spec.required(i, j) < 1:
-                        issues.append(f"block {j}: colour {i} requirement must be at least 1")
-        else:  # P3: every pattern must contain every colour
-            for j, pat in enumerate(spec.patterns or (), start=1):
-                for i in range(1, spec.q + 1):
-                    if spec.required(i, j) < 1:
-                        issues.append(f"pattern {j}: colour {i} does not occur")
+    elif spec.kind is ProblemKind.P1:
+        for j in range(1, spec.k + 1):
+            if sum(spec.column(j)) != spec.p:
+                issues.append(
+                    f"block {j}: requirement column sums to {sum(spec.column(j))}, expected p={spec.p}"
+                )
+            for i in range(1, spec.q):
+                if spec.required(i, j) < 1:
+                    issues.append(f"block {j}: colour {i} requirement must be at least 1")
+    else:  # P3: every pattern must contain every colour
+        for j, pat in enumerate(spec.patterns or (), start=1):
+            for i in range(1, spec.q + 1):
+                if spec.required(i, j) < 1:
+                    issues.append(f"pattern {j}: colour {i} does not occur")
 
-    valid = all(c.ok for c in checks) and not issues
-    return ValidityReport(valid=valid, colour_checks=tuple(checks),
-                          issues=tuple(issues), extras=extras)
+    return ValidityReport(valid=not issues, issues=tuple(issues), extras=extras)
 
 
 # --- instance document format -------------------------------------------------
@@ -471,7 +459,7 @@ def parse_instance(text: str) -> Instance:
     p = need_int("p", 1)
     q = need_int("q", 2)
     if q > MAX_COLOURS:
-        raise InstanceFormatError(f"q must be at most {MAX_COLOURS}, got {q}")
+        raise InstanceFormatError(f"q must be at most {MAX_COLOURS}, got {q}", scalars["q"][1])
 
     config_text, config_line = need("config")
     if len(config_text) != k * p:

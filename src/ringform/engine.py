@@ -61,7 +61,12 @@ class EngineError(RuntimeError):
 
 
 class InvalidInstanceError(ValueError):
-    """The instance fails semantic validation and cannot be run."""
+    """The instance fails semantic validation and cannot be run; ``issues``
+    are the reasons, as ``validate`` words them."""
+
+    def __init__(self, *issues: str):
+        super().__init__("; ".join(issues))
+        self.issues = issues
 
 
 @dataclass(frozen=True)
@@ -461,14 +466,6 @@ def target_satisfied(cfg: Configuration, inst: Instance) -> bool:
     return cfg.all_counts() == spec.columns
 
 
-def check_counts(cfg: Configuration, kept_by: str) -> None:
-    """Raise EngineError unless the block counts that ``cfg`` carries, kept
-    from round to round by ``apply_moves``, equal a recount of its colours."""
-    recount = Configuration._flat(cfg.colours, cfg.ids, cfg.k, cfg.p, cfg.q)
-    if recount.all_counts() != cfg.all_counts():
-        raise EngineError(f"block counts kept across the {kept_by} disagree with a recount")
-
-
 def initial_potential(inst: Instance) -> analysis.DistanceReport | None:
     """The distance of ``inst``'s initial configuration, with its renaming
     and destinations, for an instance whose run tracks a distance (one that
@@ -476,6 +473,61 @@ def initial_potential(inst: Instance) -> analysis.DistanceReport | None:
     if not uses_two_colour_steps(inst):
         return None
     return analysis.distance_report(inst.initial, inst.spec.row(1))
+
+
+class Ledger:
+    """The bookkeeping of a run, fed one round at a time, that ``iter_rounds``
+    keeps as it runs and the audit as it replays.
+
+    It keeps the configuration after the rounds entered so far, one byte a
+    round saying whether it moved an agent, the first round after which the
+    target holds (0 if the initial configuration meets it, None until one
+    does) and, given the instance's ``initial_potential``, the blue count
+    of every renamed block and the distance that follows from them.  The
+    distance is computed from the blue count row after each round that
+    moves an agent, against a destination total taken once.
+    """
+
+    def __init__(self, inst: Instance, potential: analysis.DistanceReport | None):
+        self.instance, self.potential = inst, potential
+        self.cfg = inst.initial
+        self.moved = bytearray()
+        self.reached = 0 if target_satisfied(inst.initial, inst) else None
+        self.blues = self.distance = None
+        if potential is not None:
+            self.blues, self.distance = potential.blues, potential.total
+            self.n_blue, self.dest_total = len(potential.dest), sum(potential.dest)
+
+    def advance(self, cfg: Configuration, moved: bool) -> None:
+        """Enter the next round, which left ``cfg`` and moved an agent or not."""
+        self.moved.append(moved)
+        if not moved:
+            return
+        self.cfg = cfg
+        if self.potential is not None:
+            self.blues = analysis.renamed_blues(cfg, self.potential.rename_offset)
+            self.distance = analysis.distance_total(self.blues, self.n_blue, self.dest_total)
+        if self.reached is None and target_satisfied(cfg, self.instance):
+            self.reached = len(self.moved)
+
+    def summary(self, kept_by: str) -> dict:
+        """The summary of the rounds entered, as ``iter_rounds`` yields it:
+        ``rounds_used`` is the first round after which the target holds
+        (every round if none is), ``terminated`` says that one is and that at
+        least k rounds without moves follow it, and ``bound_satisfied`` says
+        that a terminated run stayed within the instance's round bound.  The
+        block counts kept from round to round by ``apply_moves`` are first
+        recounted from the colours; a disagreement raises EngineError that
+        names ``kept_by``."""
+        inst, cfg, reached, rounds = self.instance, self.cfg, self.reached, len(self.moved)
+        recount = Configuration._flat(cfg.colours, cfg.ids, cfg.k, cfg.p, cfg.q)
+        if recount.all_counts() != cfg.all_counts():
+            raise EngineError(f"block counts kept across the {kept_by} disagree with a recount")
+        rounds_used = rounds if reached is None else reached
+        terminated = (reached is not None and rounds - reached >= inst.k
+                      and self.moved.find(1, reached) < 0)
+        return _summary(terminated, rounds_used, analysis.theoretical_bound(inst),
+                        None if self.potential is None else self.potential.total, cfg)
 
 
 def iter_rounds(inst: Instance, max_rounds: int | None = None, *,
@@ -496,66 +548,44 @@ def iter_rounds(inst: Instance, max_rounds: int | None = None, *,
     The rounds are those that ``step_round`` gives with a fresh idle set
     each round, which steps every window, at a cost that follows the moves
     rather than the ring size: the run keeps one idle set across its
-    rounds, and the distance potential is computed from the blue count row
-    after each round that moves an agent, against a destination total
-    taken once.  The block counts kept from round to
-    round are recounted from the colours at the end; a disagreement raises
-    EngineError.  An invalid instance raises InvalidInstanceError, and a
-    negative ``max_rounds`` ValueError, before anything is yielded.
-    ``potential`` is ``initial_potential(inst)``, which the caller computes
-    (``ringform run --trace`` also writes its total into the trace header).
+    rounds.  A ``Ledger`` keeps the run's state, the distance of each round
+    and the summary, which it gives once the block counts kept from round
+    to round have been recounted from the colours; a disagreement raises
+    EngineError.  An invalid instance raises InvalidInstanceError with
+    ``validate``'s issues, and a negative ``max_rounds`` ValueError, before
+    anything is yielded.  ``potential`` is ``initial_potential(inst)``,
+    which the caller computes (``ringform run --trace`` also writes its
+    total into the trace header).
     """
     report = validate(inst)
     if not report.valid:
-        raise InvalidInstanceError(
-            "; ".join(report.issues)
-            or "global colour totals do not meet the target condition"
-        )
+        raise InvalidInstanceError(*report.issues)
     if max_rounds is None:
         max_rounds = default_max_rounds(inst)
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
 
     k = inst.k
-    distance = initial_distance = None if potential is None else potential.total
-    if potential is not None:
-        origin, dest = potential.rename_offset, potential.dest
-        n_blue, dest_total = len(dest), sum(dest)
     step = _window_step(inst)
     idle: set[int] = set()
-
-    def advance(cfg: Configuration, r: int) -> tuple[Configuration, RoundTrace]:
-        nonlocal distance
-        offset = (r - 1) % k + 1
-        new_cfg, moves = step_round(cfg, offset, step, idle)
-        if potential is not None and moves:
-            distance = analysis.distance_total(analysis.renamed_blues(new_cfg, origin),
-                                               n_blue, dest_total)
-        return new_cfg, RoundTrace(index=r, offset=offset, moves=moves,
-                                   counts=new_cfg.all_counts(), distance=distance,
-                                   checks=ROUND_CHECKS)
-
+    ledger = Ledger(inst, potential)
     yield inst
-    cfg, rounds_used = inst.initial, 0
-    while rounds_used < max_rounds and not target_satisfied(cfg, inst):
-        rounds_used += 1
-        cfg, rt = advance(cfg, rounds_used)
-        yield rt
-    terminated = target_satisfied(cfg, inst)
-    if terminated:
-        for r in range(rounds_used + 1, rounds_used + k + 1):
-            cfg, rt = advance(cfg, r)
-            terminated = terminated and not rt.moves
-            yield rt
-
-    check_counts(cfg, "run")
-    yield _summary(terminated, rounds_used, analysis.theoretical_bound(inst), initial_distance, cfg)
+    r = 0
+    # Up to max_rounds rounds until the target holds, then k verification rounds.
+    while r < (max_rounds if ledger.reached is None else ledger.reached + k):
+        r += 1
+        offset = (r - 1) % k + 1
+        cfg, moves = step_round(ledger.cfg, offset, step, idle)
+        ledger.advance(cfg, bool(moves))
+        yield RoundTrace(index=r, offset=offset, moves=moves, counts=cfg.all_counts(),
+                         distance=ledger.distance, checks=ROUND_CHECKS)
+    yield ledger.summary("run")
 
 
 def _summary(terminated: bool, rounds_used: int, bound: int, initial_distance: int | None,
              final: Configuration) -> dict:
     """The summary that ``iter_rounds`` yields last."""
-    return {"terminated": terminated, "rounds_used": rounds_used, "bound": bound,
+    return {"rounds_used": rounds_used, "terminated": terminated, "bound": bound,
             "bound_satisfied": terminated and rounds_used <= bound,
             "initial_distance": initial_distance, "final": final}
 

@@ -14,7 +14,6 @@ holding its rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, chain, compress
 from operator import sub
 from typing import Collection, Iterable, Mapping, Sequence
@@ -24,12 +23,12 @@ from .analysis import BLUE
 from .core import Configuration, Instance, ProblemKind, validate
 from .engine import (
     EngineError,
+    Ledger,
     RunResult,
     _apply,
-    check_counts,
+    initial_potential,
     target_satisfied,
     trace_items,
-    uses_two_colour_steps,
     wrap_block,
 )
 from .trace import Move, MoveSet, RoundTrace, TraceData, TraceError
@@ -52,10 +51,11 @@ class InvariantVerdict:
 class _Audit:
     """One pass over a trace's rounds, keeping only what the named verdicts read.
 
-    Every audit keeps the configuration after the rounds fed so far, one
-    byte a round saying whether it moved an agent, and the distance that
-    two-colour runs replay from the blue count row of each configuration.
-    The verdicts checked round by round (``safety``, ``order_preserving``,
+    Every audit feeds the replayed rounds to an ``engine.Ledger``, as the
+    run does, which keeps the configuration, which rounds moved an agent,
+    when the target first held, and the distance that two-colour runs
+    replay from the blue count row of each configuration.  The verdicts
+    checked round by round (``safety``, ``order_preserving``,
     ``suffix_property``, ``no_wraparound``, ``cooperativeness``) keep their
     first failure; the others are settled at the end of the trace.  The
     replay (``engine._apply``) walks a moving round's moves once, and finds
@@ -66,27 +66,25 @@ class _Audit:
     def __init__(self, inst: Instance, names: Iterable[str]):
         self.instance, self.names = inst, tuple(names)
         self.k, self.p = k, p = inst.k, inst.p
-        self.cfg = inst.initial
-        self.rounds = 0
-        self.moved = bytearray()  # per round: 1 if it moved an agent
+        self.ledger = Ledger(inst, initial_potential(inst))
         self.live = live = set(self.names)  # the named verdicts that have not failed
         self.failures: dict[str, InvariantVerdict] = {}
-        # The first round after which the target holds, for ``summary``.
-        self.reached = 0 if "summary" in live and target_satisfied(self.cfg, inst) else None
         # Every round's recorded distance, for the distance verdicts.
         self.recorded: list[int | None] | None = (
             [] if live & {"distance_monotone", "distance_nonincreasing", "distance_decrease"}
             else None)
         if "cooperativeness" in live and k % 2:
             self.fail("cooperativeness", None, "only meaningful for an even block count")
-        self.distance = self.potential.total if uses_two_colour_steps(inst) else None
-        if self.distance is None and not live & {"order_preserving", "suffix_property",
-                                                 "no_wraparound", "cooperativeness"}:
-            return
-        self.origin = self.potential.rename_offset  # the block renamed block 1
+        potential = self.ledger.potential
+        if potential is None:
+            if not live & {"order_preserving", "suffix_property", "no_wraparound",
+                           "cooperativeness"}:
+                return
+            # A many-colour run has no distance, but its blue ranks can be followed all the same.
+            potential = analysis.distance_report(inst.initial, inst.spec.row(BLUE))
+        self.origin = potential.rename_offset  # the block renamed block 1
         self.start = (self.origin - 1) * p  # the position renamed position 0
-        self.dest = self.potential.dest
-        self.dest_total = sum(self.dest)
+        self.dest = potential.dest
         if live & {"order_preserving", "cooperativeness"}:
             # The rank 1..N of every blue agent in renamed reading order, and the
             # renamed position of every rank, with a rank 0 before the first and N + 1 after.
@@ -103,7 +101,7 @@ class _Audit:
             self.surplus = inst.initial.colour_totals()[BLUE - 1] - sum(self.need)
             # The extras count of a lower-bound instance, 0 for exact ones.
             self.allowed = self.surplus if inst.spec.kind is ProblemKind.P2 else 0
-            self.check_prefixes(0, self.potential.blues)
+            self.check_prefixes(0, potential.blues)
         if "cooperativeness" in live:
             self.classes = analysis.blue_partition(inst)
             # The lowest class of every rank, which switches the rank on.
@@ -113,13 +111,6 @@ class _Audit:
             # (class, round, rank, block before) of the failure to report
             self.stuck: tuple[int, int, int, int] | None = None
 
-    @cached_property
-    def potential(self) -> analysis.DistanceReport:
-        """The distance of the initial configuration, with its renaming and
-        destinations."""
-        inst = self.instance
-        return analysis.distance_report(inst.initial, inst.spec.row(BLUE))
-
     def fail(self, name: str, r: int | None, detail: str) -> None:
         self.failures[name] = InvariantVerdict(name, False, r, detail)
         self.live.discard(name)
@@ -127,13 +118,12 @@ class _Audit:
     def advance(self, rt: RoundTrace) -> None:
         """Replay round ``rt`` and check it; raises TraceError if its offset
         lies outside 1..k or ``apply_moves`` refuses its moves."""
-        inst, k, live = self.instance, self.k, self.live
+        k, live, ledger = self.k, self.live, self.ledger
         if not 1 <= rt.offset <= k:
             raise TraceError(f"round {rt.index}: offset {rt.offset} outside 1..{k}")
-        before = after = self.cfg
-        self.rounds = r = self.rounds + 1
+        before = after = ledger.cfg
+        r = len(ledger.moved) + 1
         moves = rt.moves
-        self.moved.append(bool(moves.flat))
         was: dict[int, int] = {}  # the renamed position before the round of every moved rank
         stray = None
         if moves.flat:
@@ -141,19 +131,16 @@ class _Audit:
                 after, stray, crossed = _apply(before, moves, rt.offset)
             except EngineError as exc:
                 raise TraceError(f"round {rt.index}: {exc}") from None
-            self.cfg = after
-            if self.distance is not None or "suffix_property" in live:
-                blues = analysis.renamed_blues(after, self.origin)
-                if self.distance is not None:
-                    self.distance = analysis.distance_total(blues, len(self.dest), self.dest_total)
-                if "suffix_property" in live:
-                    self.check_prefixes(r, blues)
+            ledger.advance(after, True)
+            if "suffix_property" in live:
+                self.check_prefixes(r, analysis.renamed_blues(after, self.origin)
+                                    if ledger.blues is None else ledger.blues)
             if "no_wraparound" in live:
                 self.check_wrap(r, rt.offset, moves, crossed)
             if "order_preserving" in live or "cooperativeness" in live:
                 was = self.move_ranks(r, moves, before, after)
-            if self.reached is None and "summary" in live and target_satisfied(after, inst):
-                self.reached = r
+        else:
+            ledger.advance(after, False)
         if "safety" in live:
             self.check_safety(r, rt, after, stray)
         if self.recorded is not None:
@@ -178,9 +165,9 @@ class _Audit:
             self.fail("safety", r, f"move {stray} leaves its window")
         elif after.all_counts() != rt.counts:
             self.fail("safety", r, "recorded counts disagree with the moves")
-        elif rt.distance != self.distance:
+        elif rt.distance != self.ledger.distance:
             self.fail("safety", r, f"recorded distance {rt.distance} disagrees with the moves "
-                                   f"({self.distance})")
+                                   f"({self.ledger.distance})")
 
     def check_prefixes(self, r: int, blues: Sequence[int]) -> None:
         """``suffix_property``: in coordinates renamed from the initial state,
@@ -282,19 +269,20 @@ class _Audit:
     def settle(self, rounds_used: int, terminated: bool,
                summary: Mapping[str, object] | None = None) -> list[InvariantVerdict]:
         """The named verdicts, given the ``rounds_used`` and ``terminated``
-        that the trace records and its summary.  The block counts kept
-        across the replay, from which the distance follows, are recounted
-        from the colours first: a disagreement raises EngineError."""
-        check_counts(self.cfg, "replay")
+        that the trace records and its summary.  The ledger's summary of the
+        replay, which the ``summary`` verdict compares with the recorded
+        one, first recounts the block counts kept across the replay, from
+        which the distance follows: a disagreement raises EngineError."""
+        replayed = self.ledger.summary("replay")
         return [self.failures.get(name) or self.verdict(name, rounds_used, terminated,
-                                                        summary or {})
+                                                        summary or {}, replayed)
                 for name in self.names]
 
     def verdict(self, name: str, rounds_used: int, terminated: bool,
-                summary: Mapping[str, object]) -> InvariantVerdict:
+                summary: Mapping[str, object], replayed: dict) -> InvariantVerdict:
         """The verdict ``name`` at the end of the trace, if it has not failed
-        in a round."""
-        inst, k, moved = self.instance, self.k, self.moved
+        in a round, given the ledger's summary of the replay."""
+        k, moved, final = self.k, self.ledger.moved, self.ledger.cfg
         if name in ("safety", "order_preserving", "suffix_property", "no_wraparound"):
             return InvariantVerdict(name, True)
         if name == "cooperativeness":
@@ -319,42 +307,22 @@ class _Audit:
             return InvariantVerdict(name, True)
         if name == "final_condition":
             # The run terminated, in a configuration that meets the target.
-            if not target_satisfied(self.cfg, inst):
+            if not target_satisfied(final, self.instance):
                 return InvariantVerdict(name, False, None, f"final configuration "
-                                        f"{self.cfg.to_string()!r} misses the target")
+                                        f"{final.to_string()!r} misses the target")
             return InvariantVerdict(name, True)
         if name == "summary":
-            return self.summary_verdict(summary)
+            # A stored trace's summary, and the initial distance of its header,
+            # equal the ledger's summary of the replay.
+            for key, value in replayed.items():
+                recorded = summary.get(key)
+                if key != "final" and (type(recorded) is not type(value) or recorded != value):
+                    return InvariantVerdict(name, False, None, f"recorded {key} {recorded} "
+                                            f"disagrees with the replay ({value})")
+            return InvariantVerdict(name, True)
         if name in ("distance_monotone", "distance_nonincreasing", "distance_decrease"):
             return self.distance_verdict(name)
         raise ValueError(f"unknown check {name!r}")
-
-    def summary_verdict(self, summary: Mapping[str, object]) -> InvariantVerdict:
-        """A stored trace's summary, and the initial distance of its header,
-        equal what the replay gives: ``rounds_used`` is the first
-        configuration that meets the target (every round if none does),
-        ``terminated`` says that one does and that at least k rounds without
-        moves follow it, ``bound`` is the instance's round bound and
-        ``bound_satisfied`` says that a terminated run stayed within it."""
-        inst, reached, rounds = self.instance, self.reached, self.rounds
-        rounds_used = rounds if reached is None else reached
-        terminated = (reached is not None and rounds - rounds_used >= inst.k
-                      and self.moved.find(1, rounds_used) < 0)
-        bound = analysis.theoretical_bound(inst)
-        replayed = {
-            "rounds_used": rounds_used,
-            "terminated": terminated,
-            "bound": bound,
-            "bound_satisfied": terminated and rounds_used <= bound,
-            "initial_distance": None if self.distance is None else self.potential.total,
-        }
-        for key, value in replayed.items():
-            recorded = summary.get(key)
-            if type(recorded) is not type(value) or recorded != value:
-                return InvariantVerdict("summary", False, None,
-                                        f"recorded {key} {recorded} disagrees with the replay "
-                                        f"({value})")
-        return InvariantVerdict("summary", True)
 
     def distance_verdict(self, name: str) -> InvariantVerdict:
         """A verdict on the recorded distances, of which the replayed initial
@@ -367,9 +335,10 @@ class _Audit:
         decrease = name == "distance_decrease"
         if decrease:
             name = f"distance_decrease[{window}]"
-        if self.instance.spec.kind is ProblemKind.P3 or None in self.recorded:
+        potential = self.ledger.potential
+        if potential is None or None in self.recorded:
             return InvariantVerdict(name, False, None, "trace carries no distance values")
-        d = [self.potential.total, *self.recorded]
+        d = [potential.total, *self.recorded]
         if decrease:
             r = next((r for r in range(len(d) - window) if d[r] > 0 and d[r + window] > d[r] - 1),
                      None)
@@ -384,7 +353,7 @@ class _Audit:
             r = next((r for r, x in enumerate(d) if x < 0), None)
             if r is not None:
                 return InvariantVerdict(name, False, r, f"distance {d[r]} < 0")
-            if 0 in d and (first := self.moved.find(1, d.index(0))) >= 0:
+            if 0 in d and (first := self.ledger.moved.find(1, d.index(0))) >= 0:
                 return InvariantVerdict(name, False, first + 1,
                                         "agents moved after the distance reached 0")
         return InvariantVerdict(name, True)
@@ -462,7 +431,7 @@ def verify_stream(trace: Iterable[Instance | RoundTrace | Mapping[str, object]]
     inst = next(items)
     report = validate(inst)
     failure = None if report.valid else InvariantVerdict(
-        "instance", False, None, "; ".join(report.issues) or "colour totals miss the target")
+        "instance", False, None, "; ".join(report.issues))
     audit = None if failure else _Audit(inst, (*applicable_checks(inst), "summary"))
     summary: Mapping[str, object] = {}
     for item in items:
@@ -475,5 +444,5 @@ def verify_stream(trace: Iterable[Instance | RoundTrace | Mapping[str, object]]
                 failure = InvariantVerdict("replay", False, None, str(exc))
     if failure is not None:
         return [failure]
-    return audit.settle(summary.get("rounds_used", audit.rounds),
+    return audit.settle(summary.get("rounds_used", len(audit.ledger.moved)),
                         summary.get("terminated", False), summary)

@@ -521,8 +521,7 @@ def verify_trace(data: TraceData) -> list[InvariantVerdict]:
     check must pass."""
     report = validate(data.instance)
     if not report.valid:
-        return [InvariantVerdict("instance", False, None,
-                                 "; ".join(report.issues) or "colour totals miss the target")]
+        return [InvariantVerdict("instance", False, None, "; ".join(report.issues))]
     try:
         run = replay_trace(data)
     except TraceError as exc:

@@ -64,10 +64,27 @@ def test_gen_refuses_more_colours_than_symbols(capsys):
 
 
 def test_run_rejects_invalid_instance(tmp_path, capsys):
+    # Colour totals that miss the target are the instance's only issues.
+    issues = ["colour 1: have 1, need 2", "colour 2: have 3, need 2"]
     path = tmp_path / "bad.txt"
     path.write_text(INVALID_DOC)
     assert main(["run", "--instance", str(path)]) == EXIT_INVALID_INSTANCE
-    assert "colour 1" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "".join(f"invalid: {i}\n" for i in issues)
+    assert main(["analyze", "--instance", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert not report["valid"] and report["issues"] == issues
+
+    # A trace of a valid instance, stored under the invalid one's header.
+    valid_path, trace_path = tmp_path / "valid.txt", tmp_path / "trace.jsonl"
+    valid_path.write_text(INVALID_DOC.replace("BRRR", "BRRB"))
+    assert main(["run", "--instance", str(valid_path), "--trace", str(trace_path)]) == EXIT_OK
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    records[0]["instance"] = INVALID_DOC
+    trace_path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    capsys.readouterr()
+    assert main(["verify", "--trace", str(trace_path)]) == EXIT_VERIFICATION_FAILED
+    assert capsys.readouterr().out == f"FAIL instance: {'; '.join(issues)}\n"
 
 # Enough colour-1 agents in total, but block 1 needs more than p of them.
 INFEASIBLE_P2_DOC = """\
@@ -112,7 +129,7 @@ def test_an_instance_the_engine_refuses_is_reported_as_run_reports_it(tmp_path, 
     issue = "block 1: colour 1 requirement 4 exceeds the block length p=3"
     path = tmp_path / "infeasible.txt"
     path.write_text(INFEASIBLE_P2_DOC)
-    monkeypatch.setattr(cli, "validate", lambda inst: ValidityReport(True, (), ()))
+    monkeypatch.setattr(cli, "validate", lambda inst: ValidityReport(True, ()))
     assert main(["run", "--instance", str(path)]) == EXIT_INVALID_INSTANCE
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"invalid: {issue}\n"

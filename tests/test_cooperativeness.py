@@ -29,7 +29,7 @@ import random
 
 from ringform import analysis, engine, verify
 from ringform.analysis import BLUE
-from ringform.core import ProblemKind
+from ringform.core import Configuration, ProblemKind
 from ringform.engine import Move, RoundTrace, TraceData
 from ringform.generators import gen_adversarial_half, gen_homogeneous, gen_random
 from ringform.verify import InvariantVerdict
@@ -309,8 +309,9 @@ def recounted_distances(inst, rounds, rng):
 
 def audited_traces():
     """The corpus, each trace as it is and recording recounted distances,
-    under a summary that may or may not match it; the golden runs as
-    stored; every trace of ``faults``."""
+    under a summary that may or may not match it; runs cut short by their
+    round budget, under their own summaries; the golden runs as stored;
+    every trace of ``faults``."""
     rng = random.Random("summaries")
     for inst, rounds in corpus():
         for rounds in (rounds, recounted_distances(inst, rounds, rng) if rounds else rounds):
@@ -321,6 +322,12 @@ def audited_traces():
                        "initial_distance": analysis.distance_report(inst.initial,
                                                                     inst.spec.row(BLUE)).total}
             yield TraceData(inst, tuple(rounds), summary)
+    for k in (4, 6, 8):
+        inst, _ = engine.orient_roles(gen_adversarial_half(k, 2))
+        result = engine.run(inst, max_rounds=k)
+        assert not result.terminated
+        *_, summary = engine.trace_items(result)
+        yield TraceData(inst, result.trace, summary)
     for name in sorted(GOLDEN):
         yield engine.read_trace(io.StringIO(golden_run(name)[1]))
     yield from faults.fault_traces().values()
@@ -335,6 +342,19 @@ def test_single_pass_audit_matches_the_checkers_it_replaced():
         compared += 1
         failing += not all(v.passed for v in expected)
     assert compared >= 3000 and failing >= 1000, (compared, failing)
+
+
+def test_an_instance_that_misses_its_colour_totals_is_the_only_verdict():
+    result = engine.run(engine.orient_roles(gen_adversarial_half(4, 2))[0])
+    *_, summary = engine.trace_items(result)
+    inst = result.instance
+    assert inst.initial.to_string() == "RRRRBBBB"
+    one_blue_too_many = dataclasses.replace(inst, initial=Configuration.from_string(
+        "BRRRBBBB", inst.k, inst.p, inst.q))
+    data = TraceData(one_blue_too_many, result.trace, summary)
+    expected = [InvariantVerdict("instance", False, None,
+                                 "colour 1: have 5, need 4; colour 2: have 3, need 4")]
+    assert verify.verify_trace(data) == oracle.verify_trace(data) == expected
 
 
 def _swap(cfg, x, y):

@@ -79,6 +79,9 @@ def test_parse_error_carries_line_number():
     doc = P1_DOC.replace("  1 1\n  1 1\n", "  1 1\n  1 x\n")
     with pytest.raises(InstanceFormatError, match="line 8"):
         parse_instance(doc)
+    with pytest.raises(InstanceFormatError) as info:
+        parse_instance(P1_DOC.replace("q: 2", "q: 40"))
+    assert (str(info.value), info.value.line) == ("line 4: q must be at most 35, got 40", 4)
 
 
 def test_parse_rejects_mixed_sections():
@@ -161,16 +164,14 @@ def test_block_counts_sum_to_totals():
 
 def test_validate_p1_valid():
     report = validate(make_p1("BBRR", 2, 2, [[1, 1], [1, 1]]))
-    assert report.valid
-    assert all(c.ok for c in report.colour_checks)
+    assert report.valid and report.issues == ()
     assert report.extras is None
 
 
 def test_validate_p1_count_mismatch():
     report = validate(make_p1("BRRR", 2, 2, [[1, 1], [1, 1]]))
     assert not report.valid
-    blue = report.colour_checks[0]
-    assert (blue.colour, blue.actual, blue.required, blue.ok) == (1, 1, 2, False)
+    assert report.issues == ("colour 1: have 1, need 2", "colour 2: have 3, need 2")
 
 
 def test_validate_p2_reports_extras():

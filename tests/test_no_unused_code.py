@@ -1,5 +1,6 @@
-"""Every module-level function and class of the package is named somewhere
-else: in the package, its tests or its benchmark."""
+"""Every module-level function and class of the package, and every method of
+its classes but the dunder ones, is named somewhere else: in the package,
+its tests or its benchmark."""
 
 import ast
 from pathlib import Path
@@ -22,11 +23,32 @@ def named_in(path: Path) -> set[str]:
     return names
 
 
+def named_anywhere() -> set[str]:
+    """The identifiers that the package, its tests and its benchmark name."""
+    return set().union(*(named_in(path) for folder in ("src", "tests", "perfbench")
+                         for path in (ROOT / folder).rglob("*.py")))
+
+
+def package_definitions() -> list[tuple[str, ast.AST]]:
+    """Every top-level definition of the package, with its file name."""
+    return [(path.name, node) for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body]
+
+
 def test_every_module_level_function_and_class_is_named_elsewhere():
-    named = set().union(*(named_in(path) for folder in ("src", "tests", "perfbench")
-                          for path in (ROOT / folder).rglob("*.py")))
-    defined = [(path.name, node.name) for path in sorted(PACKAGE.glob("*.py"))
-               for node in ast.parse(path.read_text(encoding="utf-8")).body
+    named = named_anywhere()
+    defined = [(module, node.name) for module, node in package_definitions()
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     assert len(defined) > 50
     assert [f"{module}: {name}" for module, name in defined if name not in named] == []
+
+
+def test_every_method_but_the_dunder_ones_is_named_elsewhere():
+    named = named_anywhere()
+    methods = [(module, cls.name, node.name) for module, cls in package_definitions()
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert len(methods) > 20
+    assert [f"{module}: {cls}.{name}" for module, cls, name in methods
+            if name not in named] == []
