@@ -9,12 +9,13 @@ it, so it holds one round record and two configurations at a time.  It
 prints the verdicts only once the whole file has been read.  On a
 malformed trace file (a line that is not UTF-8 or not a JSON record, a
 record of unknown type, a round record with missing or ill-typed fields,
-no header, a header of another format, a second header or summary) it
-prints one ``invalid trace`` line naming the file line to stderr, nothing
-to stdout, and exits 4, wherever in the file that line stands; a round
-recorded under the wrong round number fails the ``safety`` verdict, also
-exit 4.  ``ringform run`` keeps no round either: it writes each round's
-trace record as soon as the round has run (``engine.iter_rounds`` through
+no header, a header of another format or with an instance document that
+does not parse, a second header or summary) it prints one ``invalid
+trace`` line naming the file line to stderr, nothing to stdout, and
+exits 4, wherever in the file that line stands; a round recorded under
+the wrong round number fails the ``safety`` verdict, also exit 4.
+``ringform run`` keeps no round either: it writes each round's trace
+record as soon as the round has run (``engine.iter_rounds`` through
 ``trace.iter_written``, the one trace writer, given the header's initial
 distance from ``engine.initial_potential``, which the run reuses), and
 with ``--verify`` the audit reads the same rounds in the same pass, so
@@ -180,13 +181,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         out["reversed"] = reversed_roles
     if report.extras is not None:
         out["extras"] = report.extras
-    if engine.uses_two_colour_steps(inst):  # the instances whose runs track a distance
-        row = inst.spec.row(1)
-        surplus = analysis.surplus_profile(inst.initial, row)
-        out["surplus"] = list(surplus)
-        out["rename_offset"] = analysis.rename_offset(surplus)
+    if (potential := engine.initial_potential(inst)) is not None:  # runs that track a distance
+        out["surplus"] = list(analysis.surplus_profile(inst.initial, inst.spec.row(1)))
+        out["rename_offset"] = potential.rename_offset
         if report.valid:
-            out["distance"] = analysis.distance_report(inst.initial, row).total
+            out["distance"] = potential.total
     print(json.dumps(out))
     return EXIT_OK
 

@@ -270,10 +270,10 @@ def _q_colour_moves(spec: RequirementSpec, cfg: Configuration, lb: int) -> Seque
     return _rearrange_to_pattern(cfg, lb, spec) + _rearrange_to_pattern(cfg, rb, spec)
 
 
-def two_colour_step(need: Sequence[int], cap: int) -> Step:
-    """The two-colour window step as a Step, for a run whose block b needs
-    ``need[b - 1]`` blue agents, with its own memo of window plans."""
-    return partial(_two_colour_moves, need, cap, {})
+def two_colour_step(need: Sequence[int]) -> Step:
+    """The two-colour window step of a run whose block b needs ``need[b - 1]``
+    blue agents, capped at ``min(need)`` a window, with its own plan memo."""
+    return partial(_two_colour_moves, need, min(need), {})
 
 
 def _view_state(left: BlockView, right: BlockView) -> SimpleNamespace:
@@ -412,8 +412,7 @@ def _window_step(inst: Instance) -> Step:
     """The window step of ``inst``."""
     spec = inst.spec
     if uses_two_colour_steps(inst):
-        row = spec.row(1)
-        return two_colour_step(row, min(row))
+        return two_colour_step(spec.row(1))
     return partial(_q_colour_moves, spec)
 
 

@@ -21,7 +21,7 @@ from itertools import chain, compress, count
 from operator import ne
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import Configuration, Instance, parse_instance, serialize_instance
+from .core import Configuration, Instance, InstanceFormatError, parse_instance, serialize_instance
 
 TRACE_FORMAT = "ringform-trace-v3"
 # The summary fields of a run, in the order its trace and ``ringform run`` report them.
@@ -236,10 +236,10 @@ def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
     converts), a record of unknown type, a header without an instance
     document, of another format or with a ``reversed`` that is not a
     bool, a malformed round or summary record, a second header or summary,
-    a round record before the header and a missing header all raise
-    :class:`TraceError`, with the file line when there is one, once the
-    reader reaches that line; a malformed embedded instance raises
-    :class:`InstanceFormatError`.
+    a header whose instance document does not parse (quoting the
+    document's error), a round record before the header and a missing
+    header all raise :class:`TraceError`, with the file line when there is
+    one, once the reader reaches that line.
     """
     header: dict | None = None
     summary: dict | None = None
@@ -276,8 +276,11 @@ def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
                                  f"{TRACE_FORMAT!r}", no)
             if not isinstance(record.get("reversed", False), bool):
                 raise TraceError("header 'reversed' must be true or false", no)
+            try:
+                instance = parse_instance(record["instance"])
+            except InstanceFormatError as exc:
+                raise TraceError(f"header instance document: {exc}", no) from None
             header = record
-            instance = parse_instance(record["instance"])
             counts = instance.initial.all_counts()
             yield instance
         elif rtype == "round":

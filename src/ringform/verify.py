@@ -3,12 +3,13 @@
 An audit is one pass over a trace's rounds.  It replays each round's
 recorded moves in the one walk that ``engine.apply_moves`` makes, which
 also finds a move out of its window, and checks the round against the
-state that the named verdicts share; no other configuration is kept.  A verdict checked round by round
-stops at its first failure; every verdict, an :class:`InvariantVerdict`
-that names the first offending round and the witnesses on failure, is
-settled once the trace has ended and its summary is known.  A stored
-trace is thus audited post hoc, without re-running the engine and without
-holding its rounds.
+state that the named verdicts share; no other configuration is kept.
+``applicable_checks`` is the one rule for which verdicts an instance
+gets.  A verdict checked round by round stops at its first failure;
+every verdict, an :class:`InvariantVerdict` that names the first
+offending round and the witnesses on failure, is settled once the trace
+has ended and its summary is known.  A stored trace is thus audited post
+hoc, without re-running the engine and without holding its rounds.
 """
 
 from __future__ import annotations
@@ -51,39 +52,36 @@ class InvariantVerdict:
 class _Audit:
     """One pass over a trace's rounds, keeping only what the named verdicts read.
 
-    Every audit feeds the replayed rounds to an ``engine.Ledger``, as the
-    run does, which keeps the configuration, which rounds moved an agent,
-    when the target first held, and the distance that two-colour runs
-    replay from the blue count row of each configuration.  The verdicts
-    checked round by round (``safety``, ``order_preserving``,
-    ``suffix_property``, ``no_wraparound``, ``cooperativeness``) keep their
-    first failure; the others are settled at the end of the trace.  The
-    replay (``engine._apply``) walks a moving round's moves once, and finds
-    its first move out of its window and the blocks its crossings touched;
+    A named verdict that is not ``summary`` or in ``applicable_checks``
+    fails at once, at round None.  Every audit feeds the replayed rounds to
+    an ``engine.Ledger``, as the run does, which keeps the configuration,
+    which rounds moved an agent, when the target first held and, for a
+    two-colour run, the potential (renaming, destinations, renamed blue row
+    and distance) that the rank verdicts read.  The verdicts checked round
+    by round (``safety``, ``order_preserving``, ``suffix_property``,
+    ``no_wraparound``, ``cooperativeness``) keep their first failure; the
+    others are settled at the end of the trace.  The replay
+    (``engine._apply``) walks a moving round's moves once, and finds its
+    first move out of its window and the blocks its crossings touched;
     ``move_ranks`` walks its blue movers, while a verdict follows them.
     """
 
     def __init__(self, inst: Instance, names: Iterable[str]):
         self.instance, self.names = inst, tuple(names)
-        self.k, self.p = k, p = inst.k, inst.p
+        self.k, self.p = inst.k, inst.p
         self.ledger = Ledger(inst, initial_potential(inst))
         self.live = live = set(self.names)  # the named verdicts that have not failed
         self.failures: dict[str, InvariantVerdict] = {}
+        for name in live - {*applicable_checks(inst), "summary"}:
+            self.fail(name, None, "does not apply to this instance")
         # Every round's recorded distance, for the distance verdicts.
         self.recorded: list[int | None] | None = (
             [] if live & {"distance_monotone", "distance_nonincreasing", "distance_decrease"}
             else None)
-        if "cooperativeness" in live and k % 2:
-            self.fail("cooperativeness", None, "only meaningful for an even block count")
-        potential = self.ledger.potential
-        if potential is None:
-            if not live & {"order_preserving", "suffix_property", "no_wraparound",
-                           "cooperativeness"}:
-                return
-            # A many-colour run has no distance, but its blue ranks can be followed all the same.
-            potential = analysis.distance_report(inst.initial, inst.spec.row(BLUE))
+        if (potential := self.ledger.potential) is None:  # no rank verdict applies
+            return
         self.origin = potential.rename_offset  # the block renamed block 1
-        self.start = (self.origin - 1) * p  # the position renamed position 0
+        self.start = (self.origin - 1) * self.p  # the position renamed position 0
         self.dest = potential.dest
         if live & {"order_preserving", "cooperativeness"}:
             # The rank 1..N of every blue agent in renamed reading order, and the
@@ -133,8 +131,7 @@ class _Audit:
                 raise TraceError(f"round {rt.index}: {exc}") from None
             ledger.advance(after, True)
             if "suffix_property" in live:
-                self.check_prefixes(r, analysis.renamed_blues(after, self.origin)
-                                    if ledger.blues is None else ledger.blues)
+                self.check_prefixes(r, ledger.blues)
             if "no_wraparound" in live:
                 self.check_wrap(r, rt.offset, moves, crossed)
             if "order_preserving" in live or "cooperativeness" in live:
@@ -283,13 +280,12 @@ class _Audit:
         """The verdict ``name`` at the end of the trace, if it has not failed
         in a round, given the ledger's summary of the replay."""
         k, moved, final = self.k, self.ledger.moved, self.ledger.cfg
-        if name in ("safety", "order_preserving", "suffix_property", "no_wraparound"):
-            return InvariantVerdict(name, True)
-        if name == "cooperativeness":
-            if self.stuck is not None:
-                c, r, i, was = self.stuck
-                return InvariantVerdict(name, False, r, f"rank {i} (class {c}) stayed in "
-                                        f"block {was}, destination {self.dest[i - 1]}")
+        if name == "cooperativeness" and self.stuck is not None:
+            c, r, i, was = self.stuck
+            return InvariantVerdict(name, False, r, f"rank {i} (class {c}) stayed in "
+                                    f"block {was}, destination {self.dest[i - 1]}")
+        if name in ("safety", "order_preserving", "suffix_property", "no_wraparound",
+                    "cooperativeness"):
             return InvariantVerdict(name, True)
         if name in ("quiescence", "final_condition") and not terminated:
             return InvariantVerdict(name, False, None, "run did not terminate")
@@ -320,9 +316,7 @@ class _Audit:
                     return InvariantVerdict(name, False, None, f"recorded {key} {recorded} "
                                             f"disagrees with the replay ({value})")
             return InvariantVerdict(name, True)
-        if name in ("distance_monotone", "distance_nonincreasing", "distance_decrease"):
-            return self.distance_verdict(name)
-        raise ValueError(f"unknown check {name!r}")
+        return self.distance_verdict(name)  # the only applicable verdicts left
 
     def distance_verdict(self, name: str) -> InvariantVerdict:
         """A verdict on the recorded distances, of which the replayed initial
@@ -335,10 +329,9 @@ class _Audit:
         decrease = name == "distance_decrease"
         if decrease:
             name = f"distance_decrease[{window}]"
-        potential = self.ledger.potential
-        if potential is None or None in self.recorded:
+        if None in self.recorded:
             return InvariantVerdict(name, False, None, "trace carries no distance values")
-        d = [potential.total, *self.recorded]
+        d = [self.ledger.potential.total, *self.recorded]
         if decrease:
             r = next((r for r in range(len(d) - window) if d[r] > 0 and d[r + window] > d[r] - 1),
                      None)
@@ -398,7 +391,8 @@ def run_checks(data: TraceData, rounds_used: int, terminated: bool,
                names: Sequence[str] | None = None) -> list[InvariantVerdict]:
     """The named verdicts (default: all applicable ones), in the order of
     ``names``, from one pass over the rounds of ``data``, given the
-    ``rounds_used`` and ``terminated`` that the run records."""
+    ``rounds_used`` and ``terminated`` that the run records.  A name that
+    ``applicable_checks`` does not list fails, at round None."""
     audit = _Audit(data.instance, applicable_checks(data.instance) if names is None else names)
     for rt in data.rounds:
         audit.advance(rt)

@@ -273,6 +273,23 @@ def test_verify_refuses_an_older_trace_format(fmt, tmp_path, capsys):
                                 "'ringform-trace-v3'"]
 
 
+def test_verify_names_the_header_line_of_an_instance_document_that_does_not_parse(
+        tmp_path, capsys):
+    # The document's own error names a line of the document, not of the trace
+    # file, so the trace error names the header's line and quotes it.
+    lines = _stored_trace(tmp_path, capsys)
+    header = json.loads(lines[0])
+    assert "k: 4\n" in header["instance"]
+    for instance, error in (
+            (header["instance"].replace("k: 4\n", "k: 3\n"),
+             "header instance document: line 6: config length 8 != k*p = 6"),
+            (None, "header record needs an instance document")):
+        broken = json.dumps({**header, "instance": instance})
+        code, out, err = _verify_lines(tmp_path, capsys, [broken] + lines[1:])
+        assert (code, out) == (EXIT_VERIFICATION_FAILED, "")
+        assert err == f"invalid trace: line 1: {error}\n"
+
+
 def test_analyze_reports_surplus_and_bound(tmp_path, capsys):
     path = tmp_path / "inst.txt"
     main(["gen", "--kind", "adversarial_half", "--k", "4", "--p", "2",

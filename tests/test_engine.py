@@ -498,7 +498,7 @@ def test_the_plan_memo_keeps_no_window_whose_step_raises():
     # Block 1 is all blue and one short of a requirement above p, which no
     # valid instance has: its step has no red to trade.
     cfg = Configuration.from_string("BBBBBR", 2, 3, 2)
-    step = engine.two_colour_step([4, 1], 1)
+    step = engine.two_colour_step([4, 1])
     for _ in range(2):
         with pytest.raises(EngineError, match=r"window \[1\|2\]: 0 movable reds but t=1"):
             step(cfg, 1)

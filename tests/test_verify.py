@@ -8,8 +8,8 @@ import pytest
 
 from ringform import analysis, core, engine, verify
 from ringform.engine import EngineError, Move, RoundTrace
-from ringform.generators import gen_adversarial_half, gen_p2_random, gen_random
-from ringform.verify import TraceError
+from ringform.generators import gen_adversarial_half, gen_p2_random, gen_p3_random, gen_random
+from ringform.verify import InvariantVerdict, TraceError
 
 import faults
 import oracle
@@ -24,6 +24,14 @@ from helpers import (
     written_records,
 )
 from test_golden_traces import GOLDEN, golden_run
+
+
+RANK_CHECKS = ("order_preserving", "suffix_property", "no_wraparound", "cooperativeness")
+
+
+def not_applicable(name: str) -> InvariantVerdict:
+    """The verdict of a named check that ``applicable_checks`` does not list."""
+    return InvariantVerdict(name, False, None, "does not apply to this instance")
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +88,13 @@ def test_an_audit_builds_only_what_a_named_verdict_reads(monkeypatch):
     def refuse(*args):
         raise AssertionError("built for a verdict that is not named")
 
-    # A many-colour audit needs no distance potential and no blue ranks.
+    # A many-colour audit needs no distance potential and no blue ranks, even
+    # when it is asked for the rank verdicts, none of which applies to it.
     monkeypatch.setattr(analysis, "distance_report", refuse)
+    monkeypatch.setattr(analysis, "blue_partition", refuse)
     assert all(v.passed for v in verify.verify_result(many_colour))
+    assert verify.run_checks(replay_result(many_colour), many_colour.rounds_used, True,
+                             RANK_CHECKS) == [not_applicable(name) for name in RANK_CHECKS]
     monkeypatch.undo()
     # Only cooperativeness reads the class partition.
     monkeypatch.setattr(analysis, "blue_partition", refuse)
@@ -350,17 +362,62 @@ def test_order_checker_accepts_cyclic_rotation():
     assert verdict_of(run, "order_preserving").passed
 
 
+def named_verdicts(inst, names):
+    """The verdicts ``names`` of the honest run of ``inst``, in that order."""
+    result = engine.run(inst)
+    assert result.terminated
+    return verify.run_checks(replay_result(result), result.rounds_used, True, names)
+
+
+def passes(name: str) -> InvariantVerdict:
+    return InvariantVerdict(name, True)
+
+
 def test_distance_checkers_demand_distance_values():
-    inst = gen_random(4, 4, 3, seed=5)  # many-colour trace has no distances
-    replayed = replay_result(engine.run(inst))
-    assert not verdict_of(replayed, "distance_monotone").passed
-    assert not verdict_of(replayed, "distance_decrease").passed
+    # Exact two-colour runs get distance_monotone and distance_decrease, P2 runs
+    # distance_nonincreasing, and many-colour runs, which track no distance,
+    # none; every other name fails before any round is replayed.
+    names = ["distance_monotone", "safety", "distance_nonincreasing", "distance_decrease",
+             "distance_monotonic", "final_condition"]
+    many_colour = [not_applicable("distance_monotone"), passes("safety"),
+                   not_applicable("distance_nonincreasing"), not_applicable("distance_decrease"),
+                   not_applicable("distance_monotonic"), passes("final_condition")]
+    for inst, expected in (
+            (gen_random(4, 4, 3, seed=5), many_colour),
+            (gen_random(6, 8, 4, seed=1), many_colour),
+            (gen_p3_random(4, 6, 3, seed=2), many_colour),
+            (gen_random(4, 3, 2, seed=0),
+             [passes("distance_monotone"), passes("safety"),
+              not_applicable("distance_nonincreasing"), passes("distance_decrease[2]"),
+              not_applicable("distance_monotonic"), passes("final_condition")]),
+            (gen_random(5, 3, 2, seed=1),
+             [passes("distance_monotone"), passes("safety"),
+              not_applicable("distance_nonincreasing"), passes("distance_decrease[3]"),
+              not_applicable("distance_monotonic"), passes("final_condition")]),
+            (gen_p2_random(4, 3, 2, seed=2),
+             [not_applicable("distance_monotone"), passes("safety"),
+              passes("distance_nonincreasing"), not_applicable("distance_decrease"),
+              not_applicable("distance_monotonic"), passes("final_condition")])):
+        assert named_verdicts(inst, names) == expected, inst.provenance
 
 
 def test_cooperativeness_requires_even_k():
-    inst = gen_random(3, 2, 2, seed=0)
-    replayed = replay_result(engine.run(inst))
-    assert not verdict_of(replayed, "cooperativeness").passed
+    # Cooperativeness applies to exact two-colour runs of even k only, and the
+    # other rank verdicts to every two-colour run; a many-colour run gets none.
+    names = ["cooperativeness", "safety", "order_preserving", "suffix_property",
+             "no_wraparound", "cooperation"]
+    for inst, applicable in (
+            (gen_random(3, 2, 2, seed=0), names[1:5]),
+            (gen_random(5, 3, 2, seed=1), names[1:5]),
+            (gen_random(4, 3, 2, seed=0), names[:5]),
+            (gen_p2_random(4, 3, 2, seed=2), names[1:5]),
+            (gen_p2_random(5, 3, 2, seed=0), names[1:5]),
+            (gen_random(4, 6, 3, seed=3), ["safety"]),
+            (gen_random(6, 8, 4, seed=1), ["safety"]),
+            (gen_p3_random(4, 6, 3, seed=2), ["safety"])):
+        expected = [passes(name) if name in applicable else not_applicable(name)
+                    for name in names]
+        assert named_verdicts(inst, names) == expected, inst.provenance
 
 
 def test_single_round_windows_can_stall():
