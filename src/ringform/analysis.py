@@ -127,6 +127,11 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def default_max_rounds(inst: Instance) -> int:
+    """The safety cap ``4*n*k + 16`` on a run's rounds, over the proven O(nk) guarantee."""
+    return 4 * inst.n * inst.k + 16
+
+
 def theoretical_bound(inst: Instance) -> int:
     """Round-count bound reported for a run of this instance.
 
@@ -135,7 +140,7 @@ def theoretical_bound(inst: Instance) -> int:
     per-block blue requirement).  Odd block counts triple that formula,
     reflecting the slower guaranteed potential drop; this value is a
     heuristic, not proven tight.  Everything else gets the safety cap
-    ``4*n*k + 16`` over the proven O(nk) guarantee.
+    ``default_max_rounds``.
     """
     spec = inst.spec
     if spec.kind is ProblemKind.P1 and inst.q == 2:
@@ -145,7 +150,7 @@ def theoretical_bound(inst: Instance) -> int:
             raise ValueError("colour-1 requirement must be positive in every block")
         base = _ceil_div(2 * n_blue, star) + inst.k + 4
         return base if inst.k % 2 == 0 else 3 * base
-    return 4 * inst.n * inst.k + 16
+    return default_max_rounds(inst)
 
 
 def bound_is_proven(inst: Instance) -> bool:

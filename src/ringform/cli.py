@@ -44,7 +44,6 @@ from . import analysis, engine, generators, verify
 from .core import (
     Instance,
     InstanceFormatError,
-    ProblemKind,
     parse_instance,
     serialize_instance,
     validate,
@@ -92,13 +91,6 @@ def _load_instance(path: str) -> Instance:
     return parse_instance(text)
 
 
-def _prepare(inst: Instance) -> tuple[Instance, bool]:
-    """Orient the colour roles for exact two-colour instances."""
-    if inst.spec.kind is ProblemKind.P1 and inst.q == 2:
-        return engine.orient_roles(inst)
-    return inst, False
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = generators.GenSpec(kind=args.kind, k=args.k, p=args.p, q=args.q,
                               seed=args.seed, m=args.m, extras=args.extras)
@@ -119,10 +111,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     report = validate(inst)
-    if not report.valid:  # before ``_prepare`` may swap the colours the issues name
+    if not report.valid:  # before ``orient_roles`` may swap the colours the issues name
         raise engine.InvalidInstanceError(*report.issues)
 
-    oriented, reversed_roles = _prepare(inst)
+    oriented, reversed_roles = engine.orient_roles(inst)
     # The run and the trace header share one computation of the initial distance.
     potential = engine.initial_potential(oriented)
     kept: list[dict] = []
@@ -162,7 +154,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     report = validate(inst)
     if report.valid:  # report on the instance that ``run`` executes
-        inst, reversed_roles = _prepare(inst)
+        inst, reversed_roles = engine.orient_roles(inst)
     try:
         bound = analysis.theoretical_bound(inst)
     except ValueError:  # a zero colour-1 minimum, which validate reports as an issue
@@ -231,7 +223,7 @@ def _bench_instances(suite: str, seeds: int) -> list[tuple[str, Instance]]:
 def run_bench(suite: str, seeds: int) -> BenchReport:
     rows = []
     for instance_id, inst in _bench_instances(suite, seeds):
-        oriented, _ = _prepare(inst)
+        oriented, _ = engine.orient_roles(inst)
         result = engine.run(oriented)
         n_blue = oriented.initial.colour_totals()[0]
         star = min(oriented.spec.row(1))

@@ -72,18 +72,11 @@ class Agent:
 
 
 class BlockView(NamedTuple):
-    """One block of a configuration, as a view of the configuration's flat
-    state: the block holds ring positions ``start`` to ``stop - 1`` of
-    ``positions`` (``tuple(range(n))``), ``colours`` and ``ids``, and
-    ``counts`` are its colour counts (index 0 holds colour 1)."""
+    """Block ``index`` (1-based) of the configuration ``cfg``: a handle, not
+    a copy; a window step reads the block through ``cfg``."""
 
+    cfg: Configuration
     index: int
-    start: int
-    stop: int
-    positions: tuple[int, ...]
-    colours: bytes
-    ids: array
-    counts: tuple[int, ...]
 
 
 def _check_shape(n: int, k: int, p: int) -> None:
@@ -197,12 +190,10 @@ class Configuration:
         return self.colours.translate(_translations(self.q)[1]).decode()
 
     def block_view(self, j: int) -> BlockView:
+        """Block ``j`` of this configuration; ``j`` must lie in 1..k."""
         if not 1 <= j <= self.k:
             raise ValueError(f"block {j} out of range 1..{self.k}")
-        start = (j - 1) * self.p
-        # tuple.__new__ skips the keyword handling of BlockView's own constructor.
-        return tuple.__new__(BlockView, (j, start, start + self.p, self._positions,
-                                         self.colours, self.ids, self._block_counts[j - 1]))
+        return BlockView(self, j)
 
     @cached_property
     def _block_counts(self) -> tuple[tuple[int, ...], ...]:

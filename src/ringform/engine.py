@@ -25,11 +25,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, filterfalse
-from types import SimpleNamespace
 from typing import IO, Callable, Collection, Iterable, Iterator, Sequence
 
 from . import analysis
-from .analysis import BLUE
+from .analysis import BLUE, default_max_rounds
 from .core import (
     BlockView,
     Configuration,
@@ -92,12 +91,20 @@ def wrap_block(b: int, k: int) -> int:
     return (b - 1) % k + 1
 
 
-def build_pairing(k: int, offset: int) -> WindowPairing:
-    """Pair blocks (offset, offset+1), (offset+2, offset+3), ... around the ring."""
+def _left_blocks(k: int, offset: int) -> Iterator[int]:
+    """The left blocks of the k // 2 windows of the pairing at ``offset``:
+    offset, offset + 2, ... up to block k, then those past it, wrapped round
+    to block 1 on.  The right block of left block lb is ``lb % k + 1``."""
     if not 1 <= offset <= k:
         raise ValueError(f"offset {offset} out of range 1..{k}")
-    ring = [*range(offset, k + 1), *range(1, offset)]  # the blocks from ``offset`` on
-    return WindowPairing(offset=offset, pairs=tuple(zip(ring[::2], ring[1::2])))
+    stop = offset + k // 2 * 2
+    head = range(offset, min(stop, k + 1), 2)
+    return chain(head, range(offset + 2 * len(head) - k, stop - k, 2))
+
+
+def build_pairing(k: int, offset: int) -> WindowPairing:
+    """Pair blocks (offset, offset+1), (offset+2, offset+3), ... around the ring."""
+    return WindowPairing(offset, tuple((lb, lb % k + 1) for lb in _left_blocks(k, offset)))
 
 
 def uses_two_colour_steps(inst: Instance) -> bool:
@@ -108,12 +115,9 @@ def uses_two_colour_steps(inst: Instance) -> bool:
     return kind is ProblemKind.P2 or (kind is ProblemKind.P1 and inst.q == 2)
 
 
-def default_max_rounds(inst: Instance) -> int:
-    return 4 * inst.n * inst.k + 16
-
-
 def orient_roles(inst: Instance) -> tuple[Instance, bool]:
-    """Swap the two colour roles when that lowers the round-count bound.
+    """Swap the two colour roles of an exact two-colour instance when that
+    lowers the round-count bound; any other instance is returned as it is.
 
     The bound tracks the colour with the smaller total-to-minimum-requirement
     ratio; if colour 2 has the strictly smaller ratio the returned instance
@@ -122,7 +126,7 @@ def orient_roles(inst: Instance) -> tuple[Instance, bool]:
     side never forces a swap toward it).
     """
     if inst.q != 2 or inst.spec.kind is not ProblemKind.P1:
-        raise ValueError("role orientation applies to exact two-colour instances")
+        return inst, False
     totals = inst.initial.colour_totals()
     star1 = min(inst.spec.row(1))
     star2 = min(inst.spec.row(2))
@@ -276,17 +280,12 @@ def two_colour_step(need: Sequence[int]) -> Step:
     return partial(_two_colour_moves, need, min(need), {})
 
 
-def _view_state(left: BlockView, right: BlockView) -> SimpleNamespace:
-    """A stand-in, made from two views of adjacent blocks, for the
-    Configuration a window step reads: its k, p, arrays and the count rows
-    of the two blocks."""
-    p = left.stop - left.start
-    k = len(left.colours) // p
-    if right.index != left.index % k + 1:
+def _window_of(left: BlockView, right: BlockView) -> Configuration:
+    """The configuration of two block views; ``right`` must follow ``left`` in it."""
+    cfg = left.cfg
+    if right.cfg is not cfg or right.index != left.index % cfg.k + 1:
         raise ValueError(f"block {right.index} does not follow block {left.index}")
-    return SimpleNamespace(k=k, p=p, colours=left.colours, ids=left.ids, _positions=left.positions,
-                           _block_counts={left.index - 1: left.counts,
-                                          right.index - 1: right.counts})
+    return cfg
 
 
 def _triples(flat: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
@@ -303,11 +302,11 @@ def window_step_two_colour(left: BlockView, right: BlockView, blue_required_left
     ones (every other colour, order-preserving), then the t leftmost reds
     of the left block trade positions with the t leftmost blues of the
     right block, where t = min(cap, deficit, blues available on the right).
-    ``right`` must be the block after ``left``; ``run`` steps the same
-    window through ``two_colour_step``, without views.
+    ``right`` must be the block after ``left`` of the same configuration,
+    whose window is stepped as ``run`` steps it.
     """
     return _triples(_two_colour_moves({left.index - 1: blue_required_left}, cap, {},
-                                      _view_state(left, right), left.index))
+                                      _window_of(left, right), left.index))
 
 
 def window_step_q_colour(left: BlockView, right: BlockView,
@@ -320,9 +319,10 @@ def window_step_q_colour(left: BlockView, right: BlockView,
     the right block for the t leftmost higher-coloured agents of the left
     block.  If every constrained colour is correct in both blocks,
     exact-pattern problems rearrange each block into its target pattern.
-    ``right`` must be the block after ``left``.
+    ``right`` must be the block after ``left`` of the same configuration,
+    whose window is stepped as ``run`` steps it.
     """
-    return _triples(_q_colour_moves(spec, _view_state(left, right), left.index))
+    return _triples(_q_colour_moves(spec, _window_of(left, right), left.index))
 
 
 def _apply(cfg: Configuration, moves: MoveSet, offset: int
@@ -431,15 +431,8 @@ def step_round(cfg: Configuration, offset: int, step: Step,
     windows it steps only.
     """
     k = cfg.k
-    if not 1 <= offset <= k:
-        raise ValueError(f"offset {offset} out of range 1..{k}")
-    # The left blocks offset, offset + 2, ... of the k // 2 windows, those
-    # up to block k and then those past it, wrapped round to block 1 on.
-    stop = offset + k // 2 * 2
-    head = range(offset, min(stop, k + 1), 2)
-    lefts = chain(head, range(offset + 2 * len(head) - k, stop - k, 2))
     flat = array("i")
-    for lb in filterfalse(idle.__contains__, lefts):
+    for lb in filterfalse(idle.__contains__, _left_blocks(k, offset)):
         window = step(cfg, lb)
         if window:
             flat.extend(window)

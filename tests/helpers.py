@@ -41,7 +41,8 @@ def block_string(cfg: Configuration, j: int) -> str:
 
 def counts(cfg: Configuration, j: int) -> tuple[int, ...]:
     """Per-colour counts of block ``j`` of ``cfg`` (index 0 holds colour 1)."""
-    return cfg.block_view(j).counts
+    cfg.block_view(j)  # refuses a block out of range
+    return cfg.all_counts()[j - 1]
 
 
 def unpaired(pairing: WindowPairing, k: int) -> int | None:

@@ -544,9 +544,9 @@ class AgentView(NamedTuple):
 
 
 def agent_view(cfg: Configuration, j: int) -> AgentView:
-    view = cfg.block_view(j)
-    return AgentView(j, tuple(enumerate(cfg.agents[view.start:view.stop], view.start)),
-                     view.counts)
+    start = (j - 1) * cfg.p
+    return AgentView(j, tuple(enumerate(cfg.agents[start:start + cfg.p], start)),
+                     cfg.all_counts()[j - 1])
 
 
 def agent_step_two_colour(left: AgentView, right: AgentView, blue_required_left: int, cap: int,

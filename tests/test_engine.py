@@ -168,11 +168,11 @@ def test_orient_roles_never_swaps_toward_zero_minimum():
     assert not reversed_roles
 
 
-def test_orient_roles_rejects_other_kinds():
-    with pytest.raises(ValueError):
-        orient_roles(make_p2("BBBR", 2, 2, [[1, 1], [0, 0]]))
-    with pytest.raises(ValueError):
-        orient_roles(gen_random(2, 3, 3, seed=0))
+def test_orient_roles_leaves_other_kinds_as_they_are():
+    for inst in (make_p2("BBBR", 2, 2, [[1, 1], [0, 0]]), gen_random(2, 3, 3, seed=0),
+                 make_p3("RBRB", 2, 2, ["RB", "BR"])):
+        oriented, reversed_roles = orient_roles(inst)
+        assert oriented is inst and not reversed_roles
 
 
 # --- two-colour window step ------------------------------------------------------
@@ -224,6 +224,17 @@ def test_window_steps_take_adjacent_views_only():
             window_step_two_colour(*views, 1, 1)
         with pytest.raises(ValueError, match="does not follow"):
             window_step_q_colour(*views, make_p1("RRBBRRBB", 4, 2, [[1] * 4, [1] * 4]).spec)
+    # Views of blocks 1 and 2 of two configurations make no window, although
+    # window 1|2 of ``one`` moves two agents.
+    one, other = (Configuration.from_string(s, 2, 2, 2) for s in ("RRBB", "BBRR"))
+    spec = make_p1("RRBB", 2, 2, [[1, 1], [1, 1]]).spec
+    assert window_step_q_colour(one.block_view(1), one.block_view(2), spec) == \
+        ((2, 2, 0), (0, 0, 2))
+    views = one.block_view(1), other.block_view(2)
+    with pytest.raises(ValueError, match="block 2 does not follow block 1"):
+        window_step_two_colour(*views, 1, 1)
+    with pytest.raises(ValueError, match="block 2 does not follow block 1"):
+        window_step_q_colour(*views, spec)
 
 
 # --- many-colour window step -----------------------------------------------------
@@ -550,6 +561,8 @@ def test_apply_moves_rejects_collisions():
         apply_moves(cfg, (Move(0, 0, 2), Move(1, 1, 2)))
     with pytest.raises(EngineError, match="permute"):
         apply_moves(cfg, (Move(0, 0, 2),))
+    with pytest.raises(EngineError, match="two moves leave the same position"):
+        apply_moves(cfg, (Move(0, 0, 1), Move(0, 0, 2)))
     with pytest.raises(EngineError, match="source"):
         apply_moves(cfg, (Move(9, 0, 2), Move(2, 2, 0)))
 

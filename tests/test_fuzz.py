@@ -23,7 +23,6 @@ from ringform import engine, verify
 from ringform.cli import main
 from ringform.core import (
     InstanceFormatError,
-    ProblemKind,
     parse_instance,
     serialize_instance,
     validate,
@@ -41,9 +40,7 @@ DOCS = [serialize_instance(inst) for inst in INSTANCES]
 
 
 def honest_trace(inst) -> list[dict]:
-    oriented, reversed_roles = inst, False
-    if inst.spec.kind is ProblemKind.P1 and inst.q == 2:
-        oriented, reversed_roles = engine.orient_roles(inst)
+    oriented, reversed_roles = engine.orient_roles(inst)
     return written_records(engine.run(oriented), reversed_roles=reversed_roles)
 
 

@@ -118,9 +118,7 @@ GOLDEN = {
 def whole_run(inst, max_rounds=None) -> tuple[engine.RunResult, str, bool]:
     """The run of ``inst`` as ``ringform run`` executes it, its
     ``write_trace`` output, and whether its colour roles were swapped."""
-    reversed_roles = False
-    if inst.spec.kind is ProblemKind.P1 and inst.q == 2:
-        inst, reversed_roles = engine.orient_roles(inst)
+    inst, reversed_roles = engine.orient_roles(inst)
     result = engine.run(inst, max_rounds)
     buffer = io.StringIO()
     engine.write_trace(result, buffer, reversed_roles=reversed_roles)

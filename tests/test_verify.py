@@ -226,7 +226,7 @@ def test_summary_forgery_detected():
 
 
 def _stored_records(inst, max_rounds=None):
-    oriented, reversed_roles = engine.orient_roles(inst) if inst.q == 2 else (inst, False)
+    oriented, reversed_roles = engine.orient_roles(inst)
     return written_records(engine.run(oriented, max_rounds), reversed_roles=reversed_roles)
 
 
