@@ -142,24 +142,31 @@ def iter_written(items: Iterable[Instance | RoundTrace | dict], fp: IO[str],
     flat (agent id, from, to) list, and its ``counts`` the flat ``[block,
     count of colour 1, ..., count of colour q, block, ...]`` list of every
     block whose row differs from the configuration the round started from.
+
+    A round line is formatted text, byte for byte the JSON encoding of its
+    record: it holds integers, integer lists and null only, and ``str`` of a
+    list of ints is that list's JSON with the default separators.  The
+    header and summary records, which hold strings and booleans, are
+    encoded.
     """
     before: tuple[tuple[int, ...], ...] = ()
     for item in items:
         if isinstance(item, RoundTrace):
-            changed = compress(count(1), map(ne, before, item.counts))
-            record = {"type": "round", "round": item.index, "offset": item.offset,
-                      "moves": item.moves.flat.tolist(),
-                      "counts": [x for b in changed for x in (b, *item.counts[b - 1])],
-                      "distance": item.distance}
-            before = item.counts
+            counts, distance = item.counts, item.distance
+            changed = [x for b in compress(count(1), map(ne, before, counts))
+                       for x in (b, *counts[b - 1])]
+            line = (f'{{"type": "round", "round": {item.index}, "offset": {item.offset}, '
+                    f'"moves": {item.moves.flat.tolist()}, "counts": {changed}, '
+                    f'"distance": {"null" if distance is None else distance}}}')
+            before = counts
         elif isinstance(item, Instance):
-            record = {"type": "header", "format": TRACE_FORMAT,
-                      "instance": serialize_instance(item), "reversed": reversed_roles,
-                      "initial_distance": initial_distance}
+            line = _encode({"type": "header", "format": TRACE_FORMAT,
+                            "instance": serialize_instance(item), "reversed": reversed_roles,
+                            "initial_distance": initial_distance})
             before = item.initial.all_counts()
         else:
-            record = {"type": "summary", **{key: item[key] for key in SUMMARY_FIELDS}}
-        fp.write(_encode(record) + "\n")
+            line = _encode({"type": "summary", **{key: item[key] for key in SUMMARY_FIELDS}})
+        fp.write(line + "\n")
         yield item
 
 

@@ -6,10 +6,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringform import core, engine, verify
 from ringform.cli import EXIT_VERIFICATION_FAILED, main
-from ringform.core import Configuration, ProblemKind
+from ringform.core import MAX_COLOURS, Configuration, ProblemKind
 from ringform.engine import (
     EngineError,
     InvalidInstanceError,
@@ -716,6 +718,51 @@ def test_v3_round_records_are_flat_and_carry_only_the_changed_rows():
         assert all((row is old) == (b not in patched)
                    for b, (row, old) in enumerate(zip(rt.counts, before), start=1))
         before = rt.counts
+
+
+# Integers that an ``array('i')`` holds, both signs.
+c_ints = st.integers(-(2 ** 31 - 1), 2 ** 31 - 1)
+
+
+@st.composite
+def traced_rounds(draw) -> tuple[core.Instance, list[engine.RoundTrace]]:
+    """An instance and rounds of random moves, offsets and distances whose
+    count rows each either stay as in the round before or are redrawn."""
+    q = draw(st.integers(2, MAX_COLOURS))
+    inst = gen_random(draw(st.integers(2, 4)), q - 1, q)
+    rows = st.tuples(*[st.integers(0, 2 ** 31 - 1)] * q)
+    before, rounds = inst.initial.all_counts(), []
+    for index in range(1, draw(st.integers(1, 3)) + 1):
+        counts = tuple(draw(st.just(row) | rows) for row in before)
+        rounds.append(engine.RoundTrace(
+            index=index, offset=draw(c_ints),
+            moves=draw(st.lists(st.tuples(c_ints, c_ints, c_ints), max_size=4)),
+            counts=counts, distance=draw(st.none() | st.just(0) | c_ints),
+            checks=engine.ROUND_CHECKS))
+        before = counts
+    return inst, rounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(traced_rounds())
+def test_a_round_line_is_the_json_of_its_record_and_reads_back(case):
+    inst, rounds = case
+    summary = {"terminated": False, "rounds_used": len(rounds), "bound": None,
+               "bound_satisfied": None}
+    buffer = io.StringIO()
+    assert list(engine.iter_written([inst, *rounds, summary], buffer, None)) == [
+        inst, *rounds, summary]
+    lines = buffer.getvalue().splitlines()
+    before = inst.initial.all_counts()
+    for rt, line in zip(rounds, lines[1:-1], strict=True):
+        changed = [x for b, (old, row) in enumerate(zip(before, rt.counts), start=1)
+                   if old != row for x in (b, *row)]
+        assert line == json.dumps({"type": "round", "round": rt.index, "offset": rt.offset,
+                                   "moves": [x for move in rt.moves for x in move],
+                                   "counts": changed, "distance": rt.distance})
+        before = rt.counts
+    _, *read, _ = engine.iter_trace(lines)
+    assert read == rounds
 
 
 def _honest_trace_lines() -> list[str]:

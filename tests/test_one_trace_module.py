@@ -9,6 +9,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ringform"
 RECORD_TYPES = {"header", "round", "summary"}
 FORMAT_LITERAL = re.compile(r"""["']ringform-trace-v""")
+# A "type" key and its value as spelled in the text of a string literal.
+TYPE_IN_TEXT = re.compile(r"""["']type["']\s*:\s*["'](\w+)["']""")
 
 
 def package_imports(tree: ast.Module) -> set[str]:
@@ -26,11 +28,29 @@ def package_imports(tree: ast.Module) -> set[str]:
 
 
 def record_types(tree: ast.Module) -> set[str]:
-    """The record types that a module's dict displays hold under a ``"type"`` key."""
-    return {value.value for node in ast.walk(tree) if isinstance(node, ast.Dict)
-            for key, value in zip(node.keys, node.values)
-            if isinstance(key, ast.Constant) and key.value == "type"
-            and isinstance(value, ast.Constant) and value.value in RECORD_TYPES}
+    """The record types that a module holds under a ``"type"`` key: in a
+    dict display, or spelled out in the text of a string or f-string
+    literal (whose literal parts are string constants too)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            found.update(value.value for key, value in zip(node.keys, node.values)
+                         if isinstance(key, ast.Constant) and key.value == "type"
+                         and isinstance(value, ast.Constant))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(TYPE_IN_TEXT.findall(node.value))
+    return found & RECORD_TYPES
+
+
+def test_record_types_are_found_in_dicts_strings_and_f_strings():
+    source = """
+header = {"type": "header"}
+summary = '{"type": "summary"}'
+index = 1
+line = f'{{"type": "round", "round": {index}}}'
+other = {"type": "other"}
+"""
+    assert record_types(ast.parse(source)) == RECORD_TYPES
 
 
 def test_trace_module_imports_only_core():
