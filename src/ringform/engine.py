@@ -2,7 +2,8 @@
 
 Each round partitions the ring into windows of two adjacent blocks
 starting at a cyclically shifting offset and applies a window step to
-every window in parallel:
+every window in parallel, in one call of a round step that loops over the
+round's windows:
 
 - the two-colour step packs blue agents ahead of red ones in both blocks
   of a deficient window and trades the leftmost surplus reds of the left
@@ -141,10 +142,12 @@ def orient_roles(inst: Instance) -> tuple[Instance, bool]:
     return Instance(spec=swapped_spec, initial=swapped_cfg, provenance=inst.provenance), True
 
 
-# A window step: the flat (agent id, from, to, agent id, ...) moves of the
-# window whose left block is ``lb`` (its right block is ``lb % k + 1``) in a
-# configuration, empty when the window moves nothing.
-Step = Callable[[Configuration, int], Sequence[int]]
+# A round step: the flat (agent id, from, to, agent id, ...) moves of the
+# windows whose left blocks (each window's right block is ``lb % k + 1``) it
+# is given, in their order, in a configuration, read once for them all; it
+# passes each window that moves nothing to its third argument (``idle.add``
+# in a run; the window wrappers pass ``bool``, which keeps nothing).
+Step = Callable[[Configuration, Iterable[int], Callable[[int], object]], list[int]]
 
 
 # The most window slots (2p a key) that a step function's memo covers, so
@@ -181,35 +184,42 @@ def _two_colour_plan(window: bytes, deficit: int, cap: int, lb: int,
     return tuple((src, dst) for dst, src in enumerate(sources) if src != dst)
 
 
-def _two_colour_moves(need: Sequence[int], cap: int, plans: dict, cfg: Configuration,
-                      lb: int) -> Sequence[int]:
-    """The two-colour step of the window whose left block is ``lb``, which
-    needs ``need[lb - 1]`` blue agents; see ``window_step_two_colour``.  The
-    memo ``plans`` keys a window by its colours and deficit.  A key's first
-    step steps the window directly and maps the key to None; its second
-    builds and stores the key's plan, which later steps emit."""
-    deficit = need[lb - 1] - cfg._block_counts[lb - 1][BLUE - 1]
-    if deficit <= 0:
-        return ()
+def _two_colour_round(need: Sequence[int], cap: int, plans: dict, cfg: Configuration,
+                      left_blocks: Iterable[int], quiet: Callable[[int], object]) -> list[int]:
+    """The two-colour step of the windows whose left blocks are
+    ``left_blocks``, block lb needing ``need[lb - 1]`` blue agents; see
+    ``window_step_two_colour``.  The memo ``plans`` keys a window by its
+    colours and deficit.  A key's first step steps the window directly and
+    maps the key to None; its second builds and stores the key's plan,
+    which later steps emit."""
     p, k, colours, ids, positions = cfg.p, cfg.k, cfg.colours, cfg.ids, cfg._positions
-    start, right_start = (lb - 1) * p, lb % k * p
-    left, right = positions[start:start + p], positions[right_start:right_start + p]
-    key = colours[start:start + p] + colours[right_start:right_start + p], deficit
-    plan = plans.get(key)
-    at = left + right
+    counts = cfg._block_counts
     moves: list[int] = []
-    if plan is None:
-        if key not in plans:
+    for lb in left_blocks:
+        deficit = need[lb - 1] - counts[lb - 1][BLUE - 1]
+        if deficit <= 0:
+            quiet(lb)
+            continue
+        start, right_start = (lb - 1) * p, lb % k * p
+        left, right = positions[start:start + p], positions[right_start:right_start + p]
+        key = colours[start:start + p] + colours[right_start:right_start + p], deficit
+        plan = plans.get(key)
+        at = left + right
+        stepped = len(moves)
+        if plan is None and key not in plans:
             for dst, src in zip(at, _two_colour_sources(colours, left, right, deficit, cap, lb, k)):
                 if src != dst:
                     moves += ids[src], src, dst
             if (len(plans) + 1) * 2 * p <= _PLAN_SLOTS:
                 plans[key] = None
-            return moves
-        plans[key] = plan = _two_colour_plan(*key, cap, lb, k)
-    for src, dst in plan:
-        x = at[src]
-        moves += ids[x], x, at[dst]
+        else:
+            if plan is None:
+                plans[key] = plan = _two_colour_plan(*key, cap, lb, k)
+            for src, dst in plan:
+                x = at[src]
+                moves += ids[x], x, at[dst]
+        if len(moves) == stepped:
+            quiet(lb)
     return moves
 
 
@@ -236,48 +246,50 @@ def _rearrange_to_pattern(cfg: Configuration, b: int, spec: RequirementSpec) -> 
     return moves
 
 
-def _q_colour_moves(spec: RequirementSpec, cfg: Configuration, lb: int) -> Sequence[int]:
-    """The many-colour step of the window whose left block is ``lb``; see
-    ``window_step_q_colour``."""
-    rb = lb % cfg.k + 1
-    have_left, have_right = cfg._block_counts[lb - 1], cfg._block_counts[rb - 1]
-    need_left, need_right = spec.columns[lb - 1], spec.columns[rb - 1]
-    q = spec.q
-    i = 1
-    while i < q and have_left[i - 1] == need_left[i - 1] and have_right[i - 1] == need_right[i - 1]:
-        i += 1
-
-    if i < q:
-        deficit = need_left[i - 1] - have_left[i - 1]
-        if deficit <= 0:
-            return ()
-        t = min(deficit, have_right[i - 1])
-        if t <= 0:
-            return ()
-        # The t leftmost agents above colour i in the left block trade places
-        # with the t leftmost colour-i agents of the right block.
-        p, colours, ids = cfg.p, cfg.colours, cfg.ids
-        left_start, right_start = (lb - 1) * p, (rb - 1) * p
-        moves: list[int] = []
-        rpos, right_stop = right_start - 1, right_start + p
-        for lpos in range(left_start, left_start + p):
-            if colours[lpos] > i:
-                rpos = colours.find(i, rpos + 1, right_stop)
-                moves += ids[rpos], rpos, lpos, ids[lpos], lpos, rpos
-                t -= 1
-                if not t:
-                    return moves
-        raise EngineError(f"window [{lb}|{rb}]: not enough agents above colour {i}")
-
-    if spec.kind is not ProblemKind.P3:
-        return ()
-    return _rearrange_to_pattern(cfg, lb, spec) + _rearrange_to_pattern(cfg, rb, spec)
+def _q_colour_round(spec: RequirementSpec, cfg: Configuration, left_blocks: Iterable[int],
+                    quiet: Callable[[int], object]) -> list[int]:
+    """The many-colour step of the windows whose left blocks are
+    ``left_blocks``; see ``window_step_q_colour``."""
+    p, k, colours, ids, counts = cfg.p, cfg.k, cfg.colours, cfg.ids, cfg._block_counts
+    columns, q = spec.columns, spec.q
+    moves: list[int] = []
+    for lb in left_blocks:
+        rb = lb % k + 1
+        have_left, have_right = counts[lb - 1], counts[rb - 1]
+        need_left, need_right = columns[lb - 1], columns[rb - 1]
+        i = 1
+        while i < q and have_left[i - 1] == need_left[i - 1] and have_right[i - 1] == need_right[i - 1]:
+            i += 1
+        if i < q:
+            t = min(need_left[i - 1] - have_left[i - 1], have_right[i - 1])
+            if t <= 0:
+                quiet(lb)
+                continue
+            # The t leftmost agents above colour i in the left block trade places
+            # with the t leftmost colour-i agents of the right block.
+            left_start, right_start = (lb - 1) * p, (rb - 1) * p
+            rpos, right_stop = right_start - 1, right_start + p
+            for lpos in range(left_start, left_start + p):
+                if colours[lpos] > i:
+                    rpos = colours.find(i, rpos + 1, right_stop)
+                    moves += ids[rpos], rpos, lpos, ids[lpos], lpos, rpos
+                    t -= 1
+                    if not t:
+                        break
+            else:
+                raise EngineError(f"window [{lb}|{rb}]: not enough agents above colour {i}")
+        elif spec.kind is ProblemKind.P3 and (window := _rearrange_to_pattern(cfg, lb, spec)
+                                               + _rearrange_to_pattern(cfg, rb, spec)):
+            moves += window
+        else:
+            quiet(lb)
+    return moves
 
 
 def two_colour_step(need: Sequence[int]) -> Step:
     """The two-colour window step of a run whose block b needs ``need[b - 1]``
     blue agents, capped at ``min(need)`` a window, with its own plan memo."""
-    return partial(_two_colour_moves, need, min(need), {})
+    return partial(_two_colour_round, need, min(need), {})
 
 
 def _window_of(left: BlockView, right: BlockView) -> Configuration:
@@ -305,8 +317,8 @@ def window_step_two_colour(left: BlockView, right: BlockView, blue_required_left
     ``right`` must be the block after ``left`` of the same configuration,
     whose window is stepped as ``run`` steps it.
     """
-    return _triples(_two_colour_moves({left.index - 1: blue_required_left}, cap, {},
-                                      _window_of(left, right), left.index))
+    return _triples(_two_colour_round({left.index - 1: blue_required_left}, cap, {},
+                                      _window_of(left, right), (left.index,), bool))
 
 
 def window_step_q_colour(left: BlockView, right: BlockView,
@@ -322,7 +334,7 @@ def window_step_q_colour(left: BlockView, right: BlockView,
     ``right`` must be the block after ``left`` of the same configuration,
     whose window is stepped as ``run`` steps it.
     """
-    return _triples(_q_colour_moves(spec, _window_of(left, right), left.index))
+    return _triples(_q_colour_round(spec, _window_of(left, right), (left.index,), bool))
 
 
 def _apply(cfg: Configuration, moves: MoveSet, offset: int
@@ -413,31 +425,25 @@ def _window_step(inst: Instance) -> Step:
     spec = inst.spec
     if uses_two_colour_steps(inst):
         return two_colour_step(spec.row(1))
-    return partial(_q_colour_moves, spec)
+    return partial(_q_colour_round, spec)
 
 
 def step_round(cfg: Configuration, offset: int, step: Step,
                idle: set[int]) -> tuple[Configuration, MoveSet]:
     """One synchronous round: ``step`` every window of the pairing at
     ``offset`` whose left block is not in ``idle``, in the order of
-    ``build_pairing(k, offset).pairs``, apply all the moves at once and
-    return the next configuration with the moves.
+    ``build_pairing(k, offset).pairs``, in one call of the round step, apply
+    all the moves at once and return the next configuration with the moves.
 
     A window step depends only on its two blocks, so a window that moves
     nothing joins ``idle`` and leaves it when a move touches one of its
     blocks; sharing ``idle`` between the rounds of one step function gives
     the rounds a fresh empty set would give.  The idle windows are passed
     over in C: a round costs interpreted steps for its moves and the
-    windows it steps only.
+    windows it steps only, and one step call.
     """
     k = cfg.k
-    flat = array("i")
-    for lb in filterfalse(idle.__contains__, _left_blocks(k, offset)):
-        window = step(cfg, lb)
-        if window:
-            flat.extend(window)
-        else:
-            idle.add(lb)
+    flat = array("i", step(cfg, filterfalse(idle.__contains__, _left_blocks(k, offset)), idle.add))
     moves = MoveSet(flat)
     new_cfg = apply_moves(cfg, moves, offset)
     if flat:

@@ -62,6 +62,12 @@ def fresh_round(cfg: Configuration, inst: Instance, offset: int, *,
                                counts=new_cfg.all_counts(), distance=None, checks=ROUND_CHECKS)
 
 
+def step_window(step, cfg: Configuration, lb: int) -> list[int]:
+    """The flat moves of the window whose left block is ``lb`` in ``cfg``,
+    stepped alone by the round step ``step``."""
+    return step(cfg, (lb,), set().add)
+
+
 def written_records(result: RunResult, *, reversed_roles: bool = False) -> list[dict]:
     """The records that ``engine.write_trace`` writes for ``result``, parsed."""
     buffer = io.StringIO()

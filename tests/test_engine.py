@@ -45,6 +45,7 @@ from helpers import (
     make_p2,
     make_p3,
     replayed_configs,
+    step_window,
     unpaired,
     written_records,
 )
@@ -99,6 +100,12 @@ def test_pairing_covers_each_block_once():
 
 
 def test_step_round_steps_the_non_idle_windows_of_the_pairing_in_order():
+    def record(state, left_blocks, quiet):
+        for lb in left_blocks:
+            stepped.append((state, lb))
+            quiet(lb)
+        return []
+
     rng = random.Random(9)
     for k in range(2, 10):
         cfg = Configuration.from_string("BR" * k, k, 2, 2)
@@ -108,15 +115,14 @@ def test_step_round_steps_the_non_idle_windows_of_the_pairing_in_order():
             for _ in range(6):
                 idle = {b for b in range(1, k + 1) if rng.random() < 0.4}
                 after_idle, stepped = set(idle), []
-                after, moves = step_round(cfg, offset,
-                                          lambda state, lb: stepped.append((state, lb)), after_idle)
+                after, moves = step_round(cfg, offset, record, after_idle)
                 assert stepped == [(cfg, lb) for lb, _ in pairs if lb not in idle], (k, offset)
                 # A window that moves nothing joins the idle set.
                 assert after_idle == idle | {lb for lb, _ in pairs}
                 assert after is cfg and not moves
         for offset in (0, k + 1):
             with pytest.raises(ValueError, match="offset"):
-                step_round(cfg, offset, lambda state, lb: (), set())
+                step_round(cfg, offset, lambda state, left_blocks, quiet: [], set())
 
 
 def test_run_steps_windows_without_views_or_pairings(monkeypatch):
@@ -328,8 +334,8 @@ def test_a_window_moves_what_its_two_blocks_alone_decide():
             for cfg, rt in zip(replayed_configs(inst, result.trace), result.trace):
                 for lb, _ in build_pairing(inst.k, rt.offset).pairs:
                     other, window = _recoloured_outside(cfg, lb, rng)
-                    moves = list(step(cfg, lb))
-                    assert list(step(other, lb)) == moves, (inst.provenance, rt.index, lb)
+                    moves = step_window(step, cfg, lb)
+                    assert step_window(step, other, lb) == moves, (inst.provenance, rt.index, lb)
                     inside = [[m for m in step_round(state, rt.offset, engine._window_step(inst),
                                                      set())[1].triples() if m[1] in window]
                               for state in (cfg, other)]
@@ -443,16 +449,44 @@ def test_run_p3_reaches_exact_patterns():
     assert result.final.to_string() == "".join(inst.spec.patterns)
 
 
+def count_windows(monkeypatch, name: str, windows: list, rounds: list | None = None) -> None:
+    """Patch the round step ``engine.<name>`` to append each left block it
+    steps to ``windows`` and, given ``rounds``, each call's configuration to
+    ``rounds``."""
+    step = getattr(engine, name)
+
+    def counted(*args):
+        *bound, cfg, left_blocks, quiet = args
+        if rounds is not None:
+            rounds.append(cfg)
+        return step(*bound, cfg, (windows.append(lb) or lb for lb in left_blocks), quiet)
+
+    monkeypatch.setattr(engine, name, counted)
+
+
 def test_run_does_not_restep_idle_windows(monkeypatch):
     inst = gen_adversarial_half(32, 2)
     calls = []
-    step = engine._two_colour_moves
-    monkeypatch.setattr(engine, "_two_colour_moves",
-                        lambda *args: calls.append(args[-1]) or step(*args))
+    count_windows(monkeypatch, "_two_colour_round", calls)
     result = run(inst)
     assert result.terminated
     # every window of every round would be len(trace) * k/2 steps
     assert 0 < len(calls) < len(result.trace) * inst.k // 2 // 2
+
+
+@pytest.mark.parametrize("inst, name, windows", [
+    (gen_adversarial_half(32, 2), "_two_colour_round", 335),
+    (gen_random(16, 6, 3, 1), "_q_colour_round", 111),
+])
+def test_a_run_steps_each_round_in_one_call(inst, name, windows, monkeypatch):
+    # One round step call per executed round, and as many windows stepped
+    # as when every window was a call of its own (the pinned counts).
+    stepped, rounds = [], []
+    count_windows(monkeypatch, name, stepped, rounds)
+    result = run(inst)
+    assert result.terminated
+    assert rounds == replayed_configs(inst, result.trace)[:-1]
+    assert len(stepped) == windows
 
 
 def _memo_corpus():
@@ -467,6 +501,30 @@ def _memo_corpus():
                 yield orient_roles(gen_homogeneous(k, p, p // 2, p + k))[0]
             if p % 2 == 0 and k % 2 == 0:
                 yield orient_roles(gen_adversarial_half(k, p))[0]
+
+
+def test_a_round_step_steps_each_window_as_if_alone():
+    # One call for a round's windows gives the moves of one call per window,
+    # concatenated in pairing order, and reports the same windows quiet: no
+    # state of one window leaks into the next.  Both steps keep a memo, fed
+    # the same windows in the same order.
+    insts = [*_memo_corpus(),
+             *(gen_random(k, q + 2, q, s) for k in (3, 4, 5, 8) for q in (3, 4) for s in range(3)),
+             *(gen_p3_random(k, p, q, s) for k, p, q in ((4, 3, 2), (5, 4, 3), (3, 6, 4), (8, 3, 3))
+               for s in range(3))]
+    crowded = 0  # rounds with two or more windows that move
+    for inst in insts:
+        round_step, window_step = engine._window_step(inst), engine._window_step(inst)
+        result = run(inst)
+        for cfg, rt in zip(replayed_configs(inst, result.trace), result.trace):
+            left_blocks = [lb for lb, _ in build_pairing(inst.k, rt.offset).pairs]
+            quiet, alone_quiet, alone = [], [], []
+            moves = round_step(cfg, iter(left_blocks), quiet.append)
+            for lb in left_blocks:
+                alone += window_step(cfg, (lb,), alone_quiet.append)
+            assert moves == alone and quiet == alone_quiet, (inst.provenance, rt.index)
+            crowded += len(left_blocks) - len(quiet) >= 2
+    assert crowded >= 500, crowded
 
 
 def test_the_plan_memo_gives_the_moves_of_plans_never_stored(monkeypatch):
@@ -514,8 +572,17 @@ def test_the_plan_memo_keeps_no_window_whose_step_raises():
     step = engine.two_colour_step([4, 1])
     for _ in range(2):
         with pytest.raises(EngineError, match=r"window \[1\|2\]: 0 movable reds but t=1"):
-            step(cfg, 1)
+            step_window(step, cfg, 1)
     assert step.args[-1] == {}
+    # In a round, the healthy window [3|4] before it is kept, first as a key
+    # and then as a plan; the raising window's key stays out.
+    cfg = Configuration.from_string("BBBBBRRRRBBB", 4, 3, 2)
+    step = engine.two_colour_step([4, 1, 1, 1])
+    healthy = bytes([2, 2, 2, 1, 1, 1]), 1
+    for plan in (None, ((3, 0), (0, 3))):
+        with pytest.raises(EngineError, match=r"window \[1\|2\]: 0 movable reds but t=1"):
+            step(cfg, (3, 1), set().add)
+        assert step.args[-1] == {healthy: plan}
 
 
 def test_the_plan_memo_builds_each_window_plan_once(monkeypatch):
@@ -523,9 +590,8 @@ def test_the_plan_memo_builds_each_window_plan_once(monkeypatch):
     # deficient step.
     inst = orient_roles(gen_adversarial_half(64, 4))[0]
     steps, built = [], []
-    step, plan = engine._two_colour_moves, engine._two_colour_plan
-    monkeypatch.setattr(engine, "_two_colour_moves",
-                        lambda *args: steps.append(args[-1]) or step(*args))
+    plan = engine._two_colour_plan
+    count_windows(monkeypatch, "_two_colour_round", steps)
     monkeypatch.setattr(engine, "_two_colour_plan",
                         lambda *args: built.append(args[:2]) or plan(*args))
     assert run(inst).terminated

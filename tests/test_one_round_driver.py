@@ -1,13 +1,15 @@
 """The package has one round driver: only ``engine.py`` names ``step_round``,
 the two-colour step's factory ``two_colour_step``, the run's step
-``_window_step`` or ``_left_blocks``, which lists a pairing's windows, so no
-other module steps windows round by round or lists a pairing's windows."""
+``_window_step``, the round steps ``_two_colour_round`` and
+``_q_colour_round`` or ``_left_blocks``, which lists a pairing's windows, so
+no other module steps windows round by round or lists a pairing's windows."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ringform"
-DRIVER_NAMES = {"step_round", "two_colour_step", "_window_step", "_left_blocks"}
+DRIVER_NAMES = {"step_round", "two_colour_step", "_window_step", "_left_blocks",
+                "_two_colour_round", "_q_colour_round"}
 
 
 def names_in(tree: ast.Module) -> set[str]:
