@@ -151,47 +151,40 @@ Step = Callable[[Configuration, Iterable[int], Callable[[int], object]], list[in
 
 
 # The most window slots (2p a key) that a step function's memo covers, so
-# that its memory does not grow with p; past it, new windows are not kept.
+# that its memory does not grow with p; past it, a new key's plan is dropped.
 _PLAN_SLOTS = 1 << 15
-
-
-def _two_colour_sources(colours: Sequence[int], left: Sequence[int], right: Sequence[int],
-                        deficit: int, cap: int, lb: int, k: int) -> list[int]:
-    """The two-colour step of a window whose left block ``lb`` is ``deficit``
-    blues short and whose slots, indices into ``colours``, are ``left`` then
-    ``right``: the slot whose agent each of those slots receives, in order."""
-    blues_left, reds_left, blues_right, reds_right = [], [], [], []
-    for x in left:
-        (blues_left if colours[x] == BLUE else reds_left).append(x)
-    for x in right:
-        (blues_right if colours[x] == BLUE else reds_right).append(x)
-    t = min(cap, deficit, len(blues_right))
-    if len(reds_left) < t:
-        raise EngineError(f"window [{lb}|{lb % k + 1}]: {len(reds_left)} movable reds but t={t}")
-
-    # Blues packed before reds, with the t leftmost reds of the left block
-    # traded for the t leftmost blues of the right block.
-    return (blues_left + blues_right[:t] + reds_left[t:]
-            + reds_left[:t] + blues_right[t:] + reds_right)
 
 
 def _two_colour_plan(window: bytes, deficit: int, cap: int, lb: int,
                      k: int) -> tuple[tuple[int, int], ...]:
     """The (from slot, to slot) pairs of the two-colour step of a window of
-    colours ``window``; slots 0..p-1 are the left block and p..2p-1 the right."""
+    colours ``window`` whose left block ``lb`` is ``deficit`` blues short;
+    slots 0..p-1 are the left block and p..2p-1 the right."""
     p = len(window) // 2
-    sources = _two_colour_sources(window, range(p), range(p, 2 * p), deficit, cap, lb, k)
-    return tuple((src, dst) for dst, src in enumerate(sources) if src != dst)
+    blues_left, reds_left, blues_right, reds_right = [], [], [], []
+    for x in range(p):
+        (blues_left if window[x] == BLUE else reds_left).append(x)
+    for x in range(p, 2 * p):
+        (blues_right if window[x] == BLUE else reds_right).append(x)
+    t = min(cap, deficit, len(blues_right))
+    if len(reds_left) < t:
+        raise EngineError(f"window [{lb}|{lb % k + 1}]: {len(reds_left)} movable reds but t={t}")
+
+    # Blues packed before reds, with the t leftmost reds of the left block
+    # traded for the t leftmost blues of the right: each slot's source slot.
+    sources = (blues_left + blues_right[:t] + reds_left[t:]
+               + reds_left[:t] + blues_right[t:] + reds_right)
+    return tuple([(src, dst) for dst, src in enumerate(sources) if src != dst])
 
 
 def _two_colour_round(need: Sequence[int], cap: int, plans: dict, cfg: Configuration,
                       left_blocks: Iterable[int], quiet: Callable[[int], object]) -> list[int]:
     """The two-colour step of the windows whose left blocks are
     ``left_blocks``, block lb needing ``need[lb - 1]`` blue agents; see
-    ``window_step_two_colour``.  The memo ``plans`` keys a window by its
-    colours and deficit.  A key's first step steps the window directly and
-    maps the key to None; its second builds and stores the key's plan,
-    which later steps emit."""
+    ``window_step_two_colour``.  A deficient window moves its plan's slots
+    through its ring positions.  The memo ``plans`` keys a window by its
+    colours and deficit; a key's first step maps it to None and its second
+    stores its plan."""
     p, k, colours, ids, positions = cfg.p, cfg.k, cfg.colours, cfg.ids, cfg._positions
     counts = cfg._block_counts
     moves: list[int] = []
@@ -201,25 +194,21 @@ def _two_colour_round(need: Sequence[int], cap: int, plans: dict, cfg: Configura
             quiet(lb)
             continue
         start, right_start = (lb - 1) * p, lb % k * p
-        left, right = positions[start:start + p], positions[right_start:right_start + p]
         key = colours[start:start + p] + colours[right_start:right_start + p], deficit
         plan = plans.get(key)
-        at = left + right
-        stepped = len(moves)
-        if plan is None and key not in plans:
-            for dst, src in zip(at, _two_colour_sources(colours, left, right, deficit, cap, lb, k)):
-                if src != dst:
-                    moves += ids[src], src, dst
-            if (len(plans) + 1) * 2 * p <= _PLAN_SLOTS:
+        if plan is None:
+            plan = _two_colour_plan(*key, cap, lb, k)
+            if key in plans:
+                plans[key] = plan
+            elif (len(plans) + 1) * 2 * p <= _PLAN_SLOTS:
                 plans[key] = None
-        else:
-            if plan is None:
-                plans[key] = plan = _two_colour_plan(*key, cap, lb, k)
-            for src, dst in plan:
-                x = at[src]
-                moves += ids[x], x, at[dst]
-        if len(moves) == stepped:
+        if not plan:
             quiet(lb)
+            continue
+        at = positions[start:start + p] + positions[right_start:right_start + p]
+        for src, dst in plan:
+            x = at[src]
+            moves += ids[x], x, at[dst]
     return moves
 
 

@@ -115,6 +115,10 @@ def test_window_steps_match_the_agent_tuple_steps():
     insts = ([gen_random(k, p, 2, s) for k in (2, 3, 6, 8) for p in (2, 3, 5) for s in range(4)]
              + [gen_adversarial_half(16, 4), gen_homogeneous(6, 4, 2, 1)]
              + [gen_p2_random(k, p, 2, s) for k in (4, 5) for p in (3, 4) for s in range(4)]
+             # Large blocks, whose windows rarely repeat in a run.
+             + [gen(k, p, 2, s) for gen in (gen_random, gen_p2_random) for k in (5, 8)
+                for p in (16, 32) for s in range(2)]
+             + [gen_homogeneous(5, 32, 12, 3)]
              + [gen_p3_random(k, p, q, s) for k, p, q in ((4, 3, 2), (5, 4, 3), (3, 6, 4))
                 for s in range(6)]
              + [gen_random(k, q + 2, q, s) for k in (4, 5) for q in (3, 4, 5) for s in range(6)])
