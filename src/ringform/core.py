@@ -162,8 +162,8 @@ class Configuration:
 
     @cached_property
     def _positions(self) -> tuple[int, ...]:
-        """``tuple(range(n))``, handed on to every successor: the moves of a
-        run then share one int object per ring position."""
+        """``tuple(range(n))``, handed on to every successor: a step's window
+        slices of it then allocate no int object for a ring position."""
         return tuple(range(self.n))
 
     @cached_property

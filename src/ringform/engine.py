@@ -24,7 +24,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, compress, filterfalse
 from typing import IO, Callable, Collection, Iterable, Iterator, Sequence
 
@@ -150,15 +150,14 @@ def orient_roles(inst: Instance) -> tuple[Instance, bool]:
 Step = Callable[[Configuration, Iterable[int], Callable[[int], object]], list[int]]
 
 
-# The most window slots (2p a key) that a step function's memo covers, so
-# that its memory does not grow with p; past it, a new key's plan is dropped.
+# The most window slots (2p a plan) that a step function's plan cache
+# covers, so that its memory does not grow with p.
 _PLAN_SLOTS = 1 << 15
 
 
-def _two_colour_plan(window: bytes, deficit: int, cap: int, lb: int,
-                     k: int) -> tuple[tuple[int, int], ...]:
+def _two_colour_plan(cap: int, window: bytes, deficit: int) -> tuple[tuple[int, int], ...]:
     """The (from slot, to slot) pairs of the two-colour step of a window of
-    colours ``window`` whose left block ``lb`` is ``deficit`` blues short;
+    colours ``window`` whose left block is ``deficit`` blues short;
     slots 0..p-1 are the left block and p..2p-1 the right."""
     p = len(window) // 2
     blues_left, reds_left, blues_right, reds_right = [], [], [], []
@@ -168,7 +167,7 @@ def _two_colour_plan(window: bytes, deficit: int, cap: int, lb: int,
         (blues_right if window[x] == BLUE else reds_right).append(x)
     t = min(cap, deficit, len(blues_right))
     if len(reds_left) < t:
-        raise EngineError(f"window [{lb}|{lb % k + 1}]: {len(reds_left)} movable reds but t={t}")
+        raise EngineError(f"{len(reds_left)} movable reds but t={t}")
 
     # Blues packed before reds, with the t leftmost reds of the left block
     # traded for the t leftmost blues of the right: each slot's source slot.
@@ -177,14 +176,13 @@ def _two_colour_plan(window: bytes, deficit: int, cap: int, lb: int,
     return tuple([(src, dst) for dst, src in enumerate(sources) if src != dst])
 
 
-def _two_colour_round(need: Sequence[int], cap: int, plans: dict, cfg: Configuration,
+def _two_colour_round(need: Sequence[int], plan: Callable, cfg: Configuration,
                       left_blocks: Iterable[int], quiet: Callable[[int], object]) -> list[int]:
     """The two-colour step of the windows whose left blocks are
     ``left_blocks``, block lb needing ``need[lb - 1]`` blue agents; see
-    ``window_step_two_colour``.  A deficient window moves its plan's slots
-    through its ring positions.  The memo ``plans`` keys a window by its
-    colours and deficit; a key's first step maps it to None and its second
-    stores its plan."""
+    ``window_step_two_colour``.  A deficient window moves the slots of
+    ``plan(colours, deficit)`` (a ``_two_colour_plan``) through its ring
+    positions; an EngineError of the plan is raised again naming the window."""
     p, k, colours, ids, positions = cfg.p, cfg.k, cfg.colours, cfg.ids, cfg._positions
     counts = cfg._block_counts
     moves: list[int] = []
@@ -194,19 +192,15 @@ def _two_colour_round(need: Sequence[int], cap: int, plans: dict, cfg: Configura
             quiet(lb)
             continue
         start, right_start = (lb - 1) * p, lb % k * p
-        key = colours[start:start + p] + colours[right_start:right_start + p], deficit
-        plan = plans.get(key)
-        if plan is None:
-            plan = _two_colour_plan(*key, cap, lb, k)
-            if key in plans:
-                plans[key] = plan
-            elif (len(plans) + 1) * 2 * p <= _PLAN_SLOTS:
-                plans[key] = None
-        if not plan:
+        try:
+            slots = plan(colours[start:start + p] + colours[right_start:right_start + p], deficit)
+        except EngineError as error:
+            raise EngineError(f"window [{lb}|{lb % k + 1}]: {error}") from None
+        if not slots:
             quiet(lb)
             continue
         at = positions[start:start + p] + positions[right_start:right_start + p]
-        for src, dst in plan:
+        for src, dst in slots:
             x = at[src]
             moves += ids[x], x, at[dst]
     return moves
@@ -275,10 +269,12 @@ def _q_colour_round(spec: RequirementSpec, cfg: Configuration, left_blocks: Iter
     return moves
 
 
-def two_colour_step(need: Sequence[int]) -> Step:
-    """The two-colour window step of a run whose block b needs ``need[b - 1]``
-    blue agents, capped at ``min(need)`` a window, with its own plan memo."""
-    return partial(_two_colour_round, need, min(need), {})
+def two_colour_step(need: Sequence[int], p: int) -> Step:
+    """The two-colour window step of a run with blocks of length ``p``, block b
+    needing ``need[b - 1]`` blue agents, capped at ``min(need)`` a window, with
+    its own LRU cache of at most ``_PLAN_SLOTS // (2 * p)`` window plans."""
+    cache = lru_cache(maxsize=_PLAN_SLOTS // (2 * p))
+    return partial(_two_colour_round, need, cache(partial(_two_colour_plan, min(need))))
 
 
 def _window_of(left: BlockView, right: BlockView) -> Configuration:
@@ -306,7 +302,8 @@ def window_step_two_colour(left: BlockView, right: BlockView, blue_required_left
     ``right`` must be the block after ``left`` of the same configuration,
     whose window is stepped as ``run`` steps it.
     """
-    return _triples(_two_colour_round({left.index - 1: blue_required_left}, cap, {},
+    return _triples(_two_colour_round({left.index - 1: blue_required_left},
+                                      partial(_two_colour_plan, cap),
                                       _window_of(left, right), (left.index,), bool))
 
 
@@ -413,7 +410,7 @@ def _window_step(inst: Instance) -> Step:
     """The window step of ``inst``."""
     spec = inst.spec
     if uses_two_colour_steps(inst):
-        return two_colour_step(spec.row(1))
+        return two_colour_step(spec.row(1), inst.p)
     return partial(_q_colour_round, spec)
 
 

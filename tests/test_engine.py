@@ -490,8 +490,8 @@ def test_a_run_steps_each_round_in_one_call(inst, name, windows, monkeypatch):
     assert len(stepped) == windows
 
 
-def _memo_corpus():
-    """Two-colour instances for the plan memo: p in 1..8, 16 and 32, odd and
+def _plan_corpus():
+    """Two-colour instances for the plan cache: p in 1..8, 16 and 32, odd and
     even k (so the unpaired block and the wrap window), P1 oriented as
     ``ringform run`` orients it, and P2."""
     for p in range(1, 9):
@@ -512,9 +512,9 @@ def _memo_corpus():
 def test_a_round_step_steps_each_window_as_if_alone():
     # One call for a round's windows gives the moves of one call per window,
     # concatenated in pairing order, and reports the same windows quiet: no
-    # state of one window leaks into the next.  Both steps keep a memo, fed
-    # the same windows in the same order.
-    insts = [*_memo_corpus(),
+    # state of one window leaks into the next.  Both steps keep a plan
+    # cache, fed the same windows in the same order.
+    insts = [*_plan_corpus(),
              *(gen_random(k, q + 2, q, s) for k in (3, 4, 5, 8) for q in (3, 4) for s in range(3)),
              *(gen_p3_random(k, p, q, s) for k, p, q in ((4, 3, 2), (5, 4, 3), (3, 6, 4), (8, 3, 3))
                for s in range(3))]
@@ -533,32 +533,32 @@ def test_a_round_step_steps_each_window_as_if_alone():
     assert crowded >= 500, crowded
 
 
-def test_the_plan_memo_gives_the_moves_of_plans_never_stored(monkeypatch):
+def test_the_plan_cache_gives_the_moves_of_plans_never_stored(monkeypatch):
     built, steps = [], []
     plan = engine._two_colour_plan
     monkeypatch.setattr(engine, "_two_colour_plan", lambda *args: built.append(args) or plan(*args))
     make_step = engine.two_colour_step
     monkeypatch.setattr(engine, "two_colour_step",
                         lambda *args, **kw: steps.append(make_step(*args, **kw)) or steps[-1])
-    # The plans built for the runs with the memo, and the runs without it
+    # The plans built for the runs with the cache, and the runs without it
     # (when every plan is built for its step and dropped).
-    memo_builds = 0
-    for inst in _memo_corpus():
+    cached_builds = 0
+    for inst in _plan_corpus():
         built.clear()
-        memo_moves = [rt.moves for rt in run(inst).trace]
-        memo_builds += len(built)
+        cached_moves = [rt.moves for rt in run(inst).trace]
+        cached_builds += len(built)
         with monkeypatch.context() as m:
             m.setattr(engine, "_PLAN_SLOTS", 0)
-            assert [rt.moves for rt in run(inst).trace] == memo_moves, inst.provenance
-        # The memo, the step function's last bound argument, stays empty.
-        assert steps[-1].args[-1] == {}, inst.provenance
+            assert [rt.moves for rt in run(inst).trace] == cached_moves, inst.provenance
+        # The cache, the step function's last bound argument, stays empty.
+        assert steps[-1].args[-1].cache_info().currsize == 0, inst.provenance
     # The runs step windows from plans.
-    assert memo_builds > 0
+    assert cached_builds > 0
 
 
 @pytest.mark.parametrize("p", [4, 8])
-def test_the_plan_memo_covers_at_most_its_window_slots(p, monkeypatch):
-    # The memo is bounded by the window slots its keys cover, so a run with
+def test_the_plan_cache_covers_at_most_its_window_slots(p, monkeypatch):
+    # The cache is bounded by the window slots its plans cover, so a run with
     # larger blocks keeps fewer windows.
     inst = orient_roles(gen_random(16, p, 2, 1))[0]
     steps = []
@@ -568,45 +568,61 @@ def test_the_plan_memo_covers_at_most_its_window_slots(p, monkeypatch):
     expected = run(inst)
     monkeypatch.setattr(engine, "_PLAN_SLOTS", 64)
     assert run(inst) == expected
-    # The memo, each step function's last bound argument.
-    unbounded, bounded = (step.args[-1] for step in steps)
-    assert len(unbounded) > 64 // (2 * p) == len(bounded)
-    assert bounded.keys() <= unbounded.keys()
+    # The cache, each step function's last bound argument.
+    unbounded, bounded = (step.args[-1].cache_info() for step in steps)
+    assert bounded.maxsize == 64 // (2 * p) and 0 < bounded.currsize <= bounded.maxsize
+    assert unbounded.currsize > bounded.maxsize
 
 
-def test_the_plan_memo_keeps_no_window_whose_step_raises():
+def test_the_plan_cache_keeps_no_window_whose_step_raises():
     # Block 1 is all blue and one short of a requirement above p, which no
     # valid instance has: its step has no red to trade.
     cfg = Configuration.from_string("BBBBBR", 2, 3, 2)
-    step = engine.two_colour_step([4, 1])
+    step = engine.two_colour_step([4, 1], 3)
     for _ in range(2):
         with pytest.raises(EngineError, match=r"window \[1\|2\]: 0 movable reds but t=1"):
             step_window(step, cfg, 1)
-    assert step.args[-1] == {}
-    # In a round, the healthy window [3|4] before it is kept, first as a key
-    # and then as a plan; the raising window's key stays out.
+    assert step.args[-1].cache_info().currsize == 0
+    # In a round, the healthy window [3|4] before it is cached on its first
+    # round and hit on its second; the raising window stays out.
     cfg = Configuration.from_string("BBBBBRRRRBBB", 4, 3, 2)
-    step = engine.two_colour_step([4, 1, 1, 1])
-    healthy = bytes([2, 2, 2, 1, 1, 1]), 1
-    for plan in (None, ((3, 0), (0, 3))):
+    step = engine.two_colour_step([4, 1, 1, 1], 3)
+    cache = step.args[-1]
+    for hits in (0, 1):
         with pytest.raises(EngineError, match=r"window \[1\|2\]: 0 movable reds but t=1"):
             step(cfg, (3, 1), set().add)
-        assert step.args[-1] == {healthy: plan}
+        assert (cache.cache_info().hits, cache.cache_info().currsize) == (hits, 1)
+    assert cache(bytes([2, 2, 2, 1, 1, 1]), 1) == ((3, 0), (0, 3))
+    assert cache.cache_info().hits == 2
 
 
-def test_the_plan_memo_builds_each_window_plan_at_most_twice(monkeypatch):
-    # Counts, not time: a memo that is never hit builds a plan on every
+def test_the_plan_cache_builds_each_window_plan_once(monkeypatch):
+    # Counts, not time: a cache that is never hit builds a plan on every
     # deficient step.
     inst = orient_roles(gen_adversarial_half(64, 4))[0]
     steps, built = [], []
     plan = engine._two_colour_plan
     count_windows(monkeypatch, "_two_colour_round", steps)
     monkeypatch.setattr(engine, "_two_colour_plan",
-                        lambda *args: built.append(args[:2]) or plan(*args))
+                        lambda *args: built.append(args[1:]) or plan(*args))
     assert run(inst).terminated
-    # Once unstored on a key's first step, once stored on its second.
-    assert max(Counter(built).values()) <= 2
+    assert len(built) == len(set(built))
     assert len(steps) > 100 * len(built)
+
+
+def test_a_full_plan_cache_still_takes_in_a_repeating_window(monkeypatch):
+    # One-off windows fill the cache; a window stepped twice after them is
+    # built on its first step and served from the cache on its second.
+    monkeypatch.setattr(engine, "_PLAN_SLOTS", 12)  # two plans of 2p = 6 slots
+    step = engine.two_colour_step([2, 1], 3)
+    cache = step.args[-1]
+    for colours in ("RRBBBR", "RBRBBR", "BRRBBR"):
+        assert step_window(step, Configuration.from_string(colours, 2, 3, 2), 1)
+    assert cache.cache_info().currsize == cache.cache_info().maxsize == 2
+    cfg = Configuration.from_string("RRRBBB", 2, 3, 2)
+    first = step_window(step, cfg, 1)
+    assert first and step_window(step, cfg, 1) == first
+    assert (cache.cache_info().hits, cache.cache_info().misses) == (1, 4)
 
 
 def test_apply_moves_shares_unchanged_count_rows():
