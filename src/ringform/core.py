@@ -107,8 +107,8 @@ class Configuration:
     (an ``array('i')``).  Neither changes after construction.
 
     The per-block colour counts are counted once per configuration, on
-    first use.  A configuration made by ``engine.apply_moves`` gets them
-    from its predecessor's counts and the moves, and shares the row of
+    first use.  A configuration made by a round step or ``apply_moves`` gets
+    them from its predecessor's counts and the moves, and shares the row of
     every block that no agent entered or left.  Every count row passes
     through the row table ``_rows``, a dict from each row value to the one
     tuple that stands for it (``_rows.setdefault(row, row)``): a new
@@ -154,7 +154,7 @@ class Configuration:
         """The configuration holding ``colours`` and ``ids``, which permute or
         recolour this configuration's agents into per-block counts
         ``block_counts``.  Skips the O(n) validation of the constructor: only
-        ``engine._apply``, which applies a round's moves, calls it."""
+        the engine's round steps and ``engine._apply`` call it."""
         successor = self._flat(colours, ids, self.k, self.p, self.q)
         successor.__dict__.update(_block_counts=block_counts, _positions=self._positions,
                                   _rows=self._rows)

@@ -15,8 +15,8 @@ round's windows:
   colours are locally correct rearranges blocks into their target
   patterns when the problem asks for exact patterns.
 
-All moves of a round are net position changes applied in one synchronous
-step; the engine refuses to apply colliding or out-of-window move sets.
+All moves of a round are net position changes made in one synchronous step
+that also builds the next configuration; ``apply_moves`` refuses bad moves.
 """
 
 from __future__ import annotations
@@ -143,22 +143,24 @@ def orient_roles(inst: Instance) -> tuple[Instance, bool]:
 
 
 # A round step: the flat (agent id, from, to, agent id, ...) moves of the
-# windows whose left blocks (each window's right block is ``lb % k + 1``) it
-# is given, in their order, in a configuration, read once for them all; it
-# passes each window that moves nothing to its third argument (``idle.add``
-# in a run; the window wrappers pass ``bool``, which keeps nothing).
-Step = Callable[[Configuration, Iterable[int], Callable[[int], object]], list[int]]
+# windows whose left blocks (each window's right block is ``lb % k + 1``) it is
+# given, in their order, in a configuration read once for them all, and the
+# configuration they make; each window that moves nothing goes to its third
+# argument (``idle.add`` in a run; the window wrappers pass ``bool``).
+Step = Callable[[Configuration, Iterable[int], Callable[[int], object]], tuple[list, Configuration]]
 
 
 # The most window slots (2p a plan) that a step function's plan cache
 # covers, so that its memory does not grow with p.
 _PLAN_SLOTS = 1 << 15
+_BLUE_BYTE = bytes([BLUE])
 
 
-def _two_colour_plan(cap: int, window: bytes, deficit: int) -> tuple[tuple[int, int], ...]:
+def _two_colour_plan(cap: int, q: int, window: bytes, deficit: int) -> tuple:
     """The (from slot, to slot) pairs of the two-colour step of a window of
-    colours ``window`` whose left block is ``deficit`` blues short;
-    slots 0..p-1 are the left block and p..2p-1 the right."""
+    colours ``window`` whose left block is ``deficit`` blues short (slots
+    p..2p-1 are the right block), then each block's colours and count row
+    of ``q`` colours after it."""
     p = len(window) // 2
     blues_left, reds_left, blues_right, reds_right = [], [], [], []
     for x in range(p):
@@ -173,18 +175,26 @@ def _two_colour_plan(cap: int, window: bytes, deficit: int) -> tuple[tuple[int, 
     # traded for the t leftmost blues of the right: each slot's source slot.
     sources = (blues_left + blues_right[:t] + reds_left[t:]
                + reds_left[:t] + blues_right[t:] + reds_right)
-    return tuple([(src, dst) for dst, src in enumerate(sources) if src != dst])
+    # Each block's colours after it: its blues, then the colours of its reds in order.
+    red_left, red_right = window[:p].replace(_BLUE_BYTE, b""), window[p:].replace(_BLUE_BYTE, b"")
+    left = _BLUE_BYTE * (len(blues_left) + t) + red_left[t:]
+    right = red_left[:t] + _BLUE_BYTE * (len(blues_right) - t) + red_right
+    return (tuple([(src, dst) for dst, src in enumerate(sources) if src != dst]), left, right,
+            tuple(map(left.count, range(1, q + 1))), tuple(map(right.count, range(1, q + 1))))
 
 
 def _two_colour_round(need: Sequence[int], plan: Callable, cfg: Configuration,
-                      left_blocks: Iterable[int], quiet: Callable[[int], object]) -> list[int]:
+                      left_blocks: Iterable[int], quiet: Callable[[int], object]
+                      ) -> tuple[list[int], Configuration]:
     """The two-colour step of the windows whose left blocks are
     ``left_blocks``, block lb needing ``need[lb - 1]`` blue agents; see
     ``window_step_two_colour``.  A deficient window moves the slots of
     ``plan(colours, deficit)`` (a ``_two_colour_plan``) through its ring
-    positions; an EngineError of the plan is raised again naming the window."""
+    positions, into the next configuration with the plan's colours and count
+    rows; an EngineError of the plan is raised again naming the window."""
     p, k, colours, ids, positions = cfg.p, cfg.k, cfg.colours, cfg.ids, cfg._positions
-    counts = cfg._block_counts
+    counts, rows = cfg._block_counts, cfg._rows
+    new_colours, new_ids, new_counts = bytearray(colours), ids[:], list(counts)
     moves: list[int] = []
     for lb in left_blocks:
         deficit = need[lb - 1] - counts[lb - 1][BLUE - 1]
@@ -193,7 +203,8 @@ def _two_colour_round(need: Sequence[int], plan: Callable, cfg: Configuration,
             continue
         start, right_start = (lb - 1) * p, lb % k * p
         try:
-            slots = plan(colours[start:start + p] + colours[right_start:right_start + p], deficit)
+            slots, left, right, left_row, right_row = plan(
+                colours[start:start + p] + colours[right_start:right_start + p], deficit)
         except EngineError as error:
             raise EngineError(f"window [{lb}|{lb % k + 1}]: {error}") from None
         if not slots:
@@ -201,14 +212,19 @@ def _two_colour_round(need: Sequence[int], plan: Callable, cfg: Configuration,
             continue
         at = positions[start:start + p] + positions[right_start:right_start + p]
         for src, dst in slots:
-            x = at[src]
-            moves += ids[x], x, at[dst]
-    return moves
+            x, y = at[src], at[dst]
+            new_ids[y] = agent = ids[x]
+            moves += agent, x, y
+        new_colours[start:start + p], new_colours[right_start:right_start + p] = left, right
+        new_counts[lb - 1] = rows.setdefault(left_row, left_row)
+        new_counts[lb % k] = rows.setdefault(right_row, right_row)
+    return moves, (cfg._successor(bytes(new_colours), new_ids, tuple(new_counts)) if moves else cfg)
 
 
-def _rearrange_to_pattern(cfg: Configuration, b: int, spec: RequirementSpec) -> list[int]:
+def _rearrange_to_pattern(cfg: Configuration, b: int, spec: RequirementSpec,
+                          new_colours: bytearray, new_ids: array) -> list[int]:
     """Flat (agent id, from, to) moves that permute block ``b`` into its
-    target pattern, order-preserving per colour."""
+    target pattern, order-preserving per colour, written into ``new_*``."""
     p = cfg.p
     start = (b - 1) * p
     block = cfg.colours[start:start + p]
@@ -225,16 +241,19 @@ def _rearrange_to_pattern(cfg: Configuration, b: int, spec: RequirementSpec) -> 
             raise EngineError(f"block {b} cannot form "
                               f"{spec.patterns[b - 1]!r}: colour counts disagree")
         if src != pos:
+            new_ids[pos] = ids[src]
             moves += ids[src], src, pos
+    new_colours[start:start + p] = target  # its colour counts stay the same
     return moves
 
 
 def _q_colour_round(spec: RequirementSpec, cfg: Configuration, left_blocks: Iterable[int],
-                    quiet: Callable[[int], object]) -> list[int]:
+                    quiet: Callable[[int], object]) -> tuple[list[int], Configuration]:
     """The many-colour step of the windows whose left blocks are
-    ``left_blocks``; see ``window_step_q_colour``."""
+    ``left_blocks``, and the configuration it makes; see ``window_step_q_colour``."""
     p, k, colours, ids, counts = cfg.p, cfg.k, cfg.colours, cfg.ids, cfg._block_counts
-    columns, q = spec.columns, spec.q
+    columns, q, rows = spec.columns, spec.q, cfg._rows
+    new_colours, new_ids, new_counts = bytearray(colours), ids[:], list(counts)
     moves: list[int] = []
     for lb in left_blocks:
         rb = lb % k + 1
@@ -249,32 +268,46 @@ def _q_colour_round(spec: RequirementSpec, cfg: Configuration, left_blocks: Iter
                 quiet(lb)
                 continue
             # The t leftmost agents above colour i in the left block trade places
-            # with the t leftmost colour-i agents of the right block.
+            # with the t leftmost colour-i agents of the right block: t agents of
+            # colour i enter the left block, and one of each traded colour leaves.
+            left, right = list(have_left), list(have_right)
+            left[i - 1] += t
+            right[i - 1] -= t
             left_start, right_start = (lb - 1) * p, (rb - 1) * p
             rpos, right_stop = right_start - 1, right_start + p
             for lpos in range(left_start, left_start + p):
-                if colours[lpos] > i:
+                if (c := colours[lpos]) > i:
                     rpos = colours.find(i, rpos + 1, right_stop)
                     moves += ids[rpos], rpos, lpos, ids[lpos], lpos, rpos
+                    new_ids[lpos], new_ids[rpos] = ids[rpos], ids[lpos]
+                    new_colours[lpos], new_colours[rpos] = i, c
+                    left[c - 1] -= 1
+                    right[c - 1] += 1
                     t -= 1
                     if not t:
                         break
             else:
                 raise EngineError(f"window [{lb}|{rb}]: not enough agents above colour {i}")
-        elif spec.kind is ProblemKind.P3 and (window := _rearrange_to_pattern(cfg, lb, spec)
-                                               + _rearrange_to_pattern(cfg, rb, spec)):
+            # Rows from lists: CPython makes a tuple of a map oversized, then
+            # shrinks it, so it never reuses a freed tuple of the row's size.
+            left, right = tuple(left), tuple(right)
+            new_counts[lb - 1] = rows.setdefault(left, left)
+            new_counts[rb - 1] = rows.setdefault(right, right)
+        elif spec.kind is ProblemKind.P3 and (
+                window := _rearrange_to_pattern(cfg, lb, spec, new_colours, new_ids)
+                + _rearrange_to_pattern(cfg, rb, spec, new_colours, new_ids)):
             moves += window
         else:
             quiet(lb)
-    return moves
+    return moves, (cfg._successor(bytes(new_colours), new_ids, tuple(new_counts)) if moves else cfg)
 
 
-def two_colour_step(need: Sequence[int], p: int) -> Step:
-    """The two-colour window step of a run with blocks of length ``p``, block b
-    needing ``need[b - 1]`` blue agents, capped at ``min(need)`` a window, with
-    its own LRU cache of at most ``_PLAN_SLOTS // (2 * p)`` window plans."""
+def two_colour_step(need: Sequence[int], p: int, q: int) -> Step:
+    """The two-colour window step of a run with blocks of length ``p`` and q
+    colours, block b needing ``need[b - 1]`` blue agents, capped at ``min(need)``
+    a window, with its own LRU cache of at most ``_PLAN_SLOTS // (2 * p)`` plans."""
     cache = lru_cache(maxsize=_PLAN_SLOTS // (2 * p))
-    return partial(_two_colour_round, need, cache(partial(_two_colour_plan, min(need))))
+    return partial(_two_colour_round, need, cache(partial(_two_colour_plan, min(need), q)))
 
 
 def _window_of(left: BlockView, right: BlockView) -> Configuration:
@@ -303,8 +336,8 @@ def window_step_two_colour(left: BlockView, right: BlockView, blue_required_left
     whose window is stepped as ``run`` steps it.
     """
     return _triples(_two_colour_round({left.index - 1: blue_required_left},
-                                      partial(_two_colour_plan, cap),
-                                      _window_of(left, right), (left.index,), bool))
+                                      partial(_two_colour_plan, cap, left.cfg.q),
+                                      _window_of(left, right), (left.index,), bool)[0])
 
 
 def window_step_q_colour(left: BlockView, right: BlockView,
@@ -320,7 +353,29 @@ def window_step_q_colour(left: BlockView, right: BlockView,
     ``right`` must be the block after ``left`` of the same configuration,
     whose window is stepped as ``run`` steps it.
     """
-    return _triples(_q_colour_round(spec, _window_of(left, right), (left.index,), bool))
+    return _triples(_q_colour_round(spec, _window_of(left, right), (left.index,), bool)[0])
+
+
+def _sources(cfg: Configuration, moves: MoveSet) -> array:
+    """The sources of a round's moves in ``cfg``; EngineError unless the
+    moves permute positions of the ring, naming a bad move when one leaves it."""
+    srcs = moves.flat[1::3]
+    src_set, dst_set = set(srcs), set(moves.flat[2::3])
+    if len(dst_set) != len(srcs):
+        raise EngineError("collision: two agents target the same position")
+    if len(src_set) != len(srcs):
+        raise EngineError("two moves leave the same position")
+    if src_set != dst_set:
+        raise EngineError("moves do not permute positions: some node would empty")
+    # The positions are a permutation, so bounds on the sources bound the
+    # destinations too; the loop names the first bad move.
+    if min(srcs) < 0 or max(srcs) >= cfg.n:
+        for m in moves:
+            if not 0 <= m.src < cfg.n or not 0 <= m.dst < cfg.n:
+                raise EngineError(f"move {m} outside the ring")
+            if cfg.ids[m.src] != m.agent_id:
+                raise EngineError(f"move {m} does not match the agent at its source")
+    return srcs
 
 
 def _apply(cfg: Configuration, moves: MoveSet, offset: int
@@ -334,26 +389,10 @@ def _apply(cfg: Configuration, moves: MoveSet, offset: int
     of ``build_pairing(k, offset).pairs``; for odd k, window ``k // 2`` is
     the block left unpaired.
     """
-    flat = moves.flat
-    if not flat:
+    if not moves:
         return cfg, None, ()
-    srcs = flat[1::3]
-    src_set, dst_set = set(srcs), set(flat[2::3])
-    if len(dst_set) != len(srcs):
-        raise EngineError("collision: two agents target the same position")
-    if len(src_set) != len(srcs):
-        raise EngineError("two moves leave the same position")
-    if src_set != dst_set:
-        raise EngineError("moves do not permute positions: some node would empty")
-    n, k, p, old_colours, old_ids = cfg.n, cfg.k, cfg.p, cfg.colours, cfg.ids
-    # The positions are a permutation, so bounds on the sources bound the
-    # destinations too; the loop names the first bad move.
-    if min(srcs) < 0 or max(srcs) >= n:
-        for m in moves:
-            if not 0 <= m.src < n or not 0 <= m.dst < n:
-                raise EngineError(f"move {m} outside the ring")
-            if old_ids[m.src] != m.agent_id:
-                raise EngineError(f"move {m} does not match the agent at its source")
+    _sources(cfg, moves)
+    k, p, old_colours, old_ids = cfg.k, cfg.p, cfg.colours, cfg.ids
     shift = 1 - offset
     unpaired = (offset - 2) % k if k % 2 else -1  # the 0-based block of window k // 2
     stray = None
@@ -395,8 +434,8 @@ def apply_moves(cfg: Configuration, moves: Iterable[Sequence[int]],
     The per-block counts of the result follow from ``cfg``'s counts and the
     moves that cross a block boundary; every block that no agent enters or
     leaves keeps ``cfg``'s row object, and every other row is the tuple of
-    ``cfg``'s row table with its value, so a run makes one row object per
-    distinct row value, however many rounds it has.
+    ``cfg``'s row table with its value, as in the configurations that the
+    round steps of a run build.
     """
     offset = pairing if pairing is None or type(pairing) is int else pairing.offset
     # Without a pairing no window test is asked for: the one made at offset 1 is dropped.
@@ -410,7 +449,7 @@ def _window_step(inst: Instance) -> Step:
     """The window step of ``inst``."""
     spec = inst.spec
     if uses_two_colour_steps(inst):
-        return two_colour_step(spec.row(1), inst.p)
+        return two_colour_step(spec.row(1), inst.p, inst.q)
     return partial(_q_colour_round, spec)
 
 
@@ -418,8 +457,9 @@ def step_round(cfg: Configuration, offset: int, step: Step,
                idle: set[int]) -> tuple[Configuration, MoveSet]:
     """One synchronous round: ``step`` every window of the pairing at
     ``offset`` whose left block is not in ``idle``, in the order of
-    ``build_pairing(k, offset).pairs``, in one call of the round step, apply
-    all the moves at once and return the next configuration with the moves.
+    ``build_pairing(k, offset).pairs``, in one call of the round step, which
+    builds the next configuration, and return it with the moves, once
+    ``_sources`` finds that they permute positions of the ring.
 
     A window step depends only on its two blocks, so a window that moves
     nothing joins ``idle`` and leaves it when a move touches one of its
@@ -429,13 +469,12 @@ def step_round(cfg: Configuration, offset: int, step: Step,
     windows it steps only, and one step call.
     """
     k = cfg.k
-    flat = array("i", step(cfg, filterfalse(idle.__contains__, _left_blocks(k, offset)), idle.add))
-    moves = MoveSet(flat)
-    new_cfg = apply_moves(cfg, moves, offset)
+    flat, new_cfg = step(cfg, filterfalse(idle.__contains__, _left_blocks(k, offset)), idle.add)
+    moves = MoveSet(array("i", flat))
     if flat:
         p = cfg.p
         # The moves permute positions, so their sources lie in every block they touch.
-        touched = {src // p for src in flat[1::3]}
+        touched = {src // p for src in _sources(cfg, moves)}
         # The windows whose left block is 1-based block b + 1, and those whose right block it is.
         idle.difference_update([b + 1 for b in touched], [b or k for b in touched])
     return new_cfg, moves
@@ -500,9 +539,8 @@ class Ledger:
         (every round if none is), ``terminated`` says that one is and that at
         least k rounds without moves follow it, and ``bound_satisfied`` says
         that a terminated run stayed within the instance's round bound.  The
-        block counts kept from round to round by ``apply_moves`` are first
-        recounted from the colours; a disagreement raises EngineError that
-        names ``kept_by``."""
+        block counts kept from round to round are first recounted from the
+        colours; a disagreement raises EngineError that names ``kept_by``."""
         inst, cfg, reached, rounds = self.instance, self.cfg, self.reached, len(self.moved)
         recount = Configuration._flat(cfg.colours, cfg.ids, cfg.k, cfg.p, cfg.q)
         if recount.all_counts() != cfg.all_counts():

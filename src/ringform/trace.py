@@ -113,8 +113,8 @@ class RoundTrace:
             object.__setattr__(self, "moves", MoveSet(self.moves))
 
 
-# The checks of every RoundTrace, run or read; no record carries them, since
-# apply_moves raises before any of them fails.
+# The checks of every RoundTrace, run or read; no record carries them, since a
+# run's moves pass them by construction and apply_moves raises on any that fails.
 ROUND_CHECKS = (("collision_free", True), ("within_window", True), ("colours_conserved", True))
 
 

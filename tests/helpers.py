@@ -3,12 +3,14 @@ the library's results."""
 
 import io
 import json
+from array import array
 from typing import Iterable
 
 from ringform import engine, verify
 from ringform.core import Configuration, Instance, RequirementSpec
 from ringform.engine import (
     ROUND_CHECKS,
+    MoveSet,
     RoundTrace,
     RunResult,
     TraceData,
@@ -62,10 +64,24 @@ def fresh_round(cfg: Configuration, inst: Instance, offset: int, *,
                                counts=new_cfg.all_counts(), distance=None, checks=ROUND_CHECKS)
 
 
+def check_successor(cfg: Configuration, flat, after: Configuration, offset: int) -> None:
+    """Assert that ``after``, which a round step built from ``cfg`` with the
+    flat moves ``flat`` of the pairing at ``offset``, is the configuration
+    that ``apply_moves`` makes of them: the same colours and ids, and the
+    same count row objects of the row table."""
+    applied = apply_moves(cfg, MoveSet(array("i", flat)), offset)
+    assert (after.colours, after.ids) == (applied.colours, applied.ids)
+    assert after.all_counts() == applied.all_counts()
+    assert all(a is b for a, b in zip(after.all_counts(), applied.all_counts()))
+
+
 def step_window(step, cfg: Configuration, lb: int) -> list[int]:
     """The flat moves of the window whose left block is ``lb`` in ``cfg``,
-    stepped alone by the round step ``step``."""
-    return step(cfg, (lb,), set().add)
+    stepped alone by the round step ``step``, which must return with them
+    the configuration that ``apply_moves`` makes of them."""
+    moves, after = step(cfg, (lb,), set().add)
+    check_successor(cfg, moves, after, lb)
+    return moves
 
 
 def written_records(result: RunResult, *, reversed_roles: bool = False) -> list[dict]:

@@ -40,6 +40,7 @@ from ringform.generators import (
 import oracle
 from helpers import (
     block_string,
+    check_successor,
     counts,
     fresh_round,
     make_p1,
@@ -105,7 +106,7 @@ def test_step_round_steps_the_non_idle_windows_of_the_pairing_in_order():
         for lb in left_blocks:
             stepped.append((state, lb))
             quiet(lb)
-        return []
+        return [], state
 
     rng = random.Random(9)
     for k in range(2, 10):
@@ -121,9 +122,10 @@ def test_step_round_steps_the_non_idle_windows_of_the_pairing_in_order():
                 # A window that moves nothing joins the idle set.
                 assert after_idle == idle | {lb for lb, _ in pairs}
                 assert after is cfg and not moves
+                assert after == apply_moves(cfg, moves, offset)
         for offset in (0, k + 1):
             with pytest.raises(ValueError, match="offset"):
-                step_round(cfg, offset, lambda state, left_blocks, quiet: [], set())
+                step_round(cfg, offset, lambda state, left_blocks, quiet: ([], state), set())
 
 
 def test_run_steps_windows_without_views_or_pairings(monkeypatch):
@@ -335,11 +337,15 @@ def test_a_window_moves_what_its_two_blocks_alone_decide():
             for cfg, rt in zip(replayed_configs(inst, result.trace), result.trace):
                 for lb, _ in build_pairing(inst.k, rt.offset).pairs:
                     other, window = _recoloured_outside(cfg, lb, rng)
+                    # step_window also checks the configuration the step returns.
                     moves = step_window(step, cfg, lb)
                     assert step_window(step, other, lb) == moves, (inst.provenance, rt.index, lb)
-                    inside = [[m for m in step_round(state, rt.offset, engine._window_step(inst),
-                                                     set())[1].triples() if m[1] in window]
-                              for state in (cfg, other)]
+                    inside = []
+                    for state in (cfg, other):
+                        after, stepped = step_round(state, rt.offset, engine._window_step(inst),
+                                                    set())
+                        check_successor(state, stepped.flat, after, rt.offset)
+                        inside.append([m for m in stepped.triples() if m[1] in window])
                     assert inside[0] == inside[1], (inst.provenance, rt.index, lb)
                     assert [x for m in inside[0] for x in m] == moves
                     moving[family] += bool(moves)
@@ -525,9 +531,12 @@ def test_a_round_step_steps_each_window_as_if_alone():
         for cfg, rt in zip(replayed_configs(inst, result.trace), result.trace):
             left_blocks = [lb for lb, _ in build_pairing(inst.k, rt.offset).pairs]
             quiet, alone_quiet, alone = [], [], []
-            moves = round_step(cfg, iter(left_blocks), quiet.append)
+            moves, after = round_step(cfg, iter(left_blocks), quiet.append)
+            check_successor(cfg, moves, after, rt.offset)
             for lb in left_blocks:
-                alone += window_step(cfg, (lb,), alone_quiet.append)
+                window, window_after = window_step(cfg, (lb,), alone_quiet.append)
+                check_successor(cfg, window, window_after, rt.offset)
+                alone += window
             assert moves == alone and quiet == alone_quiet, (inst.provenance, rt.index)
             crowded += len(left_blocks) - len(quiet) >= 2
     assert crowded >= 500, crowded
@@ -578,7 +587,7 @@ def test_the_plan_cache_keeps_no_window_whose_step_raises():
     # Block 1 is all blue and one short of a requirement above p, which no
     # valid instance has: its step has no red to trade.
     cfg = Configuration.from_string("BBBBBR", 2, 3, 2)
-    step = engine.two_colour_step([4, 1], 3)
+    step = engine.two_colour_step([4, 1], 3, 2)
     for _ in range(2):
         with pytest.raises(EngineError, match=r"window \[1\|2\]: 0 movable reds but t=1"):
             step_window(step, cfg, 1)
@@ -586,14 +595,18 @@ def test_the_plan_cache_keeps_no_window_whose_step_raises():
     # In a round, the healthy window [3|4] before it is cached on its first
     # round and hit on its second; the raising window stays out.
     cfg = Configuration.from_string("BBBBBRRRRBBB", 4, 3, 2)
-    step = engine.two_colour_step([4, 1, 1, 1], 3)
+    step = engine.two_colour_step([4, 1, 1, 1], 3, 2)
     cache = step.args[-1]
     for hits in (0, 1):
         with pytest.raises(EngineError, match=r"window \[1\|2\]: 0 movable reds but t=1"):
             step(cfg, (3, 1), set().add)
         assert (cache.cache_info().hits, cache.cache_info().currsize) == (hits, 1)
-    assert cache(bytes([2, 2, 2, 1, 1, 1]), 1) == ((3, 0), (0, 3))
+    # Its plan: the moved slots, then each block's colours and count row after it.
+    assert cache(bytes([2, 2, 2, 1, 1, 1]), 1) == (((3, 0), (0, 3)), bytes([1, 2, 2]),
+                                                   bytes([2, 1, 1]), (1, 2), (2, 1))
     assert cache.cache_info().hits == 2
+    # Stepped alone, the window gives the configuration apply_moves makes of its moves.
+    assert step_window(step, cfg, 3) == [9, 9, 6, 6, 6, 9]
 
 
 def test_the_plan_cache_builds_each_window_plan_once(monkeypatch):
@@ -614,7 +627,7 @@ def test_a_full_plan_cache_still_takes_in_a_repeating_window(monkeypatch):
     # One-off windows fill the cache; a window stepped twice after them is
     # built on its first step and served from the cache on its second.
     monkeypatch.setattr(engine, "_PLAN_SLOTS", 12)  # two plans of 2p = 6 slots
-    step = engine.two_colour_step([2, 1], 3)
+    step = engine.two_colour_step([2, 1], 3, 2)
     cache = step.args[-1]
     for colours in ("RRBBBR", "RBRBBR", "BRRBBR"):
         assert step_window(step, Configuration.from_string(colours, 2, 3, 2), 1)
