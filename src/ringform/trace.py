@@ -145,25 +145,39 @@ def iter_written(items: Iterable[Instance | RoundTrace | dict], fp: IO[str],
 
     A round line is formatted text, byte for byte the JSON encoding of its
     record: it holds integers, integer lists and null only, and ``str`` of a
-    list of ints is that list's JSON with the default separators.  The
-    header and summary records, which hold strings and booleans, are
-    encoded.
+    list of ints is that list's JSON with the default separators.  Each
+    distinct count row is formatted once per call, and a round whose
+    ``counts`` is the previous round's object writes ``[]`` without a
+    comparison.  A round before the header, or with other than k count rows
+    of q counts, raises ValueError before its line is written.  The header
+    and summary records, which hold strings and booleans, are encoded.
     """
-    before: tuple[tuple[int, ...], ...] = ()
+    before: tuple[tuple[int, ...], ...] | None = None  # the counts of the last record
+    texts: dict[tuple[int, ...], str] = {}  # each count row value written: its text
     for item in items:
         if isinstance(item, RoundTrace):
-            counts, distance = item.counts, item.distance
-            changed = [x for b in compress(count(1), map(ne, before, counts))
-                       for x in (b, *counts[b - 1])]
+            counts, distance, parts = item.counts, item.distance, []
+            if before is None:
+                raise ValueError(f"round {item.index} comes before the header")
+            if len(counts) != len(before):
+                raise ValueError(f"round {item.index}: {len(counts)} rows for {len(before)} blocks")
+            for b in () if counts is before else compress(count(1), map(ne, before, counts)):
+                row = counts[b - 1]
+                if (text := texts.get(row)) is None:
+                    if len(row) != q:
+                        raise ValueError(f"round {item.index}: block {b} has {len(row)} counts "
+                                         f"for {q} colours")
+                    text = texts[row] = ", ".join(map(str, row))
+                parts.append(f"{b}, {text}")
             line = (f'{{"type": "round", "round": {item.index}, "offset": {item.offset}, '
-                    f'"moves": {item.moves.flat.tolist()}, "counts": {changed}, '
+                    f'"moves": {item.moves.flat.tolist()}, "counts": [{", ".join(parts)}], '
                     f'"distance": {"null" if distance is None else distance}}}')
             before = counts
         elif isinstance(item, Instance):
             line = _encode({"type": "header", "format": TRACE_FORMAT,
                             "instance": serialize_instance(item), "reversed": reversed_roles,
                             "initial_distance": initial_distance})
-            before = item.initial.all_counts()
+            before, q = item.initial.all_counts(), item.q
         else:
             line = _encode({"type": "summary", **{key: item[key] for key in SUMMARY_FIELDS}})
         fp.write(line + "\n")

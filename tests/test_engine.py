@@ -831,14 +831,21 @@ c_ints = st.integers(-(2 ** 31 - 1), 2 ** 31 - 1)
 
 @st.composite
 def traced_rounds(draw) -> tuple[core.Instance, list[engine.RoundTrace]]:
-    """An instance and rounds of random moves, offsets and distances whose
-    count rows each either stay as in the round before or are redrawn."""
+    """An instance and rounds of random moves, offsets and distances.  A
+    round's counts are the round before's object, an equal copy of it, or
+    rows that each stay as before, are an equal copy, or are drawn from a
+    small pool (the initial rows and a few random ones, as the objects
+    themselves or as copies), so that row values repeat across blocks and
+    rounds in objects that differ."""
     q = draw(st.integers(2, MAX_COLOURS))
     inst = gen_random(draw(st.integers(2, 4)), q - 1, q)
-    rows = st.tuples(*[st.integers(0, 2 ** 31 - 1)] * q)
     before, rounds = inst.initial.all_counts(), []
+    pool = [*before, *draw(st.lists(st.tuples(*[st.integers(0, 2 ** 31 - 1)] * q),
+                                    min_size=1, max_size=3))]
+    rows = st.sampled_from(pool) | st.sampled_from(pool).map(lambda row: tuple(list(row)))
     for index in range(1, draw(st.integers(1, 3)) + 1):
-        counts = tuple(draw(st.just(row) | rows) for row in before)
+        counts = draw(st.just(before) | st.just(tuple(list(before))) | st.tuples(
+            *[st.just(row) | st.just(tuple(list(row))) | rows for row in before]))
         rounds.append(engine.RoundTrace(
             index=index, offset=draw(c_ints),
             moves=draw(st.lists(st.tuples(c_ints, c_ints, c_ints), max_size=4)),
@@ -868,6 +875,77 @@ def test_a_round_line_is_the_json_of_its_record_and_reads_back(case):
         before = rt.counts
     _, *read, _ = engine.iter_trace(lines)
     assert read == rounds
+
+
+def _round(index: int, counts: tuple) -> engine.RoundTrace:
+    return engine.RoundTrace(index=index, offset=0, moves=(), counts=counts, distance=None,
+                             checks=engine.ROUND_CHECKS)
+
+
+def test_the_writer_formats_each_distinct_count_row_once_and_skips_a_kept_counts_object():
+    log = []
+
+    class Row(tuple):
+        """A count row that logs each time it is iterated (as formatting it
+        does) or compared with ``!=``."""
+
+        def __iter__(self):
+            log.append(("format", self))
+            return tuple.__iter__(self)
+
+        def __ne__(self, other):
+            log.append(("compare", self))
+            return tuple.__ne__(self, other)
+
+    inst, values = gen_random(8, 3, 2, seed=0), [(1, 2), (2, 1)]
+    rounds = [_round(1, tuple(Row(values[b % 2]) for b in range(8))),
+              _round(2, tuple(Row(values[(b + 1) % 2]) for b in range(8)))]
+    rounds.append(_round(3, rounds[1].counts))
+    buffer = io.StringIO()
+    items = engine.iter_written([inst, *rounds], buffer, None)
+    assert [next(items) for _ in range(3)] == [inst, *rounds[:2]]
+    lines = buffer.getvalue().splitlines()
+    assert json.loads(lines[2])["counts"][::3] == list(range(1, 9))  # every block changed
+    assert Counter(row for event, row in log if event == "format") == Counter(values)
+    log.clear()
+    assert next(items) is rounds[2]
+    assert log == []
+    lines = buffer.getvalue().splitlines()
+    assert json.loads(lines[3])["counts"] == []
+    _, *read, _ = engine.iter_trace(lines)
+    assert read == rounds
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_the_writer_refuses_a_round_without_one_count_row_per_block(k):
+    inst = gen_random(4, 3, 2, seed=0)
+    counts = (inst.initial.all_counts() * 2)[:k]
+    buffer = io.StringIO()
+    items = engine.iter_written([inst, _round(1, counts)], buffer, None)
+    next(items)
+    with pytest.raises(ValueError, match=f"^round 1: {k} rows for 4 blocks$"):
+        next(items)
+    assert len(buffer.getvalue().splitlines()) == 1
+
+
+@pytest.mark.parametrize("row", [(3,), (1, 1, 1)])
+def test_the_writer_refuses_a_changed_count_row_without_one_count_per_colour(row):
+    inst = gen_random(4, 3, 2, seed=0)
+    counts = inst.initial.all_counts()
+    buffer = io.StringIO()
+    items = engine.iter_written([inst, _round(1, (counts[0], row, *counts[2:]))], buffer, None)
+    next(items)
+    with pytest.raises(ValueError, match=f"^round 1: block 2 has {len(row)} counts for 2 colours$"):
+        next(items)
+    assert len(buffer.getvalue().splitlines()) == 1
+
+
+def test_the_writer_refuses_a_round_before_the_header():
+    inst = gen_random(4, 3, 2, seed=0)
+    buffer = io.StringIO()
+    with pytest.raises(ValueError, match="^round 1 comes before the header$"):
+        next(engine.iter_written([_round(1, inst.initial.all_counts()), inst], buffer, None))
+    assert buffer.getvalue() == ""
 
 
 def _honest_trace_lines() -> list[str]:

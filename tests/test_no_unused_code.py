@@ -52,3 +52,29 @@ def test_every_method_but_the_dunder_ones_is_named_elsewhere():
     assert len(methods) > 20
     assert [f"{module}: {cls}.{name}" for module, cls, name in methods
             if name not in named] == []
+
+
+def test_every_module_level_import_is_used_exported_or_marked_as_a_re_export():
+    """A name imported at module level is used in its module, listed in
+    ``__all__``, or imported in a statement marked ``# noqa: F401``."""
+    imported, unused = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        known = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        known |= {element.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                  for element in node.value.elts}
+        for node in tree.body:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or lines[node.lineno - 1].endswith("# noqa: F401")):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported.append(name)
+                if name not in known:
+                    unused.append(f"{path.name}: {name}")
+    assert len(imported) > 50
+    assert unused == []
