@@ -123,13 +123,14 @@ def blue_partition(inst: Instance) -> tuple[tuple[int, ...], ...]:
                  for lo in range(1, n_blue + 1, size))
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def default_max_rounds(inst: Instance) -> int:
     """The safety cap ``4*n*k + 16`` on a run's rounds, over the proven O(nk) guarantee."""
     return 4 * inst.n * inst.k + 16
+
+
+def exact_two_colour(inst: Instance) -> bool:
+    """P1 with q == 2: oriented roles, the proven bound, every two-colour checker."""
+    return inst.spec.kind is ProblemKind.P1 and inst.q == 2
 
 
 def theoretical_bound(inst: Instance) -> int:
@@ -142,17 +143,16 @@ def theoretical_bound(inst: Instance) -> int:
     heuristic, not proven tight.  Everything else gets the safety cap
     ``default_max_rounds``.
     """
-    spec = inst.spec
-    if spec.kind is ProblemKind.P1 and inst.q == 2:
+    if exact_two_colour(inst):
         n_blue = inst.initial.colour_totals()[BLUE - 1]
-        star = min(spec.row(BLUE))
+        star = min(inst.spec.row(BLUE))
         if star < 1:
             raise ValueError("colour-1 requirement must be positive in every block")
-        base = _ceil_div(2 * n_blue, star) + inst.k + 4
+        base = -(-2 * n_blue // star) + inst.k + 4  # ceil(2N / n*) + k + 4
         return base if inst.k % 2 == 0 else 3 * base
     return default_max_rounds(inst)
 
 
 def bound_is_proven(inst: Instance) -> bool:
     """True when ``theoretical_bound`` returns the proven exact formula."""
-    return inst.spec.kind is ProblemKind.P1 and inst.q == 2 and inst.k % 2 == 0
+    return exact_two_colour(inst) and inst.k % 2 == 0

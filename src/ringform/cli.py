@@ -27,7 +27,9 @@ within its round budget prints them too, failing ``quiescence`` and
 ``final_condition``, and exits 3.
 ``run`` and ``analyze`` on an instance file that is not UTF-8 or not a
 well-formed document print one ``invalid instance document`` line to
-stderr and exit 2.
+stderr and exit 2, and ``gen`` prints one ``error:`` line and exits 2 for
+a flag that the kind's generator does not take, a missing one or a shape
+that no generator builds.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ EXIT_INVALID_INSTANCE = 2
 EXIT_NO_TERMINATION = 3
 EXIT_VERIFICATION_FAILED = 4
 EXIT_IO_ERROR = 5
+
+# The generator parameters that ``ringform gen`` takes as flags, passed on when given.
+GEN_FLAGS = ("k", "p", "q", "seed", "m", "extras")
 
 
 @dataclass(frozen=True)
@@ -92,10 +97,9 @@ def _load_instance(path: str) -> Instance:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = generators.GenSpec(kind=args.kind, k=args.k, p=args.p, q=args.q,
-                              seed=args.seed, m=args.m, extras=args.extras)
+    params = {name: value for name in GEN_FLAGS if (value := getattr(args, name)) is not None}
     try:
-        inst = generators.generate(spec)
+        inst = generators.generate(args.kind, **params)
     except generators.GeneratorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INSTANCE
@@ -279,15 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance document")
-    gen.add_argument("--kind", required=True,
-                     choices=["random", "p2_random", "p3_random", "homogeneous",
-                              "adversarial_half"])
-    gen.add_argument("--k", type=int, required=True)
-    gen.add_argument("--p", type=int, required=True)
-    gen.add_argument("--q", type=int, default=2)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--m", type=int, default=None)
-    gen.add_argument("--extras", type=int, default=None)
+    gen.add_argument("--kind", required=True, choices=generators.GENERATORS)
+    for name in GEN_FLAGS:  # no defaults here: the generators' signatures hold them
+        gen.add_argument(f"--{name}", type=int, required=name in ("k", "p"))
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=cmd_gen)
 

@@ -112,8 +112,7 @@ def uses_two_colour_steps(inst: Instance) -> bool:
     """Exact two-colour targets and lower-bound targets run the two-colour step;
     everything else (three or more colours, or exact patterns) runs the
     many-colour step."""
-    kind = inst.spec.kind
-    return kind is ProblemKind.P2 or (kind is ProblemKind.P1 and inst.q == 2)
+    return inst.spec.kind is ProblemKind.P2 or analysis.exact_two_colour(inst)
 
 
 def orient_roles(inst: Instance) -> tuple[Instance, bool]:
@@ -126,7 +125,7 @@ def orient_roles(inst: Instance) -> tuple[Instance, bool]:
     requirement matrix (compared cross-multiplied, so a zero minimum on one
     side never forces a swap toward it).
     """
-    if inst.q != 2 or inst.spec.kind is not ProblemKind.P1:
+    if not analysis.exact_two_colour(inst):
         return inst, False
     totals = inst.initial.colour_totals()
     star1 = min(inst.spec.row(1))

@@ -4,13 +4,15 @@ forces a round count linear in the block count.
 
 All randomness flows through one ``random.Random(seed)`` per call, so a
 given parameter set always yields byte-identical documents; the generator
-algorithm is versioned in each instance's provenance line.
+algorithm is versioned in each instance's provenance line.  ``GENERATORS``
+maps each kind to its generator, and ``generate`` builds an instance of a
+kind from exactly the parameters that the kind's generator takes.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
-from dataclasses import dataclass
 
 from .core import MAX_COLOURS, Configuration, Instance, RequirementSpec, colour_symbols
 
@@ -19,35 +21,6 @@ GENERATOR_VERSION = "py-mt19937-v1"
 
 class GeneratorError(ValueError):
     """Requested parameters cannot yield a valid instance."""
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    """Parameters of one generated instance; mirrors the CLI flags."""
-
-    kind: str  # random | p2_random | p3_random | homogeneous | adversarial_half
-    k: int
-    p: int
-    q: int = 2
-    seed: int = 0
-    m: int | None = None        # homogeneous per-block blue requirement
-    extras: int | None = None   # surplus colour-1 agents for p2_random
-
-
-def generate(spec: GenSpec) -> Instance:
-    if spec.kind == "random":
-        return gen_random(spec.k, spec.p, spec.q, spec.seed)
-    if spec.kind == "p2_random":
-        return gen_p2_random(spec.k, spec.p, spec.q, spec.seed, extras=spec.extras)
-    if spec.kind == "p3_random":
-        return gen_p3_random(spec.k, spec.p, spec.q, spec.seed)
-    if spec.kind == "homogeneous":
-        if spec.m is None:
-            raise GeneratorError("homogeneous instances need m")
-        return gen_homogeneous(spec.k, spec.p, spec.m, spec.seed)
-    if spec.kind == "adversarial_half":
-        return gen_adversarial_half(spec.k, spec.p)
-    raise GeneratorError(f"unknown generator kind {spec.kind!r}")
 
 
 def _check_geometry(k: int, p: int, q: int) -> None:
@@ -164,3 +137,23 @@ def gen_adversarial_half(k: int, p: int) -> Instance:
     initial = Configuration.from_string(text, k, p, 2)
     provenance = f"{GENERATOR_VERSION} adversarial_half k={k} p={p}"
     return Instance(spec=spec, initial=initial, provenance=provenance)
+
+
+# Each generator kind, by the name that ``ringform gen --kind`` takes: its
+# signature lists the parameters it takes and holds their defaults.
+GENERATORS = {"random": gen_random, "p2_random": gen_p2_random, "p3_random": gen_p3_random,
+              "homogeneous": gen_homogeneous, "adversarial_half": gen_adversarial_half}
+
+
+def generate(kind: str, **params: int) -> Instance:
+    """The instance that the generator of ``kind`` builds from ``params``;
+    GeneratorError, before it generates anything, for an unknown kind or
+    for a parameter its generator does not take or requires and lacks."""
+    fn = GENERATORS.get(kind)
+    if fn is None:
+        raise GeneratorError(f"unknown generator kind {kind!r}")
+    try:
+        inspect.signature(fn).bind(**params)
+    except TypeError as exc:
+        raise GeneratorError(f"{kind} generator {exc}") from None
+    return fn(**params)

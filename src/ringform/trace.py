@@ -127,6 +127,7 @@ class TraceData:
     summary: dict
 
 
+_INT_OR_NONE = (int, type(None))  # the types of a round's distance; a bool is neither
 # What ``json.dumps`` returns for a record, without its per-call argument checks.
 _encode = json.JSONEncoder().encode
 
@@ -148,9 +149,11 @@ def iter_written(items: Iterable[Instance | RoundTrace | dict], fp: IO[str],
     list of ints is that list's JSON with the default separators.  Each
     distinct count row is formatted once per call, and a round whose
     ``counts`` is the previous round's object writes ``[]`` without a
-    comparison.  A round before the header, or with other than k count rows
-    of q counts, raises ValueError before its line is written.  The header
-    and summary records, which hold strings and booleans, are encoded.
+    comparison.  A round before the header, with a round, offset or distance
+    that is not an int (a bool is not; the distance may be None), or with
+    other than k count rows of q ints (checked once per row value) raises
+    ValueError before its line is written.  The header and summary records,
+    which hold strings and booleans, are encoded.
     """
     before: tuple[tuple[int, ...], ...] | None = None  # the counts of the last record
     texts: dict[tuple[int, ...], str] = {}  # each count row value written: its text
@@ -159,6 +162,8 @@ def iter_written(items: Iterable[Instance | RoundTrace | dict], fp: IO[str],
             counts, distance, parts = item.counts, item.distance, []
             if before is None:
                 raise ValueError(f"round {item.index} comes before the header")
+            if {type(item.index), type(item.offset)} != {int} or type(distance) not in _INT_OR_NONE:
+                raise ValueError(f"round {item.index!r}: round, offset and distance must be ints")
             if len(counts) != len(before):
                 raise ValueError(f"round {item.index}: {len(counts)} rows for {len(before)} blocks")
             for b in () if counts is before else compress(count(1), map(ne, before, counts)):
@@ -167,7 +172,9 @@ def iter_written(items: Iterable[Instance | RoundTrace | dict], fp: IO[str],
                     if len(row) != q:
                         raise ValueError(f"round {item.index}: block {b} has {len(row)} counts "
                                          f"for {q} colours")
-                    text = texts[row] = ", ".join(map(str, row))
+                    if not set(map(type, cells := tuple(row))) <= {int}:  # iterates row once
+                        raise ValueError(f"round {item.index}: block {b} has counts {row!r}")
+                    text = texts[row] = ", ".join(map(str, cells))
                 parts.append(f"{b}, {text}")
             line = (f'{{"type": "round", "round": {item.index}, "offset": {item.offset}, '
                     f'"moves": {item.moves.flat.tolist()}, "counts": [{", ".join(parts)}], '

@@ -361,14 +361,13 @@ def _clockwise(cfg: Configuration) -> tuple[int, ...]:
 
 
 def applicable_checks(inst: Instance) -> tuple[str, ...]:
-    kind = inst.spec.kind
-    if kind is ProblemKind.P1 and inst.q == 2:
+    if analysis.exact_two_colour(inst):
         names = ["safety", "quiescence", "order_preserving", "suffix_property",
                  "no_wraparound", "distance_monotone", "distance_decrease", "final_condition"]
         if inst.k % 2 == 0:
             names.append("cooperativeness")
         return tuple(names)
-    if kind is ProblemKind.P2:
+    if inst.spec.kind is ProblemKind.P2:
         return ("safety", "quiescence", "order_preserving", "suffix_property",
                 "no_wraparound", "distance_nonincreasing", "final_condition")
     return ("safety", "quiescence", "final_condition")
@@ -419,10 +418,12 @@ def verify_stream(trace: Iterable[Instance | RoundTrace | Mapping[str, object]]
     then every applicable checker and the summary check give a verdict.
     The trace is read to its end even after an instance or replay failure,
     so that a malformed record anywhere in it raises as ``read_trace``
-    would.
+    would.  An empty trace raises TraceError, as ``iter_trace`` does for a
+    file without a header.
     """
     items = iter(trace)
-    inst = next(items)
+    if (inst := next(items, None)) is None:
+        raise TraceError("trace has no header record")
     report = validate(inst)
     failure = None if report.valid else InvariantVerdict(
         "instance", False, None, "; ".join(report.issues))

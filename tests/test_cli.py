@@ -1,10 +1,11 @@
 """End-to-end command-line behaviour: pipelines, exit codes, report shapes."""
 
+import inspect
 import json
 
 import pytest
 
-from ringform import analysis, cli
+from ringform import analysis, cli, generators
 from ringform.cli import (
     EXIT_INVALID_INSTANCE,
     EXIT_IO_ERROR,
@@ -61,6 +62,42 @@ def test_gen_refuses_more_colours_than_symbols(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: at most 35 colours supported, got q=36\n"
+
+
+def test_gen_flags_are_the_generators_parameters():
+    assert set(cli.GEN_FLAGS) == {name for fn in generators.GENERATORS.values()
+                                  for name in inspect.signature(fn).parameters}
+
+
+# Each kind with a flag among --q --seed --m --extras that its generator does not take.
+REFUSED_FLAGS = [("random", "m"), ("random", "extras"), ("p2_random", "m"),
+                 ("p3_random", "m"), ("p3_random", "extras"), ("homogeneous", "q"),
+                 ("homogeneous", "extras"), ("adversarial_half", "q"),
+                 ("adversarial_half", "seed"), ("adversarial_half", "m"),
+                 ("adversarial_half", "extras")]
+
+
+@pytest.mark.parametrize("kind, flag", REFUSED_FLAGS)
+def test_gen_refuses_a_flag_the_kind_does_not_take(tmp_path, capsys, kind, flag):
+    out = tmp_path / "inst.txt"
+    argv = ["gen", "--kind", kind, "--k", "4", "--p", "4", f"--{flag}", "1", "--out", str(out)]
+    if kind == "homogeneous":
+        argv += ["--m", "2"]
+    assert main(argv) == EXIT_INVALID_INSTANCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {kind} generator got an unexpected keyword argument '{flag}'\n"
+    assert not out.exists()
+
+
+def test_gen_refuses_homogeneous_without_m(tmp_path, capsys):
+    out = tmp_path / "inst.txt"
+    argv = ["gen", "--kind", "homogeneous", "--k", "4", "--p", "4", "--out", str(out)]
+    assert main(argv) == EXIT_INVALID_INSTANCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: homogeneous generator missing a required argument: 'm'\n"
+    assert not out.exists()
 
 
 def test_run_rejects_invalid_instance(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """Window steps, round execution, full runs, and engine safety guards."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -946,6 +947,45 @@ def test_the_writer_refuses_a_round_before_the_header():
     with pytest.raises(ValueError, match="^round 1 comes before the header$"):
         next(engine.iter_written([_round(1, inst.initial.all_counts()), inst], buffer, None))
     assert buffer.getvalue() == ""
+
+
+@pytest.mark.parametrize("field", ["index", "offset", "distance"])
+@pytest.mark.parametrize("value", [True, False, 1.0, "1"])
+def test_the_writer_refuses_a_round_field_that_is_not_an_int(field, value):
+    inst = gen_random(4, 3, 2, seed=0)
+    bad = dataclasses.replace(_round(1, inst.initial.all_counts()), **{field: value})
+    buffer = io.StringIO()
+    items = engine.iter_written([inst, bad], buffer, None)
+    next(items)
+    with pytest.raises(ValueError, match="round, offset and distance must be ints"):
+        next(items)
+    assert len(buffer.getvalue().splitlines()) == 1
+
+
+def test_a_count_row_with_a_bool_never_makes_a_line_unreadable():
+    """Each changed row of each round of the k=4 half-and-half trace, with a
+    ``True`` in place of its first 1: a row of that value not yet written is
+    refused before its line, and one already written is written as ints."""
+    inst = gen_adversarial_half(4, 2)
+    items = list(engine.trace_items(run(inst)))
+    refused = 0
+    for i in range(1, len(items) - 1):
+        counts = items[i].counts
+        for b, row in enumerate(counts):
+            if 1 not in row:
+                continue
+            j = row.index(1)
+            bad_counts = (*counts[:b], (*row[:j], True, *row[j + 1:]), *counts[b + 1:])
+            bad = [*items[:i], dataclasses.replace(items[i], counts=bad_counts), *items[i + 1:]]
+            buffer = io.StringIO()
+            try:
+                deque(engine.iter_written(bad, buffer, None), maxlen=0)
+            except ValueError as exc:
+                assert "has counts (" in str(exc) and "True" in str(exc)
+                refused += 1
+            assert "True" not in buffer.getvalue()
+            deque(engine.iter_trace(buffer.getvalue().splitlines()), maxlen=0)  # each line reads
+    assert refused
 
 
 def _honest_trace_lines() -> list[str]:

@@ -5,7 +5,7 @@ import pytest
 from ringform.core import ProblemKind, serialize_instance, validate
 from ringform.generators import (
     GeneratorError,
-    GenSpec,
+    GENERATORS,
     gen_adversarial_half,
     gen_homogeneous,
     gen_p2_random,
@@ -104,14 +104,33 @@ def test_p3_rejects_narrow_blocks():
 
 
 def test_generate_dispatch_and_provenance():
-    spec = GenSpec(kind="homogeneous", k=4, p=3, seed=2, m=1)
-    inst = generate(spec)
+    inst = generate("homogeneous", k=4, p=3, seed=2, m=1)
     assert inst == gen_homogeneous(4, 3, 1, seed=2)
     assert inst.provenance and "homogeneous" in inst.provenance
     with pytest.raises(GeneratorError):
-        generate(GenSpec(kind="mystery", k=2, p=2))
+        generate("mystery", k=2, p=2)
     with pytest.raises(GeneratorError):
-        generate(GenSpec(kind="homogeneous", k=2, p=2))  # m missing
+        generate("homogeneous", k=2, p=2)  # m missing
     for kind in ("random", "p2_random", "p3_random"):  # more colours than symbols
         with pytest.raises(GeneratorError, match="at most 35 colours supported, got q=36"):
-            generate(GenSpec(kind=kind, k=4, p=40, q=36))
+            generate(kind, k=4, p=40, q=36)
+
+
+def test_generate_refuses_a_parameter_the_kind_does_not_take():
+    with pytest.raises(GeneratorError, match="homogeneous generator got an unexpected "
+                                             "keyword argument 'q'"):
+        generate("homogeneous", k=4, p=4, m=2, q=5)
+    with pytest.raises(GeneratorError, match="adversarial_half generator .* 'seed'"):
+        generate("adversarial_half", k=4, p=2, seed=1)
+    with pytest.raises(GeneratorError, match="random generator missing a required "
+                                             "argument: 'p'"):
+        generate("random", k=4)
+
+
+def test_generate_takes_every_kind_of_the_table_with_its_defaults():
+    assert list(GENERATORS) == ["random", "p2_random", "p3_random", "homogeneous",
+                                "adversarial_half"]
+    assert generate("random", k=5, p=4) == gen_random(5, 4)
+    assert generate("p2_random", k=5, p=4, q=3, extras=1) == gen_p2_random(5, 4, 3, extras=1)
+    assert generate("p3_random", k=3, p=4, seed=6) == gen_p3_random(3, 4, seed=6)
+    assert generate("adversarial_half", k=4, p=2) == gen_adversarial_half(4, 2)

@@ -1,18 +1,24 @@
-"""Every ```python block of the README runs as it stands, and its round
-record example is what the trace writer writes."""
+"""Every ```python block of the README runs as it stands, every ``ringform
+gen`` line of its command-line block exits 0, its table of generator
+parameters is the generators' signatures, and its round record example is
+what the trace writer writes."""
 
+import inspect
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from ringform import engine
-from ringform.generators import gen_adversarial_half
+from ringform import cli, engine
+from ringform.generators import GENERATORS, gen_adversarial_half
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", TEXT, re.MULTILINE | re.DOTALL)
+[COMMANDS] = re.findall(r"^## Command line\n\n```sh\n(.*?)^```$", TEXT, re.MULTILINE | re.DOTALL)
+GEN_LINES = re.findall(r"^ringform (gen .*)$", COMMANDS, re.MULTILINE)
 
 
 def test_the_readme_has_a_python_example():
@@ -29,3 +35,24 @@ def test_the_readme_round_record_is_round_2_of_the_k8_half_and_half_trace():
     buffer = io.StringIO()
     engine.write_trace(engine.run(gen_adversarial_half(8, 2)), buffer)
     assert example == buffer.getvalue().splitlines()[2]
+
+
+def test_the_readme_has_gen_commands():
+    assert len(GEN_LINES) >= 3
+
+
+@pytest.mark.parametrize("line", GEN_LINES)
+def test_the_readme_gen_command_exits_0(line, tmp_path):
+    argv = shlex.split(line)
+    if "--out" in argv:
+        at = argv.index("--out")
+        del argv[at:at + 2]
+    out = tmp_path / "instance.txt"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    assert out.read_text(encoding="utf-8")
+
+
+def test_the_readme_table_of_gen_parameters_is_the_generators_signatures():
+    rows = re.findall(r"^\| (\w+) \| `([\w ]+)` \|$", TEXT, re.MULTILINE)
+    assert {kind: params.split() for kind, params in rows} == {
+        kind: list(inspect.signature(fn).parameters) for kind, fn in GENERATORS.items()}

@@ -65,6 +65,17 @@ def test_verify_result_covers_many_kinds():
             assert verdict.passed, str(verdict)
 
 
+def test_verify_stream_refuses_an_empty_trace_as_iter_trace_does():
+    good = list(engine.trace_items(engine.run(gen_adversarial_half(4, 2))))
+    with pytest.raises(TraceError, match="^trace has no header record$"):
+        verify.verify_stream([])
+    with pytest.raises(TraceError, match="^trace has no header record$"):
+        list(engine.iter_trace([]))
+    # A bare StopIteration would end the map early and drop the verdicts.
+    with pytest.raises(TraceError, match="^trace has no header record$"):
+        list(map(verify.verify_stream, [good, [], good]))
+
+
 def test_each_check_alone_gives_its_verdict_in_the_full_audit():
     traces = [engine.read_trace(io.StringIO(golden_run(name)[1])) for name in sorted(GOLDEN)]
     traces += faults.fault_traces().values()
