@@ -11,6 +11,7 @@ round-count bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter, mul
 from typing import Sequence
 
@@ -43,13 +44,8 @@ def rename_offset(surplus: Sequence[int]) -> int:
     and starting at ``j + 1`` caps every cumulative surplus at 0 for exact
     instances and at the extras count for lower-bound instances.
     """
-    prefix = 0
-    best_j, best = 1, None
-    for j, y in enumerate(surplus, start=1):
-        prefix += y
-        if best is None or prefix > best:
-            best, best_j = prefix, j
-    return best_j % len(surplus) + 1
+    prefix = list(accumulate(surplus))
+    return (prefix.index(max(prefix)) + 1) % len(surplus) + 1
 
 
 def renamed_row(row: Sequence[int], offset: int) -> tuple[int, ...]:

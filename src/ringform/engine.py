@@ -155,11 +155,11 @@ _PLAN_SLOTS = 1 << 15
 _BLUE_BYTE = bytes([BLUE])
 
 
-def _two_colour_plan(cap: int, q: int, window: bytes, deficit: int) -> tuple:
+def _two_colour_plan(cap: int, q: int, rows: dict, window: bytes, deficit: int) -> tuple:
     """The (from slot, to slot) pairs of the two-colour step of a window of
     colours ``window`` whose left block is ``deficit`` blues short (slots
-    p..2p-1 are the right block), then each block's colours and count row
-    of ``q`` colours after it."""
+    p..2p-1 are the right block), then the window's colours and each block's
+    count row of ``q`` colours after it, a tuple of the row table ``rows``."""
     p = len(window) // 2
     blues_left, reds_left, blues_right, reds_right = [], [], [], []
     for x in range(p):
@@ -178,8 +178,9 @@ def _two_colour_plan(cap: int, q: int, window: bytes, deficit: int) -> tuple:
     red_left, red_right = window[:p].replace(_BLUE_BYTE, b""), window[p:].replace(_BLUE_BYTE, b"")
     left = _BLUE_BYTE * (len(blues_left) + t) + red_left[t:]
     right = red_left[:t] + _BLUE_BYTE * (len(blues_right) - t) + red_right
-    return (tuple([(src, dst) for dst, src in enumerate(sources) if src != dst]), left, right,
-            tuple(map(left.count, range(1, q + 1))), tuple(map(right.count, range(1, q + 1))))
+    left_row, right_row = (tuple(map(block.count, range(1, q + 1))) for block in (left, right))
+    return (tuple([(src, dst) for dst, src in enumerate(sources) if src != dst]), left + right,
+            rows.setdefault(left_row, left_row), rows.setdefault(right_row, right_row))
 
 
 def _two_colour_round(need: Sequence[int], plan: Callable, cfg: Configuration,
@@ -190,9 +191,10 @@ def _two_colour_round(need: Sequence[int], plan: Callable, cfg: Configuration,
     ``window_step_two_colour``.  A deficient window moves the slots of
     ``plan(colours, deficit)`` (a ``_two_colour_plan``) through its ring
     positions, into the next configuration with the plan's colours and count
-    rows; an EngineError of the plan is raised again naming the window."""
+    rows; an EngineError of the plan is raised again naming the window.
+    Each window but [k|1] is read and written as one slice of the ring."""
     p, k, colours, ids, positions = cfg.p, cfg.k, cfg.colours, cfg.ids, cfg._positions
-    counts, rows = cfg._block_counts, cfg._rows
+    counts, width = cfg._block_counts, 2 * p
     new_colours, new_ids, new_counts = bytearray(colours), ids[:], list(counts)
     moves: list[int] = []
     for lb in left_blocks:
@@ -200,23 +202,25 @@ def _two_colour_round(need: Sequence[int], plan: Callable, cfg: Configuration,
         if deficit <= 0:
             quiet(lb)
             continue
-        start, right_start = (lb - 1) * p, lb % k * p
+        start = (lb - 1) * p
         try:
-            slots, left, right, left_row, right_row = plan(
-                colours[start:start + p] + colours[right_start:right_start + p], deficit)
+            slots, after, left_row, right_row = plan(
+                colours[start:start + width] if lb < k else colours[start:] + colours[:p], deficit)
         except EngineError as error:
             raise EngineError(f"window [{lb}|{lb % k + 1}]: {error}") from None
         if not slots:
             quiet(lb)
             continue
-        at = positions[start:start + p] + positions[right_start:right_start + p]
+        if lb < k:
+            at, new_colours[start:start + width] = positions[start:start + width], after
+        else:
+            at = positions[start:] + positions[:p]
+            new_colours[start:], new_colours[:p] = after[:p], after[p:]
         for src, dst in slots:
             x, y = at[src], at[dst]
             new_ids[y] = agent = ids[x]
             moves += agent, x, y
-        new_colours[start:start + p], new_colours[right_start:right_start + p] = left, right
-        new_counts[lb - 1] = rows.setdefault(left_row, left_row)
-        new_counts[lb % k] = rows.setdefault(right_row, right_row)
+        new_counts[lb - 1], new_counts[lb % k] = left_row, right_row
     return moves, (cfg._successor(bytes(new_colours), new_ids, tuple(new_counts)) if moves else cfg)
 
 
@@ -301,12 +305,13 @@ def _q_colour_round(spec: RequirementSpec, cfg: Configuration, left_blocks: Iter
     return moves, (cfg._successor(bytes(new_colours), new_ids, tuple(new_counts)) if moves else cfg)
 
 
-def two_colour_step(need: Sequence[int], p: int, q: int) -> Step:
+def two_colour_step(need: Sequence[int], p: int, q: int, rows: dict) -> Step:
     """The two-colour window step of a run with blocks of length ``p`` and q
     colours, block b needing ``need[b - 1]`` blue agents, capped at ``min(need)``
-    a window, with its own LRU cache of at most ``_PLAN_SLOTS // (2 * p)`` plans."""
+    a window, with its own LRU cache of at most ``_PLAN_SLOTS // (2 * p)`` plans,
+    whose count rows are interned in the run's row table ``rows`` when built."""
     cache = lru_cache(maxsize=_PLAN_SLOTS // (2 * p))
-    return partial(_two_colour_round, need, cache(partial(_two_colour_plan, min(need), q)))
+    return partial(_two_colour_round, need, cache(partial(_two_colour_plan, min(need), q, rows)))
 
 
 def _window_of(left: BlockView, right: BlockView) -> Configuration:
@@ -335,7 +340,7 @@ def window_step_two_colour(left: BlockView, right: BlockView, blue_required_left
     whose window is stepped as ``run`` steps it.
     """
     return _triples(_two_colour_round({left.index - 1: blue_required_left},
-                                      partial(_two_colour_plan, cap, left.cfg.q),
+                                      partial(_two_colour_plan, cap, left.cfg.q, left.cfg._rows),
                                       _window_of(left, right), (left.index,), bool)[0])
 
 
@@ -448,7 +453,7 @@ def _window_step(inst: Instance) -> Step:
     """The window step of ``inst``."""
     spec = inst.spec
     if uses_two_colour_steps(inst):
-        return two_colour_step(spec.row(1), inst.p, inst.q)
+        return two_colour_step(spec.row(1), inst.p, inst.q, inst.initial._rows)
     return partial(_q_colour_round, spec)
 
 

@@ -191,10 +191,6 @@ def iter_written(items: Iterable[Instance | RoundTrace | dict], fp: IO[str],
         yield item
 
 
-def _is_int(value: object) -> bool:
-    return type(value) is int
-
-
 def _patched_counts(before: tuple[tuple[int, ...], ...], flat: list[int], q: int,
                     line: int, rows: dict[tuple[int, ...], tuple[int, ...]]
                     ) -> tuple[tuple[int, ...], ...]:
@@ -227,7 +223,7 @@ def _round_from_record(record: dict, line: int, before: tuple[tuple[int, ...], .
     previous round, and every row read is the one of the row table of
     ``initial``, the instance's initial configuration, with its value."""
     for key in ("round", "offset"):
-        if not _is_int(record.get(key)):
+        if type(record.get(key)) is not int:
             raise TraceError(f"round record needs an integer {key!r}", line)
     moves, counts, distance = record.get("moves"), record.get("counts"), record.get("distance")
     # Set-of-types tests run the per-element work in C; bool is not int here.
@@ -240,7 +236,7 @@ def _round_from_record(record: dict, line: int, before: tuple[tuple[int, ...], .
     if type(counts) is not list:
         raise TraceError("'counts' must be a list of per-block rows", line)
     counts = _patched_counts(before, counts, initial.q, line, initial._rows)
-    if distance is not None and not _is_int(distance):
+    if distance is not None and type(distance) is not int:
         raise TraceError("'distance' must be an integer or null", line)
     return RoundTrace(index=record["round"], offset=record["offset"], moves=MoveSet(flat),
                       counts=counts, distance=distance, checks=ROUND_CHECKS)
@@ -320,7 +316,7 @@ def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
         elif rtype == "summary":
             if summary is not None:
                 raise TraceError("a second summary record", no)
-            if "rounds_used" in record and not (_is_int(record["rounds_used"])
+            if "rounds_used" in record and not (type(record["rounds_used"]) is int
                                                 and record["rounds_used"] >= 0):
                 raise TraceError("summary 'rounds_used' must be a non-negative integer", no)
             if "terminated" in record and not isinstance(record["terminated"], bool):

@@ -419,11 +419,12 @@ def verify_stream(trace: Iterable[Instance | RoundTrace | Mapping[str, object]]
     The trace is read to its end even after an instance or replay failure,
     so that a malformed record anywhere in it raises as ``read_trace``
     would.  An empty trace raises TraceError, as ``iter_trace`` does for a
-    file without a header.
+    file without a header, and so does one that does not start with an Instance.
     """
     items = iter(trace)
-    if (inst := next(items, None)) is None:
-        raise TraceError("trace has no header record")
+    if not isinstance(inst := next(items, None), Instance):
+        raise TraceError("trace has no header record" if inst is None else "trace has no header "
+                         f"instance: its first item is of type {type(inst).__name__}")
     report = validate(inst)
     failure = None if report.valid else InvariantVerdict(
         "instance", False, None, "; ".join(report.issues))

@@ -75,6 +75,15 @@ def check_successor(cfg: Configuration, flat, after: Configuration, offset: int)
     assert all(a is b for a, b in zip(after.all_counts(), applied.all_counts()))
 
 
+def with_row_table(cfg: Configuration, rows: dict) -> Configuration:
+    """A copy of ``cfg`` whose count rows pass through the row table
+    ``rows``, as every configuration of a run passes them through its first
+    configuration's table."""
+    copy = Configuration._flat(cfg.colours, cfg.ids, cfg.k, cfg.p, cfg.q)
+    copy.__dict__["_rows"] = rows
+    return copy
+
+
 def step_window(step, cfg: Configuration, lb: int) -> list[int]:
     """The flat moves of the window whose left block is ``lb`` in ``cfg``,
     stepped alone by the round step ``step``, which must return with them

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ringform import core, engine, verify
 from ringform.cli import EXIT_VERIFICATION_FAILED, main
-from ringform.core import MAX_COLOURS, Configuration, ProblemKind
+from ringform.core import MAX_COLOURS, Configuration, Instance, ProblemKind
 from ringform.engine import (
     EngineError,
     InvalidInstanceError,
@@ -50,6 +50,7 @@ from helpers import (
     replayed_configs,
     step_window,
     unpaired,
+    with_row_table,
     written_records,
 )
 
@@ -315,7 +316,8 @@ def _recoloured_outside(cfg, lb, rng):
     start, right_start = (lb - 1) * p, lb % k * p
     window = {*range(start, start + p), *range(right_start, right_start + p)}
     colours = bytes(c if x in window else rng.randint(1, cfg.q) for x, c in enumerate(cfg.colours))
-    return Configuration._flat(colours, cfg.ids, k, p, cfg.q), window
+    # It shares the row table of ``cfg``'s run, whose step interns its plans' rows there.
+    return with_row_table(Configuration._flat(colours, cfg.ids, k, p, cfg.q), cfg._rows), window
 
 
 def test_a_window_moves_what_its_two_blocks_alone_decide():
@@ -588,7 +590,7 @@ def test_the_plan_cache_keeps_no_window_whose_step_raises():
     # Block 1 is all blue and one short of a requirement above p, which no
     # valid instance has: its step has no red to trade.
     cfg = Configuration.from_string("BBBBBR", 2, 3, 2)
-    step = engine.two_colour_step([4, 1], 3, 2)
+    step = engine.two_colour_step([4, 1], 3, 2, cfg._rows)
     for _ in range(2):
         with pytest.raises(EngineError, match=r"window \[1\|2\]: 0 movable reds but t=1"):
             step_window(step, cfg, 1)
@@ -596,15 +598,17 @@ def test_the_plan_cache_keeps_no_window_whose_step_raises():
     # In a round, the healthy window [3|4] before it is cached on its first
     # round and hit on its second; the raising window stays out.
     cfg = Configuration.from_string("BBBBBRRRRBBB", 4, 3, 2)
-    step = engine.two_colour_step([4, 1, 1, 1], 3, 2)
+    step = engine.two_colour_step([4, 1, 1, 1], 3, 2, cfg._rows)
     cache = step.args[-1]
     for hits in (0, 1):
         with pytest.raises(EngineError, match=r"window \[1\|2\]: 0 movable reds but t=1"):
             step(cfg, (3, 1), set().add)
         assert (cache.cache_info().hits, cache.cache_info().currsize) == (hits, 1)
-    # Its plan: the moved slots, then each block's colours and count row after it.
-    assert cache(bytes([2, 2, 2, 1, 1, 1]), 1) == (((3, 0), (0, 3)), bytes([1, 2, 2]),
-                                                   bytes([2, 1, 1]), (1, 2), (2, 1))
+    # Its plan: the moved slots, the window's colours after it, then each
+    # block's count row after it, the tuple of the run's row table.
+    plan = cache(bytes([2, 2, 2, 1, 1, 1]), 1)
+    assert plan == (((3, 0), (0, 3)), bytes([1, 2, 2, 2, 1, 1]), (1, 2), (2, 1))
+    assert all(row is cfg._rows[row] for row in plan[2:])
     assert cache.cache_info().hits == 2
     # Stepped alone, the window gives the configuration apply_moves makes of its moves.
     assert step_window(step, cfg, 3) == [9, 9, 6, 6, 6, 9]
@@ -618,22 +622,53 @@ def test_the_plan_cache_builds_each_window_plan_once(monkeypatch):
     plan = engine._two_colour_plan
     count_windows(monkeypatch, "_two_colour_round", steps)
     monkeypatch.setattr(engine, "_two_colour_plan",
-                        lambda *args: built.append(args[1:]) or plan(*args))
+                        lambda *args: built.append(args[3:]) or plan(*args))
     assert run(inst).terminated
-    assert len(built) == len(set(built))
+    assert len(built) == len(set(built))  # each (window, deficit) once
     assert len(steps) > 100 * len(built)
+
+
+class CountingRows(dict):
+    """A row table that counts its ``setdefault`` calls."""
+
+    calls = 0
+
+    def setdefault(self, key, default=None):
+        self.calls += 1
+        return super().setdefault(key, default)
+
+
+def test_a_cached_plan_interns_no_row_again(monkeypatch):
+    # Counts, not time: the initial configuration puts its k rows through
+    # the run's row table and each plan its two rows, once, when it is
+    # built; a window served from the cache calls the table no more.
+    inst = orient_roles(gen_adversarial_half(64, 4))[0]
+    rows = CountingRows()
+    inst = Instance(spec=inst.spec, initial=with_row_table(inst.initial, rows))
+    built, steps = [], []
+    plan = engine._two_colour_plan
+    count_windows(monkeypatch, "_two_colour_round", steps)
+    monkeypatch.setattr(engine, "_two_colour_plan", lambda *args: built.append(args) or plan(*args))
+    result = run(inst)
+    assert result.terminated
+    assert all(args[2] is rows for args in built)
+    assert len(steps) > 100 * len(built)
+    assert inst.k <= rows.calls <= inst.k + 2 * len(built)
+    # Every row of every round is the table's own object.
+    assert all(row is rows[row] for rt in result.trace for row in rt.counts)
 
 
 def test_a_full_plan_cache_still_takes_in_a_repeating_window(monkeypatch):
     # One-off windows fill the cache; a window stepped twice after them is
     # built on its first step and served from the cache on its second.
     monkeypatch.setattr(engine, "_PLAN_SLOTS", 12)  # two plans of 2p = 6 slots
-    step = engine.two_colour_step([2, 1], 3, 2)
+    rows = {}  # the row table that the configurations of one run share
+    step = engine.two_colour_step([2, 1], 3, 2, rows)
     cache = step.args[-1]
     for colours in ("RRBBBR", "RBRBBR", "BRRBBR"):
-        assert step_window(step, Configuration.from_string(colours, 2, 3, 2), 1)
+        assert step_window(step, with_row_table(Configuration.from_string(colours, 2, 3, 2), rows), 1)
     assert cache.cache_info().currsize == cache.cache_info().maxsize == 2
-    cfg = Configuration.from_string("RRRBBB", 2, 3, 2)
+    cfg = with_row_table(Configuration.from_string("RRRBBB", 2, 3, 2), rows)
     first = step_window(step, cfg, 1)
     assert first and step_window(step, cfg, 1) == first
     assert (cache.cache_info().hits, cache.cache_info().misses) == (1, 4)

@@ -17,6 +17,7 @@ import contextlib
 import io
 import random
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,10 @@ from hypothesis import strategies as st
 from ringform import engine, verify
 from ringform.cli import EXIT_OK, main
 from ringform.core import Configuration, Instance, RequirementSpec, serialize_instance
-from ringform.engine import EngineError, orient_roles, run, step_round
+from ringform.engine import EngineError, build_pairing, orient_roles, run, step_round
 from ringform.generators import gen_adversarial_half, gen_p2_random, gen_p3_random, gen_random
 
+import oracle
 from helpers import check_successor
 from test_one_round_driver import PACKAGE, names_in
 
@@ -83,6 +85,42 @@ def test_each_round_of_a_run_builds_what_apply_moves_makes(monkeypatch):
     assert min(moving.values()) >= 40, moving
 
 
+def _wrapping_corpus():
+    """Two-colour instances, P1 oriented as ``ringform run`` orients it and
+    P2, at even and odd k; k = 2, whose runs are short, with more seeds."""
+    for k in (2, 3, 4, 5, 8):
+        for p in (1, 2, 3, 4, 7):
+            for s in range(20 if k == 2 else 3):
+                yield "P1", orient_roles(gen_random(k, p, 2, s))[0]
+                yield "P2", gen_p2_random(k, p, 2, s, extras=s % 3 if p > 1 else None)
+
+
+def test_each_round_in_which_the_wrapping_window_moves_builds_what_apply_moves_makes(monkeypatch):
+    # Window [k|1] is the one window that a two-colour round reads and
+    # writes in two parts, around the end of the ring.  Every round in which
+    # it moves must build what apply_moves makes of the round's moves, and
+    # its moves must be those of the agent-level step as first written.
+    rounds = recorded_rounds(monkeypatch)
+    wrapping = Counter()
+    for family, inst in _wrapping_corpus():
+        k, p, need = inst.k, inst.p, inst.spec.row(1)
+        window = {*range((k - 1) * p, k * p), *range(p)}
+        rounds.clear()
+        result = run(inst)
+        assert result.terminated, inst.provenance
+        for (cfg, moves, after), rt in zip(rounds, result.trace):
+            inside = [tuple(m) for m in rt.moves.triples() if m[1] in window]
+            if (k, 1) not in build_pairing(k, rt.offset).pairs or not inside:
+                continue
+            check_successor(cfg, moves, after, rt.offset)
+            expected = oracle.agent_step_two_colour(oracle.agent_view(cfg, k),
+                                                    oracle.agent_view(cfg, 1), need[k - 1], min(need))
+            assert inside == [tuple(m) for m in expected], (inst.provenance, rt.index)
+            wrapping[family] += 1
+            wrapping["k = 2" if k == 2 else ("k even", "k odd")[k % 2]] += 1
+    assert len(wrapping) == 5 and min(wrapping.values()) >= 20, wrapping
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_each_round_on_random_configurations_builds_what_apply_moves_makes(p):
     # Configurations no valid instance starts from, so that windows of one
@@ -120,8 +158,9 @@ def windows(draw):
 def test_a_plan_permutes_its_slots_into_its_colours_and_rows(args):
     cap, q, window, deficit = args
     p = len(window) // 2
+    table = {}
     try:
-        slots, left, right, left_row, right_row = engine._two_colour_plan(*args)
+        slots, after, left_row, right_row = engine._two_colour_plan(cap, q, table, window, deficit)
     except EngineError:
         return
     sources = list(range(2 * p))
@@ -129,8 +168,9 @@ def test_a_plan_permutes_its_slots_into_its_colours_and_rows(args):
         assert src != dst
         sources[dst] = src
     assert sorted(sources) == list(range(2 * p))
-    after = bytes(window[src] for src in sources)
-    assert (left, right) == (after[:p], after[p:])
+    assert after == bytes(window[src] for src in sources)
+    # Both rows are the tuples of the row table the plan was given.
+    assert left_row is table[left_row] and right_row is table[right_row]
     # Each row is the block's row before the step, changed by the agents that cross.
     rows = [[window[b * p:(b + 1) * p].count(c) for c in range(1, q + 1)] for b in (0, 1)]
     for src, dst in slots:
@@ -148,10 +188,10 @@ def test_a_run_whose_plans_lie_fails_its_recount(spoil, monkeypatch):
     plan = engine._two_colour_plan
 
     def spoilt(*args):
-        slots, left, right, left_row, right_row = plan(*args)
-        if spoil == "colours":
-            return slots, bytes(len(left)), right, left_row, right_row
-        return slots, left, right, (*left_row[:-1], left_row[-1] + 1), right_row
+        slots, after, left_row, right_row = plan(*args)
+        if spoil == "colours":  # the left block's colours all zero
+            return slots, bytes(len(after) // 2) + after[len(after) // 2:], left_row, right_row
+        return slots, after, (*left_row[:-1], left_row[-1] + 1), right_row
 
     monkeypatch.setattr(engine, "_two_colour_plan", spoilt)
     inst = orient_roles(gen_adversarial_half(8, 2))[0]

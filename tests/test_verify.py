@@ -76,6 +76,18 @@ def test_verify_stream_refuses_an_empty_trace_as_iter_trace_does():
         list(map(verify.verify_stream, [good, [], good]))
 
 
+@pytest.mark.parametrize("first", [{}, 42, "x", "round"])
+def test_verify_stream_refuses_a_trace_whose_first_item_is_not_its_instance(first):
+    # A stream that starts with a summary, a number, a string or a round has
+    # no header instance to audit against.
+    items = list(engine.trace_items(engine.run(gen_adversarial_half(4, 2))))
+    assert isinstance(items[1], RoundTrace)
+    stream = items[1:] if first == "round" else [first]
+    kind = "RoundTrace" if first == "round" else type(first).__name__
+    with pytest.raises(TraceError, match=f"^trace has no header instance: its first item is of type {kind}$"):
+        verify.verify_stream(stream)
+
+
 def test_each_check_alone_gives_its_verdict_in_the_full_audit():
     traces = [engine.read_trace(io.StringIO(golden_run(name)[1])) for name in sorted(GOLDEN)]
     traces += faults.fault_traces().values()
