@@ -183,7 +183,7 @@ def _two_colour_plan(cap: int, q: int, rows: dict, window: bytes, deficit: int) 
             rows.setdefault(left_row, left_row), rows.setdefault(right_row, right_row))
 
 
-def _two_colour_round(need: Sequence[int], plan: Callable, cfg: Configuration,
+def _two_colour_round(need: Sequence[int], rows: dict, plan: Callable, cfg: Configuration,
                       left_blocks: Iterable[int], quiet: Callable[[int], object]
                       ) -> tuple[list[int], Configuration]:
     """The two-colour step of the windows whose left blocks are
@@ -192,7 +192,11 @@ def _two_colour_round(need: Sequence[int], plan: Callable, cfg: Configuration,
     ``plan(colours, deficit)`` (a ``_two_colour_plan``) through its ring
     positions, into the next configuration with the plan's colours and count
     rows; an EngineError of the plan is raised again naming the window.
-    Each window but [k|1] is read and written as one slice of the ring."""
+    Each window but [k|1] is read and written as one slice of the ring.
+    ``rows`` is the row table of the plan's rows, and ``cfg`` must have it:
+    a configuration with another table raises ValueError."""
+    if cfg._rows is not rows:
+        raise ValueError("the configuration's row table is not the one of the step's plans")
     p, k, colours, ids, positions = cfg.p, cfg.k, cfg.colours, cfg.ids, cfg._positions
     counts, width = cfg._block_counts, 2 * p
     new_colours, new_ids, new_counts = bytearray(colours), ids[:], list(counts)
@@ -311,7 +315,8 @@ def two_colour_step(need: Sequence[int], p: int, q: int, rows: dict) -> Step:
     a window, with its own LRU cache of at most ``_PLAN_SLOTS // (2 * p)`` plans,
     whose count rows are interned in the run's row table ``rows`` when built."""
     cache = lru_cache(maxsize=_PLAN_SLOTS // (2 * p))
-    return partial(_two_colour_round, need, cache(partial(_two_colour_plan, min(need), q, rows)))
+    return partial(_two_colour_round, need, rows,
+                   cache(partial(_two_colour_plan, min(need), q, rows)))
 
 
 def _window_of(left: BlockView, right: BlockView) -> Configuration:
@@ -339,7 +344,7 @@ def window_step_two_colour(left: BlockView, right: BlockView, blue_required_left
     ``right`` must be the block after ``left`` of the same configuration,
     whose window is stepped as ``run`` steps it.
     """
-    return _triples(_two_colour_round({left.index - 1: blue_required_left},
+    return _triples(_two_colour_round({left.index - 1: blue_required_left}, left.cfg._rows,
                                       partial(_two_colour_plan, cap, left.cfg.q, left.cfg._rows),
                                       _window_of(left, right), (left.index,), bool)[0])
 

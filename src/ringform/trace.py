@@ -86,12 +86,18 @@ class MoveSet(Sequence[Move]):
         return len(self.flat) // 3
 
     def __getitem__(self, i):  # type: ignore[override]
-        return tuple(self)[i]
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        j = 3 * range(len(self))[i]  # a tuple's negative indices and IndexError
+        return _new_move(self.flat[j:j + 3])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MoveSet):
             return self.flat == other.flat
         return isinstance(other, (tuple, list)) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.triples()))  # the hash of the tuple of moves it equals
 
     def __repr__(self) -> str:
         return f"MoveSet({list(self)!r})"
@@ -132,6 +138,14 @@ _INT_OR_NONE = (int, type(None))  # the types of a round's distance; a bool is n
 _encode = json.JSONEncoder().encode
 
 
+class _Spelling(dict):
+    """Each integer looked up: its text, made by ``str`` the first time."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
+
+
 def iter_written(items: Iterable[Instance | RoundTrace | dict], fp: IO[str],
                  initial_distance: int | None, *, reversed_roles: bool = False
                  ) -> Iterator[Instance | RoundTrace | dict]:
@@ -145,18 +159,22 @@ def iter_written(items: Iterable[Instance | RoundTrace | dict], fp: IO[str],
     block whose row differs from the configuration the round started from.
 
     A round line is formatted text, byte for byte the JSON encoding of its
-    record: it holds integers, integer lists and null only, and ``str`` of a
-    list of ints is that list's JSON with the default separators.  Each
-    distinct count row is formatted once per call, and a round whose
-    ``counts`` is the previous round's object writes ``[]`` without a
-    comparison.  A round before the header, with a round, offset or distance
-    that is not an int (a bool is not; the distance may be None), or with
-    other than k count rows of q ints (checked once per row value) raises
-    ValueError before its line is written.  The header and summary records,
-    which hold strings and booleans, are encoded.
+    record: it holds integers, integer lists and null only, spelled as
+    ``str`` spells them, and joined by the default separators.  Each
+    distinct move integer is spelled once per call, into a table that holds
+    one string a distinct integer written and that every later use of it
+    reads, as a dict lookup.  Each distinct count row is formatted once per
+    call, and a round whose ``counts`` is the previous round's object
+    writes ``[]`` without a comparison.  A round before the header, with a
+    round, offset or distance that is not an int (a bool is not; the
+    distance may be None), or with other than k count rows of q ints
+    (checked once per row value) raises ValueError before its line is
+    written.  The header and summary records, which hold strings and
+    booleans, are encoded.
     """
     before: tuple[tuple[int, ...], ...] | None = None  # the counts of the last record
     texts: dict[tuple[int, ...], str] = {}  # each count row value written: its text
+    spell = _Spelling().__getitem__  # each move integer written: its text
     for item in items:
         if isinstance(item, RoundTrace):
             counts, distance, parts = item.counts, item.distance, []
@@ -177,7 +195,8 @@ def iter_written(items: Iterable[Instance | RoundTrace | dict], fp: IO[str],
                     text = texts[row] = ", ".join(map(str, cells))
                 parts.append(f"{b}, {text}")
             line = (f'{{"type": "round", "round": {item.index}, "offset": {item.offset}, '
-                    f'"moves": {item.moves.flat.tolist()}, "counts": [{", ".join(parts)}], '
+                    f'"moves": [{", ".join(map(spell, item.moves.flat))}], '
+                    f'"counts": [{", ".join(parts)}], '
                     f'"distance": {"null" if distance is None else distance}}}')
             before = counts
         elif isinstance(item, Instance):

@@ -952,6 +952,98 @@ def test_the_writer_formats_each_distinct_count_row_once_and_skips_a_kept_counts
     assert read == rounds
 
 
+# C ints that a trace's moves may hold: zero, both signs and both extremes.
+EDGE_INTS = (0, 1, 5, -1, -5, 2 ** 31 - 1, -(2 ** 31 - 1), -2 ** 31)
+
+
+def test_the_writer_spells_moves_that_reuse_integers_as_their_json():
+    inst = gen_random(4, 3, 2, seed=0)
+    counts = inst.initial.all_counts()
+    # Each round reuses the integers of the one before, as ids and as positions.
+    rounds = [engine.RoundTrace(index=r, offset=1, counts=counts, distance=None,
+                                checks=engine.ROUND_CHECKS,
+                                moves=[(EDGE_INTS[(r + j) % 8], EDGE_INTS[(r * j) % 8],
+                                        EDGE_INTS[j % 8]) for j in range(4 + 3 * r)])
+              for r in range(1, 5)]
+    buffer = io.StringIO()
+    deque(engine.iter_written([inst, *rounds], buffer, None), maxlen=0)
+    lines = buffer.getvalue().splitlines()
+    for rt, line in zip(rounds, lines[1:], strict=True):
+        assert line == json.dumps({"type": "round", "round": rt.index, "offset": 1,
+                                   "moves": [x for move in rt.moves for x in move],
+                                   "counts": [], "distance": None})
+    _, *read, _ = engine.iter_trace(lines)
+    assert read == rounds
+
+
+def test_the_writer_spells_each_distinct_move_integer_once_per_trace(monkeypatch):
+    from ringform import trace
+
+    spelled = []
+    missing = trace._Spelling.__missing__
+    monkeypatch.setattr(trace._Spelling, "__missing__",
+                        lambda table, value: spelled.append(value) or missing(table, value))
+    result = run(gen_adversarial_half(8, 4))
+    distinct = {x for rt in result.trace for x in rt.moves.flat}
+    assert len(distinct) > 8
+    for _ in range(2):  # each trace has its own table
+        buffer = io.StringIO()
+        write_trace(result, buffer)
+        assert sorted(spelled) == sorted(distinct)
+        assert [json.loads(line) for line in buffer.getvalue().splitlines()] == written_records(
+            result)
+        spelled.clear()
+
+
+def test_moves_hash_as_the_tuple_they_equal_so_rounds_and_runs_hash():
+    result = run(orient_roles(gen_adversarial_half(4, 2))[0])
+    for rt in result.trace:
+        assert hash(rt.moves) == hash(tuple(rt.moves)) == hash(engine.MoveSet(rt.moves.flat[:]))
+        assert hash(rt) == hash(dataclasses.replace(rt, moves=tuple(rt.moves)))
+    assert hash(engine.MoveSet()) == hash(())
+    assert hash(result) == hash(dataclasses.replace(result))
+    data = read_trace(io.StringIO("\n".join(map(json.dumps, written_records(result)))))
+    assert data.rounds == result.trace and set(data.rounds) == set(result.trace)
+
+
+def test_a_move_set_indexes_and_slices_as_its_tuple_without_walking_its_moves(monkeypatch):
+    for moves in ((), [(1, 2, 3)], [(i, -i, EDGE_INTS[i % 8]) for i in range(10)]):
+        ms, expected = engine.MoveSet(moves), tuple(map(Move._make, moves))
+        n = len(expected)
+        for s in (slice(None), slice(2, None), slice(None, -2), slice(1, 8, 3),
+                  slice(None, None, -1), slice(-3, -1), slice(20, 30)):
+            assert ms[s] == expected[s] and type(ms[s]) is tuple
+        with monkeypatch.context() as patch:
+            patch.setattr(engine.MoveSet, "__iter__", None)  # an index reads its own cells
+            for i in range(-n, n):
+                assert ms[i] == expected[i] and type(ms[i]) is Move
+            for i in (n, -n - 1, n + 7):
+                with pytest.raises(IndexError):
+                    ms[i]
+            assert list(reversed(ms)) == list(reversed(expected))
+            assert all(ms.index(move) == expected.index(move) for move in expected)
+        with pytest.raises(TypeError):
+            ms["0"]
+
+
+def test_a_two_colour_step_refuses_a_configuration_with_another_row_table():
+    inst = orient_roles(gen_adversarial_half(8, 4))[0]
+    cfg = inst.initial
+    copy = Configuration._flat(cfg.colours, cfg.ids, cfg.k, cfg.p, cfg.q)
+    step = engine._window_step(inst)
+    with pytest.raises(ValueError, match="row table"):
+        step(copy, [2, 4, 6, 8], bool)
+    moves, after = step(cfg, [2, 4, 6, 8], bool)
+    assert len(moves) == 12 and all(row is cfg._rows[row] for row in after.all_counts())
+    moves, after = step(with_row_table(copy, cfg._rows), [2, 4, 6, 8], bool)
+    assert len(moves) == 12 and all(row is cfg._rows[row] for row in after.all_counts())
+    # The window wrapper steps a configuration with the row table it has.
+    need = inst.spec.row(1)
+    moves, _ = step(cfg, [4], bool)
+    assert moves and window_step_two_colour(copy.block_view(4), copy.block_view(5), need[3],
+                                            min(need)) == tuple(zip(*[iter(moves)] * 3))
+
+
 @pytest.mark.parametrize("k", [3, 5])
 def test_the_writer_refuses_a_round_without_one_count_row_per_block(k):
     inst = gen_random(4, 3, 2, seed=0)
