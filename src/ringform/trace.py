@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from array import array
+from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, count
@@ -23,7 +24,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import Configuration, Instance, InstanceFormatError, parse_instance, serialize_instance
 
-TRACE_FORMAT = "ringform-trace-v3"
+TRACE_FORMAT = "ringform-trace-v4"
 # The summary fields of a run, in the order its trace and ``ringform run`` report them.
 SUMMARY_FIELDS = ("terminated", "rounds_used", "bound", "bound_satisfied")
 
@@ -134,16 +135,38 @@ class TraceData:
 
 
 _INT_OR_NONE = (int, type(None))  # the types of a round's distance; a bool is neither
+_C_INT = range(-2 ** 31, 2 ** 31)  # the values of an int32, which a packed count row holds
 # What ``json.dumps`` returns for a record, without its per-call argument checks.
 _encode = json.JSONEncoder().encode
+# A packed field holds little-endian int32s.  An array('i') item is 4 bytes on
+# every platform CPython runs on (MoveSet's 12 bytes a move rely on it too), so
+# only the byte order can differ, and a big-endian host swaps a copy.
+_SWAP = sys.byteorder == "big"
 
 
-class _Spelling(dict):
-    """Each integer looked up: its text, made by ``str`` the first time."""
+def _packed(ints: array) -> str:
+    """The base64 text of the ints of an ``array('i')``, little-endian."""
+    if _SWAP:
+        ints = ints[:]
+        ints.byteswap()
+    return b2a_base64(ints, newline=False).decode("ascii")
 
-    def __missing__(self, value: int) -> str:
-        text = self[value] = str(value)
-        return text
+
+def _unpacked(text: object, width: int) -> array | None:
+    """The ``array('i')`` packed in ``text``, or None unless ``text`` is a str of
+    canonical base64 (which encodes back to itself) of whole ``width``-int rows."""
+    if type(text) is not str:
+        return None
+    try:
+        raw = a2b_base64(text)  # a binascii.Error, or a ValueError for non-ASCII text
+    except ValueError:
+        return None
+    if len(raw) % (4 * width) or b2a_base64(raw, newline=False) != text.encode("ascii"):
+        return None
+    ints = array("i", raw)  # the bytes, as frombytes reads them
+    if _SWAP:
+        ints.byteswap()
+    return ints
 
 
 def iter_written(items: Iterable[Instance | RoundTrace | dict], fp: IO[str],
@@ -153,50 +176,51 @@ def iter_written(items: Iterable[Instance | RoundTrace | dict], fp: IO[str],
     once its record is written to ``fp`` as one JSON line: the file is
     written while the run runs, and no record outlives its line.  The
     header records ``initial_distance``, passed in because the header comes
-    before the summary that carries it.  A round record's ``moves`` is the
-    flat (agent id, from, to) list, and its ``counts`` the flat ``[block,
-    count of colour 1, ..., count of colour q, block, ...]`` list of every
-    block whose row differs from the configuration the round started from.
+    before the summary that carries it.  A round record's ``moves`` packs
+    the flat (agent id, from, to) ints of its MoveSet, and its ``counts``
+    the flat ``block, count of colour 1, ..., count of colour q, block,
+    ...`` ints of every block whose row differs from the configuration the
+    round started from, each as the standard padded base64 of those ints
+    as little-endian int32s.
 
     A round line is formatted text, byte for byte the JSON encoding of its
-    record: it holds integers, integer lists and null only, spelled as
-    ``str`` spells them, and joined by the default separators.  Each
-    distinct move integer is spelled once per call, into a table that holds
-    one string a distinct integer written and that every later use of it
-    reads, as a dict lookup.  Each distinct count row is formatted once per
-    call, and a round whose ``counts`` is the previous round's object
-    writes ``[]`` without a comparison.  A round before the header, with a
-    round, offset or distance that is not an int (a bool is not; the
-    distance may be None), or with other than k count rows of q ints
-    (checked once per row value) raises ValueError before its line is
-    written.  The header and summary records, which hold strings and
-    booleans, are encoded.
+    record: it holds integers, base64 strings (which JSON does not escape)
+    and null only, joined by the default separators.  A round whose
+    ``counts`` is the previous round's object writes ``""`` without a
+    comparison.  A round before the header, with a round, offset or
+    distance that is not an int (a bool is not; the distance may be None),
+    with moves that are not an ``array('i')``, or with other than k count
+    rows of q int32s (checked once per row value) raises ValueError before
+    its line is written.  The header and summary records, which hold
+    strings and booleans, are encoded.
     """
     before: tuple[tuple[int, ...], ...] | None = None  # the counts of the last record
-    texts: dict[tuple[int, ...], str] = {}  # each count row value written: its text
-    spell = _Spelling().__getitem__  # each move integer written: its text
+    checked: set[tuple[int, ...]] = set()  # each count row value written
     for item in items:
         if isinstance(item, RoundTrace):
-            counts, distance, parts = item.counts, item.distance, []
+            counts, distance, changed = item.counts, item.distance, array("i")
             if before is None:
                 raise ValueError(f"round {item.index} comes before the header")
             if {type(item.index), type(item.offset)} != {int} or type(distance) not in _INT_OR_NONE:
                 raise ValueError(f"round {item.index!r}: round, offset and distance must be ints")
+            if item.moves.flat.typecode != "i":
+                raise ValueError(f"round {item.index}: moves must be an array('i')")
             if len(counts) != len(before):
                 raise ValueError(f"round {item.index}: {len(counts)} rows for {len(before)} blocks")
             for b in () if counts is before else compress(count(1), map(ne, before, counts)):
                 row = counts[b - 1]
-                if (text := texts.get(row)) is None:
+                if row not in checked:
                     if len(row) != q:
                         raise ValueError(f"round {item.index}: block {b} has {len(row)} counts "
                                          f"for {q} colours")
-                    if not set(map(type, cells := tuple(row))) <= {int}:  # iterates row once
+                    if not (set(map(type, row)) <= {int} and min(row) in _C_INT
+                            and max(row) in _C_INT):
                         raise ValueError(f"round {item.index}: block {b} has counts {row!r}")
-                    text = texts[row] = ", ".join(map(str, cells))
-                parts.append(f"{b}, {text}")
+                    checked.add(row)
+                changed.append(b)
+                changed.extend(row)
             line = (f'{{"type": "round", "round": {item.index}, "offset": {item.offset}, '
-                    f'"moves": [{", ".join(map(spell, item.moves.flat))}], '
-                    f'"counts": [{", ".join(parts)}], '
+                    f'"moves": "{_packed(item.moves.flat)}", "counts": "{_packed(changed)}", '
                     f'"distance": {"null" if distance is None else distance}}}')
             before = counts
         elif isinstance(item, Instance):
@@ -210,16 +234,13 @@ def iter_written(items: Iterable[Instance | RoundTrace | dict], fp: IO[str],
         yield item
 
 
-def _patched_counts(before: tuple[tuple[int, ...], ...], flat: list[int], q: int,
+def _patched_counts(before: tuple[tuple[int, ...], ...], flat: array, q: int,
                     line: int, rows: dict[tuple[int, ...], tuple[int, ...]]
                     ) -> tuple[tuple[int, ...], ...]:
     """``before`` with every ``block, count of colour 1, ..., count of colour
-    q`` row of a round record's flat ``counts`` put in its block's place, as
-    the tuple of the row table ``rows`` with its value; the rows of the
-    other blocks stay the same objects."""
-    if not set(map(type, flat)) <= {int} or len(flat) % (q + 1):
-        raise TraceError(f"'counts' rows must be [block, count of colour 1, ..., count of "
-                         f"colour {q}] integers", line)
+    q`` row of a round record's unpacked ``counts`` put in its block's
+    place, as the tuple of the row table ``rows`` with its value; the rows
+    of the other blocks stay the same objects."""
     if not flat:
         return before
     blocks = flat[::q + 1]
@@ -244,17 +265,14 @@ def _round_from_record(record: dict, line: int, before: tuple[tuple[int, ...], .
     for key in ("round", "offset"):
         if type(record.get(key)) is not int:
             raise TraceError(f"round record needs an integer {key!r}", line)
-    moves, counts, distance = record.get("moves"), record.get("counts"), record.get("distance")
-    # Set-of-types tests run the per-element work in C; bool is not int here.
-    if type(moves) is not list or not set(map(type, moves)) <= {int} or len(moves) % 3:
-        raise TraceError("'moves' must be a list of agent id, from, to integer triples", line)
-    try:
-        flat = array("i", moves)
-    except OverflowError:
-        raise TraceError("'moves' must be integers that fit a C int", line) from None
-    if type(counts) is not list:
-        raise TraceError("'counts' must be a list of per-block rows", line)
-    counts = _patched_counts(before, counts, initial.q, line, initial._rows)
+    q, distance = initial.q, record.get("distance")
+    if (flat := _unpacked(record.get("moves"), 3)) is None:
+        raise TraceError("'moves' must be base64 of little-endian int32 (agent id, from, to) "
+                         "triples", line)
+    if (changed := _unpacked(record.get("counts"), q + 1)) is None:
+        raise TraceError(f"'counts' must be base64 of little-endian int32 (block, count of "
+                         f"colour 1, ..., count of colour {q}) rows", line)
+    counts = _patched_counts(before, changed, q, line, initial._rows)
     if distance is not None and type(distance) is not int:
         raise TraceError("'distance' must be an integer or null", line)
     return RoundTrace(index=record["round"], offset=record["offset"], moves=MoveSet(flat),
@@ -267,22 +285,24 @@ def iter_trace(fp: IO[str] | IO[bytes] | Iterable[str | bytes]
     one line at a time: yield the instance of the header record, then every
     round record as a RoundTrace, then the summary.
 
-    Reads ``ringform-trace-v3`` only, whose round records list their moves
-    and the count rows that changed as flat integer lists.  Every count row
-    it builds is the one of the row table of the header instance's initial
-    configuration with its value, the table from which ``apply_moves``
-    takes the rows of a replay.  The summary is the summary record, or
-    ``{}`` without one, with the header's ``initial_distance`` and
-    ``reversed`` in place of any of its own; it comes last wherever its
-    record stands in the file.  A byte line that is not UTF-8, a line that
-    is not a JSON object (or holds an integer literal longer than Python
-    converts), a record of unknown type, a header without an instance
-    document, of another format or with a ``reversed`` that is not a
-    bool, a malformed round or summary record, a second header or summary,
-    a header whose instance document does not parse (quoting the
-    document's error), a round record before the header and a missing
-    header all raise :class:`TraceError`, with the file line when there is
-    one, once the reader reaches that line.
+    Reads ``ringform-trace-v4`` only, whose round records pack their moves
+    and the count rows that changed as base64 of little-endian int32s
+    (see ``iter_written``).  Every count row it builds is the one of the
+    row table of the header instance's initial configuration with its
+    value, the table from which ``apply_moves`` takes the rows of a replay.
+    The summary is the summary record, or ``{}`` without one, with the
+    header's ``initial_distance`` and ``reversed`` in place of any of its
+    own; it comes last wherever its record stands in the file.  A byte line
+    that is not UTF-8, a line that is not a JSON object (or holds an
+    integer literal longer than Python converts), a record of unknown type,
+    a header without an instance document, of another format or with a
+    ``reversed`` that is not a bool, a malformed round record (a packed
+    field that is not the canonical base64 of whole moves or rows among
+    them) or summary record, a second header or summary, a header whose
+    instance document does not parse (quoting the document's error), a
+    round record before the header and a missing header all raise
+    :class:`TraceError`, with the file line when there is one, once the
+    reader reaches that line.
     """
     header: dict | None = None
     summary: dict | None = None

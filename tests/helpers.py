@@ -1,8 +1,10 @@
 """Shortcuts for building instances inline in tests, and small readers of
 the library's results."""
 
+import base64
 import io
 import json
+import struct
 from array import array
 from typing import Iterable
 
@@ -91,6 +93,20 @@ def step_window(step, cfg: Configuration, lb: int) -> list[int]:
     moves, after = step(cfg, (lb,), set().add)
     check_successor(cfg, moves, after, lb)
     return moves
+
+
+def packed(ints: Iterable[int]) -> str:
+    """A packed field of a round record, made apart from the writer: the
+    standard padded base64 of ``ints`` as little-endian int32s."""
+    ints = list(ints)
+    return base64.b64encode(struct.pack(f"<{len(ints)}i", *ints)).decode("ascii")
+
+
+def unpacked(text: str) -> list[int]:
+    """The ints of a packed field that ``packed`` made or the writer wrote,
+    decoded apart from the reader: ``struct.unpack("<{n}i", ...)``."""
+    raw = base64.b64decode(text, validate=True)
+    return list(struct.unpack(f"<{len(raw) // 4}i", raw))
 
 
 def written_records(result: RunResult, *, reversed_roles: bool = False) -> list[dict]:

@@ -18,6 +18,8 @@ from ringform.cli import (
 from ringform.core import ValidityReport, parse_instance, validate
 from ringform.engine import orient_roles
 
+from helpers import packed, unpacked
+
 INVALID_DOC = """\
 kind: P1
 k: 2
@@ -279,7 +281,7 @@ def test_verify_move_of_wrong_arity_exits_cleanly(tmp_path, capsys):
     i = next(i for i, line in enumerate(lines)
              if json.loads(line).get("moves"))
     record = json.loads(lines[i])
-    del record["moves"][-1]
+    record["moves"] = packed(unpacked(record["moves"])[:-1])
     lines[i] = json.dumps(record)
     code, out, err = _verify_lines(tmp_path, capsys, lines)
     assert code == EXIT_VERIFICATION_FAILED and out == ""
@@ -300,14 +302,14 @@ def test_verify_trace_without_header_or_with_unknown_record(tmp_path, capsys):
     assert err.strip() == f"invalid trace: line {len(lines) + 1}: unknown record type 'footer'"
 
 
-@pytest.mark.parametrize("fmt", ["ringform-trace-v1", "ringform-trace-v2"])
+@pytest.mark.parametrize("fmt", ["ringform-trace-v1", "ringform-trace-v2", "ringform-trace-v3"])
 def test_verify_refuses_an_older_trace_format(fmt, tmp_path, capsys):
     lines = _stored_trace(tmp_path, capsys)
     header = {**json.loads(lines[0]), "format": fmt}
     code, out, err = _verify_lines(tmp_path, capsys, [json.dumps(header)] + lines[1:])
     assert code == EXIT_VERIFICATION_FAILED and out == ""
     assert err.splitlines() == [f"invalid trace: line 1: header format {fmt!r} is not "
-                                "'ringform-trace-v3'"]
+                                "'ringform-trace-v4'"]
 
 
 def test_verify_names_the_header_line_of_an_instance_document_that_does_not_parse(

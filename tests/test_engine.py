@@ -1,10 +1,12 @@
 """Window steps, round execution, full runs, and engine safety guards."""
 
+import binascii
 import contextlib
 import dataclasses
 import io
 import json
 import random
+from array import array
 from collections import Counter, deque
 
 import pytest
@@ -47,8 +49,10 @@ from helpers import (
     make_p1,
     make_p2,
     make_p3,
+    packed,
     replayed_configs,
     step_window,
+    unpacked,
     unpaired,
     with_row_table,
     written_records,
@@ -836,17 +840,20 @@ def test_iter_written_writes_each_record_before_it_passes_the_item_on(inst, trac
     assert buffer.getvalue() == written.getvalue()
 
 
-def test_v3_round_records_are_flat_and_carry_only_the_changed_rows():
+def test_v4_round_records_pack_the_moves_and_only_the_changed_rows():
     result = run(gen_adversarial_half(8, 2))
     records = written_records(result)
-    assert records[0]["format"] == "ringform-trace-v3"
+    assert records[0]["format"] == "ringform-trace-v4"
     rounds = [r for r in records if r["type"] == "round"]
     assert all("checks" not in r for r in rounds)
-    before = result.instance.initial.all_counts()
+    assert any(r["moves"] == r["counts"] == "" for r in rounds)  # a quiet round
+    before, patched = result.instance.initial.all_counts(), []
     for record, rt in zip(rounds, result.trace):
-        assert record["moves"] == [x for move in rt.moves for x in move]
+        assert record["moves"] == packed(x for move in rt.moves for x in move)
         changed = {b for b in range(1, 9) if rt.counts[b - 1] != before[b - 1]}
-        assert record["counts"] == [x for b in sorted(changed) for x in (b, *rt.counts[b - 1])]
+        assert record["counts"] == packed(x for b in sorted(changed)
+                                          for x in (b, *rt.counts[b - 1]))
+        patched.append(changed)
         before = rt.counts
     data = read_trace(json.dumps(r) for r in records)
     assert data.rounds == result.trace
@@ -854,9 +861,8 @@ def test_v3_round_records_are_flat_and_carry_only_the_changed_rows():
     # A key the format does not know, such as the "checks" of older formats, is ignored.
     assert read_trace(json.dumps({**r, "checks": []}) for r in records).rounds == result.trace
     before = data.instance.initial.all_counts()
-    for record, rt in zip(rounds, data.rounds):
-        patched = set(record["counts"][::3])  # q = 2: a row is block, colour 1, colour 2
-        assert all((row is old) == (b not in patched)
+    for changed, rt in zip(patched, data.rounds, strict=True):
+        assert all((row is old) == (b not in changed)
                    for b, (row, old) in enumerate(zip(rt.counts, before), start=1))
         before = rt.counts
 
@@ -906,8 +912,8 @@ def test_a_round_line_is_the_json_of_its_record_and_reads_back(case):
         changed = [x for b, (old, row) in enumerate(zip(before, rt.counts), start=1)
                    if old != row for x in (b, *row)]
         assert line == json.dumps({"type": "round", "round": rt.index, "offset": rt.offset,
-                                   "moves": [x for move in rt.moves for x in move],
-                                   "counts": changed, "distance": rt.distance})
+                                   "moves": packed(x for move in rt.moves for x in move),
+                                   "counts": packed(changed), "distance": rt.distance})
         before = rt.counts
     _, *read, _ = engine.iter_trace(lines)
     assert read == rounds
@@ -918,15 +924,20 @@ def _round(index: int, counts: tuple) -> engine.RoundTrace:
                              checks=engine.ROUND_CHECKS)
 
 
-def test_the_writer_formats_each_distinct_count_row_once_and_skips_a_kept_counts_object():
+def test_the_writer_checks_each_distinct_count_row_once_and_skips_a_kept_counts_object():
     log = []
 
     class Row(tuple):
-        """A count row that logs each time it is iterated (as formatting it
-        does) or compared with ``!=``."""
+        """A count row that logs each time its length is taken (as checking
+        it does), it is iterated (as packing it does) or it is compared
+        with ``!=``."""
+
+        def __len__(self):
+            log.append(("check", self))
+            return tuple.__len__(self)
 
         def __iter__(self):
-            log.append(("format", self))
+            log.append(("iterate", self))
             return tuple.__iter__(self)
 
         def __ne__(self, other):
@@ -941,13 +952,13 @@ def test_the_writer_formats_each_distinct_count_row_once_and_skips_a_kept_counts
     items = engine.iter_written([inst, *rounds], buffer, None)
     assert [next(items) for _ in range(3)] == [inst, *rounds[:2]]
     lines = buffer.getvalue().splitlines()
-    assert json.loads(lines[2])["counts"][::3] == list(range(1, 9))  # every block changed
-    assert Counter(row for event, row in log if event == "format") == Counter(values)
+    assert unpacked(json.loads(lines[2])["counts"])[::3] == list(range(1, 9))  # all changed
+    assert Counter(row for event, row in log if event == "check") == Counter(values)
     log.clear()
     assert next(items) is rounds[2]
     assert log == []
     lines = buffer.getvalue().splitlines()
-    assert json.loads(lines[3])["counts"] == []
+    assert json.loads(lines[3])["counts"] == ""
     _, *read, _ = engine.iter_trace(lines)
     assert read == rounds
 
@@ -956,7 +967,7 @@ def test_the_writer_formats_each_distinct_count_row_once_and_skips_a_kept_counts
 EDGE_INTS = (0, 1, 5, -1, -5, 2 ** 31 - 1, -(2 ** 31 - 1), -2 ** 31)
 
 
-def test_the_writer_spells_moves_that_reuse_integers_as_their_json():
+def test_the_writer_packs_moves_that_reuse_integers_as_their_json():
     inst = gen_random(4, 3, 2, seed=0)
     counts = inst.initial.all_counts()
     # Each round reuses the integers of the one before, as ids and as positions.
@@ -970,29 +981,10 @@ def test_the_writer_spells_moves_that_reuse_integers_as_their_json():
     lines = buffer.getvalue().splitlines()
     for rt, line in zip(rounds, lines[1:], strict=True):
         assert line == json.dumps({"type": "round", "round": rt.index, "offset": 1,
-                                   "moves": [x for move in rt.moves for x in move],
-                                   "counts": [], "distance": None})
+                                   "moves": packed(x for move in rt.moves for x in move),
+                                   "counts": "", "distance": None})
     _, *read, _ = engine.iter_trace(lines)
     assert read == rounds
-
-
-def test_the_writer_spells_each_distinct_move_integer_once_per_trace(monkeypatch):
-    from ringform import trace
-
-    spelled = []
-    missing = trace._Spelling.__missing__
-    monkeypatch.setattr(trace._Spelling, "__missing__",
-                        lambda table, value: spelled.append(value) or missing(table, value))
-    result = run(gen_adversarial_half(8, 4))
-    distinct = {x for rt in result.trace for x in rt.moves.flat}
-    assert len(distinct) > 8
-    for _ in range(2):  # each trace has its own table
-        buffer = io.StringIO()
-        write_trace(result, buffer)
-        assert sorted(spelled) == sorted(distinct)
-        assert [json.loads(line) for line in buffer.getvalue().splitlines()] == written_records(
-            result)
-        spelled.clear()
 
 
 def test_moves_hash_as_the_tuple_they_equal_so_rounds_and_runs_hash():
@@ -1068,6 +1060,30 @@ def test_the_writer_refuses_a_changed_count_row_without_one_count_per_colour(row
     assert len(buffer.getvalue().splitlines()) == 1
 
 
+@pytest.mark.parametrize("row", [(2 ** 31, 0), (1, -2 ** 31 - 1), (1.0, 2), (1, "2")])
+def test_the_writer_refuses_a_changed_count_row_that_is_not_int32s(row):
+    inst = gen_random(4, 3, 2, seed=0)
+    counts = inst.initial.all_counts()
+    buffer = io.StringIO()
+    items = engine.iter_written([inst, _round(1, (counts[0], row, *counts[2:]))], buffer, None)
+    next(items)
+    with pytest.raises(ValueError, match=r"^round 1: block 2 has counts \("):
+        next(items)
+    assert len(buffer.getvalue().splitlines()) == 1
+
+
+def test_the_writer_refuses_moves_that_are_not_an_int_array():
+    inst = gen_random(4, 3, 2, seed=0)
+    bad = dataclasses.replace(_round(1, inst.initial.all_counts()),
+                              moves=engine.MoveSet(array("q", [1, 2, 3])))
+    buffer = io.StringIO()
+    items = engine.iter_written([inst, bad], buffer, None)
+    next(items)
+    with pytest.raises(ValueError, match=r"^round 1: moves must be an array\('i'\)$"):
+        next(items)
+    assert len(buffer.getvalue().splitlines()) == 1
+
+
 def test_the_writer_refuses_a_round_before_the_header():
     inst = gen_random(4, 3, 2, seed=0)
     buffer = io.StringIO()
@@ -1124,18 +1140,27 @@ def test_honest_trace_lines_verify():
     assert verdicts and all(v.passed for v in verdicts)
 
 
-@pytest.mark.parametrize("fmt", ["ringform-trace-v1", "ringform-trace-v2"])
+@pytest.mark.parametrize("fmt", ["ringform-trace-v1", "ringform-trace-v2", "ringform-trace-v3"])
 def test_read_trace_refuses_an_older_format_at_its_header(fmt):
-    # The rest of the file is an honest v3 run; the reader stops at line 1.
+    # The rest of the file is an honest v4 run; the reader stops at line 1.
     lines = _honest_trace_lines()
     reader = engine.iter_trace([json.dumps({**json.loads(lines[0]), "format": fmt})]
                                + lines[1:])
     with pytest.raises(TraceError) as info:
         next(reader)
     assert info.value.line == 1
-    assert str(info.value) == f"line 1: header format {fmt!r} is not 'ringform-trace-v3'"
+    assert str(info.value) == f"line 1: header format {fmt!r} is not 'ringform-trace-v4'"
 
 
+MOVES = r"'moves' must be base64 of little-endian int32 \(agent id, from, to\) triples"
+COUNTS = r"'counts' must be base64 of little-endian int32 \(block, count of colour 1"
+
+
+def _inserted(text: str, at: int, char: str) -> str:
+    return text[:at] + char + text[at:]
+
+
+# Round 2 of the honest trace (k = 4, q = 2): moves [7, 6, 4, 4, 4, 6], counts [2, 2, 1, 3, 2, 1].
 @pytest.mark.parametrize("mangle, message", [
     (lambda r: '{"type": "round", "round": 1', "not a JSON record"),
     (lambda r: "[1, 2, 3]", "not a JSON object"),
@@ -1150,61 +1175,79 @@ def test_read_trace_refuses_an_older_format_at_its_header(fmt):
     (lambda r: {**r, "distance": True}, "'distance' must be"),
     (lambda r: {**r, "distance": 3.0}, "'distance' must be"),
     (lambda r: {**r, "distance": [3]}, "'distance' must be"),
-    (lambda r: {**r, "moves": r["moves"][:-1]}, "'moves' must be a list of agent id"),
-    (lambda r: {**r, "moves": [*r["moves"], 0]}, "'moves' must be a list of agent id"),
-    (lambda r: {**r, "moves": [True, 0, 1]}, "'moves' must be a list of agent id"),
-    (lambda r: {**r, "moves": [0, 0, 1.0]}, "'moves' must be a list of agent id"),
-    (lambda r: {**r, "moves": [0, "0", 1]}, "'moves' must be a list of agent id"),
-    (lambda r: {**r, "moves": [[0, 0, 1]]}, "'moves' must be a list of agent id"),
-    (lambda r: {**r, "moves": 5}, "'moves' must be a list of agent id"),
-    (lambda r: {**r, "moves": [0, 1]}, "'moves' must be a list of agent id"),
-    (lambda r: {**r, "moves": [0, 0, None]}, "'moves' must be a list of agent id"),
-    (lambda r: {**r, "moves": {"0": [0, 1]}}, "'moves' must be a list of agent id"),
-    (lambda r: {**r, "moves": "0 0 1"}, "'moves' must be a list of agent id"),
-    (lambda r: {**r, "moves": None}, "'moves' must be a list of agent id"),
-    (lambda r: {k: v for k, v in r.items() if k != "moves"}, "'moves' must be a list"),
-    (lambda r: {**r, "moves": [0, 0, 2 ** 31]}, "'moves' must be integers that fit"),
-    (lambda r: {**r, "moves": [-2 ** 31 - 1, 0, 1]}, "'moves' must be integers that fit"),
-    (lambda r: {**r, "moves": [0, 0, 10 ** 30]}, "'moves' must be integers that fit"),
-    (lambda r: {**r, "counts": [2, 1]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [2, 1, 2, 3]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [2, 1, True]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [[2, 1, 2]]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [2]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [2, 1, 2, 2]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [2, 1.0, 2]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [2, "1", 2]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [2, 1, None]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [True, 1, 2]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": 5}, "'counts' must be"),
-    (lambda r: {**r, "counts": None}, "'counts' must be"),
-    (lambda r: {**r, "counts": {"2": [1, 2]}}, "'counts' must be"),
-    (lambda r: {**r, "counts": "2 1 2"}, "'counts' must be"),
-    (lambda r: {k: v for k, v in r.items() if k != "counts"}, "'counts' must be"),
-    (lambda r: {**r, "counts": [5, 1, 2]}, "'counts' names a block outside 1..4"),
-    (lambda r: {**r, "counts": [0, 1, 2]}, "'counts' names a block outside 1..4"),
-    (lambda r: {**r, "counts": [-1, 1, 2]}, "'counts' names a block outside 1..4"),
-    (lambda r: {**r, "counts": [2, 1, 2, 5, 1, 2]}, "'counts' names a block outside 1..4"),
-    (lambda r: {**r, "counts": [2, 1, 2, 2, 2, 1]}, "'counts' names a block twice"),
-    (lambda r: {**r, "counts": [2, 1, 2, 3, 2, 1, 2, 2, 1]}, "'counts' names a block twice"),
-    # JSON true and false are not integers, though array('i') takes them for 1 and 0.
-    (lambda r: {**r, "moves": [0, False, 1]}, "'moves' must be a list of agent id"),
-    (lambda r: {**r, "moves": [*r["moves"][:-1], True]}, "'moves' must be a list of agent id"),
-    (lambda r: {**r, "note": "true", "moves": [0, 1, False]}, "'moves' must be a list of agent"),
-    (lambda r: {**r, "counts": [2, False, 2]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [2, 1, 2, 3, 2, True]}, "'counts' rows must be"),
-    # A wide integer before a wrong entry does not decide the message.
-    (lambda r: {**r, "moves": [0, 10 ** 30, 1.5]}, "'moves' must be a list of agent id"),
-    (lambda r: {**r, "moves": [0, 2 ** 31, None]}, "'moves' must be a list of agent id"),
-    (lambda r: {**r, "counts": [2, 10 ** 30, 2.5]}, "'counts' rows must be"),
-    (lambda r: {**r, "counts": [2 ** 31, 1, 2]}, "'counts' names a block outside 1..4"),
-    (lambda r: {**r, "counts": [-2 ** 31 - 1, 1, 2]}, "'counts' names a block outside 1..4"),
+    # A decoded length that is not whole moves: one int short or over, or two ints.
+    (lambda r: {**r, "moves": packed(unpacked(r["moves"])[:-1])}, MOVES),
+    (lambda r: {**r, "moves": packed([*unpacked(r["moves"]), 0])}, MOVES),
+    (lambda r: {**r, "moves": packed([0, 1])}, MOVES),
+    # A field that is not a string, the v3 integer lists among them.
+    (lambda r: {**r, "moves": [7, 6, 4, 4, 4, 6]}, MOVES),
+    (lambda r: {**r, "moves": [[0, 0, 1]]}, MOVES),
+    (lambda r: {**r, "moves": []}, MOVES),
+    (lambda r: {**r, "moves": True}, MOVES),
+    (lambda r: {**r, "moves": False}, MOVES),
+    (lambda r: {**r, "moves": 1.0}, MOVES),
+    (lambda r: {**r, "moves": 5}, MOVES),
+    (lambda r: {**r, "moves": None}, MOVES),
+    (lambda r: {**r, "moves": {"0": [0, 1]}}, MOVES),
+    (lambda r: {**r, "note": "true", "moves": False}, MOVES),
+    (lambda r: {k: v for k, v in r.items() if k != "moves"}, MOVES),
+    # Text that is not base64, or not canonical base64, of whole moves.
+    (lambda r: {**r, "moves": "0 0 1"}, MOVES),
+    (lambda r: {**r, "moves": _inserted(r["moves"], 4, "*")}, MOVES),
+    (lambda r: {**r, "moves": _inserted(r["moves"], 4, "-")}, MOVES),
+    (lambda r: {**r, "moves": _inserted(r["moves"], 4, "_")}, MOVES),
+    (lambda r: {**r, "moves": _inserted(r["moves"], 8, " ")}, MOVES),
+    (lambda r: {**r, "moves": _inserted(r["moves"], 8, "\n")}, MOVES),
+    (lambda r: {**r, "moves": r["moves"] + " "}, MOVES),
+    (lambda r: {**r, "moves": "\t" + r["moves"]}, MOVES),
+    (lambda r: {**r, "moves": r["moves"] + "="}, MOVES),
+    (lambda r: {**r, "moves": r["moves"] + "=="}, MOVES),
+    (lambda r: {**r, "moves": _inserted(r["moves"], 4, "=")}, MOVES),
+    (lambda r: {**r, "moves": r["moves"][:-2]}, MOVES),
+    (lambda r: {**r, "moves": "CAAAAA"}, MOVES),
+    (lambda r: {**r, "moves": "CAAAAB=="}, MOVES),
+    (lambda r: {**r, "moves": _inserted(r["moves"], 8, "\u00e9")}, MOVES),
+    (lambda r: {**r, "moves": _inserted(r["moves"], 8, "\u00a0")}, MOVES),
+    (lambda r: {**r, "moves": r["moves"].replace("A", "\uff21", 1)}, MOVES),
+    (lambda r: {**r, "counts": packed([2, 1])}, COUNTS),
+    (lambda r: {**r, "counts": packed([2, 1, 2, 3])}, COUNTS),
+    (lambda r: {**r, "counts": packed([2])}, COUNTS),
+    (lambda r: {**r, "counts": packed([2, 1, 2, 2])}, COUNTS),
+    (lambda r: {**r, "counts": packed(unpacked(r["counts"])[:-1])}, COUNTS),
+    (lambda r: {**r, "counts": packed([*unpacked(r["counts"]), 0])}, COUNTS),
+    (lambda r: {**r, "counts": [2, 2, 1, 3, 2, 1]}, COUNTS),
+    (lambda r: {**r, "counts": [[2, 1, 2]]}, COUNTS),
+    (lambda r: {**r, "counts": []}, COUNTS),
+    (lambda r: {**r, "counts": 5}, COUNTS),
+    (lambda r: {**r, "counts": True}, COUNTS),
+    (lambda r: {**r, "counts": 1.5}, COUNTS),
+    (lambda r: {**r, "counts": None}, COUNTS),
+    (lambda r: {**r, "counts": {"2": [1, 2]}}, COUNTS),
+    (lambda r: {k: v for k, v in r.items() if k != "counts"}, COUNTS),
+    (lambda r: {**r, "counts": "2 1 2"}, COUNTS),
+    (lambda r: {**r, "counts": _inserted(r["counts"], 4, "*")}, COUNTS),
+    (lambda r: {**r, "counts": _inserted(r["counts"], 8, " ")}, COUNTS),
+    (lambda r: {**r, "counts": r["counts"] + "="}, COUNTS),
+    (lambda r: {**r, "counts": r["counts"][:-4]}, COUNTS),
+    (lambda r: {**r, "counts": "AgAAAA"}, COUNTS),
+    (lambda r: {**r, "counts": _inserted(r["counts"], 8, "\u00e9")}, COUNTS),
+    (lambda r: {**r, "counts": packed([5, 1, 2])}, "'counts' names a block outside 1..4"),
+    (lambda r: {**r, "counts": packed([0, 1, 2])}, "'counts' names a block outside 1..4"),
+    (lambda r: {**r, "counts": packed([-1, 1, 2])}, "'counts' names a block outside 1..4"),
+    (lambda r: {**r, "counts": packed([2, 1, 2, 5, 1, 2])}, "'counts' names a block outside 1..4"),
+    (lambda r: {**r, "counts": packed([2 ** 31 - 1, 1, 2])}, "'counts' names a block outside 1..4"),
+    (lambda r: {**r, "counts": packed([-2 ** 31, 1, 2])}, "'counts' names a block outside 1..4"),
+    (lambda r: {**r, "counts": packed([2, 1, 2, 2, 2, 1])}, "'counts' names a block twice"),
+    (lambda r: {**r, "counts": packed([2, 1, 2, 3, 2, 1, 2, 2, 1])},
+     "'counts' names a block twice"),
     # Python converts an integer literal of at most 4300 digits by default.
     (lambda r: json.dumps({**r, "offset": 0}).replace('"offset": 0',
                                                       '"offset": ' + "7" * 5001),
      "not a JSON record: an integer literal of more than"),
-    # A line cut off where a value should follow, or with a bad token there.
+    # A line cut off where a value should follow or inside a packed field, or with a bad token.
     (lambda r: '{"type": "round", "round": 1, "offset": ', "not a JSON record: Expecting value"),
+    (lambda r: json.dumps(r)[:json.dumps(r).index('"counts"') - 20],
+     "not a JSON record: Unterminated string"),
     (lambda r: '{"type": "round", "moves": [0, x]}', "not a JSON record: Expecting value"),
     (lambda r: json.dumps({**r, "distance": None}).replace("null", "nu"),
      "not a JSON record: Expecting value"),
@@ -1239,12 +1282,65 @@ def test_read_trace_reads_a_round_whose_ignored_key_says_true_or_false():
         assert read_trace(lines) == expected, note
 
 
-def test_read_trace_keeps_a_count_too_wide_for_a_c_int_for_the_audit_to_refuse():
+B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _loose_last(text: str) -> str:
+    """``text`` with the low bit of its last character before the padding
+    flipped: a bit that no byte uses once the text is padded."""
+    data = text.rstrip("=")
+    return data[:-1] + B64[B64.index(data[-1]) ^ 1] + text[len(data):]
+
+
+# Mangled packed text that a lenient base64 decoder takes for the honest bytes.
+LENIENT = {
+    "space": lambda text: _inserted(text, 8, " "),
+    "newline": lambda text: _inserted(text, 8, "\n"),
+    "trailing newline": lambda text: text + "\n",
+    "outside the alphabet": lambda text: _inserted(text, 4, "*"),
+    "url-safe character": lambda text: _inserted(text, 4, "_"),
+    "extra padding": lambda text: text + "=",
+    "padding inside": lambda text: _inserted(text, 4, "="),
+}
+
+
+def _q3_trace_lines() -> list[str]:
+    """A q = 3 trace, whose count rows of 16 bytes end in padding."""
+    return [json.dumps(r) for r in written_records(run(gen_random(4, 3, 3, seed=1)))]
+
+
+@pytest.mark.parametrize("field, how", [
+    *[(field, how) for field in ("moves", "counts") for how in sorted(LENIENT)],
+    ("counts", "non-canonical last character")])  # whole moves are 12 bytes, never padded
+def test_read_trace_refuses_packed_text_that_is_not_canonical_base64(field, how):
+    lines = _q3_trace_lines()
+    assert read_trace(lines).rounds
+    record = json.loads(lines[1])  # round 1: 2 moves and 2 changed rows
+    text = record[field]
+    assert text.endswith("=") == (field == "counts")
+    mangled = LENIENT.get(how, _loose_last)(text)
+    assert mangled != text and binascii.a2b_base64(mangled) == binascii.a2b_base64(text)
+    with pytest.raises(TraceError, match=MOVES if field == "moves" else COUNTS) as info:
+        read_trace([lines[0], json.dumps({**record, field: mangled}), *lines[2:]])
+    assert info.value.line == 2
+
+
+def test_read_trace_refuses_padding_that_is_missing():
+    lines = _q3_trace_lines()
+    record = json.loads(lines[1])  # its counts end in one "="
+    # The padding left out, or a data character in its place.
+    for stripped in (record["counts"].rstrip("="), record["counts"][:-1] + "A"):
+        with pytest.raises(TraceError, match=COUNTS) as info:
+            read_trace([lines[0], json.dumps({**record, "counts": stripped}), *lines[2:]])
+        assert info.value.line == 2
+
+
+def test_read_trace_keeps_a_negative_count_for_the_audit_to_refuse():
     honest = _honest_trace_lines()
     record = json.loads(honest[2])
-    record["counts"] = [2, 2 ** 31, 0]
+    record["counts"] = packed([2, -1, 0])
     data = read_trace(honest[:2] + [json.dumps(record)] + honest[3:])
-    assert data.rounds[1].counts[1] == (2 ** 31, 0)
+    assert data.rounds[1].counts[1] == (-1, 0)
     safety = verify.verify_trace(data)[0]
     assert (safety.name, safety.passed, safety.round) == ("safety", False, 2)
     assert safety.detail == "recorded counts disagree with the moves"
@@ -1274,7 +1370,7 @@ def test_read_trace_rejects_malformed_header_and_summary():
         read_trace(lines + lines[-1:])
     assert info.value.line == n + 1
     header = json.loads(lines[0])
-    for fmt in ("ringform-trace-v4", None):
+    for fmt in ("ringform-trace-v5", None):
         with pytest.raises(TraceError, match="header format") as info:
             read_trace([json.dumps({**header, "format": fmt})] + lines[1:])
         assert info.value.line == 1

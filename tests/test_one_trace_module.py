@@ -1,6 +1,7 @@
 """The trace format lives in one module: ``trace.py`` writes and reads it,
 spells out its one format name, depends on no package module but
-``core``, and no other module spells out a format name or a record type."""
+``core``, and no other module spells out a format name or a record type
+or imports the codec of its packed fields."""
 
 import ast
 import re
@@ -74,3 +75,21 @@ def test_only_the_trace_module_holds_the_format():
         if found:
             leaks[path.name] = found
     assert leaks == {}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level names of the modules that a module imports absolutely."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_only_the_trace_module_knows_the_packed_encoding():
+    codecs = {"base64", "binascii"}
+    users = {path.name for path in PACKAGE.glob("*.py")
+             if imported_modules(ast.parse(path.read_text(encoding="utf-8"))) & codecs}
+    assert users == {"trace.py"}
