@@ -75,15 +75,6 @@ class BenchRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple[BenchRow, ...]
-    max_ratio: float
-
-    def all_ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-
 def _load_instance(path: str) -> Instance:
     with open(path, "rb") as fp:
         raw = fp.read()
@@ -194,74 +185,59 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(v.passed for v in verdicts) else EXIT_VERIFICATION_FAILED
 
 
-BENCH_SUITES = ("random", "homogeneous", "adversarial", "all")
+# The bench suites: each maps ``seeds`` to its (instance id, instance) pairs.
+BENCH_SUITES: dict[str, Callable[[int], Iterable[tuple[str, Instance]]]] = {
+    "random": lambda seeds: (
+        (f"random-k{k}-p{p}-s{seed}", generators.gen_random(k, p, 2, seed))
+        for k in (2, 4, 6, 8, 12, 16) for p in (2, 4, 6) for seed in range(seeds)),
+    "homogeneous": lambda seeds: (
+        (f"homogeneous-k{k}-p{p}-m{m}-s{seed}", generators.gen_homogeneous(k, p, m, seed))
+        for k in (4, 8, 16, 32) for p in (2, 4) for m in sorted({1, p // 2, p - 1})
+        for seed in range(seeds)),
+    "adversarial": lambda seeds: (
+        (f"adversarial-k{k}-p{p}", generators.gen_adversarial_half(k, p))
+        for k in (8, 16, 32) for p in (2, 4)),
+}
 
 
-def _bench_instances(suite: str, seeds: int) -> list[tuple[str, Instance]]:
-    if suite not in BENCH_SUITES:
+def run_bench(suite: str, seeds: int) -> list[BenchRow]:
+    """The rows of one of ``BENCH_SUITES``, or of all of them for ``all``,
+    sorted by instance id."""
+    if suite not in (*BENCH_SUITES, "all"):
         raise ValueError(f"unknown suite {suite!r}")
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
-    items: list[tuple[str, Instance]] = []
-    if suite in ("random", "all"):
-        for k in (2, 4, 6, 8, 12, 16):
-            for p in (2, 4, 6):
-                for seed in range(seeds):
-                    inst = generators.gen_random(k, p, 2, seed)
-                    items.append((f"random-k{k}-p{p}-s{seed}", inst))
-    if suite in ("homogeneous", "all"):
-        for k in (4, 8, 16, 32):
-            for p in (2, 4):
-                for m in sorted({1, p // 2, p - 1}):
-                    for seed in range(seeds):
-                        inst = generators.gen_homogeneous(k, p, m, seed)
-                        items.append((f"homogeneous-k{k}-p{p}-m{m}-s{seed}", inst))
-    if suite in ("adversarial", "all"):
-        for k in (8, 16, 32):
-            for p in (2, 4):
-                inst = generators.gen_adversarial_half(k, p)
-                items.append((f"adversarial-k{k}-p{p}", inst))
-    return items
-
-
-def run_bench(suite: str, seeds: int) -> BenchReport:
     rows = []
-    for instance_id, inst in _bench_instances(suite, seeds):
-        oriented, _ = engine.orient_roles(inst)
-        result = engine.run(oriented)
-        n_blue = oriented.initial.colour_totals()[0]
-        star = min(oriented.spec.row(1))
-        proven = analysis.bound_is_proven(oriented)
-        ok = result.terminated and (not proven or result.rounds_used <= result.bound)
-        rows.append(BenchRow(
-            instance_id=instance_id, k=inst.k, p=inst.p, q=inst.q,
-            n_blue=n_blue, n_blue_min=star,
-            rounds_used=result.rounds_used, bound=result.bound,
-            bound_proven=proven, ok=ok,
-        ))
-    rows.sort(key=lambda r: r.instance_id)
-    max_ratio = max((r.rounds_used / r.bound for r in rows if r.bound), default=0.0)
-    return BenchReport(rows=tuple(rows), max_ratio=max_ratio)
+    for name in BENCH_SUITES if suite == "all" else (suite,):
+        for instance_id, inst in BENCH_SUITES[name](seeds):
+            oriented, _ = engine.orient_roles(inst)
+            result = engine.run(oriented)
+            proven = analysis.bound_is_proven(oriented)
+            rows.append(BenchRow(
+                instance_id=instance_id, k=inst.k, p=inst.p, q=inst.q,
+                n_blue=oriented.initial.colour_totals()[0],
+                n_blue_min=min(oriented.spec.row(1)),
+                rounds_used=result.rounds_used, bound=result.bound, bound_proven=proven,
+                ok=result.terminated and (not proven or result.rounds_used <= result.bound),
+            ))
+    return sorted(rows, key=lambda r: r.instance_id)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    report = run_bench(args.suite, args.seeds)
+    rows = run_bench(args.suite, args.seeds)
     header = f"{'instance':34} {'k':>3} {'p':>3} {'q':>2} {'N1':>5} {'n1*':>4} " \
              f"{'rounds':>7} {'bound':>6} ok"
     print(header)
-    for row in report.rows:
+    for row in rows:
         print(f"{row.instance_id:34} {row.k:>3} {row.p:>3} {row.q:>2} {row.n_blue:>5} "
               f"{row.n_blue_min:>4} {row.rounds_used:>7} {row.bound:>6} "
               f"{'yes' if row.ok else 'NO'}")
-    print(f"max rounds/bound ratio: {report.max_ratio:.3f}")
+    max_ratio = max((r.rounds_used / r.bound for r in rows if r.bound), default=0.0)
+    print(f"max rounds/bound ratio: {max_ratio:.3f}")
     if args.out:
-        payload = {
-            "rows": [vars(row) for row in report.rows],
-            "max_ratio": report.max_ratio,
-        }
         with open(args.out, "w", encoding="utf-8") as fp:
-            json.dump(payload, fp, indent=2)
-    return EXIT_OK if report.all_ok() else EXIT_VERIFICATION_FAILED
+            json.dump({"rows": [vars(row) for row in rows], "max_ratio": max_ratio}, fp, indent=2)
+    return EXIT_OK if all(row.ok for row in rows) else EXIT_VERIFICATION_FAILED
 
 
 def _int_at_least(minimum: int) -> Callable[[str], int]:
@@ -305,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="tabulate round counts against bounds")
-    bench.add_argument("--suite", default="all", choices=BENCH_SUITES)
+    bench.add_argument("--suite", default="all", choices=[*BENCH_SUITES, "all"])
     bench.add_argument("--seeds", type=_int_at_least(1), default=3)
     bench.add_argument("--out", default=None)
     bench.set_defaults(func=cmd_bench)

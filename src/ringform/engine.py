@@ -41,9 +41,7 @@ from .core import (
 # The round records and the trace writer and reader, which live in
 # ``trace``, are engine names too: the engine's callers reach them here.
 from .trace import (  # noqa: F401
-    ROUND_CHECKS,
     SUMMARY_FIELDS,
-    TRACE_FORMAT,
     Move,
     MoveSet,
     RoundTrace,
@@ -609,7 +607,7 @@ def iter_rounds(inst: Instance, max_rounds: int | None = None, *,
         cfg, moves = step_round(ledger.cfg, offset, step, idle)
         ledger.advance(cfg, bool(moves))
         yield RoundTrace(index=r, offset=offset, moves=moves, counts=cfg.all_counts(),
-                         distance=ledger.distance, checks=ROUND_CHECKS)
+                         distance=ledger.distance)
     yield ledger.summary("run")
 
 

@@ -23,8 +23,7 @@ def fabricate_round(cfg, moves, index, offset, distance=None):
     """A RoundTrace whose counts honestly reflect its (possibly rogue) moves."""
     after = engine.apply_moves(cfg, tuple(moves))
     trace = RoundTrace(index=index, offset=offset, moves=tuple(moves),
-                       counts=after.all_counts(), distance=distance,
-                       checks=engine.ROUND_CHECKS)
+                       counts=after.all_counts(), distance=distance)
     return after, trace
 
 
@@ -33,8 +32,7 @@ def _stalled_rounds(inst, count, distance):
     offset = 1
     for index in range(1, count + 1):
         rounds.append(RoundTrace(index=index, offset=offset, moves=(),
-                                 counts=inst.initial.all_counts(), distance=distance,
-                                 checks=()))
+                                 counts=inst.initial.all_counts(), distance=distance))
         offset = offset % inst.k + 1
     return rounds
 

@@ -11,7 +11,6 @@ from typing import Iterable
 from ringform import engine, verify
 from ringform.core import Configuration, Instance, RequirementSpec
 from ringform.engine import (
-    ROUND_CHECKS,
     MoveSet,
     RoundTrace,
     RunResult,
@@ -63,7 +62,7 @@ def fresh_round(cfg: Configuration, inst: Instance, offset: int, *,
     records no distance."""
     new_cfg, moves = step_round(cfg, offset, engine._window_step(inst), set())
     return new_cfg, RoundTrace(index=index, offset=offset, moves=moves,
-                               counts=new_cfg.all_counts(), distance=None, checks=ROUND_CHECKS)
+                               counts=new_cfg.all_counts(), distance=None)
 
 
 def check_successor(cfg: Configuration, flat, after: Configuration, offset: int) -> None:

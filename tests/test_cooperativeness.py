@@ -140,7 +140,7 @@ def dropped_round(inst, result, j):
     """Round ``j`` records no moves; the engine carries on from there."""
     cfg = replayed_configs(inst, result.trace[:j - 1])[-1]
     stalled = RoundTrace(index=j, offset=result.trace[j - 1].offset, moves=(),
-                         counts=cfg.all_counts(), distance=None, checks=())
+                         counts=cfg.all_counts(), distance=None)
     rounds = list(result.trace[:j - 1]) + [stalled]
     return continue_honestly(inst, cfg, rounds, len(result.trace) - j)
 
@@ -180,7 +180,7 @@ def quiet_tail(inst, result, count):
     for _ in range(count):
         offset = offset % inst.k + 1
         rounds.append(RoundTrace(index=len(rounds) + 1, offset=offset, moves=(),
-                                 counts=result.final.all_counts(), distance=None, checks=()))
+                                 counts=result.final.all_counts(), distance=None))
     return rounds
 
 
@@ -427,7 +427,7 @@ def test_replay_names_the_first_bad_move_in_order():
                           f"move {wrong_id} does not match the agent at its source"),
                          ([outside, wrong_id, back], f"move {outside} outside the ring")):
         bad = RoundTrace(index=j, offset=result.trace[j - 1].offset, moves=moves,
-                         counts=cfg.all_counts(), distance=None, checks=())
+                         counts=cfg.all_counts(), distance=None)
         data = TraceData(inst, (*result.trace[:j - 1], bad, *result.trace[j:]), summary)
         expected = [InvariantVerdict("replay", False, None, f"round {j}: {error}")]
         assert verify.verify_trace(data) == oracle.verify_trace(data) == expected

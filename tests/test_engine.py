@@ -857,7 +857,6 @@ def test_v4_round_records_pack_the_moves_and_only_the_changed_rows():
         before = rt.counts
     data = read_trace(json.dumps(r) for r in records)
     assert data.rounds == result.trace
-    assert all(rt.checks == engine.ROUND_CHECKS for rt in data.rounds)
     # A key the format does not know, such as the "checks" of older formats, is ignored.
     assert read_trace(json.dumps({**r, "checks": []}) for r in records).rounds == result.trace
     before = data.instance.initial.all_counts()
@@ -891,8 +890,7 @@ def traced_rounds(draw) -> tuple[core.Instance, list[engine.RoundTrace]]:
         rounds.append(engine.RoundTrace(
             index=index, offset=draw(c_ints),
             moves=draw(st.lists(st.tuples(c_ints, c_ints, c_ints), max_size=4)),
-            counts=counts, distance=draw(st.none() | st.just(0) | c_ints),
-            checks=engine.ROUND_CHECKS))
+            counts=counts, distance=draw(st.none() | st.just(0) | c_ints)))
         before = counts
     return inst, rounds
 
@@ -920,8 +918,7 @@ def test_a_round_line_is_the_json_of_its_record_and_reads_back(case):
 
 
 def _round(index: int, counts: tuple) -> engine.RoundTrace:
-    return engine.RoundTrace(index=index, offset=0, moves=(), counts=counts, distance=None,
-                             checks=engine.ROUND_CHECKS)
+    return engine.RoundTrace(index=index, offset=0, moves=(), counts=counts, distance=None)
 
 
 def test_the_writer_checks_each_distinct_count_row_once_and_skips_a_kept_counts_object():
@@ -972,7 +969,6 @@ def test_the_writer_packs_moves_that_reuse_integers_as_their_json():
     counts = inst.initial.all_counts()
     # Each round reuses the integers of the one before, as ids and as positions.
     rounds = [engine.RoundTrace(index=r, offset=1, counts=counts, distance=None,
-                                checks=engine.ROUND_CHECKS,
                                 moves=[(EDGE_INTS[(r + j) % 8], EDGE_INTS[(r * j) % 8],
                                         EDGE_INTS[j % 8]) for j in range(4 + 3 * r)])
               for r in range(1, 5)]

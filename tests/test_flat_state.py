@@ -274,12 +274,13 @@ def test_run_trace_verify_keeps_two_rounds_alive_whatever_the_round_count(monkey
     inst = gen_adversarial_half(16, 4)
     instance_path, trace_path = tmp_path / "inst.txt", tmp_path / "trace.jsonl"
     instance_path.write_text(serialize_instance(inst))
-    alive: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # RoundTrace is unhashable
+    # Keyed by id: equal rounds hash alike, and each object counts.
+    alive: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
     peak = []
     post_init = RoundTrace.__post_init__
 
-    def followed(self):
-        post_init(self)
+    def followed(self, checks=None):
+        post_init(self, checks)
         alive[id(self)] = self
         peak.append(len(alive))
 
@@ -312,8 +313,7 @@ def test_window_arithmetic_matches_build_pairing():
             swap = (Move(last - 1, last - 1, origin - 1), Move(origin - 1, origin - 1, last - 1))
             after = engine.apply_moves(inst.initial, swap)
             run = replay(inst, [RoundTrace(index=1, offset=offset, moves=swap,
-                                                  counts=after.all_counts(), distance=None,
-                                                  checks=())])
+                                                  counts=after.all_counts(), distance=None)])
             assert verdict_of(run, "no_wraparound").passed == ((last, origin) not in pairs), \
                 (k, offset)
 
@@ -362,8 +362,8 @@ def test_a_run_and_its_audit_walk_each_moving_round_once_or_twice(monkeypatch):
         walks.clear()
         assert all(v.passed for v in verify.verify_result(result))
         if inst.q == 2:
-            # The replay, then the blue ranks that move.
-            assert moving < len(walks) <= 2 * moving, inst.provenance
+            # The replay, and perhaps the blue ranks that move: once or twice.
+            assert moving <= len(walks) <= 2 * moving, inst.provenance
         else:
             assert len(walks) == moving, inst.provenance
 

@@ -78,3 +78,42 @@ def test_every_module_level_import_is_used_exported_or_marked_as_a_re_export():
                     unused.append(f"{path.name}: {name}")
     assert len(imported) > 50
     assert unused == []
+
+
+def reached_through(module: str) -> set[str]:
+    """The names that code in the package, its tests or its benchmark reaches
+    through ``module``: as ``module.X``, or by ``from ...module import X``."""
+    names = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and (
+                        isinstance(node.value, ast.Name) and node.value.id == module
+                        or isinstance(node.value, ast.Attribute) and node.value.attr == module):
+                    names.add(node.attr)
+                elif (isinstance(node, ast.ImportFrom)
+                        and (node.module or "").rpartition(".")[2] == module):
+                    names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_name_of_a_marked_re_export_is_used_in_its_module_or_reached_through_it():
+    """A name imported in a statement marked ``# noqa: F401`` is used in its
+    module, or reached through that module somewhere else."""
+    exported, unreached = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        reached = reached_through(path.stem)
+        for node in tree.body:
+            if (isinstance(node, ast.ImportFrom)
+                    and lines[node.lineno - 1].endswith("# noqa: F401")):
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    exported.append(name)
+                    if name not in used | reached:
+                        unreached.append(f"{path.name}: {name}")
+    assert len(exported) > 5
+    assert unreached == []

@@ -1,11 +1,17 @@
 """The trace format lives in one module: ``trace.py`` writes and reads it,
 spells out its one format name, depends on no package module but
 ``core``, and no other module spells out a format name or a record type
-or imports the codec of its packed fields."""
+or imports the codec of its packed fields.  A round record holds the
+fields of its line and nothing more."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+from helpers import written_records
+from ringform.engine import RoundTrace, orient_roles, run
+from ringform.generators import gen_adversarial_half
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ringform"
 RECORD_TYPES = {"header", "round", "summary"}
@@ -93,3 +99,21 @@ def test_only_the_trace_module_knows_the_packed_encoding():
     users = {path.name for path in PACKAGE.glob("*.py")
              if imported_modules(ast.parse(path.read_text(encoding="utf-8"))) & codecs}
     assert users == {"trace.py"}
+
+
+def test_a_round_record_holds_exactly_the_fields_of_its_line():
+    assert [f.name for f in dataclasses.fields(RoundTrace)] == [
+        "index", "offset", "moves", "counts", "distance"]
+    result = run(orient_roles(gen_adversarial_half(4, 2))[0])
+    rounds = [r for r in written_records(result) if r["type"] == "round"]
+    assert len(rounds) == len(result.trace) > 0
+    assert all(list(record) == ["type", "round", "offset", "moves", "counts", "distance"]
+               for record in rounds)
+    # perfbench's traced loop still passes the round checks; they change nothing.
+    checks = (("collision_free", True), ("within_window", True), ("colours_conserved", True))
+    for rt in result.trace:
+        for given in (checks, (), object()):
+            built = RoundTrace(index=rt.index, offset=rt.offset, moves=rt.moves,
+                               counts=rt.counts, distance=rt.distance, checks=given)
+            assert built == rt and hash(built) == hash(rt)
+            assert "checks" not in vars(built)

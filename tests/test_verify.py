@@ -356,7 +356,7 @@ def test_the_audit_recounts_the_final_state(monkeypatch):
 def test_replay_rejects_offsets_outside_the_ring():
     inst = make_p1("RRBB", 2, 2, [[1, 1], [1, 1]])
     bad = RoundTrace(index=1, offset=3, moves=(), counts=inst.initial.all_counts(),
-                     distance=1, checks=())
+                     distance=1)
     with pytest.raises(TraceError, match="round 1: offset 3"):
         replay(inst, [bad])
 
@@ -461,12 +461,12 @@ def test_single_round_windows_can_stall():
 def test_replay_rejects_inconsistent_moves():
     inst = make_p1("RRBB", 2, 2, [[1, 1], [1, 1]])
     bad = RoundTrace(index=1, offset=1, moves=(Move(0, 0, 2),),
-                     counts=inst.initial.all_counts(), distance=0, checks=())
+                     counts=inst.initial.all_counts(), distance=0)
     with pytest.raises(TraceError):
         replay(inst, [bad])
     wrong_agent = RoundTrace(index=1, offset=1,
                              moves=(Move(7, 0, 2), Move(2, 2, 0)),
-                             counts=inst.initial.all_counts(), distance=0, checks=())
+                             counts=inst.initial.all_counts(), distance=0)
     with pytest.raises(TraceError):
         replay(inst, [wrong_agent])
 
