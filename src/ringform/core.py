@@ -85,7 +85,7 @@ def _check_shape(n: int, k: int, p: int) -> None:
     if p < 1:
         raise ValueError(f"block length must be positive, got p={p}")
     if n != k * p:
-        raise ValueError(f"configuration has {n} agents, expected k*p={k * p}")
+        raise ValueError(f"config length {n} != k*p = {k * p}")
 
 
 @lru_cache(maxsize=None)  # one entry per colour count q
@@ -142,11 +142,11 @@ class Configuration:
     @classmethod
     def from_string(cls, text: str, k: int, p: int, q: int) -> "Configuration":
         """Agent ``x`` at ring position ``x`` with the colour of symbol ``text[x]``."""
+        _check_shape(len(text), k, p)
         alphabet = colour_symbols(q)
         if not set(text) <= set(alphabet):
             bad = next(ch for ch in text if ch not in alphabet)
-            raise ValueError(f"symbol {bad!r} is not a colour in {alphabet!r}")
-        _check_shape(len(text), k, p)
+            raise ValueError(f"config symbol {bad!r} outside colour alphabet {alphabet!r}")
         return cls._flat(_colour_bytes(text, q), array("i", range(len(text))), k, p, q)
 
     def _successor(self, colours: bytes, ids: array,
@@ -227,6 +227,8 @@ class RequirementSpec:
     patterns: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if not self.q or not self.k:
+            raise ValueError("requirement matrix is empty")
         if len(self.matrix) != self.q:
             raise ValueError(f"requirement matrix has {len(self.matrix)} rows, expected q={self.q}")
         for i, row in enumerate(self.matrix, start=1):
@@ -240,31 +242,34 @@ class RequirementSpec:
                 raise ValueError("P3 requires patterns")
             if len(self.patterns) != self.k:
                 raise ValueError(f"expected {self.k} patterns, got {len(self.patterns)}")
+            alphabet = colour_symbols(self.q)
             for j, pat in enumerate(self.patterns, start=1):
                 if len(pat) != self.p:
                     raise ValueError(f"pattern {j} has length {len(pat)}, expected p={self.p}")
+                if not set(pat) <= set(alphabet):
+                    bad = next(ch for ch in pat if ch not in alphabet)
+                    raise ValueError(f"pattern {j} symbol {bad!r} outside colour alphabet {alphabet!r}")
         elif self.patterns is not None:
             raise ValueError(f"{self.kind.value} does not take patterns")
 
     @classmethod
     def exact(cls, matrix: Sequence[Sequence[int]], p: int) -> "RequirementSpec":
         rows = tuple(tuple(row) for row in matrix)
-        return cls(kind=ProblemKind.P1, q=len(rows), k=len(rows[0]), p=p, matrix=rows)
+        return cls(kind=ProblemKind.P1, q=len(rows), k=len(rows[0]) if rows else 0, p=p,
+                   matrix=rows)
 
     @classmethod
     def lower_bound(cls, matrix: Sequence[Sequence[int]], p: int) -> "RequirementSpec":
         rows = tuple(tuple(row) for row in matrix)
-        return cls(kind=ProblemKind.P2, q=len(rows), k=len(rows[0]), p=p, matrix=rows)
+        return cls(kind=ProblemKind.P2, q=len(rows), k=len(rows[0]) if rows else 0, p=p,
+                   matrix=rows)
 
     @classmethod
     def for_patterns(cls, patterns: Sequence[str], q: int) -> "RequirementSpec":
         pats = tuple(patterns)
-        p = len(pats[0])
-        alphabet = colour_symbols(q)
-        matrix = tuple(
-            tuple(pat.count(alphabet[i]) for pat in pats) for i in range(q)
-        )
-        return cls(kind=ProblemKind.P3, q=q, k=len(pats), p=p, matrix=matrix, patterns=pats)
+        matrix = tuple(tuple(pat.count(symbol) for pat in pats) for symbol in colour_symbols(q))
+        return cls(kind=ProblemKind.P3, q=q, k=len(pats), p=len(pats[0]) if pats else 0,
+                   matrix=matrix, patterns=pats)
 
     def required(self, colour: int, block: int) -> int:
         return self.matrix[colour - 1][block - 1]
@@ -453,18 +458,13 @@ def parse_instance(text: str) -> Instance:
         raise InstanceFormatError(f"q must be at most {MAX_COLOURS}, got {q}", scalars["q"][1])
 
     config_text, config_line = need("config")
-    if len(config_text) != k * p:
-        raise InstanceFormatError(
-            f"config length {len(config_text)} != k*p = {k * p}", config_line
-        )
-    alphabet = colour_symbols(q)
-    for ch in config_text:
-        if ch not in alphabet:
-            raise InstanceFormatError(
-                f"config symbol {ch!r} outside colour alphabet {alphabet!r}", config_line
-            )
+    try:
+        initial = Configuration.from_string(config_text, k, p, q)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc), config_line) from None
 
     if kind is ProblemKind.P3:
+        alphabet = colour_symbols(q)
         if "requirements" in sections:
             raise InstanceFormatError("P3 instances take patterns, not requirements")
         rows = sections.get("patterns")
@@ -503,7 +503,6 @@ def parse_instance(text: str) -> Instance:
         builder = RequirementSpec.exact if kind is ProblemKind.P1 else RequirementSpec.lower_bound
         spec = builder(matrix, p)
 
-    initial = Configuration.from_string(config_text, k, p, q)
     provenance = scalars["generator"][0] if "generator" in scalars else None
     return Instance(spec=spec, initial=initial, provenance=provenance)
 

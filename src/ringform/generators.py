@@ -14,7 +14,7 @@ from __future__ import annotations
 import inspect
 import random
 
-from .core import MAX_COLOURS, Configuration, Instance, RequirementSpec, colour_symbols
+from .core import Configuration, Instance, RequirementSpec, _check_shape, colour_symbols
 
 GENERATOR_VERSION = "py-mt19937-v1"
 
@@ -24,22 +24,18 @@ class GeneratorError(ValueError):
 
 
 def _check_geometry(k: int, p: int, q: int) -> None:
-    if k < 2:
-        raise GeneratorError(f"need at least two blocks, got k={k}")
-    if q < 2:
-        raise GeneratorError(f"need at least two colours, got q={q}")
-    if q > MAX_COLOURS:
-        raise GeneratorError(f"at most {MAX_COLOURS} colours supported, got q={q}")
-    if p < 1:
-        raise GeneratorError(f"block length must be positive, got p={p}")
+    """``core``'s refusal of a ring of k blocks of p nodes in q colours, as a GeneratorError."""
+    try:
+        _check_shape(k * p, k, p)
+        colour_symbols(q)
+    except ValueError as exc:
+        raise GeneratorError(str(exc)) from None
 
 
 def _shuffled_configuration(rng: random.Random, totals: list[int],
                             k: int, p: int, q: int) -> Configuration:
     symbols = colour_symbols(q)
     pool = [symbols[i] for i, count in enumerate(totals) for _ in range(count)]
-    if len(pool) != k * p:
-        raise GeneratorError(f"colour totals sum to {len(pool)}, expected n={k * p}")
     rng.shuffle(pool)
     return Configuration.from_string("".join(pool), k, p, q)
 

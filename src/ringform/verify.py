@@ -96,9 +96,10 @@ class _Audit:
             self.linear = True  # every rank has sat before the next one so far
         if "suffix_property" in live:
             self.need = analysis.renamed_row(inst.spec.row(BLUE), self.origin)
-            self.surplus = inst.initial.colour_totals()[BLUE - 1] - sum(self.need)
-            # The extras count of a lower-bound instance, 0 for exact ones.
-            self.allowed = self.surplus if inst.spec.kind is ProblemKind.P2 else 0
+            surplus = inst.initial.colour_totals()[BLUE - 1] - sum(self.need)
+            # The extras count of a lower-bound instance, 0 for exact ones, and
+            # never above the whole ring's surplus, the prefix of all k blocks.
+            self.bound = surplus if inst.spec.kind is ProblemKind.P2 else min(0, surplus)
             self.check_prefixes(0, potential.blues)
         if "cooperativeness" in live:
             self.classes = analysis.blue_partition(inst)
@@ -169,21 +170,15 @@ class _Audit:
     def check_prefixes(self, r: int, blues: Sequence[int]) -> None:
         """``suffix_property``: in coordinates renamed from the initial state,
         every prefix of blocks carries a cumulative blue surplus of at most
-        the extras count and every suffix one of at least 0, given the blue
-        count of every renamed block."""
-        allowed, total, k = self.allowed, self.surplus, self.k
+        the extras count, given the blue count of every renamed block.  The
+        whole ring carries the extras count, so every suffix then carries a
+        surplus of at least 0: a suffix deficit is a prefix excess."""
+        bound = self.bound
         prefix = list(accumulate(map(sub, blues, self.need)))
-        if max(prefix) <= min(allowed, total):
-            return
-        for j, surplus in enumerate(prefix, start=1):
-            if surplus > allowed:
-                self.fail("suffix_property", r,
-                          f"prefix of {j} renamed blocks has surplus {surplus} > {allowed}")
-                return
-            if j < k and total - surplus < 0:
-                self.fail("suffix_property", r,
-                          f"suffix after {j} renamed blocks has surplus {total - surplus} < 0")
-                return
+        if max(prefix) > bound:
+            j = next(j for j, surplus in enumerate(prefix, start=1) if surplus > bound)
+            self.fail("suffix_property", r,
+                      f"prefix of {j} renamed blocks has surplus {prefix[j - 1]} > {bound}")
 
     def check_wrap(self, r: int, offset: int, moves: MoveSet, crossed: Collection[int]) -> None:
         """``no_wraparound``: no agent is ever exchanged inside the window that

@@ -47,6 +47,13 @@ def test_surplus_examples():
     assert surplus_profile(cfg_of("BBBR", 2, 2), (1, 1)) == (1, 0)
 
 
+@pytest.mark.parametrize("row", [(1,), (1, 1, 1), ()])
+def test_surplus_profile_refuses_a_row_of_another_length(row):
+    with pytest.raises(ValueError) as info:
+        surplus_profile(cfg_of("BBRR", 2, 2), row)
+    assert str(info.value) == f"requirement row has {len(row)} entries, expected 2"
+
+
 def test_cumulative_examples():
     two = (1, -1)
     assert cumulative_surplus(two, 1, 2) == 0

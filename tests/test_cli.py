@@ -66,6 +66,21 @@ def test_gen_refuses_more_colours_than_symbols(capsys):
         assert captured.err == "error: at most 35 colours supported, got q=36\n"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("k", "1", "need at least two blocks, got k=1"),
+    ("p", "0", "block length must be positive, got p=0"),
+    ("q", "1", "need at least two colours, got q=1"),
+])
+def test_gen_refuses_a_ring_shape_with_one_error_line(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "inst.txt"
+    argv = ["gen", "--kind", "random", "--k", "4", "--p", "4", "--q", "2", "--out", str(out)]
+    argv[argv.index(f"--{flag}") + 1] = value
+    assert main(argv) == EXIT_INVALID_INSTANCE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_gen_flags_are_the_generators_parameters():
     assert set(cli.GEN_FLAGS) == {name for fn in generators.GENERATORS.values()
                                   for name in inspect.signature(fn).parameters}

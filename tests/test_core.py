@@ -5,9 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringform.core import (
+    Agent,
     Configuration,
+    Instance,
     InstanceFormatError,
     ProblemKind,
+    RequirementSpec,
+    colour_symbols,
     parse_instance,
     serialize_instance,
     validate,
@@ -249,3 +253,112 @@ def test_configuration_guards():
         Configuration.from_string("BR", 1, 2, 2)
     with pytest.raises(ValueError, match="k\\*p"):
         Configuration.from_string("BRB", 2, 2, 2)
+
+
+P1, P2, P3 = ProblemKind.P1, ProblemKind.P2, ProblemKind.P3
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(kind=P1, q=0, k=2, p=2, matrix=()), "requirement matrix is empty"),
+    (dict(kind=P1, q=2, k=0, p=2, matrix=((), ())), "requirement matrix is empty"),
+    (dict(kind=P1, q=3, k=2, p=2, matrix=((1, 1), (1, 1))),
+     "requirement matrix has 2 rows, expected q=3"),
+    (dict(kind=P1, q=2, k=2, p=2, matrix=((1, 1), (1,))),
+     "requirement row 2 has 1 entries, expected k=2"),
+    (dict(kind=P1, q=2, k=2, p=2, matrix=((1, -1), (1, 3))),
+     "requirement for colour 1, block 2 is negative"),
+    (dict(kind=P3, q=2, k=2, p=2, matrix=((1, 1), (1, 1))), "P3 requires patterns"),
+    (dict(kind=P3, q=2, k=2, p=2, matrix=((1, 1), (1, 1)), patterns=("BR",)),
+     "expected 2 patterns, got 1"),
+    (dict(kind=P3, q=2, k=2, p=2, matrix=((1, 1), (1, 1)), patterns=("BR", "B")),
+     "pattern 2 has length 1, expected p=2"),
+    (dict(kind=P3, q=2, k=2, p=2, matrix=((1, 1), (1, 1)), patterns=("BR", "RX")),
+     "pattern 2 symbol 'X' outside colour alphabet 'BR'"),
+    (dict(kind=P2, q=2, k=2, p=2, matrix=((1, 1), (0, 0)), patterns=("BR", "RB")),
+     "P2 does not take patterns"),
+])
+def test_requirement_spec_refuses_a_malformed_target(fields, message):
+    with pytest.raises(ValueError) as info:
+        RequirementSpec(**fields)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RequirementSpec.exact([], 2), "requirement matrix is empty"),
+    (lambda: RequirementSpec.exact([[], []], 2), "requirement matrix is empty"),
+    (lambda: RequirementSpec.lower_bound([], 2), "requirement matrix is empty"),
+    (lambda: RequirementSpec.for_patterns([], 2), "requirement matrix is empty"),
+    # The matrix counts only the symbols of the alphabet, so the symbol is named.
+    (lambda: RequirementSpec.for_patterns(["BX", "RB"], 2),
+     "pattern 1 symbol 'X' outside colour alphabet 'BR'"),
+    (lambda: RequirementSpec.for_patterns(["123", "12x"], 3),
+     "pattern 2 symbol 'x' outside colour alphabet '123'"),
+])
+def test_requirement_spec_builders_refuse_empty_matrices_and_foreign_symbols(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Configuration([Agent(0, 1), Agent(0, 2)], 2, 1, 2), "agent ids must be unique"),
+    (lambda: Configuration([Agent(0, 1), Agent(1, 3)], 2, 1, 2),
+     "agent 1 has colour 3 outside 1..2"),
+    (lambda: Configuration([Agent(0, 0), Agent(1, 2)], 2, 1, 2),
+     "agent 0 has colour 0 outside 1..2"),
+    (lambda: Configuration([Agent(0, 1)], 2, 1, 2), "config length 1 != k*p = 2"),
+    (lambda: Configuration.from_string("", 2, 0, 2), "block length must be positive, got p=0"),
+    (lambda: Configuration.from_string("BRB", 2, 2, 2), "config length 3 != k*p = 4"),
+    (lambda: Configuration.from_string("BRXR", 2, 2, 2),
+     "config symbol 'X' outside colour alphabet 'BR'"),
+    # The length is checked before the symbols.
+    (lambda: Configuration.from_string("XX", 2, 2, 2), "config length 2 != k*p = 4"),
+    (lambda: colour_symbols(1), "need at least two colours, got q=1"),
+])
+def test_configuration_refuses_a_malformed_ring(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("config, k, p, q, message", [
+    ("BRBRBRBR", 4, 2, 2, "k disagrees between requirements (2) and configuration (4)"),
+    ("BBRBRR", 2, 3, 2, "p disagrees between requirements (2) and configuration (3)"),
+    ("1213", 2, 2, 3, "q disagrees between requirements (2) and configuration (3)"),
+])
+def test_instance_refuses_a_configuration_of_another_shape(config, k, p, q, message):
+    spec = RequirementSpec.exact([[1, 1], [1, 1]], 2)
+    with pytest.raises(ValueError) as info:
+        Instance(spec=spec, initial=Configuration.from_string(config, k, p, q))
+    assert str(info.value) == message
+
+
+def test_validate_p2_names_each_constrained_colour_above_1():
+    report = validate(make_p2("112233", 2, 3, [[1, 1], [0, 0], [0, 1]]))
+    assert report.issues == ("colour 3: lower-bound instances may only constrain colour 1",)
+
+
+P2_DOC = P1_DOC.replace("kind: P1", "kind: P2").replace("  1 1\n  1 1\n", "  1 1\n  0 0\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    # The config is refused with the words of Configuration.from_string, on its line.
+    (P1_DOC.replace("config: BBRR", "config: BBRRB"), "line 5: config length 5 != k*p = 4"),
+    (P1_DOC.replace("config: BBRR", "config: BBRX"),
+     "line 5: config symbol 'X' outside colour alphabet 'BR'"),
+    (P1_DOC.replace("config: BBRR", "config: BBX"), "line 5: config length 3 != k*p = 4"),
+    (P3_DOC.replace("config: RRBB", "config: RRB"), "line 5: config length 3 != k*p = 4"),
+    (P1_DOC.replace("q: 2", "q: 3").replace("config: BBRR", "config: 12R3"),
+     "line 5: config symbol 'R' outside colour alphabet '123'"),
+    (P3_DOC.replace("patterns:\n  BR\n  RB\n", ""), "missing patterns section"),
+    (P1_DOC.replace("requirements:\n  1 1\n  1 1\n", ""), "missing requirements section"),
+    (P2_DOC.replace("requirements:\n  1 1\n  0 0\n", ""), "missing requirements section"),
+    (P3_DOC.replace("  RB\n", "  RX\n"), "line 8: pattern symbol 'X' outside 'BR'"),
+    (P1_DOC.replace("  1 1\n  1 1\n", "  1 1\n  2 -1\n"),
+     "line 8: requirement counts must be non-negative"),
+    (P2_DOC.replace("  0 0\n", "  0 -1\n"), "line 8: requirement counts must be non-negative"),
+])
+def test_parse_refuses_a_malformed_document_with_its_line(doc, message):
+    with pytest.raises(InstanceFormatError) as info:
+        parse_instance(doc)
+    assert str(info.value) == message

@@ -192,6 +192,13 @@ def test_orient_roles_leaves_other_kinds_as_they_are():
         assert oriented is inst and not reversed_roles
 
 
+def test_orient_roles_refuses_zero_minimums_in_both_colours():
+    inst = make_p1("BBRR", 2, 2, [[2, 0], [0, 2]])
+    with pytest.raises(ValueError) as info:
+        orient_roles(inst)
+    assert str(info.value) == "cannot orient: both colours have a zero minimum requirement"
+
+
 # --- two-colour window step ------------------------------------------------------
 
 
@@ -992,6 +999,14 @@ def test_moves_hash_as_the_tuple_they_equal_so_rounds_and_runs_hash():
     assert hash(result) == hash(dataclasses.replace(result))
     data = read_trace(io.StringIO("\n".join(map(json.dumps, written_records(result)))))
     assert data.rounds == result.trace and set(data.rounds) == set(result.trace)
+
+
+@pytest.mark.parametrize("moves", [[(1, 2)], [(1, 2, 3), (4, 5, 6, 7)], ((1, 2, 3), ()),
+                                   iter([(1, 2, 3, 4)])])
+def test_a_move_set_refuses_a_move_that_is_not_a_triple(moves):
+    with pytest.raises(ValueError) as info:
+        engine.MoveSet(moves)
+    assert str(info.value) == "a move is an (agent id, from, to) triple"
 
 
 def test_a_move_set_indexes_and_slices_as_its_tuple_without_walking_its_moves(monkeypatch):

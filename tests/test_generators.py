@@ -134,3 +134,31 @@ def test_generate_takes_every_kind_of_the_table_with_its_defaults():
     assert generate("p2_random", k=5, p=4, q=3, extras=1) == gen_p2_random(5, 4, 3, extras=1)
     assert generate("p3_random", k=3, p=4, seed=6) == gen_p3_random(3, 4, seed=6)
     assert generate("adversarial_half", k=4, p=2) == gen_adversarial_half(4, 2)
+
+
+@pytest.mark.parametrize("params, message", [
+    (dict(k=1, p=4), "need at least two blocks, got k=1"),
+    (dict(k=0, p=4), "need at least two blocks, got k=0"),
+    (dict(k=4, p=0), "block length must be positive, got p=0"),
+    (dict(k=4, p=-2), "block length must be positive, got p=-2"),
+    (dict(k=4, p=4, q=1), "need at least two colours, got q=1"),
+])
+@pytest.mark.parametrize("kind", ["random", "p2_random", "p3_random"])
+def test_generators_refuse_a_ring_that_core_refuses(kind, params, message):
+    # The words are core's shape checks, raised as a GeneratorError.
+    with pytest.raises(GeneratorError) as info:
+        generate(kind, **params)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: gen_homogeneous(1, 4, 1), "need at least two blocks, got k=1"),
+    (lambda: gen_homogeneous(4, 0, 1), "block length must be positive, got p=0"),
+    (lambda: gen_adversarial_half(0, 2), "need at least two blocks, got k=0"),
+    (lambda: gen_adversarial_half(4, -2), "block length must be positive, got p=-2"),
+    (lambda: gen_p2_random(3, 3, 2, seed=0, extras=-1), "extras must be non-negative"),
+])
+def test_two_colour_generators_refuse_a_bad_shape_or_negative_extras(build, message):
+    with pytest.raises(GeneratorError) as info:
+        build()
+    assert str(info.value) == message
